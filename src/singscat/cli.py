@@ -489,8 +489,13 @@ def main(argv=None) -> int:
         sys.stdout.write(doc + "\n")
         return code
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            code, doc = _error_doc(UsageError(f"cannot write --out file: {exc}"))
+            sys.stdout.write(doc + "\n")
+            return code
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -16,6 +16,7 @@ from .errors import (
     NonPositiveEnergy,
     NoScatteringState,
     SingscatError,
+    TransferOverflow,
     error_tag,
 )
 from .sweep import sweep_map
@@ -178,17 +179,28 @@ def compose_chain(
     point and free propagation covers the gaps:
 
         total = J_N F(k, x_N - x_{N-1}) ... J_2 F(k, x_2 - x_1) J_1
+
+    Raises TransferOverflow when the running product leaves the
+    representable range.
     """
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     total = Mat2.identity()
     prev_x: float | None = None
     for x, junction in chain:
-        if prev_x is not None:
-            if not x > prev_x:
-                raise ChainOrderError(
-                    f"positions must increase strictly, got {prev_x} then {x}"
-                )
-            total = free_transfer(k, x - prev_x) @ total
-        total = junction @ total
+        try:
+            if prev_x is not None:
+                if not x > prev_x:
+                    raise ChainOrderError(
+                        f"positions must increase strictly, got {prev_x} then {x}"
+                    )
+                total = free_transfer(k, x - prev_x) @ total
+            total = junction @ total
+        except ValueError as exc:
+            # Mat2 refuses non-finite entries
+            raise TransferOverflow(
+                f"chain transfer left the representable range at x = {x}"
+            ) from exc
         prev_x = x
     return total
 

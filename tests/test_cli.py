@@ -257,6 +257,18 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == golden_text("junction_delta.json")
 
 
+def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "result.json"
+    code, out, _ = run(
+        capsys, "junction", "--m", "1", "--c", "-2", "--out", str(target)
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid_argument"
+    assert "result.json" in doc["message"]
+    assert not target.exists()
+
+
 def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
     off_resonance = -(((1 + 5e-7) * math.pi) ** 2)
     argv = ("junction", "--m", "2", "--c", repr(off_resonance))

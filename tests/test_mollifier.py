@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 import singscat.mollifier as mollifier_mod
 from singscat import (
@@ -285,3 +285,76 @@ def test_resonant_search_bracket_and_argument_errors():
         resonant_search(TOP_HAT, 0)
     with pytest.raises(BracketError):
         resonant_search(TOP_HAT, 1, c_bracket=(-5.0, -1.0))
+
+
+def _rk_transfer(pot: RegularizedPotential, k: float) -> np.ndarray:
+    """Oracle: both fundamental solutions across the support by DOP853."""
+    half = pot.half_width
+
+    def rhs(x, y):
+        v = float(pot(x)) - k
+        return [y[1], v * y[0], y[3], v * y[2]]
+
+    sol = solve_ivp(
+        rhs, (-half, half), [1.0, 0.0, 0.0, 1.0],
+        method="DOP853", rtol=1e-13, atol=1e-14, max_step=half / 64,
+    )
+    y = sol.y[:, -1]
+    return np.array([[y[0], y[2]], [y[1], y[3]]])
+
+
+@pytest.mark.parametrize(
+    "shape, m, c",
+    [
+        (GAUSSIAN, 2.0, -(math.pi**2)),
+        (GAUSSIAN, 3.0, -1.0),
+        (COSINE_BUMP, 3.0, -1.0),
+        (COSINE_BUMP, 1.0, -1.0),
+        (TRIANGLE, 0.5, -3.0),
+        (TRIANGLE, 3.0, -1.0),
+        (GAUSSIAN, 1.5, -1.0),
+    ],
+)
+def test_numeric_transfer_matches_rk_oracle(shape, m, c):
+    pot = RegularizedPotential(PotentialSpec(m, c), shape, 1e-3)
+    ref = _rk_transfer(pot, 1.0)
+    got = np.array(numeric_transfer(pot, 1.0).rows())
+    assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_smooth_shapes_settle_within_2_to_15_cells(monkeypatch):
+    monkeypatch.setattr(mollifier_mod, "N_CELLS_CAP", 2**15)
+    for shape in (TRIANGLE, COSINE_BUMP, GAUSSIAN):
+        pot = RegularizedPotential(PotentialSpec(3.0, -1.0), shape, 1e-3)
+        numeric_transfer(pot, 1.0)
+
+
+def test_chunked_product_matches_single_reduction(monkeypatch):
+    pot = RegularizedPotential(PotentialSpec(2.0, -3.0), GAUSSIAN, 0.1)
+    whole = transfer_fixed_cells(pot, 1.3, 100)
+    monkeypatch.setattr(mollifier_mod, "_CHUNK_CELLS", 16)
+    chunked = transfer_fixed_cells(pot, 1.3, 100)
+    assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_transfer_with_meaningless_determinant_is_refused():
+    # entries near 1e260 are finite, but their determinant is rounding
+    rows = convergence_sweep(
+        PotentialSpec(3.0, 1500.0), TOP_HAT, [1e-2, 3e-3, 1e-3], k=1.0
+    )
+    assert [row.error for row in rows] == ["overflow"] * 3
+    pot = RegularizedPotential(PotentialSpec(3.0, 1500.0), TOP_HAT, 1e-2)
+    with pytest.raises(TransferOverflow):
+        numeric_transfer(pot, 1.0)
+
+
+@pytest.mark.parametrize("shape", [GAUSSIAN, COSINE_BUMP, TRIANGLE])
+def test_smooth_levels_bracket_a_sign_change_of_rk_shot(shape):
+    def rk_shot(c: float) -> float:
+        # at eps = 1 and k = 0 the m = 2 transfer is the zero-energy shot
+        pot = RegularizedPotential(PotentialSpec(2.0, c), shape, 1.0)
+        return _rk_transfer(pot, 0.0)[1, 0]
+
+    for n in (1, 2):
+        level, _ = resonant_search(shape, n)
+        assert rk_shot(level * (1.0 - 1e-8)) * rk_shot(level * (1.0 + 1e-8)) < 0.0

@@ -17,6 +17,7 @@ from singscat import (
     NoScatteringState,
     PiecewiseSolution,
     PotentialSpec,
+    TransferOverflow,
     bound_states,
     compose_chain,
     evaluate_solution,
@@ -248,6 +249,15 @@ def test_chain_positions_must_increase():
     with pytest.raises(ChainOrderError):
         compose_chain([(1.0, j), (0.5, j)], k=1.0)
     assert compose_chain([], k=1.0) == Mat2.identity()
+
+
+def test_chain_overflow_is_a_transfer_overflow():
+    j = junction_matrix(PotentialSpec(1.0, -50.0))
+    with pytest.raises(TransferOverflow):
+        compose_chain([(float(i), j) for i in range(400)], k=0.5)
+    # a non-finite energy is bad input, not an overflow
+    with pytest.raises(ValueError):
+        compose_chain([(0.0, j), (1.0, j)], k=math.inf)
 
 
 def test_chain_of_identity_junctions_is_free_propagation():
