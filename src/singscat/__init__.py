@@ -11,8 +11,8 @@ from .core import (
     PiecewiseSolution,
     PotentialSpec,
     ShellPotentialSpec,
+    free_propagators,
     free_transfer,
-    fundamental_pair,
 )
 from .errors import (
     BracketError,
@@ -77,7 +77,7 @@ __all__ = [
     "PotentialSpec",
     "ShellPotentialSpec",
     "PiecewiseSolution",
-    "fundamental_pair",
+    "free_propagators",
     "free_transfer",
     "Regime",
     "RegimeKind",

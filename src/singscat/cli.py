@@ -52,6 +52,9 @@ EXIT_USAGE = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
 
+# Largest --ksteps grid; a scatter sweep this long takes a few seconds.
+MAX_KSTEPS = 100_000
+
 SCATTER_FIELDS = ["k", "re_r", "im_r", "re_t", "im_t", "R", "T", "flux_residual"]
 RADIAL_FIELDS = ["k", "a", "delta0", "sigma0"]
 MOLLIFY_FIELDS = ["eps", "M11", "M12", "M21", "M22", "det_err", "deviation", "flag"]
@@ -122,24 +125,16 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the --config file, then command line flags."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, value in load_config(args.config).items():
             setattr(cfg, key, value)
-    if getattr(args, "resonance_tol", None) is not None:
-        cfg.resonance_tol = args.resonance_tol
-    if getattr(args, "int_tol", None) is not None:
-        cfg.int_tol = args.int_tol
-    if getattr(args, "format", None) is not None:
-        cfg.format = args.format
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "iv_default", False):
-        cfg.iv_default = True
-    if getattr(args, "iv_a", None) is not None:
-        cfg.iv_a = args.iv_a
-    if getattr(args, "iv_b", None) is not None:
-        cfg.iv_b = args.iv_b
+    for key in _CONFIG_PARSERS:
+        value = getattr(args, key, None)
+        # None is a flag not given; False is --iv-default not given
+        if value is not None and value is not False:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -161,10 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance of the cell integrator",
     )
 
-    iv = argparse.ArgumentParser(add_help=False)
-    iv.add_argument("--iv-a", type=int, choices=(1, -1), dest="iv_a")
-    iv.add_argument("--iv-b", type=float, dest="iv_b")
-    iv.add_argument(
+    # (m, c) of the point potential and the case IV choice
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--m", type=float, required=True)
+    point.add_argument("--c", type=float, required=True)
+    point.add_argument("--iv-a", type=int, choices=(1, -1), dest="iv_a")
+    point.add_argument("--iv-b", type=float, dest="iv_b")
+    point.add_argument(
         "--iv-default",
         action="store_true",
         dest="iv_default",
@@ -184,42 +182,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_junction = sub.add_parser(
-        "junction", parents=[common, iv], help="classify (m, c) and print its matrix"
+    sub.add_parser(
+        "junction", parents=[common, point], help="classify (m, c) and print its matrix"
     )
-    p_junction.add_argument("--m", type=float, required=True)
-    p_junction.add_argument("--c", type=float, required=True)
-
-    p_scatter = sub.add_parser(
+    sub.add_parser(
         "scatter",
-        parents=[common, iv, kgrid],
+        parents=[common, point, kgrid],
         help="reflection/transmission at one energy or over a grid",
     )
-    p_scatter.add_argument("--m", type=float, required=True)
-    p_scatter.add_argument("--c", type=float, required=True)
-
-    p_bound = sub.add_parser(
-        "bound", parents=[common, iv], help="negative-energy states of (m, c)"
+    sub.add_parser(
+        "bound", parents=[common, point], help="negative-energy states of (m, c)"
     )
-    p_bound.add_argument("--m", type=float, required=True)
-    p_bound.add_argument("--c", type=float, required=True)
-
     p_radial = sub.add_parser(
         "radial",
-        parents=[common, iv, kgrid],
+        parents=[common, point, kgrid],
         help="s-wave phase shift of a singular shell",
     )
-    p_radial.add_argument("--m", type=float, required=True)
-    p_radial.add_argument("--c", type=float, required=True)
     p_radial.add_argument("--a", type=float, required=True, help="shell radius")
 
     p_mollify = sub.add_parser(
         "mollify",
-        parents=[common, iv],
+        parents=[common, point],
         help="effective junction of the mollified potential over an eps list",
     )
-    p_mollify.add_argument("--m", type=float, required=True)
-    p_mollify.add_argument("--c", type=float, required=True)
     p_mollify.add_argument("--shape", choices=sorted(SHAPES), required=True)
     p_mollify.add_argument(
         "--eps", required=True, help="comma list of widths, strictly decreasing"
@@ -273,8 +258,8 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
         raise UsageError("sweeps need both --kmin and --kmax")
     if not (args.kmin > 0.0 and args.kmax >= args.kmin):
         raise UsageError("sweeps need 0 < kmin <= kmax")
-    if args.ksteps < 1:
-        raise UsageError("ksteps must be >= 1")
+    if not 1 <= args.ksteps <= MAX_KSTEPS:
+        raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {args.ksteps}")
     if args.ksteps == 1:
         return [args.kmin]
     steps = args.ksteps
@@ -298,53 +283,41 @@ def cmd_junction(args: argparse.Namespace, cfg: RunConfig) -> str:
     return canonical_json(doc) + "\n"
 
 
+def _emit(fields: list[str], rows: list[list], fmt: str | None, sweep: bool) -> str:
+    """The one rows -> document path of every tabular subcommand.
+
+    A single point (sweep False, one row) is a JSON object by default, or
+    a header plus one CSV row.  A sweep is a CSV table by default, or
+    JSON {"rows": [...]}.
+    """
+    if fmt == "csv" or (fmt is None and sweep):
+        return csv_document(fields, rows)
+    if sweep:
+        return canonical_json({"rows": [dict(zip(fields, row)) for row in rows]}) + "\n"
+    return canonical_json(dict(zip(fields, rows[0]))) + "\n"
+
+
+def _scatter_row(res) -> list:
+    """SCATTER_FIELDS of a result, for single points and sweeps alike."""
+    r, t = res.r, res.t
+    flux = [res.reflect_prob, res.transmit_prob, res.flux_residual]
+    return [res.k, r.real, r.imag, t.real, t.imag] + flux
+
+
 def cmd_scatter(args: argparse.Namespace, cfg: RunConfig) -> str:
     p = PotentialSpec(args.m, args.c)
     matrix = junction_matrix(p, _resolve_choice(p, cfg), cfg.resonance_tol)
     grid = _k_grid(args)
     if grid is None:
-        res = scattering_amplitudes(matrix, args.k)
-        fields = {
-            "k": res.k,
-            "re_r": res.r.real,
-            "im_r": res.r.imag,
-            "re_t": res.t.real,
-            "im_t": res.t.imag,
-            "R": res.reflect_prob,
-            "T": res.transmit_prob,
-            "flux_residual": res.flux_residual,
-        }
-        if cfg.format == "csv":
-            return csv_document(
-                SCATTER_FIELDS, [[fields[name] for name in SCATTER_FIELDS]]
-            )
-        return canonical_json(fields) + "\n"
-    rows = transmission_curve(matrix, grid)
-    cells = []
-    for row in rows:
-        if row.error:
-            cells.append([row.k] + [math.nan] * 7 + [row.error])
-        else:
-            res = row.result
-            cells.append(
-                [
-                    res.k,
-                    res.r.real,
-                    res.r.imag,
-                    res.t.real,
-                    res.t.imag,
-                    res.reflect_prob,
-                    res.transmit_prob,
-                    res.flux_residual,
-                    "",
-                ]
-            )
-    if cfg.format == "json":
-        names = SCATTER_FIELDS + ["error"]
-        return (
-            canonical_json({"rows": [dict(zip(names, row)) for row in cells]}) + "\n"
-        )
-    return csv_document(SCATTER_FIELDS + ["error"], cells)
+        row = _scatter_row(scattering_amplitudes(matrix, args.k))
+        return _emit(SCATTER_FIELDS, [row], cfg.format, sweep=False)
+    rows = [
+        [row.k] + [math.nan] * 7 + [row.error]
+        if row.error
+        else _scatter_row(row.result) + [""]
+        for row in transmission_curve(matrix, grid)
+    ]
+    return _emit(SCATTER_FIELDS + ["error"], rows, cfg.format, sweep=True)
 
 
 def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -369,29 +342,22 @@ def cmd_radial(args: argparse.Namespace, cfg: RunConfig) -> str:
     choice = _resolve_choice(p, cfg)
     junction_matrix(p, choice, cfg.resonance_tol)  # surface regime errors up front
     grid = _k_grid(args)
+
+    def solve(k: float) -> list:
+        res = s_wave_solve(shell, k, choice, cfg.resonance_tol)
+        return [res.k, res.a, res.delta0, res.sigma0]
+
     if grid is None:
-        res = s_wave_solve(shell, args.k, choice, cfg.resonance_tol)
-        fields = {"k": res.k, "a": res.a, "delta0": res.delta0, "sigma0": res.sigma0}
-        if cfg.format == "csv":
-            return csv_document(
-                RADIAL_FIELDS, [[fields[name] for name in RADIAL_FIELDS]]
-            )
-        return canonical_json(fields) + "\n"
+        return _emit(RADIAL_FIELDS, [solve(args.k)], cfg.format, sweep=False)
 
     def one(k: float) -> list:
         try:
-            res = s_wave_solve(shell, k, choice, cfg.resonance_tol)
+            return solve(k) + [""]
         except SingscatError as exc:
             return [k, args.a, math.nan, math.nan, error_tag(exc)]
-        return [res.k, res.a, res.delta0, res.sigma0, ""]
 
-    cells = sweep_map(one, grid)
-    if cfg.format == "json":
-        names = RADIAL_FIELDS + ["error"]
-        return (
-            canonical_json({"rows": [dict(zip(names, row)) for row in cells]}) + "\n"
-        )
-    return csv_document(RADIAL_FIELDS + ["error"], cells)
+    rows = sweep_map(one, grid)
+    return _emit(RADIAL_FIELDS + ["error"], rows, cfg.format, sweep=True)
 
 
 def cmd_mollify(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -411,29 +377,20 @@ def cmd_mollify(args: argparse.Namespace, cfg: RunConfig) -> str:
         p, shape, eps_list, args.k, reference=reference, tol_rel=cfg.int_tol
     )
     verdict, slope, r2 = certify_convergence(rows)
-    cells = []
-    computed = 0
-    for row in rows:
-        if row.error:
-            cells.append([row.eps] + [math.nan] * 6 + [row.error])
-            continue
-        computed += 1
-        flag = "non_convergent" if verdict == "non_convergent" else "ok"
-        m = row.matrix
-        cells.append(
-            [row.eps, m.m11, m.m12, m.m21, m.m22, row.det_err, row.deviation, flag]
-        )
+    flag = "non_convergent" if verdict == "non_convergent" else "ok"
+    cells = [
+        [row.eps] + [math.nan] * 6 + [row.error]
+        if row.error
+        else [row.eps, *sum(row.matrix.rows(), []), row.det_err, row.deviation, flag]
+        for row in rows
+    ]
+    computed = sum(1 for row in rows if not row.error)
     if computed >= 3:
         summary = {"slope": slope, "r2": r2, "verdict": verdict}
         print(canonical_json(summary), file=sys.stderr)
     if computed == 0:
         raise NoConvergence("no eps value produced a transfer matrix")
-    if cfg.format == "json":
-        return (
-            canonical_json({"rows": [dict(zip(MOLLIFY_FIELDS, row)) for row in cells]})
-            + "\n"
-        )
-    return csv_document(MOLLIFY_FIELDS, cells)
+    return _emit(MOLLIFY_FIELDS, cells, cfg.format, sweep=True)
 
 
 def cmd_resonance(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -442,8 +399,6 @@ def cmd_resonance(args: argparse.Namespace, cfg: RunConfig) -> str:
     bracket = None
     if args.c_min is not None:
         bracket = (args.c_min, args.c_max)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     level, parity = resonant_search(SHAPES[args.shape], args.n, bracket)
     doc = {"n": args.n, "c_n": level, "parity": parity}
     return canonical_json(doc) + "\n"

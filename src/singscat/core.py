@@ -8,13 +8,18 @@ written so that the spectral parameter k multiplies psi directly; the
 physical wavenumber is sqrt(k).  Units are bare (hbar = 2m = 1 absorbed
 into k and U).  State vectors are (psi, psi') and every propagator or
 junction is a real 2x2 matrix acting on them from the left.
+
+free_propagators is the one evaluation of free flight: every other
+module takes its propagators from it, in batches over arrays of (k, h),
+or one at a time through the scalar wrapper free_transfer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidExponent
 
@@ -41,11 +46,6 @@ class Mat2:
     def identity() -> "Mat2":
         return Mat2(1.0, 0.0, 0.0, 1.0)
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[float]]) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(float(a), float(b), float(c), float(d))
-
     def rows(self) -> list[list[float]]:
         return [[self.m11, self.m12], [self.m21, self.m22]]
 
@@ -65,14 +65,6 @@ class Mat2:
         return (
             self.m11 * v[0] + self.m12 * v[1],
             self.m21 * v[0] + self.m22 * v[1],
-        )
-
-    def scale(self, factor: float) -> "Mat2":
-        return Mat2(
-            factor * self.m11,
-            factor * self.m12,
-            factor * self.m21,
-            factor * self.m22,
         )
 
     def max_abs_diff(self, other: "Mat2") -> float:
@@ -113,54 +105,55 @@ class ShellPotentialSpec:
             raise ValueError(f"shell radius must be positive, got {self.a}")
 
 
-def fundamental_pair(k: float, x: float) -> tuple[float, float, float, float]:
-    """Uniform fundamental system of u'' + k u = 0, evaluated at x.
+def free_propagators(k, h) -> np.ndarray:
+    """Free-flight propagators of (psi, psi') over broadcast arrays (k, h).
 
-    Returns (C, S, C', S') where C(k, 0) = 1, C'(k, 0) = 0 and
-    S(k, 0) = 0, S'(k, 0) = 1:
+    Returns an array of shape broadcast(k, h) + (2, 2) holding
 
-        k > 0:  C = cos(sqrt(k) x),   S = sin(sqrt(k) x)/sqrt(k)
-        k = 0:  C = 1,                S = x
-        k < 0:  C = cosh(sqrt(-k) x), S = sinh(sqrt(-k) x)/sqrt(-k)
+        [[C, S], [-k S, C]]
 
-    The derivatives close under C' = -k S and S' = C, so the pair is valid
-    for either sign of k without branching at call sites.  For
-    |k| * x^2 < 1e-4 the sine solution switches to its power series, which
-    keeps S continuous in k across 0.  Extreme hyperbolic arguments
-    overflow to inf rather than raising.
+    where C, S is the uniform fundamental system of u'' + k u = 0 taken
+    at width h, with C(k, 0) = 1, C'(k, 0) = 0, S(k, 0) = 0, S'(k, 0) = 1:
+
+        k > 0:  C = cos(sqrt(k) h),   S = sin(sqrt(k) h)/sqrt(k)
+        k = 0:  C = 1,                S = h
+        k < 0:  C = cosh(sqrt(-k) h), S = sinh(sqrt(-k) h)/sqrt(-k)
+
+    For |k| h^2 < SERIES_WINDOW the sine solution switches to its power
+    series, which keeps S continuous in k across 0.  Extreme hyperbolic
+    arguments overflow to inf and non-finite inputs give nan entries,
+    without raising; callers inspect finiteness.
     """
-    kx2 = k * x * x
-    if k > 0.0:
-        wx = math.sqrt(k) * x
-        c = math.cos(wx)
-    elif k < 0.0:
-        wx = math.sqrt(-k) * x
-        try:
-            c = math.cosh(wx)
-        except OverflowError:
-            c = math.inf
-    else:
-        c = 1.0
-    if abs(kx2) < SERIES_WINDOW:
-        s = x * (1.0 - kx2 / 6.0 + kx2 * kx2 / 120.0)
-    elif k > 0.0:
-        s = math.sin(wx) / math.sqrt(k)
-    else:
-        try:
-            s = math.sinh(wx) / math.sqrt(-k)
-        except OverflowError:
-            s = math.copysign(math.inf, x)
-    return c, s, -k * s, c
+    k = np.asarray(k, dtype=float)
+    h = np.asarray(h, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = np.sqrt(np.abs(k))
+        wh = w * h
+        kh2 = k * h * h
+        c = np.where(k > 0.0, np.cos(wh), np.cosh(wh))
+        s_series = h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0)
+        s_closed = np.where(k > 0.0, np.sin(wh), np.sinh(wh)) / w
+        s = np.where(np.abs(kh2) < SERIES_WINDOW, s_series, s_closed)
+    mats = np.empty(s.shape + (2, 2))
+    mats[..., 0, 0] = c
+    mats[..., 0, 1] = s
+    mats[..., 1, 0] = -k * s
+    mats[..., 1, 1] = c
+    return mats
 
 
 def free_transfer(k: float, h: float) -> Mat2:
     """Propagator of (psi, psi') across a potential-free interval of width h.
 
-    Unit determinant for every (k, h); h may be negative (backward
+    The scalar form of free_propagators, entry for entry.  Unit
+    determinant for every (k, h); h may be negative (backward
     propagation), and free_transfer(k, -h) inverts free_transfer(k, h).
+    Raises ValueError for a non-finite k or when an entry overflows.
     """
-    c, s, _, _ = fundamental_pair(k, h)
-    return Mat2(c, s, -k * s, c)
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    (c, s), (dc, ds) = free_propagators(k, h).tolist()
+    return Mat2(c, s, dc, ds)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .core import Mat2, PotentialSpec, free_transfer, SERIES_WINDOW
+from .core import Mat2, PotentialSpec, free_propagators, free_transfer
 from .errors import (
     BracketError,
     InsufficientData,
@@ -33,6 +33,10 @@ N_CELLS_START = 64
 N_CELLS_CAP = 2**22
 # Cells per chunk of the ordered product; bounds its working memory.
 _CHUNK_CELLS = 2**16
+
+# Highest level resonant_search accepts; the bracket scan grows like
+# level^2 and level 32 takes about 2 s.
+MAX_LEVEL = 32
 
 DEFAULT_TOL_REL = 1e-10
 # A converged transfer whose determinant is further than this from 1 is
@@ -122,28 +126,6 @@ class RegularizedPotential:
         return scale * self.shape(np.asarray(x, dtype=float) / self.eps) ** self.spec.m
 
 
-def _cell_matrices(k_eff: np.ndarray, h: float) -> np.ndarray:
-    """Stack of exact constant-coefficient propagators over width h.
-
-    k_eff holds k - v per cell.  Same basis and series window as the
-    scalar fundamental pair, so the two paths agree to rounding.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = np.sqrt(np.abs(k_eff))
-        wh = w * h
-        kh2 = k_eff * h * h
-        c = np.where(k_eff > 0.0, np.cos(wh), np.cosh(wh))
-        s_series = h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0)
-        s_closed = np.where(k_eff > 0.0, np.sin(wh), np.sinh(wh)) / w
-        s = np.where(np.abs(kh2) < SERIES_WINDOW, s_series, s_closed)
-    mats = np.empty((k_eff.size, 2, 2))
-    mats[:, 0, 0] = c
-    mats[:, 0, 1] = s
-    mats[:, 1, 0] = -k_eff * s
-    mats[:, 1, 1] = c
-    return mats
-
-
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """Product mats[-1] @ ... @ mats[0] by balanced pairwise reduction."""
     # overflow is legitimate here: callers inspect finiteness and report
@@ -163,16 +145,18 @@ def _cell_product(
 ) -> np.ndarray:
     """Ordered product of n_cells propagators of width h starting at left.
 
-    k_eff_of maps cell midpoints to k - v.  Cells are taken in chunks of
-    _CHUNK_CELLS multiplied into a running product, so memory stays bounded
-    whatever the cell count; up to one chunk the product is the plain
-    balanced reduction.
+    k_eff_of maps cell midpoints to k - v, and each cell is the exact
+    free propagator core.free_propagators at that constant k - v.  Cells
+    are taken in chunks of _CHUNK_CELLS multiplied into a running product,
+    so memory stays bounded whatever the cell count; up to one chunk the
+    product is the plain balanced reduction.  Overflowing or non-finite
+    cells leave non-finite entries in the result, for the caller to refuse.
     """
     total: np.ndarray | None = None
     for start in range(0, n_cells, _CHUNK_CELLS):
         stop = min(start + _CHUNK_CELLS, n_cells)
         mids = left + (np.arange(start, stop) + 0.5) * h
-        chunk = _ordered_product(_cell_matrices(k_eff_of(mids), h))
+        chunk = _ordered_product(free_propagators(k_eff_of(mids), h))
         if total is None:
             total = chunk
         else:
@@ -460,13 +444,15 @@ def resonant_search(
 
     Raises
     ------
+    ValueError
+        if n is outside 1..MAX_LEVEL.
     BracketError
         if the scan does not isolate the requested level.
     NoConvergence
         if cell refinement cannot pin the level to rel_tol.
     """
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got {n}")
+    if not 1 <= n <= MAX_LEVEL:
+        raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
     if c_bracket is None:
         c_hi = -1e-12
         c_lo = -4.0 * ((n + 2) * math.pi) ** 2

@@ -19,13 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Mat2, ShellPotentialSpec, fundamental_pair
+from .core import Mat2, ShellPotentialSpec, free_propagators
 from .errors import NonPositiveEnergy
 from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
-
-# Below r = _SERIES_R_FRACTION * a, R = u/r is evaluated through the
-# series of sin(sqrt(k) r)/r instead of naive division.
-_SERIES_R_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,31 +120,27 @@ def s_wave_solve(
 def radial_wavefunction(
     solution: RadialSolution, rs
 ) -> list[tuple[float, float, float]]:
-    """Sample (r, R, u) of a radial solution at radii r > 0.
+    """Sample (r, R, u) of a radial solution at finite radii r > 0.
 
-    R = u/r; near the origin the removable singularity is evaluated by
-    series, never by naive division below r = 1e-12 * a.
+    Inside the shell u = interior_amplitude * sqrt(k) S(k, r), outside
+    u = alpha C(k, r - a) + beta S(k, r - a), both from one
+    free_propagators call.  R = u/r stays finite at the origin because S
+    switches to its series there.  Raises ValueError for a non-finite
+    energy or a radius that is not a positive finite number.
     """
     k = solution.k
-    q = math.sqrt(k)
-    a = solution.shell.a
-    amp = solution.interior_amplitude
-    alpha, beta = solution.exterior_coeffs
-    out: list[tuple[float, float, float]] = []
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    rs = list(rs)
     for r in rs:
-        if not r > 0.0:
-            raise ValueError(f"radii must be positive, got {r}")
-        if r < a:
-            if r < _SERIES_R_FRACTION * a:
-                kr2 = k * r * r
-                big_r = amp * q * (1.0 - kr2 / 6.0 + kr2 * kr2 / 120.0)
-                u = big_r * r
-            else:
-                u = amp * math.sin(q * r)
-                big_r = u / r
-        else:
-            c, s, _, _ = fundamental_pair(k, r - a)
-            u = alpha * c + beta * s
-            big_r = u / r
-        out.append((r, big_r, u))
+        if not (r > 0.0 and math.isfinite(r)):
+            raise ValueError(f"radii must be positive and finite, got {r}")
+    a = solution.shell.a
+    lead = solution.interior_amplitude * math.sqrt(k)
+    alpha, beta = solution.exterior_coeffs
+    props = free_propagators(k, [r if r < a else r - a for r in rs]).tolist()
+    out: list[tuple[float, float, float]] = []
+    for r, ((c, s), _) in zip(rs, props):
+        u = lead * s if r < a else alpha * c + beta * s
+        out.append((r, u / r, u))
     return out

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Mat2, PiecewiseSolution, free_transfer, fundamental_pair
+from .core import Mat2, PiecewiseSolution, free_propagators
 from .errors import (
     ChainOrderError,
     NonPositiveEnergy,
@@ -180,29 +180,42 @@ def compose_chain(
 
         total = J_N F(k, x_N - x_{N-1}) ... J_2 F(k, x_2 - x_1) J_1
 
+    The gap propagators come from one free_propagators call; the product
+    is then folded left to right in plain floats.
+
     Raises TransferOverflow when the running product leaves the
     representable range.
     """
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
-    total = Mat2.identity()
-    prev_x: float | None = None
-    for x, junction in chain:
-        try:
-            if prev_x is not None:
-                if not x > prev_x:
-                    raise ChainOrderError(
-                        f"positions must increase strictly, got {prev_x} then {x}"
-                    )
-                total = free_transfer(k, x - prev_x) @ total
-            total = junction @ total
-        except ValueError as exc:
-            # Mat2 refuses non-finite entries
+    xs = [x for x, _ in chain]
+    for prev_x, x in zip(xs, xs[1:]):
+        if not x > prev_x:
+            raise ChainOrderError(
+                f"positions must increase strictly, got {prev_x} then {x}"
+            )
+    gaps = free_propagators(k, [b - a for a, b in zip(xs, xs[1:])])
+    gaps = gaps.reshape(-1, 4).tolist()
+    total = (1.0, 0.0, 0.0, 1.0)
+    for i, (x, j) in enumerate(chain):
+        if i:
+            total = _mul(gaps[i - 1], total)
+        total = _mul((j.m11, j.m12, j.m21, j.m22), total)
+        if not all(map(math.isfinite, total)):
             raise TransferOverflow(
                 f"chain transfer left the representable range at x = {x}"
-            ) from exc
-        prev_x = x
-    return total
+            )
+    return Mat2(*total)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Row-major 2x2 product a @ b, term for term as Mat2.__matmul__."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
 
 
 def evaluate_solution(
@@ -212,11 +225,18 @@ def evaluate_solution(
 
     Points left of the origin use the left branch, points right of it the
     right branch.  x = 0 produces two consecutive samples, the left limit
-    first, since the junction may jump there.
+    first, since the junction may jump there.  Raises ValueError for a
+    non-finite energy or sample point.
     """
     k = solution.k
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    xs = list(xs)
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError("sample points must be finite")
+    props = free_propagators(k, xs).tolist()
     out: list[tuple[float, float, float]] = []
-    for x in xs:
+    for x, ((c, s), _) in zip(xs, props):
         if x < 0.0:
             branches = [solution.left_coeffs]
         elif x > 0.0:
@@ -224,7 +244,6 @@ def evaluate_solution(
         else:
             branches = [solution.left_coeffs, solution.right_coeffs]
         for alpha, beta in branches:
-            c, s, _, _ = fundamental_pair(k, x)
             psi = alpha * c + beta * s
             dpsi = -k * alpha * s + beta * c
             out.append((x, psi, dpsi))

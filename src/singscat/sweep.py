@@ -1,35 +1,10 @@
-"""Grid-sweep helper honoring the SINGSCAT_THREADS cap."""
+"""Grid-sweep helper: one serial, order-preserving path for every sweep."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-THREADS_ENV = "SINGSCAT_THREADS"
+from typing import Callable, Sequence
 
 
-def thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, cap)
-
-
-def sweep_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-    """Map fn over items, preserving order.
-
-    Runs serially unless SINGSCAT_THREADS asks for more workers.  Results
-    are returned in input order either way, so output bytes do not depend
-    on the thread count.
-    """
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
+def sweep_map(fn: Callable, items: Sequence) -> list:
+    """Map fn over items serially; results come back in input order."""
+    return [fn(item) for item in items]

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from singscat.cli import main
+from singscat.cli import MAX_KSTEPS, main
+from singscat.mollifier import MAX_LEVEL
 from singscat.serialize import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -307,16 +308,6 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert json.loads(out)["error"] == "invalid_argument"
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    args = ("radial", "--m", "1", "--c", "-2", "--a", "1",
-            "--kmin", "0.5", "--kmax", "5", "--ksteps", "9", "--format", "csv")
-    monkeypatch.delenv("SINGSCAT_THREADS", raising=False)
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("SINGSCAT_THREADS", "4")
-    _, threaded, _ = run(capsys, *args)
-    assert serial == threaded
-
-
 def test_mollify_reference_none_reports_nan_deviation(capsys):
     code, out, _ = run(
         capsys,
@@ -348,3 +339,54 @@ def test_bound_empty_and_degenerate_documents(capsys):
         capsys, "bound", "--m", "4", "--c", "-1", "--iv-a", "-1", "--iv-b", "0"
     )
     assert json.loads(out)["spectrum"] == "continuum_degenerate"
+
+
+# ------------------------------------------------------------ input bounds
+
+
+def test_ksteps_past_the_bound_is_refused(capsys):
+    argv = ("--m", "1", "--c", "-1", "--kmin", "1", "--kmax", "2")
+    for cmd, extra in (("scatter", ()), ("radial", ("--a", "1"))):
+        code, out, _ = run(
+            capsys, cmd, *argv, *extra, "--ksteps", str(MAX_KSTEPS + 1)
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "invalid_argument"
+        assert str(MAX_KSTEPS) in doc["message"]
+
+
+def test_ksteps_bound_admits_long_sweeps(capsys):
+    code, out, _ = run(
+        capsys, "scatter", "--m", "1", "--c", "-1",
+        "--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "5000",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 5001
+
+
+def test_resonance_level_past_the_bound_is_refused(capsys):
+    code, out, _ = run(
+        capsys, "resonance", "--shape", "tophat", "--n", str(MAX_LEVEL + 1)
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid_argument"
+    for n in range(1, 5):
+        code, out, _ = run(capsys, "resonance", "--shape", "tophat", "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["n"] == n
+
+
+def test_single_points_have_no_error_column_and_sweeps_do(capsys):
+    point = ("--m", "1", "--c", "-1", "--a", "1")
+    _, out, _ = run(capsys, "radial", *point, "--k", "2", "--format", "csv")
+    assert out.splitlines()[0] == "k,a,delta0,sigma0"
+    assert len(out.splitlines()) == 2
+    _, out, _ = run(
+        capsys, "radial", *point, "--kmin", "1", "--kmax", "2", "--ksteps", "3",
+        "--format", "json",
+    )
+    rows = json.loads(out)["rows"]
+    assert [row["error"] for row in rows] == ["", "", ""]
+    _, out, _ = run(capsys, "scatter", "--m", "1", "--c", "-1", "--k", "2")
+    assert "error" not in json.loads(out)

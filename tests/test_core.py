@@ -13,9 +13,15 @@ from singscat import (
     PiecewiseSolution,
     PotentialSpec,
     ShellPotentialSpec,
+    free_propagators,
     free_transfer,
-    fundamental_pair,
 )
+
+
+def fundamental_pair(k: float, x: float) -> tuple[float, float, float, float]:
+    """(C, S, C', S') at x, read off the propagator [[C, S], [C', S']]."""
+    (c, s), (dc, ds) = free_propagators(k, x).tolist()
+    return c, s, dc, ds
 
 
 def _series_cosh(x: float) -> float:
@@ -146,6 +152,34 @@ def test_free_transfer_inverse_is_negated_width():
         h = rng.uniform(-1.0, 1.0)
         prod = free_transfer(k, -h) @ free_transfer(k, h)
         assert prod.max_abs_diff(Mat2.identity()) < 1e-13
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_free_transfer_refuses_non_finite_energy(k):
+    with pytest.raises(ValueError, match="k must be finite"):
+        free_transfer(k, 1.0)
+
+
+def test_free_propagators_keep_overflow_without_raising():
+    # cell products inspect finiteness themselves, so the kernel reports
+    # overflow and nan as entries
+    mats = free_propagators([math.nan, -1e6, 1.0], [1.0, 10.0, math.inf])
+    assert mats.shape == (3, 2, 2)
+    assert np.isnan(mats[0]).all()
+    assert mats[1, 0, 0] == math.inf and mats[1, 0, 1] == math.inf
+    assert np.isnan(mats[2, 0, 0])
+    with pytest.raises(ValueError):
+        free_transfer(-1e6, 10.0)
+
+
+def test_free_propagators_broadcast_over_k_and_h():
+    ks = np.array([[-2.0], [0.0], [3.0]])
+    hs = np.array([0.1, -0.7])
+    mats = free_propagators(ks, hs)
+    assert mats.shape == (3, 2, 2, 2)
+    for i in range(3):
+        for j in range(2):
+            assert free_transfer(ks[i, 0], hs[j]).rows() == mats[i, j].tolist()
 
 
 def test_potential_spec_validation():

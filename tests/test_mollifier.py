@@ -283,6 +283,8 @@ def test_resonant_levels_depend_on_shape():
 def test_resonant_search_bracket_and_argument_errors():
     with pytest.raises(ValueError):
         resonant_search(TOP_HAT, 0)
+    with pytest.raises(ValueError):
+        resonant_search(TOP_HAT, mollifier_mod.MAX_LEVEL + 1)
     with pytest.raises(BracketError):
         resonant_search(TOP_HAT, 1, c_bracket=(-5.0, -1.0))
 

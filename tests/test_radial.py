@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,3 +198,12 @@ def test_wavefunction_rejects_nonpositive_radius():
         radial_wavefunction(sol, [0.0])
     with pytest.raises(ValueError):
         radial_wavefunction(sol, [-1.0])
+    with pytest.raises(ValueError):
+        radial_wavefunction(sol, [math.inf])
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_wavefunction_refuses_non_finite_energy(k):
+    sol = dataclasses.replace(s_wave_solution(_shell(1.0, -2.0), 1.0), k=k)
+    with pytest.raises(ValueError, match="k must be finite"):
+        radial_wavefunction(sol, [0.5, 2.0])

@@ -277,6 +277,34 @@ def test_chain_against_unrolled_product():
     assert total.max_abs_diff(by_hand) == 0.0
 
 
+def test_long_chain_equals_free_transfer_fold_bit_for_bit():
+    rng = np.random.default_rng(41)
+    xs = np.cumsum(rng.uniform(0.05, 1.0, 1000))
+    couplings = rng.uniform(-0.1, 0.1, 1000)
+    chain = [
+        (float(x), junction_matrix(PotentialSpec(1.0, float(c))))
+        for x, c in zip(xs, couplings)
+    ]
+    for k in (0.3, 2.0, 17.0):
+        folded = chain[0][1]
+        for (x0, _), (x1, j) in zip(chain, chain[1:]):
+            folded = j @ (free_transfer(k, x1 - x0) @ folded)
+        assert compose_chain(chain, k) == folded
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_evaluate_solution_refuses_non_finite_energy(k):
+    sol = PiecewiseSolution(k, (1.0, 0.0), (1.0, 0.0), Mat2.identity())
+    with pytest.raises(ValueError, match="k must be finite"):
+        evaluate_solution(sol, [0.5])
+
+
+def test_evaluate_solution_refuses_non_finite_points():
+    sol = PiecewiseSolution.from_left(0.0, (1.0, 0.0), Mat2.identity())
+    with pytest.raises(ValueError):
+        evaluate_solution(sol, [0.5, math.inf])
+
+
 def test_evaluate_solution_free_cosine():
     sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), Mat2.identity())
     pts = evaluate_solution(sol, [-1.0, 0.0, 1.0])
