@@ -23,6 +23,7 @@ from .errors import (
     NoConvergence,
     NonPositiveEnergy,
     NoScatteringState,
+    PrecisionLoss,
     SingscatError,
     TransferOverflow,
     UndefinedRegime,
@@ -122,6 +123,7 @@ __all__ = [
     "ChainOrderError",
     "NoConvergence",
     "TransferOverflow",
+    "PrecisionLoss",
     "BracketError",
     "InsufficientData",
 ]

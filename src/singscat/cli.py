@@ -22,6 +22,7 @@ from .errors import (
     MissingChoice,
     NoConvergence,
     NoScatteringState,
+    PrecisionLoss,
     SingscatError,
     TransferOverflow,
     UndefinedRegime,
@@ -421,7 +422,10 @@ def _error_doc(exc: Exception) -> tuple[int, str]:
         )
     if isinstance(exc, (MissingChoice, NoScatteringState)):
         return EXIT_REGIME, canonical_json({"error": error_tag(exc)})
-    if isinstance(exc, (NoConvergence, TransferOverflow, BracketError, InsufficientData)):
+    numeric = (
+        NoConvergence, TransferOverflow, PrecisionLoss, BracketError, InsufficientData
+    )
+    if isinstance(exc, numeric):
         return EXIT_NUMERIC, canonical_json(
             {"error": error_tag(exc), "message": str(exc)}
         )

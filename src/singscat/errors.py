@@ -51,6 +51,10 @@ class TransferOverflow(SingscatError):
     """Hyperbolic growth exceeded the representable range."""
 
 
+class PrecisionLoss(SingscatError):
+    """Rounding of an argument leaves the answer without meaningful digits."""
+
+
 class BracketError(SingscatError):
     """A root bracket did not isolate the requested sign change."""
 
@@ -68,6 +72,7 @@ _ERROR_TAGS = {
     ChainOrderError: "chain_order",
     NoConvergence: "no_convergence",
     TransferOverflow: "overflow",
+    PrecisionLoss: "precision_loss",
     BracketError: "bracket_error",
     InsufficientData: "insufficient_data",
 }

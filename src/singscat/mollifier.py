@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .core import Mat2, PotentialSpec, free_propagators, free_transfer
 from .errors import (
@@ -43,6 +41,12 @@ DEFAULT_TOL_REL = 1e-10
 # refused as overflowed.
 _DET_TOL = 1e-6
 
+# Mass check of a shape: composite Gauss-Legendre rule with this many
+# equal panels over the support and this many nodes per panel.  The even
+# panel count puts y = 0, where the triangle has its kink, on a panel edge.
+_MASS_PANELS = 64
+_MASS_NODES, _MASS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
 # Divergence certification thresholds (fitted slope of log deviation
 # against log eps, and the spread test over one decade).
 _DIVERGENT_SLOPE = -0.2
@@ -55,7 +59,11 @@ class MollifierShape:
     """Unit-mass even bump phi supported on [-half_support, half_support].
 
     The profile is vectorized over numpy arrays and returns 0 outside the
-    support.  Mass and evenness are checked by quadrature at construction.
+    support.  Construction checks the mass to 1e-10 with a composite
+    16-node Gauss-Legendre rule on 64 equal panels of [-half_support,
+    half_support], and evenness on 17 probe points; either failure raises
+    ValueError.  A profile with kinks inside the support should have them
+    on panel edges, as the triangle's at y = 0 is.
     """
 
     name: str
@@ -64,7 +72,10 @@ class MollifierShape:
 
     def __post_init__(self):
         s = self.half_support
-        mass, _ = quad(lambda y: float(self.profile(np.asarray(y))), -s, s, limit=200)
+        half_panel = s / _MASS_PANELS
+        centres = -s + (2.0 * np.arange(_MASS_PANELS) + 1.0) * half_panel
+        nodes = centres[:, None] + half_panel * _MASS_NODES
+        mass = half_panel * float(np.sum(self.profile(nodes) @ _MASS_WEIGHTS))
         if abs(mass - 1.0) > 1e-10:
             raise ValueError(f"shape {self.name} has mass {mass!r}, expected 1")
         probe = np.linspace(0.0, s, 17)
@@ -268,10 +279,19 @@ def effective_junction(
         M_eps = F(k, -s eps) T F(k, -s eps)
 
     For regimes with a junction matrix, M_eps converges to it as
-    eps -> 0.
+    eps -> 0.  Raises ValueError for a non-finite k, and TransferOverflow
+    when the strips or the product leave the representable range.
     """
-    strip = free_transfer(k, -pot.half_width)
-    return strip @ numeric_transfer(pot, k, tol_rel) @ strip
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    transfer = numeric_transfer(pot, k, tol_rel)
+    try:
+        strip = free_transfer(k, -pot.half_width)
+        return strip @ transfer @ strip
+    except ValueError as exc:  # k is finite, so Mat2 refused an overflowed entry
+        raise TransferOverflow(
+            f"stripping free flight over {pot.half_width} overflows at k = {k}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -419,6 +439,67 @@ def _zero_energy_shot(
     return float(total[0, 0]), float(total[1, 0])
 
 
+# Brent's method in resonant_search: absolute and relative root tolerance
+# (the bracket is pinned to within xtol + rtol |root|) and an iteration cap.
+_BRENT_XTOL = 1e-30
+_BRENT_RTOL = 1e-15
+_BRENT_MAXITER = 100
+
+
+def _brent(
+    f: Callable[[float], float], xpre: float, xcur: float, fpre: float, fcur: float
+) -> float:
+    """Root of f between xpre and xcur, where f takes the values fpre, fcur.
+
+    Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in the step order of the widely used C
+    routine brentq, so that roots agree with it bit for bit: inverse
+    quadratic or secant steps when they shrink the bracket fast enough,
+    bisection otherwise.  Near a root the shooting function is rounding
+    noise, and regula falsi variants such as Illinois settle on a
+    different neighbouring float there.
+    """
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketError(f"no sign change between {xpre} and {xcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step qualifies
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise NoConvergence(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
+
+
 def resonant_search(
     shape: MollifierShape,
     n: int,
@@ -428,10 +509,10 @@ def resonant_search(
     """n-th resonant coupling of the m = 2 scaling limit for a shape.
 
     Shooting at zero energy: integrate w'' = c phi(y)^2 w from (1, 0) at
-    the left edge and bisect on c for w'(right edge) = 0.  Levels are
-    ordered by |c|; the returned parity sign(w(s)/w(-s)) says whether the
-    limiting junction is +identity or -identity.  For the top-hat shape
-    the levels are exactly -(n pi)^2.
+    the left edge and solve w'(right edge) = 0 for c by Brent's method.
+    Levels are ordered by |c|; the returned parity sign(w(s)/w(-s)) says
+    whether the limiting junction is +identity or -identity.  For the
+    top-hat shape the levels are exactly -(n pi)^2.
 
     The root is found at 2048 cells and again at each doubling.  The
     search stops when two successive roots agree to rel_tol (the top hat,
@@ -496,7 +577,7 @@ def resonant_search(
             a -= step / 4.0
             b = min(b + step / 4.0, -1e-12)
             ga, gb = shoot(a, cells), shoot(b, cells)
-        return brentq(lambda c: shoot(c, cells), a, b, xtol=1e-30, rtol=1e-15)
+        return _brent(lambda c: shoot(c, cells), a, b, ga, gb)
 
     root = refine(n_cells, lo, hi)
     prev_ext: float | None = None

@@ -20,8 +20,18 @@ import math
 from dataclasses import dataclass
 
 from .core import Mat2, ShellPotentialSpec, free_propagators
-from .errors import NonPositiveEnergy
+from .errors import NonPositiveEnergy, PrecisionLoss
 from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
+
+# A phase sqrt(k) x is refused once one ulp of it exceeds this fraction of
+# pi.  Past that, rounding sqrt(k) x alone moves delta0 by more than a
+# millionth of its range (-pi/2, pi/2], so fewer than six of its digits
+# mean anything.
+PHASE_ULP_FRACTION = 1e-6
+# The smallest phase with that ulp, 2^34 (about 1.7e10): a power of two
+# whose ulp 2^-18 is the first one above 1e-6 pi.  One comparison against
+# it per energy keeps the check off the cost of a sweep.
+_PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
 @dataclass(frozen=True)
@@ -60,18 +70,34 @@ def _principal_shift(raw: float) -> float:
     return shift
 
 
+def _phase_error(k: float, phase: float) -> Exception:
+    """Error for a phase past _PHASE_LIMIT; an infinite k is a bad argument."""
+    if math.isinf(k):
+        return ValueError(f"k must be finite, got {k}")
+    return PrecisionLoss(
+        f"phase sqrt(k) r = {phase!r} has an ulp above {PHASE_ULP_FRACTION} pi"
+    )
+
+
 def s_wave_solution(
     shell: ShellPotentialSpec,
     k: float,
     choice: IvChoice | None = None,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> RadialSolution:
-    """Solve the reduced shell problem at energy k > 0."""
+    """Solve the reduced shell problem at energy k > 0.
+
+    Raises PrecisionLoss when sqrt(k) a is too large for its phase to
+    carry meaningful digits (see PHASE_ULP_FRACTION), and ValueError for
+    an infinite k.
+    """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
     junction = junction_matrix(shell.base, choice, resonance_tol)
     q = math.sqrt(k)
     a = shell.a
+    if q * a >= _PHASE_LIMIT:
+        raise _phase_error(k, q * a)
     u_a = math.sin(q * a)
     du_a = q * math.cos(q * a)
     alpha, beta = junction.apply((u_a, du_a))
@@ -95,7 +121,8 @@ def s_wave_solve(
 ) -> RadialResult:
     """Phase shift delta0 in (-pi/2, pi/2] and cross section sigma0.
 
-    sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k.
+    sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k.  Raises
+    PrecisionLoss as s_wave_solution does.
     """
     sol = s_wave_solution(shell, k, choice, resonance_tol)
     q = math.sqrt(k)
@@ -126,7 +153,9 @@ def radial_wavefunction(
     u = alpha C(k, r - a) + beta S(k, r - a), both from one
     free_propagators call.  R = u/r stays finite at the origin because S
     switches to its series there.  Raises ValueError for a non-finite
-    energy or a radius that is not a positive finite number.
+    energy or a radius that is not a positive finite number, and
+    PrecisionLoss when sqrt(k) r at the largest radius (or the shell's)
+    is too large for its phase to carry meaningful digits.
     """
     k = solution.k
     if not math.isfinite(k):
@@ -136,7 +165,11 @@ def radial_wavefunction(
         if not (r > 0.0 and math.isfinite(r)):
             raise ValueError(f"radii must be positive and finite, got {r}")
     a = solution.shell.a
-    lead = solution.interior_amplitude * math.sqrt(k)
+    q = math.sqrt(k)
+    farthest = q * max([a, *rs])
+    if farthest >= _PHASE_LIMIT:
+        raise _phase_error(k, farthest)
+    lead = solution.interior_amplitude * q
     alpha, beta = solution.exterior_coeffs
     props = free_propagators(k, [r if r < a else r - a for r in rs]).tolist()
     out: list[tuple[float, float, float]] = []

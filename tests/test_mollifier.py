@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 import singscat.mollifier as mollifier_mod
 from singscat import (
@@ -16,6 +19,7 @@ from singscat import (
     GAUSSIAN,
     InsufficientData,
     Mat2,
+    MollifierShape,
     NoConvergence,
     PotentialSpec,
     RegularizedPotential,
@@ -54,6 +58,20 @@ def test_shapes_have_unit_mass_and_are_even():
             assert shape.profile(x) == shape.profile(-x)
         assert shape.profile(s + 1e-9) == 0.0
         assert shape.profile(-s - 1e-9) == 0.0
+
+
+def test_shape_construction_refuses_wrong_mass_and_uneven_profiles():
+    def triangle(y):
+        return np.maximum(0.0, 1.0 - np.abs(y))
+
+    with pytest.raises(ValueError, match="mass"):
+        MollifierShape("heavy", 1.0, lambda y: 1.01 * triangle(y))
+    with pytest.raises(ValueError):
+        MollifierShape("odd", 1.0, lambda y: y * triangle(y))
+    # unit mass, but tilted: only the evenness probe can catch it
+    with pytest.raises(ValueError, match="not even"):
+        MollifierShape("tilted", 1.0, lambda y: (1.0 + 0.3 * y) * triangle(y))
+    MollifierShape("triangle", 1.0, triangle)
 
 
 def test_regularized_potential_values():
@@ -180,6 +198,14 @@ def test_sweep_rows_carry_overflow_tags_instead_of_raising():
     for row in rows:
         if row.error:
             assert row.matrix is None
+
+
+def test_overflowing_strip_is_a_transfer_overflow():
+    pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 1.0)
+    with pytest.raises(TransferOverflow):
+        effective_junction(pot, -1e4)
+    rows = convergence_sweep(PotentialSpec(1.0, -1.0), GAUSSIAN, [1.0, 0.5, 0.1], -1e4)
+    assert [row.error for row in rows] == ["overflow"] * 3
 
 
 def test_transfer_overflow_raises_directly():
@@ -360,3 +386,47 @@ def test_smooth_levels_bracket_a_sign_change_of_rk_shot(shape):
     for n in (1, 2):
         level, _ = resonant_search(shape, n)
         assert rk_shot(level * (1.0 - 1e-8)) * rk_shot(level * (1.0 + 1e-8)) < 0.0
+
+
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_brent_matches_brentq_bit_for_bit(shape, monkeypatch):
+    # every root refinement of levels 1-4 is solved by both and must agree
+    pairs = []
+    brent = mollifier_mod._brent
+
+    def both(f, a, b, fa, fb):
+        root = brent(f, a, b, fa, fb)
+        pairs.append((root, brentq(f, a, b, xtol=1e-30, rtol=1e-15)))
+        return root
+
+    monkeypatch.setattr(mollifier_mod, "_brent", both)
+    for n in range(1, 5):
+        resonant_search(shape, n)
+    assert len(pairs) >= 8
+    assert [root for root, _ in pairs] == [oracle for _, oracle in pairs]
+
+
+_FUNCTIONS = [
+    lambda x, r: math.tanh(3.0 * (x - r)),
+    lambda x, r: (x - r) ** 3 + 0.1 * (x - r),
+    lambda x, r: math.exp(x) - math.exp(r),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-5.0, -0.01),
+    st.floats(0.01, 5.0),
+    st.floats(0.01, 0.99),
+    st.integers(0, len(_FUNCTIONS) - 1),
+)
+def test_brent_matches_brentq_on_smooth_functions(a, b, where, which):
+    # secant, inverse quadratic and bisection steps all get exercised here,
+    # where the shooting levels alone may not tell a wrong step from a right one
+    r = a + where * (b - a)
+
+    def f(x):
+        return _FUNCTIONS[which](x, r)
+
+    root = mollifier_mod._brent(f, a, b, f(a), f(b))
+    assert root == brentq(f, a, b, xtol=1e-30, rtol=1e-15)

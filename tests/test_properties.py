@@ -1,7 +1,9 @@
-"""Property tests of the free-flight propagator and the chains built on it."""
+"""Property tests of the free-flight propagator, the chains built on it,
+the scattering flux and the canonical JSON writer."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -10,14 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singscat import (
+    IvChoice,
     Mat2,
     PotentialSpec,
     compose_chain,
     free_propagators,
     free_transfer,
     junction_matrix,
+    scattering_amplitudes,
 )
 from singscat.core import SERIES_WINDOW
+from singscat.serialize import canonical_json
 
 # Fixed example stream and no example database, so every run checks the
 # same cases.
@@ -126,3 +131,63 @@ def test_chain_splits_at_any_link(spec_links, k, cut):
     whole = compose_chain(chain, k)
     scale = 1.0 + max(abs(v) for row in whole.rows() for v in row)
     assert whole.max_abs_diff(split) <= 1e-12 * scale
+
+
+# Unit-determinant junctions of every defined regime: no effect, the
+# delta, the resonant square at level n, and case IV with a = +1.
+defined_junctions = st.one_of(
+    st.builds(
+        lambda m, c: junction_matrix(PotentialSpec(m, c)),
+        st.floats(0.05, 0.95),
+        st.floats(-50.0, 50.0),
+    ),
+    st.builds(lambda c: junction_matrix(PotentialSpec(1.0, c)), st.floats(-1e3, 1e3)),
+    st.builds(
+        lambda n: junction_matrix(PotentialSpec(2.0, -((n * math.pi) ** 2))),
+        st.integers(1, 6),
+    ),
+    st.builds(
+        lambda m, c, b: junction_matrix(PotentialSpec(m, c), IvChoice(1, b)),
+        st.floats(2.05, 5.0),
+        st.floats(-50.0, -0.01),
+        st.floats(-1e3, 1e3),
+    ),
+)
+
+# The benchmark's flux check: |r|^2 + |t|^2 - 1 cancels R against T, so
+# its rounding grows with them.
+FLUX_TOL = 1e-12
+
+
+@PROPERTY
+@given(defined_junctions, st.floats(1e-6, 1e4))
+def test_flux_is_conserved(junction, k):
+    res = scattering_amplitudes(junction, k)
+    r2, t2 = abs(res.r) ** 2, abs(res.t) ** 2
+    scale = max(1.0, r2, t2)
+    assert abs(r2 + t2 - 1.0) <= FLUX_TOL * scale
+    assert abs(res.flux_residual) <= FLUX_TOL * scale
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=10,
+)
+
+
+@PROPERTY
+@given(json_documents)
+def test_canonical_json_round_trips_byte_for_byte(doc):
+    text = canonical_json(doc)
+    assert canonical_json(json.loads(text)) == text

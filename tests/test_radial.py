@@ -15,6 +15,7 @@ from singscat import (
     MissingChoice,
     NonPositiveEnergy,
     PotentialSpec,
+    PrecisionLoss,
     RegularizedPotential,
     ShellPotentialSpec,
     UndefinedRegime,
@@ -23,6 +24,7 @@ from singscat import (
     s_wave_solution,
     s_wave_solve,
 )
+from singscat.radial import PHASE_ULP_FRACTION
 
 
 def _shell(m: float, c: float, a: float = 1.0) -> ShellPotentialSpec:
@@ -207,3 +209,22 @@ def test_wavefunction_refuses_non_finite_energy(k):
     sol = dataclasses.replace(s_wave_solution(_shell(1.0, -2.0), 1.0), k=k)
     with pytest.raises(ValueError, match="k must be finite"):
         radial_wavefunction(sol, [0.5, 2.0])
+
+
+def test_phase_past_its_rounding_is_refused():
+    # ulp(sqrt(k) a) first exceeds PHASE_ULP_FRACTION * pi at sqrt(k) a = 2^34
+    assert math.ulp(2.0**34) > PHASE_ULP_FRACTION * math.pi >= math.ulp(2.0**33)
+    edge = 2.0**34
+    below = s_wave_solve(_shell(1.0, 1.0, a=math.nextafter(edge, 0.0)), 1.0)
+    assert math.isfinite(below.delta0)
+    for shell, k in ((_shell(1.0, 1.0, edge), 1.0), (_shell(1.0, 1.0, 1e300), 1e10)):
+        with pytest.raises(PrecisionLoss):
+            s_wave_solve(shell, k)
+        with pytest.raises(PrecisionLoss):
+            s_wave_solution(shell, k)
+    with pytest.raises(ValueError, match="k must be finite"):
+        s_wave_solve(_shell(1.0, 1.0), math.inf)
+    sol = s_wave_solution(_shell(1.0, -2.0), 1.0)
+    radial_wavefunction(sol, [0.5, math.nextafter(edge, 0.0)])
+    with pytest.raises(PrecisionLoss):
+        radial_wavefunction(sol, [0.5, edge])
