@@ -331,23 +331,87 @@ def _rk_transfer(pot: RegularizedPotential, k: float) -> np.ndarray:
     return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 
-@pytest.mark.parametrize(
-    "shape, m, c",
-    [
-        (GAUSSIAN, 2.0, -(math.pi**2)),
-        (GAUSSIAN, 3.0, -1.0),
-        (COSINE_BUMP, 3.0, -1.0),
-        (COSINE_BUMP, 1.0, -1.0),
-        (TRIANGLE, 0.5, -3.0),
-        (TRIANGLE, 3.0, -1.0),
-        (GAUSSIAN, 1.5, -1.0),
-    ],
-)
+_ORACLE_CASES = [
+    (GAUSSIAN, 2.0, -(math.pi**2)),
+    (GAUSSIAN, 3.0, -1.0),
+    (COSINE_BUMP, 3.0, -1.0),
+    (COSINE_BUMP, 1.0, -1.0),
+    (TRIANGLE, 0.5, -3.0),
+    (TRIANGLE, 3.0, -1.0),
+    (GAUSSIAN, 1.5, -1.0),
+]
+
+
+@pytest.mark.parametrize("shape, m, c", _ORACLE_CASES)
 def test_numeric_transfer_matches_rk_oracle(shape, m, c):
     pot = RegularizedPotential(PotentialSpec(m, c), shape, 1e-3)
     ref = _rk_transfer(pot, 1.0)
     got = np.array(numeric_transfer(pot, 1.0).rows())
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+# Bits of every resonance level (n = 1..4, with its parity) and of the
+# oracle cases' transfers at eps = 1e-3, k = 1, row-major.  Any change to
+# the cell product, the refinement ladder or the root finder shows here.
+_PINNED_LEVELS = {
+    "tophat": [
+        ("-0x1.3bd3cc9be45dep+3", -1),
+        ("-0x1.3bd3cc9be45dep+5", 1),
+        ("-0x1.634e462f60e99p+6", -1),
+        ("-0x1.3bd3cc9be45dfp+7", 1),
+    ],
+    "triangle": [
+        ("-0x1.019d8168af16bp+4", -1),
+        ("-0x1.85fd0be8e847dp+5", 1),
+        ("-0x1.a3eeae7af3f77p+6", -1),
+        ("-0x1.620f7b4df67f5p+7", 1),
+    ],
+    "cosine": [
+        ("-0x1.ea9ab574c8160p+3", -1),
+        ("-0x1.982e35a978278p+5", 1),
+        ("-0x1.aa5c02a2c682bp+6", -1),
+        ("-0x1.6bee46cdb14f5p+7", 1),
+    ],
+    "gauss": [
+        ("-0x1.0dd3590a40bcbp+4", -1),
+        ("-0x1.b2c0456437ba0p+5", 1),
+        ("-0x1.bf4134c93f54fp+6", -1),
+        ("-0x1.7a53a136feb5bp+7", 1),
+    ],
+}
+_PINNED_TRANSFERS = [
+    ("-0x1.59d7796cbbbadp+2", "-0x1.5b36fc7d7cb8dp-5",
+     "-0x1.4cad638f7d9ccp+9", "-0x1.59d7796cbbbb4p+2"),
+    ("-0x1.b61a5117a9acfp+2", "-0x1.a0a936f0428adp-5",
+     "-0x1.c2d146f2bf074p+9", "-0x1.b61a5117a9adbp+2"),
+    ("-0x1.14adfd77f2f1bp-1", "0x1.c66eda0839d51p-13",
+     "-0x1.98677c9060897p+11", "-0x1.14adfd77f2f9dp-1"),
+    ("0x1.ff7caf3946183p-1", "0x1.0607a733ba8bcp-9",
+     "-0x1.00757421f3fafp+0", "0x1.ff7caf394618dp-1"),
+    ("0x1.ffef28a49eff3p-1", "0x1.06218b8bdab41p-9",
+     "-0x1.0723f4c9676b0p-3", "0x1.ffef28a49eff5p-1"),
+    ("0x1.a4d99e161733cp+0", "0x1.262bde10cc08dp-11",
+     "0x1.7b4c7032602c3p+11", "0x1.a4d99e1617381p+0"),
+    ("0x1.bd97fdb1da30cp-1", "0x1.eaa204347c11fp-7",
+     "-0x1.03379ab32a9c4p+4", "0x1.bd97fdb1da313p-1"),
+]
+
+
+def test_levels_and_transfers_are_pinned_bit_for_bit():
+    levels = {
+        name: [
+            (level.hex(), parity)
+            for level, parity in (resonant_search(SHAPES[name], n) for n in range(1, 5))
+        ]
+        for name in _PINNED_LEVELS
+    }
+    assert levels == _PINNED_LEVELS
+    transfers = []
+    for shape, m, c in _ORACLE_CASES:
+        pot = RegularizedPotential(PotentialSpec(m, c), shape, 1e-3)
+        rows = numeric_transfer(pot, 1.0).rows()
+        transfers.append(tuple(float(v).hex() for row in rows for v in row))
+    assert transfers == _PINNED_TRANSFERS
 
 
 def test_smooth_shapes_settle_within_2_to_15_cells(monkeypatch):
