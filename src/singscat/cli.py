@@ -350,14 +350,11 @@ def cmd_radial(args: argparse.Namespace, cfg: RunConfig) -> str:
 
     if grid is None:
         return _emit(RADIAL_FIELDS, [solve(args.k)], cfg.format, sweep=False)
-
-    def one(k: float) -> list:
-        try:
-            return solve(k) + [""]
-        except SingscatError as exc:
-            return [k, args.a, math.nan, math.nan, error_tag(exc)]
-
-    rows = sweep_map(one, grid)
+    rows = sweep_map(
+        lambda k: solve(k) + [""],
+        grid,
+        lambda k, tag: [k, args.a, math.nan, math.nan, tag],
+    )
     return _emit(RADIAL_FIELDS + ["error"], rows, cfg.format, sweep=True)
 
 
@@ -390,6 +387,8 @@ def cmd_mollify(args: argparse.Namespace, cfg: RunConfig) -> str:
         summary = {"slope": slope, "r2": r2, "verdict": verdict}
         print(canonical_json(summary), file=sys.stderr)
     if computed == 0:
+        if all(row.error == "overflow" for row in rows):
+            raise TransferOverflow("every eps value overflowed")
         raise NoConvergence("no eps value produced a transfer matrix")
     return _emit(MOLLIFY_FIELDS, cells, cfg.format, sweep=True)
 

@@ -21,11 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponent
+from .errors import InvalidExponent, PrecisionLoss
 
 # Below this |k|*x^2 the closed forms for S lose digits (and divide 0/0 at
 # k = 0), so a 3-term series takes over.  Truncation error ~ (1e-4)^3/5040.
 SERIES_WINDOW = 1e-4
+
+# A phase sqrt(k) x is refused once one ulp of it exceeds this fraction of
+# pi.  Past that, rounding sqrt(k) x alone moves a phase shift by more than
+# a millionth of its range (-pi/2, pi/2], so fewer than six of its digits
+# mean anything.
+PHASE_ULP_FRACTION = 1e-6
+# The smallest phase with that ulp, 2^34 (about 1.7e10): a power of two
+# whose ulp 2^-18 is the first one above 1e-6 pi.  One comparison against
+# it per energy keeps the check off the cost of a sweep.
+_PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,22 @@ def free_transfer(k: float, h: float) -> Mat2:
         raise ValueError(f"k must be finite, got {k}")
     (c, s), (dc, ds) = free_propagators(k, h).tolist()
     return Mat2(c, s, dc, ds)
+
+
+def check_phase(k: float, x: float) -> None:
+    """Refuse an energy whose phase sqrt(k) x is rounding noise.
+
+    x >= 0 is the largest distance the phase is taken over.  Raises
+    ValueError for a non-finite k, and PrecisionLoss when k > 0 and one
+    ulp of sqrt(k) x exceeds PHASE_ULP_FRACTION pi.
+    """
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    if k > 0.0 and math.sqrt(k) * x >= _PHASE_LIMIT:
+        raise PrecisionLoss(
+            f"phase sqrt(k) x = {math.sqrt(k) * x!r} has an ulp above "
+            f"{PHASE_ULP_FRACTION} pi"
+        )
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,7 @@ from .errors import (
     BracketError,
     InsufficientData,
     NoConvergence,
-    SingscatError,
     TransferOverflow,
-    error_tag,
 )
 from .sweep import sweep_map
 
@@ -151,23 +149,25 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _cell_product(
-    k_eff_of: Callable[[np.ndarray], np.ndarray], left: float, h: float, n_cells: int
+def transfer_fixed_cells(
+    pot: RegularizedPotential, k: float, n_cells: int
 ) -> np.ndarray:
-    """Ordered product of n_cells propagators of width h starting at left.
+    """Transfer matrix across the support with a fixed cell count.
 
-    k_eff_of maps cell midpoints to k - v, and each cell is the exact
-    free propagator core.free_propagators at that constant k - v.  Cells
+    Each of the n_cells equal cells is the exact free propagator
+    core.free_propagators at k minus the potential at its midpoint.  Cells
     are taken in chunks of _CHUNK_CELLS multiplied into a running product,
     so memory stays bounded whatever the cell count; up to one chunk the
-    product is the plain balanced reduction.  Overflowing or non-finite
-    cells leave non-finite entries in the result, for the caller to refuse.
+    product is the plain balanced reduction.  Returns the raw 2x2 array:
+    overflowing cells leave non-finite entries, for the caller to refuse.
     """
+    half = pot.half_width
+    h = 2.0 * half / n_cells
     total: np.ndarray | None = None
     for start in range(0, n_cells, _CHUNK_CELLS):
         stop = min(start + _CHUNK_CELLS, n_cells)
-        mids = left + (np.arange(start, stop) + 0.5) * h
-        chunk = _ordered_product(free_propagators(k_eff_of(mids), h))
+        mids = -half + (np.arange(start, stop) + 0.5) * h
+        chunk = _ordered_product(free_propagators(k - pot(mids), h))
         if total is None:
             total = chunk
         else:
@@ -176,27 +176,41 @@ def _cell_product(
     return total
 
 
-def transfer_fixed_cells(
-    pot: RegularizedPotential, k: float, n_cells: int
-) -> np.ndarray:
-    """Transfer matrix across the support with a fixed cell count.
+def _ladder(
+    iterate: Callable, n: int, cap: int, tol_rel: float, scale_of: Callable
+):
+    """Richardson-accelerated cell doubling; returns (result, cells).
 
-    Midpoint sampling per cell, exact constant-cell propagators.  Returns
-    the raw 2x2 array (entries may be non-finite on overflow).
+    iterate(n, prev) is the midpoint-rule iterate at n cells, given the
+    previous one (None at the first).  From n, cells double until the
+    first of two tests holds, both against tol_rel * scale_of(iterate):
+
+    - successive iterates agree; the finer iterate is returned.
+    - successive extrapolants (4 T_2n - T_n) / 3 agree; the finer
+      extrapolant is returned.  The midpoint error is even in h, so the
+      extrapolant cancels its h^2 term.
+
+    Raises NoConvergence, with the last two iterates, once an iterate at
+    cap cells passes neither test.
     """
-    half = pot.half_width
-    return _cell_product(
-        lambda mids: k - pot(mids), -half, 2.0 * half / n_cells, n_cells
-    )
-
-
-def _richardson(fine, coarse):
-    """Extrapolant of two midpoint iterates at cell counts 2n and n.
-
-    The midpoint error is even in h, so (4 T_2n - T_n) / 3 cancels its
-    h^2 term.
-    """
-    return (4.0 * fine - coarse) / 3.0
+    prev = prev_ext = None
+    while True:
+        cur = iterate(n, prev)
+        if prev is not None:
+            tol = tol_rel * scale_of(cur)
+            if float(np.abs(cur - prev).max()) <= tol:
+                return cur, n
+            ext = (4.0 * cur - prev) / 3.0
+            if prev_ext is not None and float(np.abs(ext - prev_ext).max()) <= tol:
+                return ext, n
+            prev_ext = ext
+        if n >= cap:
+            raise NoConvergence(
+                f"no convergence to {tol_rel} within {cap} cells",
+                last_iterates=(prev, cur),
+            )
+        prev = cur
+        n *= 2
 
 
 def _checked(mat: np.ndarray, n_cells: int) -> Mat2:
@@ -219,16 +233,12 @@ def numeric_transfer(
 ) -> Mat2:
     """Transfer matrix of the mollified potential across its support.
 
-    Doubles the cell count from 64, with a hard cap of 2^22 cells, and
-    stops on the first of two tests, both in max-abs entry relative to
-    the matrix scale:
-
-    - successive midpoint iterates agree to tol_rel; the finer iterate is
-      returned.  Shapes that are constant per cell, such as the top hat,
-      stop here.
-    - successive Richardson extrapolants (4 T_2n - T_n) / 3 agree to
-      tol_rel; the finer extrapolant is returned.  Smooth shapes stop here,
-      at m = 3 and eps = 1e-3 within 2^15 cells.
+    transfer_fixed_cells on the refinement ladder _ladder, from 64 cells
+    up to a hard cap of 2^22, with both stop tests in max-abs entry
+    relative to max(1, max-abs entry).  Shapes that are constant per cell,
+    such as the top hat, stop on agreeing midpoint iterates and return
+    the finer one; smooth shapes stop on agreeing Richardson extrapolants,
+    at m = 3 and eps = 1e-3 within 2^15 cells.
 
     Raises
     ------
@@ -239,33 +249,20 @@ def numeric_transfer(
         if the cap is reached first (the last two iterates ride along on
         the exception).
     """
-    n = N_CELLS_START
-    prev: np.ndarray | None = None
-    prev_ext: np.ndarray | None = None
-    while True:
-        cur = transfer_fixed_cells(pot, k, n)
-        if not np.isfinite(cur).all():
+
+    def iterate(n: int, _prev) -> np.ndarray:
+        mat = transfer_fixed_cells(pot, k, n)
+        if not np.isfinite(mat).all():
             raise TransferOverflow(
                 f"transfer entries left the representable range at {n} cells"
             )
-        if prev is not None:
-            scale = max(1.0, float(np.abs(cur).max()))
-            if float(np.abs(cur - prev).max()) <= tol_rel * scale:
-                return _checked(cur, n)
-            ext = _richardson(cur, prev)
-            if (
-                prev_ext is not None
-                and float(np.abs(ext - prev_ext).max()) <= tol_rel * scale
-            ):
-                return _checked(ext, n)
-            prev_ext = ext
-        if n >= N_CELLS_CAP:
-            raise NoConvergence(
-                f"no convergence to {tol_rel} within {N_CELLS_CAP} cells",
-                last_iterates=(prev, cur),
-            )
-        prev = cur
-        n *= 2
+        return mat
+
+    def scale(mat: np.ndarray) -> float:
+        return max(1.0, float(np.abs(mat).max()))
+
+    mat, n = _ladder(iterate, N_CELLS_START, N_CELLS_CAP, tol_rel, scale)
+    return _checked(mat, n)
 
 
 def effective_junction(
@@ -333,16 +330,7 @@ def convergence_sweep(
         raise ValueError("eps values must be positive")
 
     def one(eps: float) -> ConvergenceRow:
-        try:
-            m_eps = effective_junction(RegularizedPotential(p, shape, eps), k, tol_rel)
-        except SingscatError as exc:
-            return ConvergenceRow(
-                eps=eps,
-                matrix=None,
-                deviation=math.nan,
-                det_err=math.nan,
-                error=error_tag(exc),
-            )
+        m_eps = effective_junction(RegularizedPotential(p, shape, eps), k, tol_rel)
         deviation = (
             m_eps.max_abs_diff(reference) if reference is not None else math.nan
         )
@@ -353,7 +341,10 @@ def convergence_sweep(
             det_err=abs(m_eps.det() - 1.0),
         )
 
-    return sweep_map(one, eps_values)
+    def failed(eps: float, tag: str) -> ConvergenceRow:
+        return ConvergenceRow(eps, None, math.nan, math.nan, tag)
+
+    return sweep_map(one, eps_values, failed)
 
 
 def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
@@ -422,21 +413,6 @@ def certify_convergence(
             if len(window) >= 2 and max(window) > _DECADE_RATIO * min(window):
                 return ("non_convergent", slope, r2)
     return ("convergent", slope, r2)
-
-
-def _zero_energy_shot(
-    shape: MollifierShape, c: float, n_cells: int
-) -> tuple[float, float]:
-    """Propagate w'' = c phi(y)^2 w across the support from data (1, 0).
-
-    Returns (w, w') at the right edge.  This is the scaling limit of the
-    m = 2 potential, where eps drops out entirely.
-    """
-    s = shape.half_support
-    total = _cell_product(
-        lambda mids: -c * shape(mids) ** 2, -s, 2.0 * s / n_cells, n_cells
-    )
-    return float(total[0, 0]), float(total[1, 0])
 
 
 # Brent's method in resonant_search: absolute and relative root tolerance
@@ -510,15 +486,17 @@ def resonant_search(
 
     Shooting at zero energy: integrate w'' = c phi(y)^2 w from (1, 0) at
     the left edge and solve w'(right edge) = 0 for c by Brent's method.
+    In the m = 2 scaling limit eps drops out, so each shot is
+    transfer_fixed_cells of the m = 2 potential at eps = 1 and k = 0.
     Levels are ordered by |c|; the returned parity sign(w(s)/w(-s)) says
     whether the limiting junction is +identity or -identity.  For the
     top-hat shape the levels are exactly -(n pi)^2.
 
-    The root is found at 2048 cells and again at each doubling.  The
-    search stops when two successive roots agree to rel_tol (the top hat,
-    exact per cell, stops here), or when two successive Richardson
-    extrapolants (4 r_2n - r_n) / 3 do, and then returns the finer
-    extrapolant.
+    A scan at 2048 cells brackets the level, and the root, found there
+    first, is refined on the same ladder as numeric_transfer (_ladder, up
+    to 2^20 cells, stop tests relative to |root|), each rung bracketing
+    its root around the previous one.  The top hat, exact per cell,
+    stops on agreeing roots; smooth shapes on agreeing extrapolants.
 
     c_bracket optionally restricts the scan to (c_lo, c_hi); it must
     contain at least n sign changes of the shooting function.
@@ -548,8 +526,12 @@ def resonant_search(
     if c_bracket is not None:
         step = min(step, (c_hi - c_lo) / (16.0 * (n + 1)))
 
+    def transfer(c: float, cells: int) -> np.ndarray:
+        pot = RegularizedPotential(PotentialSpec(2.0, c), shape, 1.0)
+        return transfer_fixed_cells(pot, 0.0, cells)
+
     def shoot(c: float, cells: int) -> float:
-        return _zero_energy_shot(shape, c, cells)[1]
+        return float(transfer(c, cells)[1, 0])
 
     # Walk down from c_hi counting sign changes; the n-th one brackets c_n.
     lo = hi = c_hi
@@ -567,7 +549,10 @@ def resonant_search(
         if found < n:
             hi, g_hi = lo, g_lo
 
-    def refine(cells: int, a: float, b: float) -> float:
+    def refine(cells: int, prev: float | None) -> float:
+        a, b = lo, hi
+        if prev is not None:
+            a, b = prev - step / 8.0, min(prev + step / 8.0, -1e-12)
         ga, gb = shoot(a, cells), shoot(b, cells)
         widen = 0
         while ga * gb > 0.0:
@@ -579,23 +564,6 @@ def resonant_search(
             ga, gb = shoot(a, cells), shoot(b, cells)
         return _brent(lambda c: shoot(c, cells), a, b, ga, gb)
 
-    root = refine(n_cells, lo, hi)
-    prev_ext: float | None = None
-    while True:
-        n_cells *= 2
-        nxt = refine(n_cells, root - step / 8.0, min(root + step / 8.0, -1e-12))
-        if abs(nxt - root) <= rel_tol * abs(nxt):
-            root = nxt
-            break
-        ext = _richardson(nxt, root)
-        if prev_ext is not None and abs(ext - prev_ext) <= rel_tol * abs(ext):
-            root = ext
-            break
-        root, prev_ext = nxt, ext
-        if n_cells >= 2**20:
-            raise NoConvergence(
-                f"level {n} not pinned to {rel_tol} within {n_cells} cells"
-            )
-    w_end, _ = _zero_energy_shot(shape, root, n_cells)
-    parity = 1 if w_end > 0.0 else -1
+    root, n_cells = _ladder(refine, n_cells, 2**20, rel_tol, abs)
+    parity = 1 if transfer(root, n_cells)[0, 0] > 0.0 else -1
     return root, parity

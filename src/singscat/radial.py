@@ -19,19 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Mat2, ShellPotentialSpec, free_propagators
-from .errors import NonPositiveEnergy, PrecisionLoss
+# PHASE_ULP_FRACTION is re-exported: README documents it under this module.
+from .core import (
+    PHASE_ULP_FRACTION,
+    Mat2,
+    ShellPotentialSpec,
+    check_phase,
+    free_propagators,
+)
+from .errors import NonPositiveEnergy
 from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
-
-# A phase sqrt(k) x is refused once one ulp of it exceeds this fraction of
-# pi.  Past that, rounding sqrt(k) x alone moves delta0 by more than a
-# millionth of its range (-pi/2, pi/2], so fewer than six of its digits
-# mean anything.
-PHASE_ULP_FRACTION = 1e-6
-# The smallest phase with that ulp, 2^34 (about 1.7e10): a power of two
-# whose ulp 2^-18 is the first one above 1e-6 pi.  One comparison against
-# it per energy keeps the check off the cost of a sweep.
-_PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
 @dataclass(frozen=True)
@@ -70,15 +67,6 @@ def _principal_shift(raw: float) -> float:
     return shift
 
 
-def _phase_error(k: float, phase: float) -> Exception:
-    """Error for a phase past _PHASE_LIMIT; an infinite k is a bad argument."""
-    if math.isinf(k):
-        return ValueError(f"k must be finite, got {k}")
-    return PrecisionLoss(
-        f"phase sqrt(k) r = {phase!r} has an ulp above {PHASE_ULP_FRACTION} pi"
-    )
-
-
 def s_wave_solution(
     shell: ShellPotentialSpec,
     k: float,
@@ -88,16 +76,15 @@ def s_wave_solution(
     """Solve the reduced shell problem at energy k > 0.
 
     Raises PrecisionLoss when sqrt(k) a is too large for its phase to
-    carry meaningful digits (see PHASE_ULP_FRACTION), and ValueError for
-    an infinite k.
+    carry meaningful digits (core.check_phase), and ValueError for an
+    infinite k.
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
     junction = junction_matrix(shell.base, choice, resonance_tol)
-    q = math.sqrt(k)
     a = shell.a
-    if q * a >= _PHASE_LIMIT:
-        raise _phase_error(k, q * a)
+    check_phase(k, a)
+    q = math.sqrt(k)
     u_a = math.sin(q * a)
     du_a = q * math.cos(q * a)
     alpha, beta = junction.apply((u_a, du_a))
@@ -158,17 +145,13 @@ def radial_wavefunction(
     is too large for its phase to carry meaningful digits.
     """
     k = solution.k
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
     rs = list(rs)
     for r in rs:
         if not (r > 0.0 and math.isfinite(r)):
             raise ValueError(f"radii must be positive and finite, got {r}")
     a = solution.shell.a
+    check_phase(k, max([a, *rs]))
     q = math.sqrt(k)
-    farthest = q * max([a, *rs])
-    if farthest >= _PHASE_LIMIT:
-        raise _phase_error(k, farthest)
     lead = solution.interior_amplitude * q
     alpha, beta = solution.exterior_coeffs
     props = free_propagators(k, [r if r < a else r - a for r in rs]).tolist()

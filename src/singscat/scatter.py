@@ -10,14 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Mat2, PiecewiseSolution, free_propagators
+from .core import Mat2, PiecewiseSolution, check_phase, free_propagators
 from .errors import (
     ChainOrderError,
     NonPositiveEnergy,
     NoScatteringState,
-    SingscatError,
     TransferOverflow,
-    error_tag,
 )
 from .sweep import sweep_map
 
@@ -121,14 +119,11 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     Output order matches input order; a failing energy yields a flagged
     row instead of aborting the sweep.
     """
-
-    def one(k: float) -> SweepRow:
-        try:
-            return SweepRow(k=k, result=scattering_amplitudes(junction, k))
-        except SingscatError as exc:
-            return SweepRow(k=k, error=error_tag(exc))
-
-    return sweep_map(one, list(k_grid))
+    return sweep_map(
+        lambda k: SweepRow(k=k, result=scattering_amplitudes(junction, k)),
+        list(k_grid),
+        lambda k, tag: SweepRow(k=k, error=tag),
+    )
 
 
 def bound_states(junction: Mat2) -> BoundSpectrum:
@@ -226,14 +221,15 @@ def evaluate_solution(
     Points left of the origin use the left branch, points right of it the
     right branch.  x = 0 produces two consecutive samples, the left limit
     first, since the junction may jump there.  Raises ValueError for a
-    non-finite energy or sample point.
+    non-finite energy or sample point, and PrecisionLoss when k > 0 and
+    sqrt(k) |x| at the farthest point is too large for its phase to carry
+    meaningful digits (core.check_phase).
     """
     k = solution.k
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
     xs = list(xs)
     if not all(math.isfinite(x) for x in xs):
         raise ValueError("sample points must be finite")
+    check_phase(k, max(map(abs, xs), default=0.0))
     props = free_propagators(k, xs).tolist()
     out: list[tuple[float, float, float]] = []
     for x, ((c, s), _) in zip(xs, props):

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from .errors import SingscatError, error_tag
 
-def sweep_map(fn: Callable, items: Sequence) -> list:
-    """Map fn over items serially; results come back in input order."""
-    return [fn(item) for item in items]
+
+def sweep_map(fn: Callable, items: Sequence, failed: Callable) -> list:
+    """Map fn over items serially; results come back in input order.
+
+    An item whose fn raises a SingscatError yields failed(item, tag), with
+    the error's tag, instead of aborting the sweep.
+    """
+    out = []
+    for item in items:
+        try:
+            out.append(fn(item))
+        except SingscatError as exc:
+            out.append(failed(item, error_tag(exc)))
+    return out

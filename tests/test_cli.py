@@ -170,14 +170,14 @@ def test_exit_four_on_numerical_failure(capsys):
 
 def test_mollify_overflowing_strip_flags_rows_and_exits_four(capsys):
     # at k = -1e4 the free strips around the eps = 1 gauss (half width 8)
-    # overflow; every row is flagged and no matrix is left
+    # overflow; every row is flagged overflow, and so is the command
     code, out, _ = run(
         capsys,
         "mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
         "--eps", "1,0.5,0.1", "--k=-1e4",
     )
     assert code == 4
-    assert json.loads(out)["error"] == "no_convergence"
+    assert json.loads(out)["error"] == "overflow"
 
 
 def test_radial_phase_beyond_rounding_is_refused(capsys):

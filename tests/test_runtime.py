@@ -1,7 +1,9 @@
-"""The runtime needs numpy alone: no process of the package loads scipy."""
+"""The runtime: numpy alone (no process loads scipy), and every name the
+benchmark probes looks up."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -75,3 +77,18 @@ def test_runtime_dependencies_are_numpy_alone():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_every_benchmark_probe_target_exists():
+    # perfbench reports a probe whose target is gone as MISSING instead of
+    # failing, so a rename would otherwise pass unnoticed
+    source = (ROOT / "perfbench" / "probes.py").read_text(encoding="utf-8")
+    targets = sorted(set(re.findall(r'lookup\("([\w.]+)"\)', source)))
+    assert len(targets) >= 10
+    missing = []
+    for target in targets:
+        module_name, _, name = target.rpartition(".")
+        module = importlib.import_module(f"singscat.{module_name}")
+        if not hasattr(module, name):
+            missing.append(target)
+    assert missing == []

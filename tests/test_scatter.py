@@ -17,6 +17,7 @@ from singscat import (
     NoScatteringState,
     PiecewiseSolution,
     PotentialSpec,
+    PrecisionLoss,
     TransferOverflow,
     bound_states,
     compose_chain,
@@ -303,6 +304,24 @@ def test_evaluate_solution_refuses_non_finite_points():
     sol = PiecewiseSolution.from_left(0.0, (1.0, 0.0), Mat2.identity())
     with pytest.raises(ValueError):
         evaluate_solution(sol, [0.5, math.inf])
+
+
+def test_evaluate_solution_refuses_phases_past_their_rounding():
+    # sqrt(k) |x| = 2^34 is where one ulp first exceeds 1e-6 pi
+    edge = 2.0**34
+    sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), Mat2.identity())
+    below = math.nextafter(edge, 0.0)
+    assert len(evaluate_solution(sol, [-below, 0.5, below])) == 3
+    for xs in ([0.5, edge], [-edge, 0.5]):
+        with pytest.raises(PrecisionLoss):
+            evaluate_solution(sol, xs)
+    far = PiecewiseSolution.from_left(1e10, (1.0, 0.0), Mat2.identity())
+    with pytest.raises(PrecisionLoss):
+        evaluate_solution(far, [1e300])
+    # decaying and flat branches have no phase to lose
+    for k in (0.0, -1e-30):
+        flat = PiecewiseSolution.from_left(k, (1.0, 0.0), Mat2.identity())
+        evaluate_solution(flat, [edge])
 
 
 def test_evaluate_solution_free_cosine():
