@@ -31,7 +31,7 @@ N_CELLS_CAP = 2**22
 _CHUNK_CELLS = 2**16
 
 # Highest level resonant_search accepts; the bracket scan grows like
-# level^2 and level 32 takes about 2 s.
+# level^2 and level 32 takes about 3.5 s (2-vCPU VM, Python 3.11).
 MAX_LEVEL = 32
 
 DEFAULT_TOL_REL = 1e-10
@@ -44,6 +44,14 @@ _DET_TOL = 1e-6
 # panel count puts y = 0, where the triangle has its kink, on a panel edge.
 _MASS_PANELS = 64
 _MASS_NODES, _MASS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# Edge-order check of a shape: the log-log slope of the profile between
+# these two distances from the edge (fractions of the half support) must
+# match the declared order to _EDGE_SLOPE_TOL.
+_EDGE_PROBES = (1e-3, 1e-4)
+_EDGE_SLOPE_TOL = 1e-2
+# Columns of the refinement ladder's Romberg tableau beyond the iterates.
+_TABLEAU_DEPTH = 3
 
 # Divergence certification thresholds (fitted slope of log deviation
 # against log eps, and the spread test over one decade).
@@ -62,11 +70,21 @@ class MollifierShape:
     half_support], and evenness on 17 probe points; either failure raises
     ValueError.  A profile with kinks inside the support should have them
     on panel edges, as the triangle's at y = 0 is.
+
+    edge_order, when given, is the order alpha at which the profile
+    vanishes at the edge of its support, phi(s - d) ~ d^alpha; it puts an
+    h^(1 + alpha m) term into the midpoint error of phi^m, which the
+    refinement ladder cancels (error_exponents).  Construction checks it
+    against the log-log slope of the profile at 1e-3 s and 1e-4 s from
+    the edge, to 1e-2, and raises ValueError on a mismatch.  None, the
+    default, declares no edge term: the profile jumps on a cell edge, as
+    the top hat does, or is negligible at its cut, as the gauss is.
     """
 
     name: str
     half_support: float
     profile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    edge_order: float | None = None
 
     def __post_init__(self):
         s = self.half_support
@@ -79,6 +97,35 @@ class MollifierShape:
         probe = np.linspace(0.0, s, 17)
         if np.max(np.abs(self.profile(probe) - self.profile(-probe))) > 1e-12:
             raise ValueError(f"shape {self.name} is not even")
+        if self.edge_order is not None:
+            self._check_edge_order()
+
+    def _check_edge_order(self):
+        alpha = self.edge_order
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(f"shape {self.name} edge order must be positive, got {alpha}")
+        s = self.half_support
+        dists = s * np.asarray(_EDGE_PROBES)
+        far, near = self.profile(s - dists)
+        # a profile that is zero or negative there gives a nan or inf slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = float(np.log(far / near) / np.log(dists[0] / dists[1]))
+        if not abs(slope - alpha) <= _EDGE_SLOPE_TOL:
+            raise ValueError(
+                f"shape {self.name} vanishes at its edge with order {slope!r}, "
+                f"declared {alpha}"
+            )
+
+    def error_exponents(self, m: float) -> list[float]:
+        """Lowest powers of h in the midpoint error of phi^m, ascending.
+
+        The smooth part contributes h^2, h^4, h^6; an edge of order alpha
+        adds h^(1 + alpha m).  The first _TABLEAU_DEPTH powers are kept.
+        """
+        powers = {2.0, 4.0, 6.0}
+        if self.edge_order is not None:
+            powers.add(1.0 + self.edge_order * m)
+        return sorted(powers)[:_TABLEAU_DEPTH]
 
     def __call__(self, y) -> np.ndarray:
         return self.profile(np.asarray(y, dtype=float))
@@ -107,8 +154,8 @@ def _gauss(y: np.ndarray) -> np.ndarray:
 
 
 TOP_HAT = MollifierShape("tophat", 0.5, _tophat)
-TRIANGLE = MollifierShape("triangle", 1.0, _triangle)
-COSINE_BUMP = MollifierShape("cosine", 1.0, _cosine_bump)
+TRIANGLE = MollifierShape("triangle", 1.0, _triangle, edge_order=1.0)
+COSINE_BUMP = MollifierShape("cosine", 1.0, _cosine_bump, edge_order=2.0)
 GAUSSIAN = MollifierShape("gauss", _GAUSS_CUT, _gauss)
 
 SHAPES = {shape.name: shape for shape in (TOP_HAT, TRIANGLE, COSINE_BUMP, GAUSSIAN)}
@@ -177,39 +224,56 @@ def transfer_fixed_cells(
 
 
 def _ladder(
-    iterate: Callable, n: int, cap: int, tol_rel: float, scale_of: Callable
+    iterate: Callable,
+    n: int,
+    cap: int,
+    tol_rel: float,
+    scale_of: Callable,
+    exponents: Sequence[float],
 ):
-    """Richardson-accelerated cell doubling; returns (result, cells).
+    """Romberg tableau on cell doubling; returns (result, cells).
 
     iterate(n, prev) is the midpoint-rule iterate at n cells, given the
-    previous one (None at the first).  From n, cells double until the
+    previous one (None at the first).  Its error is taken to expand in
+    the powers h^p of exponents, ascending.  The symmetric midpoint cell
+    product gives even powers h^2, h^4, ... for a smooth profile; a
+    profile vanishing like d^alpha at its edge adds h^(1 + alpha m), by
+    the generalized Euler-Maclaurin expansion for algebraic endpoint
+    behaviour (Navot, J. Math. Phys. 40 (1961) 271; Lyness and Ninham,
+    Math. Comp. 21 (1967) 162).  Row i of the tableau holds the iterate
+    T_i at n 2^i cells and its extrapolants
+
+        R[i][0] = T_i,
+        R[i][j] = (2^p_j R[i][j-1] - R[i-1][j-1]) / (2^p_j - 1),
+
+    column j free of the first j powers.  From n, cells double until the
     first of two tests holds, both against tol_rel * scale_of(iterate):
 
     - successive iterates agree; the finer iterate is returned.
-    - successive extrapolants (4 T_2n - T_n) / 3 agree; the finer
-      extrapolant is returned.  The midpoint error is even in h, so the
-      extrapolant cancels its h^2 term.
+    - the deepest column two successive rows share agrees between them;
+      the finer entry is returned.
 
     Raises NoConvergence, with the last two iterates, once an iterate at
     cap cells passes neither test.
     """
-    prev = prev_ext = None
+    prev: list = []  # the previous row of the tableau
     while True:
-        cur = iterate(n, prev)
-        if prev is not None:
-            tol = tol_rel * scale_of(cur)
-            if float(np.abs(cur - prev).max()) <= tol:
-                return cur, n
-            ext = (4.0 * cur - prev) / 3.0
-            if prev_ext is not None and float(np.abs(ext - prev_ext).max()) <= tol:
-                return ext, n
-            prev_ext = ext
+        row = [iterate(n, prev[0] if prev else None)]
+        if prev:
+            tol = tol_rel * scale_of(row[0])
+            if float(np.abs(row[0] - prev[0]).max()) <= tol:
+                return row[0], n
+            for p, below in zip(exponents, prev):
+                row.append((2.0**p * row[-1] - below) / (2.0**p - 1.0))
+            deep = len(prev) - 1
+            if deep and float(np.abs(row[deep] - prev[deep]).max()) <= tol:
+                return row[deep], n
         if n >= cap:
             raise NoConvergence(
                 f"no convergence to {tol_rel} within {cap} cells",
-                last_iterates=(prev, cur),
+                last_iterates=(prev[0] if prev else None, row[0]),
             )
-        prev = cur
+        prev = row
         n *= 2
 
 
@@ -235,10 +299,12 @@ def numeric_transfer(
 
     transfer_fixed_cells on the refinement ladder _ladder, from 64 cells
     up to a hard cap of 2^22, with both stop tests in max-abs entry
-    relative to max(1, max-abs entry).  Shapes that are constant per cell,
-    such as the top hat, stop on agreeing midpoint iterates and return
-    the finer one; smooth shapes stop on agreeing Richardson extrapolants,
-    at m = 3 and eps = 1e-3 within 2^15 cells.
+    relative to max(1, max-abs entry) and the tableau's powers of h from
+    the shape's error_exponents at the potential's m.  Shapes that are
+    constant per cell, such as the top hat, stop on agreeing midpoint
+    iterates and return the finer one; smooth shapes stop on agreeing
+    tableau entries, for m in 0.5..3 at eps = 1e-3 and k = 1 within 2^13
+    cells.
 
     Raises
     ------
@@ -261,7 +327,10 @@ def numeric_transfer(
     def scale(mat: np.ndarray) -> float:
         return max(1.0, float(np.abs(mat).max()))
 
-    mat, n = _ladder(iterate, N_CELLS_START, N_CELLS_CAP, tol_rel, scale)
+    mat, n = _ladder(
+        iterate, N_CELLS_START, N_CELLS_CAP, tol_rel, scale,
+        pot.shape.error_exponents(pot.spec.m),
+    )
     return _checked(mat, n)
 
 
@@ -495,8 +564,9 @@ def resonant_search(
     A scan at 2048 cells brackets the level, and the root, found there
     first, is refined on the same ladder as numeric_transfer (_ladder, up
     to 2^20 cells, stop tests relative to |root|), each rung bracketing
-    its root around the previous one.  The top hat, exact per cell,
-    stops on agreeing roots; smooth shapes on agreeing extrapolants.
+    its root around the previous one, with the shape's error_exponents
+    at m = 2.  The top hat, exact per cell, stops on agreeing roots;
+    smooth shapes on agreeing tableau entries.
 
     c_bracket optionally restricts the scan to (c_lo, c_hi); it must
     contain at least n sign changes of the shooting function.
@@ -564,6 +634,8 @@ def resonant_search(
             ga, gb = shoot(a, cells), shoot(b, cells)
         return _brent(lambda c: shoot(c, cells), a, b, ga, gb)
 
-    root, n_cells = _ladder(refine, n_cells, 2**20, rel_tol, abs)
+    root, n_cells = _ladder(
+        refine, n_cells, 2**20, rel_tol, abs, shape.error_exponents(2.0)
+    )
     parity = 1 if transfer(root, n_cells)[0, 0] > 0.0 else -1
     return root, parity

@@ -221,9 +221,10 @@ def evaluate_solution(
     Points left of the origin use the left branch, points right of it the
     right branch.  x = 0 produces two consecutive samples, the left limit
     first, since the junction may jump there.  Raises ValueError for a
-    non-finite energy or sample point, and PrecisionLoss when k > 0 and
+    non-finite energy or sample point, PrecisionLoss when k > 0 and
     sqrt(k) |x| at the farthest point is too large for its phase to carry
-    meaningful digits (core.check_phase).
+    meaningful digits (core.check_phase), and TransferOverflow when a
+    growing branch (k < 0) leaves the representable range.
     """
     k = solution.k
     xs = list(xs)
@@ -242,5 +243,9 @@ def evaluate_solution(
         for alpha, beta in branches:
             psi = alpha * c + beta * s
             dpsi = -k * alpha * s + beta * c
+            if not (math.isfinite(psi) and math.isfinite(dpsi)):
+                raise TransferOverflow(
+                    f"solution left the representable range at x = {x}"
+                )
             out.append((x, psi, dpsi))
     return out

@@ -324,6 +324,16 @@ def test_evaluate_solution_refuses_phases_past_their_rounding():
         evaluate_solution(flat, [edge])
 
 
+def test_evaluate_solution_refuses_overflowing_branches():
+    # cosh(1000) overflows; the sample used to come back as nan
+    sol = PiecewiseSolution.from_left(-1.0, (1.0, 0.0), Mat2.identity())
+    with pytest.raises(TransferOverflow):
+        evaluate_solution(sol, [1000.0])
+    with pytest.raises(TransferOverflow):
+        evaluate_solution(sol, [-1.0, -1000.0])
+    assert all(map(math.isfinite, evaluate_solution(sol, [700.0])[0]))
+
+
 def test_evaluate_solution_free_cosine():
     sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), Mat2.identity())
     pts = evaluate_solution(sol, [-1.0, 0.0, 1.0])
