@@ -103,7 +103,9 @@ class MollifierShape:
     def _check_edge_order(self):
         alpha = self.edge_order
         if not (math.isfinite(alpha) and alpha > 0.0):
-            raise ValueError(f"shape {self.name} edge order must be positive, got {alpha}")
+            raise ValueError(
+                f"shape {self.name} edge order must be positive, got {alpha}"
+            )
         s = self.half_support
         dists = s * np.asarray(_EDGE_PROBES)
         far, near = self.profile(s - dists)

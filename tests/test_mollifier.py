@@ -421,12 +421,20 @@ def test_smooth_shapes_settle_within_2_to_15_cells(monkeypatch):
         numeric_transfer(pot, 1.0)
 
 
-@pytest.mark.parametrize("shape", [TRIANGLE, COSINE_BUMP, GAUSSIAN], ids=lambda s: s.name)
+# (m, c) of the mollifier lab's five regimes
+_LAB_REGIMES = (
+    (0.5, -3.0), (1.0, -1.0), (1.5, -1.0), (2.0, -(math.pi**2)), (3.0, -1.0)
+)
+
+
+@pytest.mark.parametrize(
+    "shape", [TRIANGLE, COSINE_BUMP, GAUSSIAN], ids=lambda s: s.name
+)
 def test_smooth_lab_cases_settle_within_2_to_13_cells(shape, monkeypatch):
     # the tableau cancels the edge term h^(1 + alpha m); left in, the
     # triangle's sqrt edge at m = 0.5 takes 2^19 cells to settle
     monkeypatch.setattr(mollifier_mod, "N_CELLS_CAP", 2**13)
-    for m, c in ((0.5, -3.0), (1.0, -1.0), (1.5, -1.0), (2.0, -(math.pi**2)), (3.0, -1.0)):
+    for m, c in _LAB_REGIMES:
         pot = RegularizedPotential(PotentialSpec(m, c), shape, 1e-3)
         numeric_transfer(pot, 1.0)
 
@@ -453,9 +461,10 @@ def test_declared_edge_order_is_checked_against_the_profile():
 
 def test_shape_without_edge_order_converges_on_the_even_tableau():
     # a biweight bump: its edge term h^5 at m = 2 is left undeclared
-    bump = MollifierShape(
-        "biweight", 1.0, lambda y: np.where(np.abs(y) <= 1.0, 0.9375 * (1.0 - y * y) ** 2, 0.0)
-    )
+    def biweight(y):
+        return np.where(np.abs(y) <= 1.0, 0.9375 * (1.0 - y * y) ** 2, 0.0)
+
+    bump = MollifierShape("biweight", 1.0, biweight)
     assert bump.error_exponents(2.0) == [2.0, 4.0, 6.0]
     pot = RegularizedPotential(PotentialSpec(2.0, -2.0), bump, 1e-3)
     ref = _rk_transfer(pot, 1.0)
