@@ -4,8 +4,7 @@ Six subcommands cover the library surface: junction, scatter, bound,
 radial, mollify, resonance.  Single results are JSON documents on
 stdout, sweeps are CSV; --format overrides the default either way.
 Exit codes: 0 success, 2 bad arguments, 3 no junction / no scattering
-state, 4 numerical failure.  A flat key=value config file can preset the
-global options, with command line flags taking precedence.
+state, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import PotentialSpec, ShellPotentialSpec
 from .errors import (
@@ -62,97 +60,47 @@ MOLLIFY_FIELDS = ["eps", "M11", "M12", "M21", "M22", "det_err", "deviation", "fl
 
 
 class UsageError(SingscatError):
-    """Bad command line or config input."""
+    """Bad command line input."""
 
 
-@dataclass
-class RunConfig:
-    resonance_tol: float = DEFAULT_RESONANCE_TOL
-    int_tol: float = DEFAULT_TOL_REL
-    format: str | None = None
-    out: str | None = None
-    iv_default: bool = False
-    iv_a: int | None = None
-    iv_b: float | None = None
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose parse errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise UsageError(f"not a boolean: {raw!r}")
+def _finite_float(raw: str) -> float:
+    """argparse type of a finite number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-_CONFIG_PARSERS = {
-    "resonance_tol": float,
-    "int_tol": float,
-    "format": str,
-    "out": str,
-    "iv_default": _parse_bool,
-    "iv_a": int,
-    "iv_b": float,
-}
-
-
-def load_config(path: str) -> dict:
-    """Read a flat key=value file; blank lines and # comments are skipped."""
-    values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_PARSERS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_PARSERS[key](raw.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}") from exc
-    if "format" in values and values["format"] not in ("json", "csv"):
-        raise UsageError("config format must be json or csv")
-    if "iv_a" in values and values["iv_a"] not in (1, -1):
-        raise UsageError("config iv_a must be +1 or -1")
-    return values
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the --config file, then command line flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config(args.config).items():
-            setattr(cfg, key, value)
-    for key in _CONFIG_PARSERS:
-        value = getattr(args, key, None)
-        # None is a flag not given; False is --iv-default not given
-        if value is not None and value is not False:
-            setattr(cfg, key, value)
-    return cfg
+def _positive_float(raw: str) -> float:
+    """argparse type of a positive finite tolerance."""
+    value = float(raw)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the result document to this path")
     common.add_argument("--format", choices=("json", "csv"))
-    common.add_argument("--config", help="flat key=value settings file")
     common.add_argument(
         "--resonance-tol",
-        type=float,
+        type=_positive_float,
+        default=DEFAULT_RESONANCE_TOL,
         dest="resonance_tol",
         help="relative tolerance matching m=2 resonant couplings",
     )
     common.add_argument(
         "--int-tol",
-        type=float,
+        type=_positive_float,
+        default=DEFAULT_TOL_REL,
         dest="int_tol",
         help="relative tolerance of the cell integrator",
     )
@@ -177,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     kgrid.add_argument("--ksteps", type=int, default=50)
     kgrid.add_argument("--kscale", choices=("log", "lin"), default="log")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singscat",
         description="Point scattering for powers of the delta potential.",
     )
@@ -225,21 +173,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_resonance.add_argument("--shape", choices=sorted(SHAPES), required=True)
     p_resonance.add_argument("--n", type=int, required=True)
-    p_resonance.add_argument("--c-min", type=float, dest="c_min")
-    p_resonance.add_argument("--c-max", type=float, dest="c_max")
+    p_resonance.add_argument("--c-min", type=_finite_float, dest="c_min")
+    p_resonance.add_argument("--c-max", type=_finite_float, dest="c_max")
 
     return parser
 
 
-def _resolve_choice(p: PotentialSpec, cfg: RunConfig) -> IvChoice | None:
-    regime = classify_regime(p, cfg.resonance_tol)
+def _resolve_choice(args: argparse.Namespace) -> IvChoice | None:
+    regime = classify_regime(PotentialSpec(args.m, args.c), args.resonance_tol)
     if regime.kind is not RegimeKind.INDETERMINATE:
         return None
-    if cfg.iv_a is not None or cfg.iv_b is not None:
-        if cfg.iv_a is None or cfg.iv_b is None:
+    if args.iv_a is not None or args.iv_b is not None:
+        if args.iv_a is None or args.iv_b is None:
             raise UsageError("the indeterminate regime needs both --iv-a and --iv-b")
-        return IvChoice(cfg.iv_a, cfg.iv_b)
-    if cfg.iv_default:
+        return IvChoice(args.iv_a, args.iv_b)
+    if args.iv_default:
         return IvChoice(1, 0.0)
     return None
 
@@ -252,13 +200,13 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
     if not sweeping:
         if args.k is None:
             raise UsageError("an energy is required: --k or --kmin/--kmax")
-        if not args.k > 0.0:
-            raise UsageError(f"k must be positive, got {args.k}")
+        if not 0.0 < args.k < math.inf:
+            raise UsageError(f"k must be positive and finite, got {args.k}")
         return None
     if args.kmin is None or args.kmax is None:
         raise UsageError("sweeps need both --kmin and --kmax")
-    if not (args.kmin > 0.0 and args.kmax >= args.kmin):
-        raise UsageError("sweeps need 0 < kmin <= kmax")
+    if not 0.0 < args.kmin <= args.kmax < math.inf:
+        raise UsageError("sweeps need 0 < kmin <= kmax < inf")
     if not 1 <= args.ksteps <= MAX_KSTEPS:
         raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {args.ksteps}")
     if args.ksteps == 1:
@@ -266,15 +214,19 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
     steps = args.ksteps
     if args.kscale == "log":
         ratio = args.kmax / args.kmin
-        return [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
-    span = args.kmax - args.kmin
-    return [args.kmin + span * i / (steps - 1) for i in range(steps)]
+        grid = [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
+    else:
+        span = args.kmax - args.kmin
+        grid = [args.kmin + span * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, grid)):
+        raise UsageError("the energy grid overflows; narrow --kmin/--kmax")
+    return grid
 
 
-def cmd_junction(args: argparse.Namespace, cfg: RunConfig) -> str:
+def cmd_junction(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    regime = classify_regime(p, cfg.resonance_tol)
-    matrix = junction_matrix(p, _resolve_choice(p, cfg), cfg.resonance_tol)
+    regime = classify_regime(p, args.resonance_tol)
+    matrix = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
     doc = {
         "regime": regime.kind.value,
         "n": regime.n,
@@ -305,25 +257,25 @@ def _scatter_row(res) -> list:
     return [res.k, r.real, r.imag, t.real, t.imag] + flux
 
 
-def cmd_scatter(args: argparse.Namespace, cfg: RunConfig) -> str:
+def cmd_scatter(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(p, cfg), cfg.resonance_tol)
+    matrix = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
     grid = _k_grid(args)
     if grid is None:
         row = _scatter_row(scattering_amplitudes(matrix, args.k))
-        return _emit(SCATTER_FIELDS, [row], cfg.format, sweep=False)
+        return _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
     rows = [
         [row.k] + [math.nan] * 7 + [row.error]
         if row.error
         else _scatter_row(row.result) + [""]
         for row in transmission_curve(matrix, grid)
     ]
-    return _emit(SCATTER_FIELDS + ["error"], rows, cfg.format, sweep=True)
+    return _emit(SCATTER_FIELDS + ["error"], rows, args.format, sweep=True)
 
 
-def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> str:
+def cmd_bound(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(p, cfg), cfg.resonance_tol)
+    matrix = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
     spectrum = solve_bound_states(matrix)
     if spectrum.kind == "discrete":
         doc = {
@@ -337,28 +289,28 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> str:
     return canonical_json(doc) + "\n"
 
 
-def cmd_radial(args: argparse.Namespace, cfg: RunConfig) -> str:
+def cmd_radial(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
     shell = ShellPotentialSpec(p, args.a)
-    choice = _resolve_choice(p, cfg)
-    junction_matrix(p, choice, cfg.resonance_tol)  # surface regime errors up front
+    choice = _resolve_choice(args)
+    junction_matrix(p, choice, args.resonance_tol)  # surface regime errors up front
     grid = _k_grid(args)
 
     def solve(k: float) -> list:
-        res = s_wave_solve(shell, k, choice, cfg.resonance_tol)
+        res = s_wave_solve(shell, k, choice, args.resonance_tol)
         return [res.k, res.a, res.delta0, res.sigma0]
 
     if grid is None:
-        return _emit(RADIAL_FIELDS, [solve(args.k)], cfg.format, sweep=False)
+        return _emit(RADIAL_FIELDS, [solve(args.k)], args.format, sweep=False)
     rows = sweep_map(
         lambda k: solve(k) + [""],
         grid,
         lambda k, tag: [k, args.a, math.nan, math.nan, tag],
     )
-    return _emit(RADIAL_FIELDS + ["error"], rows, cfg.format, sweep=True)
+    return _emit(RADIAL_FIELDS + ["error"], rows, args.format, sweep=True)
 
 
-def cmd_mollify(args: argparse.Namespace, cfg: RunConfig) -> str:
+def cmd_mollify(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
     shape = SHAPES[args.shape]
     try:
@@ -368,11 +320,11 @@ def cmd_mollify(args: argparse.Namespace, cfg: RunConfig) -> str:
     reference = None
     if args.reference == "junction":
         try:
-            reference = junction_matrix(p, _resolve_choice(p, cfg), cfg.resonance_tol)
+            reference = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
         except (UndefinedRegime, MissingChoice):
             reference = None
     rows = convergence_sweep(
-        p, shape, eps_list, args.k, reference=reference, tol_rel=cfg.int_tol
+        p, shape, eps_list, args.k, reference=reference, tol_rel=args.int_tol
     )
     verdict, slope, r2 = certify_convergence(rows)
     flag = "non_convergent" if verdict == "non_convergent" else "ok"
@@ -390,10 +342,10 @@ def cmd_mollify(args: argparse.Namespace, cfg: RunConfig) -> str:
         if all(row.error == "overflow" for row in rows):
             raise TransferOverflow("every eps value overflowed")
         raise NoConvergence("no eps value produced a transfer matrix")
-    return _emit(MOLLIFY_FIELDS, cells, cfg.format, sweep=True)
+    return _emit(MOLLIFY_FIELDS, cells, args.format, sweep=True)
 
 
-def cmd_resonance(args: argparse.Namespace, cfg: RunConfig) -> str:
+def cmd_resonance(args: argparse.Namespace) -> str:
     if (args.c_min is None) != (args.c_max is None):
         raise UsageError("bracket overrides need both --c-min and --c-max")
     bracket = None
@@ -414,46 +366,37 @@ _COMMANDS = {
 }
 
 
-def _error_doc(exc: Exception) -> tuple[int, str]:
-    if isinstance(exc, UndefinedRegime):
-        return EXIT_REGIME, canonical_json(
-            {"error": "undefined_regime", "reason": exc.reason}
-        )
-    if isinstance(exc, (MissingChoice, NoScatteringState)):
-        return EXIT_REGIME, canonical_json({"error": error_tag(exc)})
+def _fail(exc: Exception) -> int:
+    """Print the JSON error document of exc; return its exit code."""
     numeric = (
         NoConvergence, TransferOverflow, PrecisionLoss, BracketError, InsufficientData
     )
-    if isinstance(exc, numeric):
-        return EXIT_NUMERIC, canonical_json(
-            {"error": error_tag(exc), "message": str(exc)}
-        )
-    return EXIT_USAGE, canonical_json(
-        {"error": "invalid_argument", "message": str(exc)}
-    )
+    if isinstance(exc, UndefinedRegime):
+        code, doc = EXIT_REGIME, {"error": "undefined_regime", "reason": exc.reason}
+    elif isinstance(exc, (MissingChoice, NoScatteringState)):
+        code, doc = EXIT_REGIME, {"error": error_tag(exc)}
+    elif isinstance(exc, numeric):
+        code, doc = EXIT_NUMERIC, {"error": error_tag(exc), "message": str(exc)}
+    else:
+        code, doc = EXIT_USAGE, {"error": "invalid_argument", "message": str(exc)}
+    sys.stdout.write(canonical_json(doc) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        cfg = resolve_config(args)
-        text = _COMMANDS[args.command](args, cfg)
+        args = build_parser().parse_args(argv)
+        text = _COMMANDS[args.command](args)
+    except SystemExit as exc:  # only --help exits, after printing its text
+        return exc.code
     except (SingscatError, ValueError) as exc:
-        code, doc = _error_doc(exc)
-        sys.stdout.write(doc + "\n")
-        return code
-    if cfg.out:
+        return _fail(exc)
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            code, doc = _error_doc(UsageError(f"cannot write --out file: {exc}"))
-            sys.stdout.write(doc + "\n")
-            return code
+            return _fail(UsageError(f"cannot write --out file: {exc}"))
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -84,13 +84,17 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     Raises
     ------
     NonPositiveEnergy
-        if k <= 0.
+        if k <= 0 (or k is nan).
+    ValueError
+        if k is infinite.
     NoScatteringState
         if the matching system is inconsistent (D = 0), e.g. for the
         junction diag(-1, 1).
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
+    if k == math.inf:
+        raise ValueError("scattering needs a finite k, got inf")
     q = math.sqrt(k)
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
     denom = complex(k * j12 - j21, q * (j11 + j22))

@@ -6,17 +6,20 @@ documents; everything else is exit codes, headers, and round trips.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from singscat.cli import MAX_KSTEPS, main
+from singscat.cli import MAX_KSTEPS, build_parser, main
 from singscat.mollifier import MAX_LEVEL
 from singscat.serialize import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -131,9 +134,27 @@ def test_exit_two_on_bad_arguments(capsys):
     )
     assert code == 2
 
-    # argparse's own rejections keep the same code
-    assert run(capsys, "junction", "--m", "1")[0] == 2
-    assert run(capsys, "nonsense")[0] == 2
+    # argparse's own rejections leave with the same JSON document
+    for argv in (
+        ("junction", "--m", "1"),
+        ("nonsense",),
+        ("junction", "--m", "1", "--c", "-2", "--config", "x"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "invalid_argument"
+        assert doc["message"]
+        assert err == ""
+
+
+def test_help_exits_zero_with_its_usage_text(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: singscat")
+    code, out, _ = run(capsys, "scatter", "--help")
+    assert code == 0
+    assert "--kmin" in out
 
 
 def test_exit_three_on_regime_errors(capsys):
@@ -188,7 +209,7 @@ def test_radial_phase_beyond_rounding_is_refused(capsys):
     assert json.loads(out)["error"] == "precision_loss"
 
 
-# ------------------------------------------------------- flags and config
+# ------------------------------------------------------------------ flags
 
 
 def test_iv_default_supplies_neutral_choice(capsys):
@@ -290,42 +311,16 @@ def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
+def test_resonance_tol_flag_widens_the_matching_window(capsys):
     off_resonance = -(((1 + 5e-7) * math.pi) ** 2)
     argv = ("junction", "--m", "2", "--c", repr(off_resonance))
 
     code, _, _ = run(capsys, *argv)
     assert code == 3  # default tolerance rejects the perturbed coupling
 
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# wide matching window\nresonance_tol=1e-6\n", encoding="utf-8")
-    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    code, out, _ = run(capsys, *argv, "--resonance-tol", "1e-6")
     assert code == 0
     assert json.loads(out)["regime"] == "resonant_square"
-
-    code, _, _ = run(
-        capsys, *argv, "--config", str(cfg), "--resonance-tol", "1e-9"
-    )
-    assert code == 3
-
-
-def test_config_file_can_set_format(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=csv\n", encoding="utf-8")
-    _, out, _ = run(
-        capsys, "scatter", "--m", "1", "--c", "-1", "--k", "1", "--config", str(cfg)
-    )
-    assert out.splitlines()[0] == "k,re_r,im_r,re_t,im_t,R,T,flux_residual"
-
-
-def test_config_file_rejects_unknown_keys(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("nonsense=1\n", encoding="utf-8")
-    code, out, _ = run(
-        capsys, "junction", "--m", "1", "--c", "-2", "--config", str(cfg)
-    )
-    assert code == 2
-    assert json.loads(out)["error"] == "invalid_argument"
 
 
 def test_mollify_reference_none_reports_nan_deviation(capsys):
@@ -376,6 +371,52 @@ def test_ksteps_past_the_bound_is_refused(capsys):
         assert str(MAX_KSTEPS) in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "energy",
+    [
+        ("--k", "inf"),
+        ("--k", "nan"),
+        ("--kmin", "1", "--kmax", "inf", "--ksteps", "3"),
+        ("--kmin", "nan", "--kmax", "1", "--ksteps", "3"),
+        ("--kmin", "1e-300", "--kmax", "1e300", "--ksteps", "3"),
+    ],
+)
+def test_non_finite_energies_are_refused(capsys, energy):
+    for cmd, extra in (("scatter", ()), ("radial", ("--a", "1"))):
+        code, out, _ = run(capsys, cmd, "--m", "1", "--c", "-1", *extra, *energy)
+        assert code == 2
+        assert json.loads(out)["error"] == "invalid_argument"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "nan"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "0"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "-1e-9"),
+        ("junction", "--m", "2", "--c", "-9.869604401089358",
+         "--resonance-tol", "nan"),
+        ("junction", "--m", "2", "--c", "-9.869604401089358",
+         "--resonance-tol", "-1"),
+        ("junction", "--m", "2", "--c", "-9.869604401089358",
+         "--resonance-tol", "inf"),
+        ("resonance", "--shape", "tophat", "--n", "1",
+         "--c-max", "-1", "--c-min", "nan"),
+        ("resonance", "--shape", "tophat", "--n", "1",
+         "--c-min", "-20", "--c-max", "inf"),
+    ],
+)
+def test_tolerances_and_brackets_are_checked_at_parse_time(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid_argument"
+    assert argv[-2] in doc["message"]
+
+
 def test_ksteps_bound_admits_long_sweeps(capsys):
     code, out, _ = run(
         capsys, "scatter", "--m", "1", "--c", "-1",
@@ -410,3 +451,25 @@ def test_single_points_have_no_error_column_and_sweeps_do(capsys):
     assert [row["error"] for row in rows] == ["", "", ""]
     _, out, _ = run(capsys, "scatter", "--m", "1", "--c", "-1", "--k", "2")
     assert "error" not in json.loads(out)
+
+
+# ------------------------------------------------------------------- docs
+
+
+def test_readme_names_only_existing_options():
+    text = README.read_text(encoding="utf-8")
+    # only the CLI section: the install section has pip's own flags
+    section = text[text.index("## Command line"):text.index("## Library")]
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    assert flags and flags <= options, sorted(flags - options)

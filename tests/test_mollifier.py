@@ -316,18 +316,23 @@ def test_resonant_search_bracket_and_argument_errors():
 
 
 def _rk_transfer(pot: RegularizedPotential, k: float) -> np.ndarray:
-    """Oracle: both fundamental solutions across the support by DOP853."""
+    """Oracle: both fundamental solutions across the support by DOP853.
+
+    The support is integrated as two legs that meet at the origin, so no
+    step straddles a kink of the profile there (the triangle has one).
+    """
     half = pot.half_width
 
     def rhs(x, y):
         v = float(pot(x)) - k
         return [y[1], v * y[0], y[3], v * y[2]]
 
-    sol = solve_ivp(
-        rhs, (-half, half), [1.0, 0.0, 0.0, 1.0],
-        method="DOP853", rtol=1e-13, atol=1e-14, max_step=half / 64,
-    )
-    y = sol.y[:, -1]
+    y = [1.0, 0.0, 0.0, 1.0]
+    for leg in ((-half, 0.0), (0.0, half)):
+        sol = solve_ivp(
+            rhs, leg, y, method="DOP853", rtol=1e-13, atol=1e-14, max_step=half / 64
+        )
+        y = sol.y[:, -1]
     return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 

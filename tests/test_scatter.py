@@ -121,6 +121,12 @@ def test_energy_must_be_positive():
         scattering_amplitudes(j, -1.0)
 
 
+def test_infinite_energy_is_refused():
+    j = junction_matrix(PotentialSpec(1.0, -1.0))
+    with pytest.raises(ValueError, match="finite"):
+        scattering_amplitudes(j, math.inf)
+
+
 def test_transmission_curve_keeps_order_and_flags_failures():
     j = Mat2(-1.0, 0.0, 0.0, 1.0)
     rows = transmission_curve(j, [0.5, 1.0, 2.0])
