@@ -67,6 +67,37 @@ def _principal_shift(raw: float) -> float:
     return shift
 
 
+def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
+    """The shell problem at one energy k > 0, for its junction matrix.
+
+    Returns (delta0, sigma0, interior_amplitude, alpha, beta), with
+    (alpha, beta) the exterior coefficients.  The one per-energy path of
+    s_wave_solution, s_wave_solve and the CLI's radial sweep; callers
+    check k > 0.  It stays scalar: math.hypot is CPython's own, not the
+    C library's hypot that numpy calls, np.arctan2 differs from math.atan2
+    in the last bit on some inputs, and numpy has no IEEE remainder.
+    Raises PrecisionLoss as core.check_phase does, and ValueError for an
+    infinite k.
+    """
+    check_phase(k, a)
+    q = math.sqrt(k)
+    u_a = math.sin(q * a)
+    du_a = q * math.cos(q * a)
+    alpha, beta = junction.apply((u_a, du_a))
+    # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
+    interior = 1.0 / math.hypot(alpha, beta / q)
+    alpha, beta = alpha * interior, beta * interior
+    j = junction
+    if j.m12 == 0.0 and j.m21 == 0.0 and abs(j.m11) == 1.0 and j.m11 == j.m22:
+        # junction is +-identity: the exterior wave is the interior free wave
+        # up to overall sign, so the shift is zero exactly, not via atan2
+        delta0 = 0.0
+    else:
+        delta0 = _principal_shift(math.atan2(q * alpha, beta) - q * a)
+    sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
+    return delta0, sigma0, interior, alpha, beta
+
+
 def s_wave_solution(
     shell: ShellPotentialSpec,
     k: float,
@@ -82,22 +113,8 @@ def s_wave_solution(
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
     junction = junction_matrix(shell.base, choice, resonance_tol)
-    a = shell.a
-    check_phase(k, a)
-    q = math.sqrt(k)
-    u_a = math.sin(q * a)
-    du_a = q * math.cos(q * a)
-    alpha, beta = junction.apply((u_a, du_a))
-    # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
-    amp = math.hypot(alpha, beta / q)
-    interior = 1.0 / amp
-    return RadialSolution(
-        shell=shell,
-        k=k,
-        junction=junction,
-        interior_amplitude=interior,
-        exterior_coeffs=(alpha * interior, beta * interior),
-    )
+    _, _, interior, alpha, beta = _s_wave(junction, shell.a, k)
+    return RadialSolution(shell, k, junction, interior, (alpha, beta))
 
 
 def s_wave_solve(
@@ -111,24 +128,11 @@ def s_wave_solve(
     sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k.  Raises
     PrecisionLoss as s_wave_solution does.
     """
-    sol = s_wave_solution(shell, k, choice, resonance_tol)
-    q = math.sqrt(k)
-    j = sol.junction
-    if j.m12 == 0.0 and j.m21 == 0.0 and abs(j.m11) == 1.0 and j.m11 == j.m22:
-        # junction is +-identity: the exterior wave is the interior free wave
-        # up to overall sign, so the shift is zero exactly, not via atan2
-        delta0 = 0.0
-    else:
-        alpha, beta = sol.exterior_coeffs
-        delta0 = _principal_shift(math.atan2(q * alpha, beta) - q * shell.a)
-    sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
-    return RadialResult(
-        k=k,
-        a=shell.a,
-        delta0=delta0,
-        sigma0=sigma0,
-        interior_amplitude=sol.interior_amplitude,
-    )
+    if not (k > 0.0):
+        raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
+    junction = junction_matrix(shell.base, choice, resonance_tol)
+    delta0, sigma0, interior, _, _ = _s_wave(junction, shell.a, k)
+    return RadialResult(k, shell.a, delta0, sigma0, interior)
 
 
 def radial_wavefunction(

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .core import Mat2, PiecewiseSolution, check_phase, free_propagators
 from .errors import (
@@ -16,12 +19,17 @@ from .errors import (
     NonPositiveEnergy,
     NoScatteringState,
     TransferOverflow,
+    error_tag,
 )
-from .sweep import sweep_map
 
 # The matching system is declared inconsistent when its determinant is
 # this small relative to the matrix scale.
 _DEGENERACY_TOL = 1e-14
+
+# Energies per pass of the amplitude kernel.  A pass holds about twenty
+# float arrays of this length at once, so blocks keep that memory small
+# next to the rows a long sweep builds from it.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,9 @@ class BoundSpectrum:
         return tuple(-kappa * kappa for kappa in self.kappas)
 
 
-def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
+def scattering_amplitudes(
+    junction: Mat2, k: float | np.ndarray
+) -> ScatteringResult | Iterator[tuple]:
     """Reflection and transmission amplitudes of a junction at energy k > 0.
 
     The incoming wave exp(i sqrt(k) x) from the left, together with
@@ -81,53 +91,112 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
         t = J11 (1 + r) + i q J12 (1 - r)
         D = q^2 J12 - J21 + i q (J11 + J22)
 
+    k is one energy, or a 1-D float64 numpy array of energies.  For an
+    array the result is an iterator over the energies in order, each
+    giving the tuple
+
+        (error, r, t, reflect_prob, transmit_prob, flux_residual)
+
+    where error is "" for a good energy, and for a failing one the tag of
+    its exception (errors.error_tag), with nan in the other entries.  The
+    energies are computed _BLOCK at a time, as the iterator is consumed.
+    One energy is an array of one, and gives its ScatteringResult or
+    raises.  Each energy's numbers are bit for bit what CPython's complex
+    arithmetic gives for the formulas above.
+
     Raises
     ------
     NonPositiveEnergy
         if k <= 0 (or k is nan).
     ValueError
-        if k is infinite.
+        if k is infinite; an array raises at the call if any energy is.
     NoScatteringState
         if the matching system is inconsistent (D = 0), e.g. for the
         junction diag(-1, 1).
     """
-    if not (k > 0.0):
-        raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
-    if k == math.inf:
+    if not isinstance(k, np.ndarray) or k.ndim == 0:
+        error, r, t, rr, tt, flux = next(
+            scattering_amplitudes(junction, np.array([k], dtype=float))
+        )
+        if error == error_tag(NonPositiveEnergy()):
+            raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
+        if error:
+            raise NoScatteringState("plane-wave matching system is inconsistent")
+        return ScatteringResult(k, r, t, rr, tt, junction.det(), flux)
+    k = np.asarray(k, dtype=float)
+    if (k == math.inf).any():
         raise ValueError("scattering needs a finite k, got inf")
-    q = math.sqrt(k)
+    blocks = (k[lo : lo + _BLOCK] for lo in range(0, k.size, _BLOCK))
+    return chain.from_iterable(_amplitude_block(junction, block) for block in blocks)
+
+
+def _amplitude_block(junction: Mat2, k: np.ndarray) -> Iterator[tuple]:
+    """The rows of scattering_amplitudes for finite energies k, in arrays."""
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
-    denom = complex(k * j12 - j21, q * (j11 + j22))
-    scale = k * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
-    if abs(denom) <= _DEGENERACY_TOL * max(1.0, scale):
-        raise NoScatteringState("plane-wave matching system is inconsistent")
-    r = complex(k * j12 + j21, q * (j22 - j11)) / denom
-    t = j11 * (1.0 + r) + 1j * q * j12 * (1.0 - r)
+    with np.errstate(all="ignore"):
+        q = np.sqrt(k)
+        d_re, d_im = k * j12 - j21, q * (j11 + j22)
+        scale = k * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
+        # abs(complex) is hypot; max(1.0, scale) keeps 1.0 unless scale > 1.0
+        tol = _DEGENERACY_TOL * np.where(scale > 1.0, scale, 1.0)
+        code = np.where(k > 0.0, np.where(np.hypot(d_re, d_im) <= tol, 2, 0), 1)
+        r_re, r_im = _c_quot(k * j12 + j21, q * (j22 - j11), d_re, d_im)
+        # CPython 3.11 turns the float operand of a mixed float/complex
+        # operation into complex(x, 0.0) and then runs the complex formula,
+        # 0.0 parts included, so they are spelled out to keep signed zeros.
+        a_re, a_im = _c_prod(j11, 0.0, 1.0 + r_re, 0.0 + r_im)  # j11 * (1.0 + r)
+        b_re, b_im = _c_prod(0.0, 1.0, q, 0.0)  # 1j * q
+        b_re, b_im = _c_prod(b_re, b_im, j12, 0.0)  # ... * j12
+        b_re, b_im = _c_prod(b_re, b_im, 1.0 - r_re, 0.0 - r_im)  # ... * (1.0 - r)
+        amps = np.empty((2, k.size), dtype=complex)
+        amps[0].real, amps[0].imag = r_re, r_im
+        amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
+        amps[:, code != 0] = complex(math.nan, math.nan)
+        mods = np.hypot(amps.real, amps.imag)
+    tags = ["", error_tag(NonPositiveEnergy()), error_tag(NoScatteringState())]
+    errors = np.array(tags, dtype=object)[code].tolist()
+    # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
+    rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
     det_j = junction.det()
-    rr = abs(r) ** 2
-    tt = abs(t) ** 2
-    return ScatteringResult(
-        k=k,
-        r=r,
-        t=t,
-        reflect_prob=rr,
-        transmit_prob=tt,
-        det_j=det_j,
-        flux_residual=tt + det_j * rr - det_j,
-    )
+    flux = (np.array(tt) + det_j * np.array(rr) - det_j).tolist()
+    return zip(errors, *amps.tolist(), rr, tt, flux)
+
+
+def _c_quot(a_re, a_im, b_re, b_im):
+    """a / b as CPython's _Py_c_quot (Smith's method), over arrays.
+
+    Its zero-divisor branch (ZeroDivisionError) and its nan branch never
+    apply to the rows kept: they are flagged as inconsistent first.
+    """
+    real_first = abs(b_re) >= abs(b_im)
+    ratio = np.where(real_first, b_im / b_re, b_re / b_im)
+    denom = np.where(real_first, b_re + b_im * ratio, b_re * ratio + b_im)
+    re = np.where(real_first, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+    im = np.where(real_first, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+    return re, im
+
+
+def _c_prod(a_re, a_im, b_re, b_im):
+    """a * b as CPython's _Py_c_prod."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow]:
     """scattering_amplitudes over a grid, errors flagged per row.
 
     Output order matches input order; a failing energy yields a flagged
-    row instead of aborting the sweep.
+    row instead of aborting the sweep.  The grid is one array call of
+    scattering_amplitudes.
     """
-    return sweep_map(
-        lambda k: SweepRow(k=k, result=scattering_amplitudes(junction, k)),
-        list(k_grid),
-        lambda k, tag: SweepRow(k=k, error=tag),
-    )
+    ks = list(k_grid)
+    amplitudes = scattering_amplitudes(junction, np.array(ks, dtype=float))
+    det_j = junction.det()
+    return [
+        SweepRow(k, error=error)
+        if error
+        else SweepRow(k, ScatteringResult(k, r, t, rr, tt, det_j, flux))
+        for k, (error, r, t, rr, tt, flux) in zip(ks, amplitudes)
+    ]
 
 
 def bound_states(junction: Mat2) -> BoundSpectrum:

@@ -407,6 +407,14 @@ def test_non_finite_energies_are_refused(capsys, energy):
          "--c-max", "-1", "--c-min", "nan"),
         ("resonance", "--shape", "tophat", "--n", "1",
          "--c-min", "-20", "--c-max", "inf"),
+        ("resonance", "--shape", "tophat", "--n", "1",
+         "--c-min", "-1", "--c-max", "-20"),
+        ("resonance", "--shape", "tophat", "--n", "1",
+         "--c-min", "-5", "--c-max", "-5"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-300"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-17"),
     ],
 )
 def test_tolerances_and_brackets_are_checked_at_parse_time(capsys, argv):
@@ -415,6 +423,49 @@ def test_tolerances_and_brackets_are_checked_at_parse_time(capsys, argv):
     doc = json.loads(out)
     assert doc["error"] == "invalid_argument"
     assert argv[-2] in doc["message"]
+
+
+def test_default_integration_tolerance_is_above_the_floor(capsys):
+    argv = ("mollify", "--m", "1", "--c", "-1", "--shape", "tophat", "--eps", "1e-1,1e-2")
+    code, out, _ = run(capsys, *argv, "--int-tol", "1e-10")
+    assert code == 0
+    assert run(capsys, *argv)[1] == out
+
+
+_POINT_ARGS = {
+    "junction": (),
+    "scatter": ("--k", "1"),
+    "bound": (),
+    "radial": ("--a", "1", "--k", "1"),
+    "mollify": ("--shape", "tophat", "--eps", "1e-1,1e-2", "--reference", "none"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_POINT_ARGS))
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--iv-a", "-1"),
+        ("--iv-b", "5"),
+        ("--iv-default",),
+        ("--iv-a", "1", "--iv-b", "0"),
+    ],
+)
+@pytest.mark.parametrize("m, c", [("1", "-2"), ("0.5", "1"), ("1.5", "-1")])
+def test_indeterminate_flags_are_refused_in_other_regimes(capsys, command, flags, m, c):
+    argv = (command, "--m", m, "--c", c, *_POINT_ARGS[command])
+    code, out, _ = run(capsys, *argv, *flags)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid_argument"
+    assert all(flag in doc["message"] for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("command", sorted(_POINT_ARGS))
+@pytest.mark.parametrize("flags", [("--iv-default",), ("--iv-a", "1", "--iv-b", "0")])
+def test_indeterminate_flags_are_read_in_their_regime(capsys, command, flags):
+    argv = (command, "--m", "3", "--c", "-1", *_POINT_ARGS[command], *flags)
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_ksteps_bound_admits_long_sweeps(capsys):
