@@ -1,8 +1,10 @@
 """Command line front end.
 
 Six subcommands cover the library surface: junction, scatter, bound,
-radial, mollify, resonance.  Single results are JSON documents on
-stdout, sweeps are CSV; --format overrides the default either way.
+radial, mollify, resonance.  Each takes only the options it reads.
+junction, bound and resonance always print one JSON document.  scatter
+and radial print a single point as JSON and a sweep as CSV, mollify its
+eps table as CSV; these three take --format to pick either.
 Exit codes: 0 success, 2 bad arguments, 3 no junction / no scattering
 state, 4 numerical failure.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Iterable
 
@@ -68,7 +71,19 @@ class UsageError(SingscatError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose parse errors raise UsageError instead of exiting."""
+    """ArgumentParser whose parse errors raise UsageError instead of exiting.
+
+    A value such as -1e-3 or -.5E2 counts as a negative number, not an
+    option: argparse on its own only knows -1 and -0.5 as numbers.  No
+    option string looks like a number, so none is shadowed.  Subparsers
+    are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$"
+        )
 
     def error(self, message):
         raise UsageError(message)
@@ -107,23 +122,9 @@ def _int_tol(raw: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the result document to this path")
-    common.add_argument("--format", choices=("json", "csv"))
-    common.add_argument(
-        "--resonance-tol",
-        type=_positive_float,
-        default=DEFAULT_RESONANCE_TOL,
-        dest="resonance_tol",
-        help="relative tolerance matching m=2 resonant couplings",
-    )
-    common.add_argument(
-        "--int-tol",
-        type=_int_tol,
-        default=DEFAULT_TOL_REL,
-        dest="int_tol",
-        help="relative tolerance of the cell integrator",
-    )
 
-    # (m, c) of the point potential and the case IV choice
+    # (m, c) of the point potential, the case IV choice and the m=2
+    # resonance matching tolerance
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--m", type=float, required=True)
     point.add_argument("--c", type=float, required=True)
@@ -135,6 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
         dest="iv_default",
         help="resolve the indeterminate regime with (a, b) = (+1, 0)",
     )
+    point.add_argument(
+        "--resonance-tol",
+        type=_positive_float,
+        default=DEFAULT_RESONANCE_TOL,
+        dest="resonance_tol",
+        help="relative tolerance matching m=2 resonant couplings",
+    )
+
+    # the output format of the subcommands whose rows go through _emit
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("json", "csv"))
 
     kgrid = argparse.ArgumentParser(add_help=False)
     kgrid.add_argument("--k", type=float, help="single energy k > 0")
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser(
         "scatter",
-        parents=[common, point, kgrid],
+        parents=[common, point, table, kgrid],
         help="reflection/transmission at one energy or over a grid",
     )
     sub.add_parser(
@@ -162,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_radial = sub.add_parser(
         "radial",
-        parents=[common, point, kgrid],
+        parents=[common, point, table, kgrid],
         help="s-wave phase shift of a singular shell",
     )
     p_radial.add_argument("--a", type=float, required=True, help="shell radius")
 
     p_mollify = sub.add_parser(
         "mollify",
-        parents=[common, point],
+        parents=[common, point, table],
         help="effective junction of the mollified potential over an eps list",
     )
     p_mollify.add_argument("--shape", choices=sorted(SHAPES), required=True)
@@ -177,6 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps", required=True, help="comma list of widths, strictly decreasing"
     )
     p_mollify.add_argument("--k", type=float, default=1.0)
+    p_mollify.add_argument(
+        "--int-tol",
+        type=_int_tol,
+        default=DEFAULT_TOL_REL,
+        dest="int_tol",
+        help="relative tolerance of the cell integrator",
+    )
     p_mollify.add_argument(
         "--reference",
         choices=("junction", "none"),

@@ -571,12 +571,15 @@ def resonant_search(
     smooth shapes on agreeing tableau entries.
 
     c_bracket optionally restricts the scan to (c_lo, c_hi); it must
-    contain at least n sign changes of the shooting function.
+    contain at least n sign changes of the shooting function and lie
+    inside the default window (-4 ((n + 2) pi)^2, 0).  A deeper c_lo
+    would let the scan walk thousands of shots down to levels past
+    MAX_LEVEL.
 
     Raises
     ------
     ValueError
-        if n is outside 1..MAX_LEVEL.
+        if n is outside 1..MAX_LEVEL, or c_lo lies below the window.
     BracketError
         if the scan does not isolate the requested level.
     NoConvergence
@@ -584,13 +587,18 @@ def resonant_search(
     """
     if not 1 <= n <= MAX_LEVEL:
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
+    window = -4.0 * ((n + 2) * math.pi) ** 2
     if c_bracket is None:
-        c_hi = -1e-12
-        c_lo = -4.0 * ((n + 2) * math.pi) ** 2
+        c_lo, c_hi = window, -1e-12
     else:
         c_lo, c_hi = float(c_bracket[0]), float(c_bracket[1])
         if not c_lo < c_hi:
             raise BracketError(f"empty bracket ({c_lo}, {c_hi})")
+        if c_lo < window:
+            raise ValueError(
+                f"a bracket may narrow the level-{n} window ({window!r}, 0), "
+                f"not extend it; got c_lo = {c_lo!r}"
+            )
         c_hi = min(c_hi, -1e-12)
 
     n_cells = 2048

@@ -27,7 +27,7 @@ from .core import (
     check_phase,
     free_propagators,
 )
-from .errors import NonPositiveEnergy
+from .errors import NonPositiveEnergy, TransferOverflow
 from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
 
 
@@ -76,8 +76,9 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
     check k > 0.  It stays scalar: math.hypot is CPython's own, not the
     C library's hypot that numpy calls, np.arctan2 differs from math.atan2
     in the last bit on some inputs, and numpy has no IEEE remainder.
-    Raises PrecisionLoss as core.check_phase does, and ValueError for an
-    infinite k.
+    Raises PrecisionLoss as core.check_phase does, TransferOverflow when
+    4 pi / k overflows (k below about 7e-308) and sigma0 is not finite,
+    and ValueError for an infinite k.
     """
     check_phase(k, a)
     q = math.sqrt(k)
@@ -95,6 +96,8 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
     else:
         delta0 = _principal_shift(math.atan2(q * alpha, beta) - q * a)
     sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
+    if not math.isfinite(sigma0):
+        raise TransferOverflow(f"4 pi / k overflows at k = {k!r}: sigma0 is not finite")
     return delta0, sigma0, interior, alpha, beta
 
 
@@ -107,7 +110,8 @@ def s_wave_solution(
     """Solve the reduced shell problem at energy k > 0.
 
     Raises PrecisionLoss when sqrt(k) a is too large for its phase to
-    carry meaningful digits (core.check_phase), and ValueError for an
+    carry meaningful digits (core.check_phase), TransferOverflow when k
+    is so small that sigma0 is not finite, and ValueError for an
     infinite k.
     """
     if not (k > 0.0):
@@ -126,7 +130,7 @@ def s_wave_solve(
     """Phase shift delta0 in (-pi/2, pi/2] and cross section sigma0.
 
     sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k.  Raises
-    PrecisionLoss as s_wave_solution does.
+    PrecisionLoss and TransferOverflow as s_wave_solution does.
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")

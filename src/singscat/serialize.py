@@ -76,25 +76,20 @@ def canonical_json(doc: Any) -> str:
     return "".join(out)
 
 
-def csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Join cells with commas; floats through fmt_float, strings verbatim."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(fmt_float(cell))
-            elif isinstance(cell, int):
-                cells.append(repr(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _csv_cell(cell: Any) -> str:
-    """One cell as csv_document writes it."""
-    return csv_document([], [[cell]])[1:-1]
+    """One CSV cell: floats through fmt_float, ints through repr, else str."""
+    if isinstance(cell, float):
+        return fmt_float(cell)
+    if isinstance(cell, int):
+        return repr(cell)
+    return str(cell)
+
+
+def csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Join the header and each row's _csv_cell texts with commas."""
+    lines = [",".join(header)]
+    lines += (",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _column_text(column: Sequence[Any], fmt: str) -> list[str]:

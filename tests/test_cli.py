@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -209,7 +210,97 @@ def test_radial_phase_beyond_rounding_is_refused(capsys):
     assert json.loads(out)["error"] == "precision_loss"
 
 
+@pytest.mark.parametrize("m, c", [("1", "-2"), ("0.5", "1")])
+def test_radial_cross_section_that_overflows_is_refused(capsys, m, c):
+    # 4 pi / k overflows: inf * sin^2(delta0), and inf * 0 = nan for the
+    # identity junction of (0.5, 1)
+    point = ("radial", "--m", m, "--c", c, "--a", "1")
+    code, out, _ = run(capsys, *point, "--k", "1e-320")
+    assert code == 4
+    assert json.loads(out)["error"] == "overflow"
+    code, out, _ = run(
+        capsys, *point, "--kmin", "1e-320", "--kmax", "1", "--ksteps", "3",
+        "--kscale", "lin",
+    )
+    assert code == 0
+    first, *rest = out.splitlines()[1:]
+    assert first.endswith(",nan,nan,overflow")
+    assert all(line.endswith(",") for line in rest)
+
+
 # ------------------------------------------------------------------ flags
+
+_POINT_OPTIONS = {"--out", "--m", "--c", "--iv-a", "--iv-b", "--iv-default",
+                  "--resonance-tol"}
+_KGRID_OPTIONS = {"--k", "--kmin", "--kmax", "--ksteps", "--kscale"}
+_SUBCOMMAND_OPTIONS = {
+    "junction": _POINT_OPTIONS,
+    "bound": _POINT_OPTIONS,
+    "scatter": _POINT_OPTIONS | _KGRID_OPTIONS | {"--format"},
+    "radial": _POINT_OPTIONS | _KGRID_OPTIONS | {"--format", "--a"},
+    "mollify": _POINT_OPTIONS
+    | {"--format", "--int-tol", "--shape", "--eps", "--k", "--reference"},
+    "resonance": {"--out", "--shape", "--n", "--c-min", "--c-max"},
+}
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """The option strings of each subcommand, -h and --help included."""
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {option for action in parser._actions for option in action.option_strings}
+        for name, parser in subparsers.choices.items()
+    }
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    options = {
+        name: strings - {"-h", "--help"}
+        for name, strings in _subcommand_options().items()
+    }
+    assert options == _SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 59
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("junction", "--m", "1", "--c", "-2"), ("--format", "csv")),
+        (("junction", "--m", "1", "--c", "-2"), ("--int-tol", "1e-3")),
+        (("bound", "--m", "1", "--c", "-2"), ("--format", "csv")),
+        (("bound", "--m", "1", "--c", "-2"), ("--int-tol", "1e-3")),
+        (("scatter", "--m", "1", "--c", "-1", "--k", "1"), ("--int-tol", "1e-3")),
+        (("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "1"),
+         ("--int-tol", "1e-3")),
+        (("resonance", "--shape", "tophat", "--n", "1"), ("--format", "csv")),
+        (("resonance", "--shape", "tophat", "--n", "1"), ("--int-tol", "1e-3")),
+        (("resonance", "--shape", "tophat", "--n", "1"), ("--resonance-tol", "1e-6")),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, *flag)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid_argument"
+    assert flag[0] in doc["message"]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E3", "-.5e-2", "-2.5e-1", "-1."])
+def test_negative_numbers_in_exponent_notation_parse(capsys, value):
+    code, out, _ = run(capsys, "junction", "--m", "1", "--c", value)
+    assert code == 0
+    assert json.loads(out)["junction"][1][0] == float(value) + 0.0
+    assert run(capsys, "junction", "--m", "1", f"--c={value}")[1] == out
+    code, out, _ = run(
+        capsys, "bound", "--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", value
+    )
+    assert code == 0
+
 
 
 def test_iv_default_supplies_neutral_choice(capsys):
@@ -489,6 +580,22 @@ def test_resonance_level_past_the_bound_is_refused(capsys):
         assert json.loads(out)["n"] == n
 
 
+@pytest.mark.parametrize(
+    "bracket",
+    [("--c-min", "-1e8", "--c-max", "-9.9e7"), ("--c-min=-12000", "--c-max=-11000")],
+)
+def test_resonance_bracket_may_not_extend_the_default_window(capsys, bracket):
+    # the level-1 window is (-4 (3 pi)^2, 0); deeper brackets scanned for
+    # seconds to minutes and returned levels past MAX_LEVEL
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "resonance", "--shape", "tophat", "--n", "1", *bracket)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid_argument"
+    assert "window" in doc["message"]
+
+
 def test_single_points_have_no_error_column_and_sweeps_do(capsys):
     point = ("--m", "1", "--c", "-1", "--a", "1")
     _, out, _ = run(capsys, "radial", *point, "--k", "2", "--format", "csv")
@@ -512,15 +619,12 @@ def test_readme_names_only_existing_options():
     # only the CLI section: the install section has pip's own flags
     section = text[text.index("## Command line"):text.index("## Library")]
     flags = set(re.findall(r"--[a-z][a-z0-9-]*", section))
-    (subparsers,) = [
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
-    options = {
-        option
-        for parser in subparsers.choices.values()
-        for action in parser._actions
-        for option in action.option_strings
-    }
-    assert flags and flags <= options, sorted(flags - options)
+    options = _subcommand_options()
+    known = set().union(*options.values())
+    assert flags and flags <= known, sorted(flags - known)
+    # each example command line uses only its own subcommand's options
+    examples = re.findall(r"^singscat (\w+)(.*)$", section, re.MULTILINE)
+    assert {command for command, _ in examples} == set(options)
+    for command, rest in examples:
+        used = set(re.findall(r"--[a-z][a-z0-9-]*", rest))
+        assert used <= options[command], (command, sorted(used - options[command]))

@@ -315,6 +315,16 @@ def test_resonant_search_bracket_and_argument_errors():
         resonant_search(TOP_HAT, 1, c_bracket=(-5.0, -1.0))
 
 
+def test_resonant_search_bracket_may_only_narrow_the_window():
+    window = -4.0 * (3 * math.pi) ** 2  # the default scan of level 1
+    below = math.nextafter(window, -math.inf)
+    for bracket in ((-1e8, -9.9e7), (-12000.0, -11000.0), (below, -1.0)):
+        with pytest.raises(ValueError, match="window"):
+            resonant_search(TOP_HAT, 1, c_bracket=bracket)
+    level, _ = resonant_search(TOP_HAT, 1, c_bracket=(window, -1.0))
+    assert level == pytest.approx(-math.pi**2, rel=1e-10)
+
+
 def _rk_transfer(pot: RegularizedPotential, k: float) -> np.ndarray:
     """Oracle: both fundamental solutions across the support by DOP853.
 

@@ -18,6 +18,7 @@ from singscat import (
     PrecisionLoss,
     RegularizedPotential,
     ShellPotentialSpec,
+    TransferOverflow,
     UndefinedRegime,
     free_transfer,
     radial_wavefunction,
@@ -228,3 +229,15 @@ def test_phase_past_its_rounding_is_refused():
     radial_wavefunction(sol, [0.5, math.nextafter(edge, 0.0)])
     with pytest.raises(PrecisionLoss):
         radial_wavefunction(sol, [0.5, edge])
+
+
+def test_cross_section_that_overflows_is_refused():
+    # 4 pi / k is inf below k = 4 pi / DBL_MAX; sigma0 would be inf, or
+    # inf * 0 = nan for the identity junction of (0.5, 1)
+    for shell in (_shell(1.0, -2.0), _shell(0.5, 1.0)):
+        for k in (1e-320, 5e-324):
+            with pytest.raises(TransferOverflow):
+                s_wave_solve(shell, k)
+            with pytest.raises(TransferOverflow):
+                s_wave_solution(shell, k)
+        assert math.isfinite(s_wave_solve(shell, 1e-307).sigma0)
