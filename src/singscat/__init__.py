@@ -55,9 +55,7 @@ from .mollifier import (
 )
 from .radial import (
     RadialResult,
-    RadialSolution,
     radial_wavefunction,
-    s_wave_solution,
     s_wave_solve,
 )
 from .scatter import (
@@ -96,9 +94,7 @@ __all__ = [
     "compose_chain",
     "evaluate_solution",
     "RadialResult",
-    "RadialSolution",
     "s_wave_solve",
-    "s_wave_solution",
     "radial_wavefunction",
     "MollifierShape",
     "RegularizedPotential",

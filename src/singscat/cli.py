@@ -73,28 +73,21 @@ class UsageError(SingscatError):
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose parse errors raise UsageError instead of exiting.
 
-    A value such as -1e-3 or -.5E2 counts as a negative number, not an
-    option: argparse on its own only knows -1 and -0.5 as numbers.  No
-    option string looks like a number, so none is shadowed.  Subparsers
-    are built from this class too.
+    A value such as -1e-3, -.5E2, -inf or -NaN counts as a negative
+    number, not an option: argparse on its own only knows -1 and -0.5 as
+    numbers.  No option string looks like a number, so none is shadowed.
+    Subparsers are built from this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$"
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE,
         )
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _finite_float(raw: str) -> float:
-    """argparse type of a finite number."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
-    return value
 
 
 def _positive_float(raw: str) -> float:
@@ -210,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_resonance.add_argument("--shape", choices=sorted(SHAPES), required=True)
     p_resonance.add_argument("--n", type=int, required=True)
-    p_resonance.add_argument("--c-min", type=_finite_float, dest="c_min")
-    p_resonance.add_argument("--c-max", type=_finite_float, dest="c_max")
 
     return parser
 
@@ -387,19 +378,14 @@ def cmd_mollify(args: argparse.Namespace) -> str:
     if computed == 0:
         if all(row.error == "overflow" for row in rows):
             raise TransferOverflow("every eps value overflowed")
+        if all(row.error == "precision_loss" for row in rows):
+            raise PrecisionLoss("every eps value lost its phase to rounding")
         raise NoConvergence("no eps value produced a transfer matrix")
     return _emit(MOLLIFY_FIELDS, cells, args.format, sweep=True)
 
 
 def cmd_resonance(args: argparse.Namespace) -> str:
-    if (args.c_min is None) != (args.c_max is None):
-        raise UsageError("bracket overrides need both --c-min and --c-max")
-    bracket = None
-    if args.c_min is not None:
-        if not args.c_min < args.c_max:
-            raise UsageError("the bracket needs --c-min < --c-max")
-        bracket = (args.c_min, args.c_max)
-    level, parity = resonant_search(SHAPES[args.shape], args.n, bracket)
+    level, parity = resonant_search(SHAPES[args.shape], args.n)
     doc = {"n": args.n, "c_n": level, "parity": parity}
     return canonical_json(doc) + "\n"
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Mat2, PotentialSpec, free_propagators, free_transfer
+from .core import Mat2, PotentialSpec, check_phase, free_propagators, free_transfer
 from .errors import (
     BracketError,
     InsufficientData,
@@ -347,11 +347,12 @@ def effective_junction(
         M_eps = F(k, -s eps) T F(k, -s eps)
 
     For regimes with a junction matrix, M_eps converges to it as
-    eps -> 0.  Raises ValueError for a non-finite k, and TransferOverflow
-    when the strips or the product leave the representable range.
+    eps -> 0.  Raises ValueError for a non-finite k, PrecisionLoss when
+    the phase sqrt(k) s eps over the half support is rounding noise
+    (core.check_phase), and TransferOverflow when the strips or the
+    product leave the representable range.
     """
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
+    check_phase(k, pot.half_width)
     transfer = numeric_transfer(pot, k, tol_rel)
     try:
         strip = free_transfer(k, -pot.half_width)
@@ -550,7 +551,6 @@ def _brent(
 def resonant_search(
     shape: MollifierShape,
     n: int,
-    c_bracket: tuple[float, float] | None = None,
     rel_tol: float = 1e-10,
 ) -> tuple[float, int]:
     """n-th resonant coupling of the m = 2 scaling limit for a shape.
@@ -563,23 +563,18 @@ def resonant_search(
     whether the limiting junction is +identity or -identity.  For the
     top-hat shape the levels are exactly -(n pi)^2.
 
-    A scan at 2048 cells brackets the level, and the root, found there
-    first, is refined on the same ladder as numeric_transfer (_ladder, up
-    to 2^20 cells, stop tests relative to |root|), each rung bracketing
-    its root around the previous one, with the shape's error_exponents
-    at m = 2.  The top hat, exact per cell, stops on agreeing roots;
-    smooth shapes on agreeing tableau entries.
-
-    c_bracket optionally restricts the scan to (c_lo, c_hi); it must
-    contain at least n sign changes of the shooting function and lie
-    inside the default window (-4 ((n + 2) pi)^2, 0).  A deeper c_lo
-    would let the scan walk thousands of shots down to levels past
-    MAX_LEVEL.
+    A scan at 2048 cells walks down from c = 0 in steps of pi^2 / 8 over
+    the window (-4 ((n + 2) pi)^2, 0) and brackets the level.  The root,
+    found there first, is refined on the same ladder as numeric_transfer
+    (_ladder, up to 2^20 cells, stop tests relative to |root|), each rung
+    bracketing its root around the previous one, with the shape's
+    error_exponents at m = 2.  The top hat, exact per cell, stops on
+    agreeing roots; smooth shapes on agreeing tableau entries.
 
     Raises
     ------
     ValueError
-        if n is outside 1..MAX_LEVEL, or c_lo lies below the window.
+        if n is outside 1..MAX_LEVEL.
     BracketError
         if the scan does not isolate the requested level.
     NoConvergence
@@ -587,24 +582,10 @@ def resonant_search(
     """
     if not 1 <= n <= MAX_LEVEL:
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
-    window = -4.0 * ((n + 2) * math.pi) ** 2
-    if c_bracket is None:
-        c_lo, c_hi = window, -1e-12
-    else:
-        c_lo, c_hi = float(c_bracket[0]), float(c_bracket[1])
-        if not c_lo < c_hi:
-            raise BracketError(f"empty bracket ({c_lo}, {c_hi})")
-        if c_lo < window:
-            raise ValueError(
-                f"a bracket may narrow the level-{n} window ({window!r}, 0), "
-                f"not extend it; got c_lo = {c_lo!r}"
-            )
-        c_hi = min(c_hi, -1e-12)
+    c_lo, c_hi = -4.0 * ((n + 2) * math.pi) ** 2, -1e-12
 
     n_cells = 2048
     step = math.pi**2 / 8.0
-    if c_bracket is not None:
-        step = min(step, (c_hi - c_lo) / (16.0 * (n + 1)))
 
     def transfer(c: float, cells: int) -> np.ndarray:
         pot = RegularizedPotential(PotentialSpec(2.0, c), shape, 1.0)

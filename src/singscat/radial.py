@@ -32,31 +32,25 @@ from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
 
 
 @dataclass(frozen=True)
-class RadialSolution:
-    """Reduced radial solution u(r), normalized to unit exterior amplitude.
+class RadialResult:
+    """s-wave solution of a shell at energy k > 0.
+
+    Phase shift delta0, cross section sigma0 and the reduced radial
+    solution u(r), normalized to unit exterior amplitude.
 
     Interior: u = interior_amplitude * sin(sqrt(k) r) for r < a.
     Exterior: u = alpha C(k, r - a) + beta S(k, r - a) for r > a, with
-    (alpha, beta) = junction applied to the interior boundary data, which
-    makes the exterior asymptote exactly sin(sqrt(k) r + delta0).
+    (alpha, beta) = exterior_coeffs the junction applied to the interior
+    boundary data, which makes the exterior asymptote exactly
+    sin(sqrt(k) r + delta0).
     """
-
-    shell: ShellPotentialSpec
-    k: float
-    junction: Mat2
-    interior_amplitude: float
-    exterior_coeffs: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class RadialResult:
-    """Phase shift and s-wave cross section of a shell at energy k > 0."""
 
     k: float
     a: float
     delta0: float
     sigma0: float
     interior_amplitude: float
+    exterior_coeffs: tuple[float, float]
 
 
 def _principal_shift(raw: float) -> float:
@@ -72,10 +66,10 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
 
     Returns (delta0, sigma0, interior_amplitude, alpha, beta), with
     (alpha, beta) the exterior coefficients.  The one per-energy path of
-    s_wave_solution, s_wave_solve and the CLI's radial sweep; callers
-    check k > 0.  It stays scalar: math.hypot is CPython's own, not the
-    C library's hypot that numpy calls, np.arctan2 differs from math.atan2
-    in the last bit on some inputs, and numpy has no IEEE remainder.
+    s_wave_solve and the CLI's radial sweep; callers check k > 0.  It
+    stays scalar: math.hypot is CPython's own, not the C library's hypot
+    that numpy calls, np.arctan2 differs from math.atan2 in the last bit
+    on some inputs, and numpy has no IEEE remainder.
     Raises PrecisionLoss as core.check_phase does, TransferOverflow when
     4 pi / k overflows (k below about 7e-308) and sigma0 is not finite,
     and ValueError for an infinite k.
@@ -101,48 +95,31 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
     return delta0, sigma0, interior, alpha, beta
 
 
-def s_wave_solution(
-    shell: ShellPotentialSpec,
-    k: float,
-    choice: IvChoice | None = None,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
-) -> RadialSolution:
-    """Solve the reduced shell problem at energy k > 0.
-
-    Raises PrecisionLoss when sqrt(k) a is too large for its phase to
-    carry meaningful digits (core.check_phase), TransferOverflow when k
-    is so small that sigma0 is not finite, and ValueError for an
-    infinite k.
-    """
-    if not (k > 0.0):
-        raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
-    junction = junction_matrix(shell.base, choice, resonance_tol)
-    _, _, interior, alpha, beta = _s_wave(junction, shell.a, k)
-    return RadialSolution(shell, k, junction, interior, (alpha, beta))
-
-
 def s_wave_solve(
     shell: ShellPotentialSpec,
     k: float,
     choice: IvChoice | None = None,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> RadialResult:
-    """Phase shift delta0 in (-pi/2, pi/2] and cross section sigma0.
+    """Phase shift delta0 in (-pi/2, pi/2], cross section sigma0 and u(r).
 
-    sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k.  Raises
-    PrecisionLoss and TransferOverflow as s_wave_solution does.
+    sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k; the result
+    carries the coefficients radial_wavefunction samples u(r) from.  Raises
+    PrecisionLoss when sqrt(k) a is too large for its phase to carry
+    meaningful digits (core.check_phase), TransferOverflow when k is so
+    small that sigma0 is not finite, and ValueError for an infinite k.
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
     junction = junction_matrix(shell.base, choice, resonance_tol)
-    delta0, sigma0, interior, _, _ = _s_wave(junction, shell.a, k)
-    return RadialResult(k, shell.a, delta0, sigma0, interior)
+    delta0, sigma0, interior, alpha, beta = _s_wave(junction, shell.a, k)
+    return RadialResult(k, shell.a, delta0, sigma0, interior, (alpha, beta))
 
 
 def radial_wavefunction(
-    solution: RadialSolution, rs
+    solution: RadialResult, rs
 ) -> list[tuple[float, float, float]]:
-    """Sample (r, R, u) of a radial solution at finite radii r > 0.
+    """Sample (r, R, u) of an s-wave solution at finite radii r > 0.
 
     Inside the shell u = interior_amplitude * sqrt(k) S(k, r), outside
     u = alpha C(k, r - a) + beta S(k, r - a), both from one
@@ -157,7 +134,7 @@ def radial_wavefunction(
     for r in rs:
         if not (r > 0.0 and math.isfinite(r)):
             raise ValueError(f"radii must be positive and finite, got {r}")
-    a = solution.shell.a
+    a = solution.a
     check_phase(k, max([a, *rs]))
     q = math.sqrt(k)
     lead = solution.interior_amplitude * q

@@ -10,12 +10,12 @@ import argparse
 import json
 import math
 import re
-import time
 from pathlib import Path
 
 import pytest
 
-from singscat.cli import MAX_KSTEPS, build_parser, main
+from singscat.cli import MAX_KSTEPS, _fail, build_parser, main
+from singscat.errors import BracketError
 from singscat.mollifier import MAX_LEVEL
 from singscat.serialize import canonical_json
 
@@ -179,15 +179,35 @@ def test_exit_three_on_regime_errors(capsys):
 
 
 def test_exit_four_on_numerical_failure(capsys):
+    # sqrt(k) eps / 2 is past 2^34 for every eps: no row keeps a digit of
+    # its phase, so the command fails as a whole
     code, out, _ = run(
         capsys,
-        "resonance", "--shape", "tophat", "--n", "1",
-        "--c-min", "-5", "--c-max", "-1",
+        "mollify", "--m", "0.5", "--c", "1", "--shape", "tophat",
+        "--eps", "1e-1,1e-2,1e-3", "--k", "1e40",
     )
     assert code == 4
     doc = json.loads(out)
-    assert doc["error"] == "bracket_error"
+    assert doc["error"] == "precision_loss"
     assert doc["message"]
+    # a level the scan cannot isolate leaves through the same exit code
+    assert _fail(BracketError("no sign change between -1 and -5")) == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "bracket_error", "message": "no sign change between -1 and -5"
+    }
+
+
+def test_mollify_rows_past_the_phase_limit_are_flagged(capsys):
+    # at k = 1e24 the eps = 0.1 phase sqrt(k) eps / 2 = 5e10 is past 2^34;
+    # the narrower rows are computed
+    code, out, _ = run(
+        capsys,
+        "mollify", "--m", "1", "--c", "-1", "--shape", "tophat",
+        "--eps", "1e-1,1e-2,1e-3", "--k", "1e24",
+    )
+    assert code == 0
+    flags = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert flags == ["precision_loss", "ok", "ok"]
 
 
 def test_mollify_overflowing_strip_flags_rows_and_exits_four(capsys):
@@ -240,7 +260,7 @@ _SUBCOMMAND_OPTIONS = {
     "radial": _POINT_OPTIONS | _KGRID_OPTIONS | {"--format", "--a"},
     "mollify": _POINT_OPTIONS
     | {"--format", "--int-tol", "--shape", "--eps", "--k", "--reference"},
-    "resonance": {"--out", "--shape", "--n", "--c-min", "--c-max"},
+    "resonance": {"--out", "--shape", "--n"},
 }
 
 
@@ -263,7 +283,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, strings in _subcommand_options().items()
     }
     assert options == _SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 59
+    assert sum(map(len, options.values())) == 57
 
 
 @pytest.mark.parametrize(
@@ -279,6 +299,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         (("resonance", "--shape", "tophat", "--n", "1"), ("--format", "csv")),
         (("resonance", "--shape", "tophat", "--n", "1"), ("--int-tol", "1e-3")),
         (("resonance", "--shape", "tophat", "--n", "1"), ("--resonance-tol", "1e-6")),
+        (("resonance", "--shape", "tophat", "--n", "1"),
+         ("--c-min", "-5", "--c-max", "-1")),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
@@ -301,6 +323,26 @@ def test_negative_numbers_in_exponent_notation_parse(capsys, value):
     )
     assert code == 0
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("junction", "--m", "1", "--c", "-inf"), "coupling must be finite, got -inf"),
+        (("junction", "--m", "1", "--c", "-Infinity"),
+         "coupling must be finite, got -inf"),
+        (("junction", "--m", "1", "--c", "-NaN"), "coupling must be finite, got nan"),
+        (("scatter", "--m", "1", "--c", "-1", "--k", "-inf"),
+         "k must be positive and finite, got -inf"),
+        (("bound", "--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "-inf"),
+         "b must be finite, got -inf"),
+        (("junction", "--m", "1", "--c", "-infx"),
+         "argument --c: expected one argument"),
+    ],
+)
+def test_negative_infinity_and_nan_parse_as_values(capsys, argv, message):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "invalid_argument", "message": message}
 
 
 def test_iv_default_supplies_neutral_choice(capsys):
@@ -494,14 +536,14 @@ def test_non_finite_energies_are_refused(capsys, energy):
          "--resonance-tol", "-1"),
         ("junction", "--m", "2", "--c", "-9.869604401089358",
          "--resonance-tol", "inf"),
-        ("resonance", "--shape", "tophat", "--n", "1",
-         "--c-max", "-1", "--c-min", "nan"),
-        ("resonance", "--shape", "tophat", "--n", "1",
-         "--c-min", "-20", "--c-max", "inf"),
-        ("resonance", "--shape", "tophat", "--n", "1",
-         "--c-min", "-1", "--c-max", "-20"),
-        ("resonance", "--shape", "tophat", "--n", "1",
-         "--c-min", "-5", "--c-max", "-5"),
+        ("junction", "--m", "2", "--c", "-9.869604401089358",
+         "--resonance-tol", "-inf"),
+        ("scatter", "--m", "1", "--c", "-1", "--k", "1",
+         "--resonance-tol", "-Infinity"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "-nan"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "-inf"),
         ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
          "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-300"),
         ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
@@ -578,22 +620,6 @@ def test_resonance_level_past_the_bound_is_refused(capsys):
         code, out, _ = run(capsys, "resonance", "--shape", "tophat", "--n", str(n))
         assert code == 0
         assert json.loads(out)["n"] == n
-
-
-@pytest.mark.parametrize(
-    "bracket",
-    [("--c-min", "-1e8", "--c-max", "-9.9e7"), ("--c-min=-12000", "--c-max=-11000")],
-)
-def test_resonance_bracket_may_not_extend_the_default_window(capsys, bracket):
-    # the level-1 window is (-4 (3 pi)^2, 0); deeper brackets scanned for
-    # seconds to minutes and returned levels past MAX_LEVEL
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "resonance", "--shape", "tophat", "--n", "1", *bracket)
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["error"] == "invalid_argument"
-    assert "window" in doc["message"]
 
 
 def test_single_points_have_no_error_column_and_sweeps_do(capsys):

@@ -22,7 +22,6 @@ from singscat import (
     UndefinedRegime,
     free_transfer,
     radial_wavefunction,
-    s_wave_solution,
     s_wave_solve,
 )
 from singscat.radial import PHASE_ULP_FRACTION
@@ -119,7 +118,7 @@ def test_energy_validation():
 
 def test_wavefunction_continuity_across_delta_shell():
     k, a, c = 1.7, 1.0, -2.0
-    sol = s_wave_solution(_shell(1.0, c, a), k)
+    sol = s_wave_solve(_shell(1.0, c, a), k)
     lo = a * (1 - 1e-9)
     hi = a * (1 + 1e-9)
     (r1, big_r1, u1), (r2, big_r2, u2) = radial_wavefunction(sol, [lo, hi])
@@ -129,7 +128,7 @@ def test_wavefunction_continuity_across_delta_shell():
 
 def test_wavefunction_sign_flip_across_odd_shell():
     k, a = 1.0, 1.0
-    sol = s_wave_solution(_shell(2.0, -(math.pi**2), a), k)
+    sol = s_wave_solve(_shell(2.0, -(math.pi**2), a), k)
     (_, r_in, _), (_, r_out, _) = radial_wavefunction(
         sol, [a * (1 - 1e-9), a * (1 + 1e-9)]
     )
@@ -139,7 +138,7 @@ def test_wavefunction_sign_flip_across_odd_shell():
 
 def test_wavefunction_finite_at_origin():
     k = 2.0
-    sol = s_wave_solution(_shell(1.0, -2.0), k)
+    sol = s_wave_solve(_shell(1.0, -2.0), k)
     q = math.sqrt(k)
     amp = sol.interior_amplitude
     samples = radial_wavefunction(sol, [1e-16, 1e-13, 1e-6, 0.5])
@@ -152,7 +151,7 @@ def test_wavefunction_finite_at_origin():
 
 def test_free_shell_wavefunction_is_free_wave():
     k = 1.0
-    sol = s_wave_solution(_shell(0.5, 5.0), k)
+    sol = s_wave_solve(_shell(0.5, 5.0), k)
     amp = sol.interior_amplitude
     for r, big_r, u in radial_wavefunction(sol, [0.3, 1.0, 1.7, 2.4]):
         assert abs(big_r - amp * math.sin(r) / r) < 1e-13
@@ -196,7 +195,7 @@ def test_reduction_agrees_with_direct_radial_integration():
 
 
 def test_wavefunction_rejects_nonpositive_radius():
-    sol = s_wave_solution(_shell(1.0, -2.0), 1.0)
+    sol = s_wave_solve(_shell(1.0, -2.0), 1.0)
     with pytest.raises(ValueError):
         radial_wavefunction(sol, [0.0])
     with pytest.raises(ValueError):
@@ -207,7 +206,7 @@ def test_wavefunction_rejects_nonpositive_radius():
 
 @pytest.mark.parametrize("k", [math.nan, math.inf])
 def test_wavefunction_refuses_non_finite_energy(k):
-    sol = dataclasses.replace(s_wave_solution(_shell(1.0, -2.0), 1.0), k=k)
+    sol = dataclasses.replace(s_wave_solve(_shell(1.0, -2.0), 1.0), k=k)
     with pytest.raises(ValueError, match="k must be finite"):
         radial_wavefunction(sol, [0.5, 2.0])
 
@@ -221,11 +220,9 @@ def test_phase_past_its_rounding_is_refused():
     for shell, k in ((_shell(1.0, 1.0, edge), 1.0), (_shell(1.0, 1.0, 1e300), 1e10)):
         with pytest.raises(PrecisionLoss):
             s_wave_solve(shell, k)
-        with pytest.raises(PrecisionLoss):
-            s_wave_solution(shell, k)
     with pytest.raises(ValueError, match="k must be finite"):
         s_wave_solve(_shell(1.0, 1.0), math.inf)
-    sol = s_wave_solution(_shell(1.0, -2.0), 1.0)
+    sol = s_wave_solve(_shell(1.0, -2.0), 1.0)
     radial_wavefunction(sol, [0.5, math.nextafter(edge, 0.0)])
     with pytest.raises(PrecisionLoss):
         radial_wavefunction(sol, [0.5, edge])
@@ -238,6 +235,4 @@ def test_cross_section_that_overflows_is_refused():
         for k in (1e-320, 5e-324):
             with pytest.raises(TransferOverflow):
                 s_wave_solve(shell, k)
-            with pytest.raises(TransferOverflow):
-                s_wave_solution(shell, k)
         assert math.isfinite(s_wave_solve(shell, 1e-307).sigma0)

@@ -80,15 +80,23 @@ def test_runtime_dependencies_are_numpy_alone():
 
 
 def test_every_benchmark_probe_target_exists():
-    # perfbench reports a probe whose target is gone as MISSING instead of
-    # failing, so a rename would otherwise pass unnoticed
+    # perfbench reports a probe whose target is gone as MISSING, and a
+    # workload whose call is gone as failed ops, instead of failing, so a
+    # rename would otherwise pass unnoticed
     source = (ROOT / "perfbench" / "probes.py").read_text(encoding="utf-8")
-    targets = sorted(set(re.findall(r'lookup\("([\w.]+)"\)', source)))
+    targets = set(re.findall(r'lookup\("([\w.]+)"\)', source))
     assert len(targets) >= 10
+    # workloads.py calls the package as S, the CLI module as cli, and
+    # imports from singscat.serialize by name
+    source = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    targets |= set(re.findall(r"\b(?:S|cli)\.\w+", source))
+    (imported,) = re.findall(r"^from singscat\.serialize import (.+)$", source, re.M)
+    targets |= {f"serialize.{name.strip()}" for name in imported.split(",")}
+    assert {"S.s_wave_solve", "cli.main", "serialize.canonical_json"} <= targets
     missing = []
-    for target in targets:
+    for target in sorted(targets):
         module_name, _, name = target.rpartition(".")
-        module = importlib.import_module(f"singscat.{module_name}")
-        if not hasattr(module, name):
+        package = "singscat" if module_name == "S" else f"singscat.{module_name}"
+        if not hasattr(importlib.import_module(package), name):
             missing.append(target)
     assert missing == []

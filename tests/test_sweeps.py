@@ -27,7 +27,6 @@ from singscat import (
     SingscatError,
     compose_chain,
     junction_matrix,
-    s_wave_solution,
     s_wave_solve,
     scattering_amplitudes,
     transmission_curve,
@@ -249,11 +248,67 @@ def test_s_wave_results_are_pinned_bit_for_bit():
         got = []
         for k in PIN_KS:
             res = s_wave_solve(shell, k, choice)
-            sol = s_wave_solution(shell, k, choice)
-            assert sol.interior_amplitude == res.interior_amplitude
             fields = (res.delta0, res.sigma0, res.interior_amplitude)
             got.append(" ".join(x.hex() for x in fields))
         assert got == list(_S_WAVE_PINS[name]), name
+
+
+# alpha beta of RadialResult.exterior_coeffs, one string per PIN_KS, for the
+# shell of radius 1.3; captured from the former s_wave_solution
+_EXTERIOR_PINS = {
+    "no_effect": (
+        "0x1.10a137e6aa316p-13 0x1.a36e2e764e082p-14",
+        "0x1.50acd19309dfdp-5 0x1.02d5bd1315877p-5",
+        "0x1.ed577f9c51e4bp-1 0x1.11eb3682a4c5fp-2",
+        "-0x1.100d60960225fp-2 -0x1.e7c800c35cd97p+4",
+        "0x1.6e822b8885eb0p-4 0x1.373f17a442641p+13",
+    ),
+    "delta_attractive": (
+        "0x1.54c985c96ed1dp-14 -0x1.a36e2e9a8a0a3p-14",
+        "0x1.a4acecd1f58b4p-6 -0x1.02f7e7c6b2b25p-5",
+        "0x1.011345e9c7149p-1 -0x1.bac84e9bdf37fp-1",
+        "-0x1.1487689118a3dp-2 -0x1.e72a91e1589fbp+4",
+        "0x1.6e83d7aaee1d1p-4 0x1.373f14b502b73p+13",
+    ),
+    "delta_repulsive": (
+        "0x1.3e66540b4fe88p-16 0x1.a36e2eb07fc9ap-14",
+        "0x1.89554ce6d390fp-8 0x1.030c93230ac51p-5",
+        "0x1.a392c9094a651p-3 0x1.f523dcb35b4a3p-1",
+        "-0x1.0679131fd7b55p-2 -0x1.e90f9d0f61c23p+4",
+        "0x1.6e7e684955a75p-4 0x1.373f1e3e6c0ffp+13",
+    ),
+    "resonant": (
+        "-0x1.10a137e6aa316p-13 -0x1.a36e2e764e082p-14",
+        "-0x1.50acd19309dfdp-5 -0x1.02d5bd1315877p-5",
+        "-0x1.ed577f9c51e4bp-1 -0x1.11eb3682a4c5fp-2",
+        "0x1.100d60960225fp-2 0x1.e7c800c35cd97p+4",
+        "-0x1.6e822b8885eb0p-4 -0x1.373f17a442641p+13",
+    ),
+    "indeterminate_plus": (
+        "0x1.53b9be2a72986p-15 0x1.a36e2eabfee80p-14",
+        "0x1.a3b0b30c185d2p-7 0x1.0308545951902p-5",
+        "0x1.ce1452d213ea5p-2 0x1.c8e85ffb3f5e7p-1",
+        "-0x1.0c5af6f1d7bcdp-2 -0x1.e847ee3faf0a4p+4",
+        "0x1.6e80bfa189650p-4 0x1.373f1a22ca079p+13",
+    ),
+    "indeterminate_minus": (
+        "-0x1.4a75d73872222p-14 0x1.a36e2e9becf3ep-14",
+        "-0x1.9837f800402acp-6 0x1.02f92e662bdb8p-5",
+        "-0x1.942e1a63f2c42p-1 0x1.3a4bf89aac772p-1",
+        "0x1.0ef46d17612d9p-2 -0x1.e7ee2d04c42d4p+4",
+        "-0x1.6e81c0808785ep-4 0x1.373f186010b3ep+13",
+    ),
+}
+
+
+def test_s_wave_exterior_coeffs_are_pinned_bit_for_bit():
+    for name, (p, choice) in SPECS.items():
+        shell = ShellPotentialSpec(p, 1.3)
+        got = [
+            " ".join(x.hex() for x in s_wave_solve(shell, k, choice).exterior_coeffs)
+            for k in PIN_KS
+        ]
+        assert got == list(_EXTERIOR_PINS[name]), name
 
 
 def test_failing_energies_carry_the_tag_of_their_error():
