@@ -4,6 +4,10 @@ Closed-form junction matrices for the exponents and couplings that admit
 one, scattering amplitudes and bound states built on them, the s-wave
 reduction for singular shells, and a mollifier lab that verifies the
 closed forms numerically and certifies the divergent regimes.
+
+Importing the package loads no numpy: the closed forms need none.  The
+mollifier lab's names are loaded with singscat.mollifier, and numpy with
+it, the first time one of them is looked up.
 """
 
 from .core import (
@@ -37,22 +41,6 @@ from .junction import (
     junction_matrix,
     resonant_couplings,
 )
-from .mollifier import (
-    COSINE_BUMP,
-    GAUSSIAN,
-    SHAPES,
-    TOP_HAT,
-    TRIANGLE,
-    ConvergenceRow,
-    MollifierShape,
-    RegularizedPotential,
-    certify_convergence,
-    convergence_sweep,
-    effective_junction,
-    estimate_order,
-    numeric_transfer,
-    resonant_search,
-)
 from .radial import (
     RadialResult,
     radial_wavefunction,
@@ -70,6 +58,39 @@ from .scatter import (
 )
 
 __version__ = "0.1.0"
+
+# Looked up through __getattr__ (PEP 562), which caches each in globals().
+_MOLLIFIER_NAMES = frozenset(
+    {
+        "COSINE_BUMP",
+        "GAUSSIAN",
+        "SHAPES",
+        "TOP_HAT",
+        "TRIANGLE",
+        "ConvergenceRow",
+        "MollifierShape",
+        "RegularizedPotential",
+        "certify_convergence",
+        "convergence_sweep",
+        "effective_junction",
+        "estimate_order",
+        "numeric_transfer",
+        "resonant_search",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _MOLLIFIER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import mollifier
+
+    value = globals()[name] = getattr(mollifier, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MOLLIFIER_NAMES)
 
 __all__ = [
     "Mat2",

@@ -7,6 +7,10 @@ and radial print a single point as JSON and a sweep as CSV, mollify its
 eps table as CSV; these three take --format to pick either.
 Exit codes: 0 success, 2 bad arguments, 3 no junction / no scattering
 state, 4 numerical failure.
+
+Only mollify, resonance and a scatter sweep import numpy (mollify and
+resonance with the mollifier); junction, bound, a single-k scatter,
+radial and every usage error run without it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ import re
 import sys
 from typing import Iterable
 
-import numpy as np
-
-from .core import PotentialSpec, ShellPotentialSpec
+from .core import DEFAULT_TOL_REL, PotentialSpec, ShellPotentialSpec
 from .errors import (
     BracketError,
     InsufficientData,
@@ -39,13 +41,6 @@ from .junction import (
     classify_regime,
     junction_matrix,
 )
-from .mollifier import (
-    DEFAULT_TOL_REL,
-    SHAPES,
-    certify_convergence,
-    convergence_sweep,
-    resonant_search,
-)
 from .radial import _s_wave
 from .scatter import bound_states as solve_bound_states
 from .scatter import scattering_amplitudes
@@ -64,6 +59,10 @@ MAX_KSTEPS = 100_000
 SCATTER_FIELDS = ["k", "re_r", "im_r", "re_t", "im_t", "R", "T", "flux_residual"]
 RADIAL_FIELDS = ["k", "a", "delta0", "sigma0"]
 MOLLIFY_FIELDS = ["eps", "M11", "M12", "M21", "M22", "det_err", "deviation", "flag"]
+
+# The keys of mollifier.SHAPES, sorted: --shape's choices, known without
+# building the shapes.
+SHAPE_NAMES = ("cosine", "gauss", "tophat", "triangle")
 
 
 class UsageError(SingscatError):
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, point, table],
         help="effective junction of the mollified potential over an eps list",
     )
-    p_mollify.add_argument("--shape", choices=sorted(SHAPES), required=True)
+    p_mollify.add_argument("--shape", choices=SHAPE_NAMES, required=True)
     p_mollify.add_argument(
         "--eps", required=True, help="comma list of widths, strictly decreasing"
     )
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="resonant couplings of the m=2 scaling limit for a shape",
     )
-    p_resonance.add_argument("--shape", choices=sorted(SHAPES), required=True)
+    p_resonance.add_argument("--shape", choices=SHAPE_NAMES, required=True)
     p_resonance.add_argument("--n", type=int, required=True)
 
     return parser
@@ -301,6 +300,8 @@ def cmd_scatter(args: argparse.Namespace) -> str:
     if grid is None:
         row = _scatter_row(scattering_amplitudes(matrix, args.k))
         return _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
+    import numpy as np
+
     amplitudes = scattering_amplitudes(matrix, np.array(grid))
     rows = (
         (k, r.real, r.imag, t.real, t.imag, rr, tt, flux, error)
@@ -347,6 +348,8 @@ def cmd_radial(args: argparse.Namespace) -> str:
 
 
 def cmd_mollify(args: argparse.Namespace) -> str:
+    from .mollifier import SHAPES, certify_convergence, convergence_sweep
+
     p = PotentialSpec(args.m, args.c)
     shape = SHAPES[args.shape]
     try:
@@ -385,6 +388,8 @@ def cmd_mollify(args: argparse.Namespace) -> str:
 
 
 def cmd_resonance(args: argparse.Namespace) -> str:
+    from .mollifier import SHAPES, resonant_search
+
     level, parity = resonant_search(SHAPES[args.shape], args.n)
     doc = {"n": args.n, "c_n": level, "parity": parity}
     return canonical_json(doc) + "\n"

@@ -11,17 +11,25 @@ junction is a real 2x2 matrix acting on them from the left.
 
 free_propagators is the one evaluation of free flight: every other
 module takes its propagators from it, in batches over arrays of (k, h),
-or one at a time through the scalar wrapper free_transfer.
+or one at a time through the scalar wrapper free_transfer.  It is the
+one place here that uses numpy, and imports it when called, so the
+closed-form paths that never propagate run without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidExponent, PrecisionLoss
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Default relative tolerance of the mollifier's cell integrator; kept here
+# so the CLI reads it without importing the mollifier.
+DEFAULT_TOL_REL = 1e-10
 
 # Below this |k|*x^2 the closed forms for S lose digits (and divide 0/0 at
 # k = 0), so a 3-term series takes over.  Truncation error ~ (1e-4)^3/5040.
@@ -134,6 +142,8 @@ def free_propagators(k, h) -> np.ndarray:
     arguments overflow to inf and non-finite inputs give nan entries,
     without raising; callers inspect finiteness.
     """
+    import numpy as np
+
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

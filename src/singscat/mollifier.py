@@ -15,7 +15,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Mat2, PotentialSpec, check_phase, free_propagators, free_transfer
+# DEFAULT_TOL_REL is re-exported: it is the default tol_rel of this module.
+from .core import (
+    DEFAULT_TOL_REL,
+    Mat2,
+    PotentialSpec,
+    check_phase,
+    free_propagators,
+    free_transfer,
+)
 from .errors import (
     BracketError,
     InsufficientData,
@@ -34,16 +42,31 @@ _CHUNK_CELLS = 2**16
 # level^2 and level 32 takes about 3.5 s (2-vCPU VM, Python 3.11).
 MAX_LEVEL = 32
 
-DEFAULT_TOL_REL = 1e-10
 # A converged transfer whose determinant is further than this from 1 is
 # refused as overflowed.
 _DET_TOL = 1e-6
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the Legendre recurrence, the weights twice the squared first entries
+    of its eigenvectors.  Both are symmetrized, as
+    numpy.polynomial.legendre.leggauss does; that function would import
+    numpy.polynomial, which costs more than this rule.
+    """
+    i = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(i / np.sqrt(4.0 * i * i - 1.0), -1))
+    weights = 2.0 * vectors[0] ** 2
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+
 
 # Mass check of a shape: composite Gauss-Legendre rule with this many
 # equal panels over the support and this many nodes per panel.  The even
 # panel count puts y = 0, where the triangle has its kink, on a panel edge.
 _MASS_PANELS = 64
-_MASS_NODES, _MASS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MASS_NODES, _MASS_WEIGHTS = _gauss_legendre(16)
 
 # Edge-order check of a shape: the log-log slope of the profile between
 # these two distances from the edge (fractions of the half support) must

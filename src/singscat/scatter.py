@@ -7,11 +7,10 @@ the junction and propagation layers stay real.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import Mat2, PiecewiseSolution, check_phase, free_propagators
 from .errors import (
@@ -21,6 +20,9 @@ from .errors import (
     TransferOverflow,
     error_tag,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The matching system is declared inconsistent when its determinant is
 # this small relative to the matrix scale.
@@ -91,18 +93,17 @@ def scattering_amplitudes(
         t = J11 (1 + r) + i q J12 (1 - r)
         D = q^2 J12 - J21 + i q (J11 + J22)
 
-    k is one energy, or a 1-D float64 numpy array of energies.  For an
-    array the result is an iterator over the energies in order, each
-    giving the tuple
+    k is one energy, or a 1-D float64 numpy array of energies.  One
+    energy gives its ScatteringResult or raises.  For an array the result
+    is an iterator over the energies in order, each giving the tuple
 
         (error, r, t, reflect_prob, transmit_prob, flux_residual)
 
     where error is "" for a good energy, and for a failing one the tag of
     its exception (errors.error_tag), with nan in the other entries.  The
-    energies are computed _BLOCK at a time, as the iterator is consumed.
-    One energy is an array of one, and gives its ScatteringResult or
-    raises.  Each energy's numbers are bit for bit what CPython's complex
-    arithmetic gives for the formulas above.
+    energies are computed _BLOCK at a time by an array kernel, as the
+    iterator is consumed.  Both forms give each energy's numbers bit for
+    bit as CPython's complex arithmetic gives them for the formulas above.
 
     Raises
     ------
@@ -114,15 +115,10 @@ def scattering_amplitudes(
         if the matching system is inconsistent (D = 0), e.g. for the
         junction diag(-1, 1).
     """
-    if not isinstance(k, np.ndarray) or k.ndim == 0:
-        error, r, t, rr, tt, flux = next(
-            scattering_amplitudes(junction, np.array([k], dtype=float))
-        )
-        if error == error_tag(NonPositiveEnergy()):
-            raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
-        if error:
-            raise NoScatteringState("plane-wave matching system is inconsistent")
-        return ScatteringResult(k, r, t, rr, tt, junction.det(), flux)
+    # while numpy is not loaded k cannot be an array, and numpy stays unloaded
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(k, np.ndarray) or k.ndim == 0:
+        return _one_amplitude(junction, k)
     k = np.asarray(k, dtype=float)
     if (k == math.inf).any():
         raise ValueError("scattering needs a finite k, got inf")
@@ -130,8 +126,43 @@ def scattering_amplitudes(
     return chain.from_iterable(_amplitude_block(junction, block) for block in blocks)
 
 
+def _one_amplitude(junction: Mat2, k: float) -> ScatteringResult:
+    """scattering_amplitudes at one energy, in CPython's complex arithmetic.
+
+    _amplitude_block transcribes these operations into arrays.  The float
+    operands are spelled complex(x, 0.0), as CPython 3.11 promotes them in
+    a mixed float/complex operation, so the signed zeros do not depend on
+    the Python version.
+    """
+    kf = float(k)
+    if kf == math.inf:
+        raise ValueError("scattering needs a finite k, got inf")
+    if not kf > 0.0:
+        raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
+    q = math.sqrt(kf)
+    j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
+    denom = complex(kf * j12 - j21, q * (j11 + j22))
+    scale = kf * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
+    try:
+        size = abs(denom)
+    except OverflowError:  # |D| past the float range, where np.hypot gives inf
+        size = math.inf
+    if size <= _DEGENERACY_TOL * max(1.0, scale):
+        raise NoScatteringState("plane-wave matching system is inconsistent")
+    r = complex(kf * j12 + j21, q * (j22 - j11)) / denom
+    one = complex(1.0, 0.0)
+    t = complex(j11, 0.0) * (one + r) + (
+        1j * complex(q, 0.0) * complex(j12, 0.0) * (one - r)
+    )
+    det_j = junction.det()
+    rr, tt = abs(r) ** 2, abs(t) ** 2
+    return ScatteringResult(k, r, t, rr, tt, det_j, tt + det_j * rr - det_j)
+
+
 def _amplitude_block(junction: Mat2, k: np.ndarray) -> Iterator[tuple]:
     """The rows of scattering_amplitudes for finite energies k, in arrays."""
+    import numpy as np
+
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
     with np.errstate(all="ignore"):
         q = np.sqrt(k)
@@ -168,6 +199,8 @@ def _c_quot(a_re, a_im, b_re, b_im):
     Its zero-divisor branch (ZeroDivisionError) and its nan branch never
     apply to the rows kept: they are flagged as inconsistent first.
     """
+    import numpy as np
+
     real_first = abs(b_re) >= abs(b_im)
     ratio = np.where(real_first, b_im / b_re, b_re / b_im)
     denom = np.where(real_first, b_re + b_im * ratio, b_re * ratio + b_im)
@@ -188,6 +221,8 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     row instead of aborting the sweep.  The grid is one array call of
     scattering_amplitudes.
     """
+    import numpy as np
+
     ks = list(k_grid)
     amplitudes = scattering_amplitudes(junction, np.array(ks, dtype=float))
     det_j = junction.det()
@@ -209,7 +244,8 @@ def bound_states(junction: Mat2) -> BoundSpectrum:
     solved exactly; roots with kappa > 0 are bound states of energy
     -kappa^2.  If the equation vanishes identically every kappa matches
     and the spectrum is reported as continuum degenerate (the junction
-    diag(-1, 1) does this).
+    diag(-1, 1) does this).  Raises TransferOverflow when a bound state's
+    energy -kappa^2 leaves the float range (kappa above about 1.3e154).
     """
     a = junction.m12
     b = junction.m11 + junction.m22
@@ -234,6 +270,10 @@ def bound_states(junction: Mat2) -> BoundSpectrum:
     kappas = sorted({kappa for kappa in roots if kappa > 0.0})
     if not kappas:
         return BoundSpectrum(kind="empty")
+    if not math.isfinite(kappas[-1] * kappas[-1]):
+        raise TransferOverflow(
+            f"bound state energy -kappa^2 overflows at kappa = {kappas[-1]!r}"
+        )
     return BoundSpectrum(kind="discrete", kappas=tuple(kappas))
 
 

@@ -190,6 +190,11 @@ def test_exit_four_on_numerical_failure(capsys):
     doc = json.loads(out)
     assert doc["error"] == "precision_loss"
     assert doc["message"]
+    # a bound state whose energy -kappa^2 overflows is refused, not printed
+    # as null
+    code, out, _ = run(capsys, "bound", "--m", "1", "--c", "-1e308")
+    assert code == 4
+    assert json.loads(out)["error"] == "overflow"
     # a level the scan cannot isolate leaves through the same exit code
     assert _fail(BracketError("no sign change between -1 and -5")) == 4
     assert json.loads(capsys.readouterr().out) == {

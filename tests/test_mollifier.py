@@ -61,6 +61,12 @@ def test_shapes_have_unit_mass_and_are_even():
         assert shape.profile(-s - 1e-9) == 0.0
 
 
+def test_mass_rule_is_the_16_node_gauss_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.abs(mollifier_mod._MASS_NODES - nodes).max() <= 1e-14
+    assert np.abs(mollifier_mod._MASS_WEIGHTS - weights).max() <= 1e-14
+
+
 def test_shape_construction_refuses_wrong_mass_and_uneven_profiles():
     def triangle(y):
         return np.maximum(0.0, 1.0 - np.abs(y))

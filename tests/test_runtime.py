@@ -1,5 +1,5 @@
-"""The runtime: numpy alone (no process loads scipy), and every name the
-benchmark probes looks up."""
+"""The runtime: numpy alone (no process loads scipy), numpy only on the
+array paths, and every name the benchmark probes looks up."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Runs `python -m singscat <argv>` in-process, then reports on stderr
-# whether any scipy module was loaded along the way.
+# whether any scipy module, and whether numpy, was loaded along the way.
 _RUN_AND_REPORT = """
 import runpy, sys
 sys.argv = ["singscat", *sys.argv[1:]]
@@ -26,7 +26,7 @@ except SystemExit as exc:
 else:
     code = 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(f"exit={code} scipy={loaded}", file=sys.stderr)
+print(f"exit={code} scipy={loaded} numpy={'numpy' in sys.modules}", file=sys.stderr)
 """
 
 
@@ -51,18 +51,75 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_numpy():
+    proc = _python("-c", "import sys, singscat; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+_SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "json")
+
+
+# No process loads scipy.  Only resonance, among these, loads numpy: the
+# others are the closed-form ops of the benchmark's one-process-per-op
+# cycle, those that exit 3 by design among them, and a usage error.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code, numpy",
     [
-        ("junction", "--m", "1", "--c", "-2"),
-        ("resonance", "--shape", "gauss", "--n", "1"),
+        (("junction", "--m", "1", "--c", "-2"), 0, False),
+        (("resonance", "--shape", "gauss", "--n", "1"), 0, True),
+        (("junction", "--m", "1.5", "--c", "1"), 3, False),
+        (("bound", "--m", "1", "--c", "-2"), 0, False),
+        (("scatter", "--m", "1", "--c", "-1", "--k", "2.5"), 0, False),
+        (("scatter", "--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0",
+          "--k", "2.5"), 3, False),
+        (("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"), 0, False),
+        (("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP), 0, False),
+        (("scatter", "--m", "1", "--c", "-1"), 2, False),
     ],
-    ids=["junction", "resonance"],
+    ids=[
+        "junction", "resonance", "junction_undefined", "bound", "scatter_k",
+        "scatter_k_no_state", "radial_k", "radial_sweep", "usage_error",
+    ],
 )
-def test_cli_process_loads_no_scipy(argv):
+def test_cli_process_loads_no_scipy(argv, code, numpy):
     proc = _python("-c", _RUN_AND_REPORT, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "exit=0 scipy=[]"
+    report = proc.stderr.strip().splitlines()[-1]
+    assert report == f"exit={code} scipy=[] numpy={numpy}"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import singscat
+    from singscat import mollifier
+
+    assert [name for name in singscat.__all__ if not hasattr(singscat, name)] == []
+    assert set(singscat.__all__) <= set(dir(singscat))
+    # a lazy name is the mollifier's own object, cached once looked up
+    assert singscat.numeric_transfer is mollifier.numeric_transfer
+    assert "numeric_transfer" in vars(singscat)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        singscat.no_such_name
+
+
+def test_cli_shape_names_are_the_shape_registry():
+    from singscat import cli, mollifier
+
+    assert cli.SHAPE_NAMES == tuple(sorted(mollifier.SHAPES))
+
+
+def test_default_integration_tolerance_is_defined_once():
+    from singscat import core, mollifier
+
+    sources = (ROOT / "src" / "singscat").glob("*.py")
+    definitions = [
+        path.name
+        for path in sources
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.match(r"DEFAULT_TOL_REL\s*=", line)
+    ]
+    assert definitions == ["core.py"]
+    assert mollifier.DEFAULT_TOL_REL is core.DEFAULT_TOL_REL
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")

@@ -147,6 +147,16 @@ def test_bound_state_of_attractive_delta():
     assert abs(spectrum.energies[0] + 1.0) <= 1e-12
 
 
+def test_bound_state_whose_energy_overflows_is_refused():
+    # kappa = -c / 2, and -kappa^2 leaves the float range once |c| passes
+    # about 2.7e154
+    spectrum = bound_states(junction_matrix(PotentialSpec(1.0, -2.6e154)))
+    assert math.isfinite(spectrum.energies[0])
+    for c in (-2.7e154, -1e308):
+        with pytest.raises(TransferOverflow, match="kappa"):
+            bound_states(junction_matrix(PotentialSpec(1.0, c)))
+
+
 def test_repulsive_delta_has_no_bound_state():
     spectrum = bound_states(junction_matrix(PotentialSpec(1.0, 3.0)))
     assert spectrum.kind == "empty"

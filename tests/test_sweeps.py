@@ -3,8 +3,9 @@ helper and the table writer.
 
 The float.hex pins were captured from the scalar complex-arithmetic
 implementation that the array kernel replaced; the properties compare the
-kernel with CPython's complex arithmetic, with itself on grids of one
-energy, and the table writer with csv_document and canonical_json.
+kernel with CPython's complex arithmetic, with the one-energy path on
+grids of one energy, and the table writer with csv_document and
+canonical_json.
 """
 
 from __future__ import annotations
@@ -327,6 +328,16 @@ def test_failing_energies_carry_the_tag_of_their_error():
         scattering_amplitudes(delta, math.inf)
     with pytest.raises(ValueError, match="finite"):
         transmission_curve(delta, [1.0, math.inf])
+
+
+def test_a_matching_determinant_past_the_float_range_is_refused_on_both_paths():
+    # |D| = hypot(1.5e308, 1.5e308) is past the float range: abs() of the
+    # complex raises OverflowError where the kernel's np.hypot gives inf
+    junction = Mat2(1.5e308, 1.5e308, 0.0, 0.0)
+    with pytest.raises(NoScatteringState):
+        scattering_amplitudes(junction, 1.0)
+    (row,) = transmission_curve(junction, [1.0])
+    assert row.error == error_tag(NoScatteringState())
 
 
 def _complex_reference(junction: Mat2, k: float) -> str:
