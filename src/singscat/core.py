@@ -14,12 +14,16 @@ module takes its propagators from it, in batches over arrays of (k, h),
 or one at a time through the scalar wrapper free_transfer.  It is the
 one place here that uses numpy, and imports it when called, so the
 closed-form paths that never propagate run without loading numpy.
+
+The package's records are tuples with named fields: typing.NamedTuple
+classes, or, where fields are checked, namedtuple subclasses that check
+them in __new__, through which CheckedRecord routes _make and _replace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvalidExponent, PrecisionLoss
@@ -46,19 +50,34 @@ PHASE_ULP_FRACTION = 1e-6
 _PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class CheckedRecord:
+    """Mixin of a tuple record whose __new__ checks its fields.
+
+    namedtuple's _make, which _replace calls, builds through tuple.__new__
+    and would skip the checks; here both go through __new__.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Mat2(CheckedRecord, namedtuple("Mat2", "m11 m12 m21 m22")):
     """Real 2x2 matrix acting on (psi, psi') state vectors."""
 
-    m11: float
-    m12: float
-    m21: float
-    m22: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for entry in (self.m11, self.m12, self.m21, self.m22):
-            if not math.isfinite(entry):
-                raise ValueError("matrix entries must be finite")
+    def __new__(cls, m11: float, m12: float, m21: float, m22: float):
+        if not (
+            math.isfinite(m11)
+            and math.isfinite(m12)
+            and math.isfinite(m21)
+            and math.isfinite(m22)
+        ):
+            raise ValueError("matrix entries must be finite")
+        return tuple.__new__(cls, (m11, m12, m21, m22))
 
     @staticmethod
     def identity() -> "Mat2":
@@ -94,33 +113,31 @@ class Mat2:
         )
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):
     """Point potential c * delta^m at the origin.
 
     m is the power of the delta factor (m > 0), c the coupling strength.
     """
 
-    m: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0.0):
-            raise InvalidExponent(f"exponent must be positive and finite, got {self.m}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"coupling must be finite, got {self.c}")
+    def __new__(cls, m: float, c: float):
+        if not (math.isfinite(m) and m > 0.0):
+            raise InvalidExponent(f"exponent must be positive and finite, got {m}")
+        if not math.isfinite(c):
+            raise ValueError(f"coupling must be finite, got {c}")
+        return tuple.__new__(cls, (m, c))
 
 
-@dataclass(frozen=True)
-class ShellPotentialSpec:
+class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a")):
     """Spherical shell carrying a point potential at radius a > 0."""
 
-    base: PotentialSpec
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"shell radius must be positive, got {self.a}")
+    def __new__(cls, base: PotentialSpec, a: float):
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValueError(f"shell radius must be positive, got {a}")
+        return tuple.__new__(cls, (base, a))
 
 
 def free_propagators(k, h) -> np.ndarray:
@@ -192,8 +209,10 @@ def check_phase(k: float, x: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PiecewiseSolution:
+class PiecewiseSolution(
+    CheckedRecord,
+    namedtuple("PiecewiseSolution", "k left_coeffs right_coeffs junction"),
+):
     """Solution of the point-potential problem on both half lines.
 
     Coefficients are in the (C, S) basis anchored at the origin, so each
@@ -202,20 +221,24 @@ class PiecewiseSolution:
     junction matrix applied to the left pair.
     """
 
-    k: float
-    left_coeffs: tuple[float, float]
-    right_coeffs: tuple[float, float]
-    junction: Mat2
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = self.junction.apply(self.left_coeffs)
-        scale = max(1.0, *(abs(v) for v in expected), *(abs(v) for v in self.left_coeffs))
+    def __new__(
+        cls,
+        k: float,
+        left_coeffs: tuple[float, float],
+        right_coeffs: tuple[float, float],
+        junction: Mat2,
+    ):
+        expected = junction.apply(left_coeffs)
+        scale = max(1.0, *(abs(v) for v in expected), *(abs(v) for v in left_coeffs))
         gap = max(
-            abs(expected[0] - self.right_coeffs[0]),
-            abs(expected[1] - self.right_coeffs[1]),
+            abs(expected[0] - right_coeffs[0]),
+            abs(expected[1] - right_coeffs[1]),
         )
         if gap > 1e-9 * scale:
             raise ValueError("right coefficients are not junction * left coefficients")
+        return tuple.__new__(cls, (k, left_coeffs, right_coeffs, junction))
 
     @classmethod
     def from_left(

@@ -17,10 +17,11 @@ exists depends on (m, c):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
-from .core import Mat2, PotentialSpec
+from .core import CheckedRecord, Mat2, PotentialSpec
 from .errors import MissingChoice, UndefinedRegime
 
 # Absolute tolerance for deciding m == 1 and m == 2.
@@ -38,8 +39,7 @@ class RegimeKind(str, Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """Classification of an (m, c) pair.
 
     n is set only for RESONANT_SQUARE, reason only for UNDEFINED.
@@ -50,18 +50,17 @@ class Regime:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class IvChoice:
+class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
     """Caller-supplied resolution (a, b) of the doubly indeterminate case."""
 
-    a: int
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a not in (1, -1):
-            raise ValueError(f"a must be +1 or -1, got {self.a}")
-        if not math.isfinite(self.b):
-            raise ValueError(f"b must be finite, got {self.b}")
+    def __new__(cls, a: int, b: float):
+        if a not in (1, -1):
+            raise ValueError(f"a must be +1 or -1, got {a}")
+        if not math.isfinite(b):
+            raise ValueError(f"b must be finite, got {b}")
+        return tuple.__new__(cls, (a, b))
 
 
 def classify_regime(

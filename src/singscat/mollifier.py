@@ -10,14 +10,15 @@ with a junction converge to it, the others are certified divergent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 # DEFAULT_TOL_REL is re-exported: it is the default tol_rel of this module.
 from .core import (
     DEFAULT_TOL_REL,
+    CheckedRecord,
     Mat2,
     PotentialSpec,
     check_phase,
@@ -39,7 +40,8 @@ N_CELLS_CAP = 2**22
 _CHUNK_CELLS = 2**16
 
 # Highest level resonant_search accepts; the bracket scan grows like
-# level^2 and level 32 takes about 3.5 s (2-vCPU VM, Python 3.11).
+# level^2 and `resonance --n 32` takes 1.5-1.7 s end to end, whatever the
+# shape (2-vCPU VM, Python 3.11).
 MAX_LEVEL = 32
 
 # A converged transfer whose determinant is further than this from 1 is
@@ -83,8 +85,10 @@ _DECADE_RATIO = 5.0
 _DECADE_R2 = 0.5
 
 
-@dataclass(frozen=True)
-class MollifierShape:
+class MollifierShape(
+    CheckedRecord,
+    namedtuple("MollifierShape", "name half_support profile edge_order"),
+):
     """Unit-mass even bump phi supported on [-half_support, half_support].
 
     The profile is vectorized over numpy arrays and returns 0 outside the
@@ -102,26 +106,38 @@ class MollifierShape:
     the edge, to 1e-2, and raises ValueError on a mismatch.  None, the
     default, declares no edge term: the profile jumps on a cell edge, as
     the top hat does, or is negligible at its cut, as the gauss is.
+    The repr leaves the profile out.
     """
 
-    name: str
-    half_support: float
-    profile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    edge_order: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = self.half_support
+    def __new__(
+        cls,
+        name: str,
+        half_support: float,
+        profile: Callable[[np.ndarray], np.ndarray],
+        edge_order: float | None = None,
+    ):
+        self = tuple.__new__(cls, (name, half_support, profile, edge_order))
+        s = half_support
         half_panel = s / _MASS_PANELS
         centres = -s + (2.0 * np.arange(_MASS_PANELS) + 1.0) * half_panel
         nodes = centres[:, None] + half_panel * _MASS_NODES
-        mass = half_panel * float(np.sum(self.profile(nodes) @ _MASS_WEIGHTS))
+        mass = half_panel * float(np.sum(profile(nodes) @ _MASS_WEIGHTS))
         if abs(mass - 1.0) > 1e-10:
-            raise ValueError(f"shape {self.name} has mass {mass!r}, expected 1")
+            raise ValueError(f"shape {name} has mass {mass!r}, expected 1")
         probe = np.linspace(0.0, s, 17)
-        if np.max(np.abs(self.profile(probe) - self.profile(-probe))) > 1e-12:
-            raise ValueError(f"shape {self.name} is not even")
-        if self.edge_order is not None:
+        if np.max(np.abs(profile(probe) - profile(-probe))) > 1e-12:
+            raise ValueError(f"shape {name} is not even")
+        if edge_order is not None:
             self._check_edge_order()
+        return self
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(name={self.name!r}, "
+            f"half_support={self.half_support!r}, edge_order={self.edge_order!r})"
+        )
 
     def _check_edge_order(self):
         alpha = self.edge_order
@@ -186,17 +202,17 @@ GAUSSIAN = MollifierShape("gauss", _GAUSS_CUT, _gauss)
 SHAPES = {shape.name: shape for shape in (TOP_HAT, TRIANGLE, COSINE_BUMP, GAUSSIAN)}
 
 
-@dataclass(frozen=True)
-class RegularizedPotential:
+class RegularizedPotential(
+    CheckedRecord, namedtuple("RegularizedPotential", "spec shape eps")
+):
     """Mollified point potential U(x) = c * eps^-m * phi(x/eps)^m."""
 
-    spec: PotentialSpec
-    shape: MollifierShape
-    eps: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
+    def __new__(cls, spec: PotentialSpec, shape: MollifierShape, eps: float):
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be positive, got {eps}")
+        return tuple.__new__(cls, (spec, shape, eps))
 
     @property
     def half_width(self) -> float:
@@ -386,8 +402,7 @@ def effective_junction(
         ) from exc
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One eps of a convergence sweep.
 
     deviation is the max-abs entry distance to the reference matrix (nan

@@ -17,7 +17,7 @@ shift follows from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # PHASE_ULP_FRACTION is re-exported: README documents it under this module.
 from .core import (
@@ -31,8 +31,7 @@ from .errors import NonPositiveEnergy, TransferOverflow
 from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
 
 
-@dataclass(frozen=True)
-class RadialResult:
+class RadialResult(NamedTuple):
     """s-wave solution of a shell at energy k > 0.
 
     Phase shift delta0, cross section sigma0 and the reduced radial

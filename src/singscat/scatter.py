@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .core import Mat2, PiecewiseSolution, check_phase, free_propagators
 from .errors import (
@@ -34,8 +33,7 @@ _DEGENERACY_TOL = 1e-14
 _BLOCK = 2048
 
 
-@dataclass(frozen=True)
-class ScatteringResult:
+class ScatteringResult(NamedTuple):
     """Amplitudes and flux diagnostics at one energy k > 0.
 
     flux_residual = |t|^2 + det(J) |r|^2 - det(J); it vanishes identically
@@ -53,8 +51,7 @@ class ScatteringResult:
     flux_residual: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One energy of a transmission sweep; error is "" when result holds."""
 
     k: float
@@ -62,8 +59,7 @@ class SweepRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class BoundSpectrum:
+class BoundSpectrum(NamedTuple):
     """Negative-energy spectrum of a junction matrix.
 
     kind is "empty", "discrete" (kappas carries the decay rates, energies
@@ -277,6 +273,10 @@ def bound_states(junction: Mat2) -> BoundSpectrum:
     return BoundSpectrum(kind="discrete", kappas=tuple(kappas))
 
 
+# Row-major identity, the start of compose_chain's running product.
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
 def compose_chain(
     chain: Sequence[tuple[float, Mat2]], k: float
 ) -> Mat2:
@@ -289,10 +289,10 @@ def compose_chain(
         total = J_N F(k, x_N - x_{N-1}) ... J_2 F(k, x_2 - x_1) J_1
 
     The gap propagators come from one free_propagators call; the product
-    is then folded left to right in plain floats.
+    is then folded left to right in plain floats and checked once.
 
     Raises TransferOverflow when the running product leaves the
-    representable range.
+    representable range, naming the x of the first junction where it did.
     """
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
@@ -303,27 +303,44 @@ def compose_chain(
                 f"positions must increase strictly, got {prev_x} then {x}"
             )
     gaps = free_propagators(k, [b - a for a, b in zip(xs, xs[1:])])
-    gaps = gaps.reshape(-1, 4).tolist()
-    total = (1.0, 0.0, 0.0, 1.0)
-    for i, (x, j) in enumerate(chain):
-        if i:
-            total = _mul(gaps[i - 1], total)
-        total = _mul((j.m11, j.m12, j.m21, j.m22), total)
-        if not all(map(math.isfinite, total)):
-            raise TransferOverflow(
-                f"chain transfer left the representable range at x = {x}"
-            )
+    # nothing propagates before the first junction; identity @ identity
+    # is exactly the identity, so this step changes no bit
+    gaps = [_IDENTITY] + gaps.reshape(-1, 4).tolist()
+    total = _fold(_IDENTITY, gaps, chain)
+    if not all(map(math.isfinite, total)):
+        # A non-finite entry never leaves its column (every later entry of
+        # that column adds a multiple of it), so the total is non-finite
+        # exactly when some step made it so; walk again to find that step.
+        total = _IDENTITY
+        for gap, step in zip(gaps, chain):
+            total = _fold(total, [gap], [step])
+            if not all(map(math.isfinite, total)):
+                raise TransferOverflow(
+                    f"chain transfer left the representable range at x = {step[0]}"
+                )
     return Mat2(*total)
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    """Row-major 2x2 product a @ b, term for term as Mat2.__matmul__."""
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
+def _fold(total: tuple, gaps: Sequence[tuple], chain: Sequence[tuple]) -> tuple:
+    """total, then gap and junction per step: J_i @ (G_i @ total), row major.
+
+    Each product is term for term Mat2.__matmul__, in four local floats.
+    """
+    t11, t12, t21, t22 = total
+    for (g11, g12, g21, g22), (_, (j11, j12, j21, j22)) in zip(gaps, chain):
+        t11, t12, t21, t22 = (
+            g11 * t11 + g12 * t21,
+            g11 * t12 + g12 * t22,
+            g21 * t11 + g22 * t21,
+            g21 * t12 + g22 * t22,
+        )
+        t11, t12, t21, t22 = (
+            j11 * t11 + j12 * t21,
+            j11 * t12 + j12 * t22,
+            j21 * t11 + j22 * t21,
+            j21 * t12 + j22 * t22,
+        )
+    return t11, t12, t21, t22
 
 
 def evaluate_solution(

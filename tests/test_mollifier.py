@@ -491,6 +491,20 @@ def test_declared_edge_order_is_checked_against_the_profile():
         MollifierShape("triangle", 1.0, TRIANGLE.profile, edge_order=-1.0)
 
 
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_each_shape_refuses_a_wrong_mass_and_a_wrong_edge_order(name):
+    shape = SHAPES[name]
+
+    def heavy(y):
+        return 1.01 * shape.profile(y)
+
+    with pytest.raises(ValueError, match="mass"):
+        MollifierShape(name, shape.half_support, heavy, shape.edge_order)
+    wrong_order = (shape.edge_order or 0.0) + 1.0
+    with pytest.raises(ValueError, match="order"):
+        MollifierShape(name, shape.half_support, shape.profile, wrong_order)
+
+
 def test_shape_without_edge_order_converges_on_the_even_tableau():
     # a biweight bump: its edge term h^5 at m = 2 is left undeclared
     def biweight(y):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -206,7 +205,7 @@ def test_wavefunction_rejects_nonpositive_radius():
 
 @pytest.mark.parametrize("k", [math.nan, math.inf])
 def test_wavefunction_refuses_non_finite_energy(k):
-    sol = dataclasses.replace(s_wave_solve(_shell(1.0, -2.0), 1.0), k=k)
+    sol = s_wave_solve(_shell(1.0, -2.0), 1.0)._replace(k=k)
     with pytest.raises(ValueError, match="k must be finite"):
         radial_wavefunction(sol, [0.5, 2.0])
 

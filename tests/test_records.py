@@ -1,0 +1,107 @@
+"""The result and input records are tuples: immutable, slot-free, checked
+on every construction path, with the Name(field=value, ...) repr."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from singscat import (
+    TOP_HAT,
+    TRIANGLE,
+    BoundSpectrum,
+    ConvergenceRow,
+    InvalidExponent,
+    IvChoice,
+    Mat2,
+    PiecewiseSolution,
+    PotentialSpec,
+    RadialResult,
+    Regime,
+    RegimeKind,
+    RegularizedPotential,
+    ScatteringResult,
+    ShellPotentialSpec,
+    SweepRow,
+    scattering_amplitudes,
+)
+
+_SPEC = PotentialSpec(1.0, -2.0)
+_JUNCTION = Mat2(1.0, 0.0, -2.0, 1.0)
+_RESULT = scattering_amplitudes(_JUNCTION, 2.0)
+
+RECORDS = {
+    "Mat2": _JUNCTION,
+    "PotentialSpec": _SPEC,
+    "ShellPotentialSpec": ShellPotentialSpec(_SPEC, 1.5),
+    "PiecewiseSolution": PiecewiseSolution.from_left(1.0, (1.0, 0.0), _JUNCTION),
+    "Regime": Regime(RegimeKind.RESONANT_SQUARE, n=2),
+    "IvChoice": IvChoice(-1, 0.5),
+    "RadialResult": RadialResult(1.0, 1.5, 0.25, 0.5, 0.75, (0.5, -0.25)),
+    "ScatteringResult": _RESULT,
+    "SweepRow": SweepRow(2.0, _RESULT),
+    "BoundSpectrum": BoundSpectrum("discrete", (0.5, 2.0)),
+    "MollifierShape": TRIANGLE,
+    "RegularizedPotential": RegularizedPotential(_SPEC, TOP_HAT, 0.1),
+    "ConvergenceRow": ConvergenceRow(1e-3, _JUNCTION, 1e-4, 0.0),
+}
+
+# (record, field, a value its checks refuse, the exception they raise)
+REFUSALS = {
+    "Mat2": ("m11", math.inf, ValueError),
+    "PotentialSpec": ("m", 0.0, InvalidExponent),
+    "ShellPotentialSpec": ("a", -1.0, ValueError),
+    "PiecewiseSolution": ("right_coeffs", (1.0, 0.5), ValueError),
+    "IvChoice": ("a", 2, ValueError),
+    "MollifierShape": ("edge_order", 2.0, ValueError),
+    "RegularizedPotential": ("eps", 0.0, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_tuples(name):
+    record = RECORDS[name]
+    assert type(record).__name__ == name
+    assert isinstance(record, tuple)
+    assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
+    # no instance dict: __slots__ = () on every class of the record
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+
+
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"MollifierShape"}))
+def test_repr_names_every_field(name):
+    record = RECORDS[name]
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+    assert repr(record) == f"{name}({fields})"
+
+
+def test_shape_repr_leaves_out_the_profile():
+    assert repr(TOP_HAT) == "MollifierShape(name='tophat', half_support=0.5, edge_order=None)"
+    assert repr(TRIANGLE) == "MollifierShape(name='triangle', half_support=1.0, edge_order=1.0)"
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_replace_and_make_keep_the_checks(name):
+    record = RECORDS[name]
+    field, bad, error = REFUSALS[name]
+    with pytest.raises(error):
+        record._replace(**{field: bad})
+    fields = [bad if f == field else getattr(record, f) for f in record._fields]
+    with pytest.raises(error):
+        type(record)._make(fields)
+    # a good value still goes through
+    assert record._replace(**{field: getattr(record, field)}) == record
+    assert type(record._replace()) is type(record)
+
+
+def test_records_compare_and_unpack_as_tuples():
+    assert Mat2.identity() == (1.0, 0.0, 0.0, 1.0)
+    m11, m12, m21, m22 = _JUNCTION
+    assert (m11, m12, m21, m22) == (1.0, 0.0, -2.0, 1.0)
+    assert PotentialSpec(1.0, -2.0) == _SPEC and hash(PotentialSpec(1.0, -2.0)) == hash(_SPEC)
+    assert SweepRow(2.0).result is None and SweepRow(2.0).error == ""

@@ -15,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Runs `python -m singscat <argv>` in-process, then reports on stderr
-# whether any scipy module, and whether numpy, was loaded along the way.
+# whether any scipy module, whether numpy and whether dataclasses were
+# loaded along the way.
 _RUN_AND_REPORT = """
 import runpy, sys
 sys.argv = ["singscat", *sys.argv[1:]]
@@ -26,7 +27,8 @@ except SystemExit as exc:
 else:
     code = 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(f"exit={code} scipy={loaded} numpy={'numpy' in sys.modules}", file=sys.stderr)
+numpy, dataclasses = ("numpy" in sys.modules), ("dataclasses" in sys.modules)
+print(f"exit={code} scipy={loaded} numpy={numpy} dataclasses={dataclasses}", file=sys.stderr)
 """
 
 
@@ -51,6 +53,13 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_dataclasses():
+    # the records are tuples; dataclasses alone cost a third of the import
+    proc = _python("-c", "import sys, singscat; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_import_loads_no_numpy():
     proc = _python("-c", "import sys, singscat; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -60,9 +69,10 @@ def test_import_loads_no_numpy():
 _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "json")
 
 
-# No process loads scipy.  Only resonance, among these, loads numpy: the
-# others are the closed-form ops of the benchmark's one-process-per-op
-# cycle, those that exit 3 by design among them, and a usage error.
+# No process loads scipy or dataclasses.  Only resonance, among these,
+# loads numpy: the others are the closed-form ops of the benchmark's
+# one-process-per-op cycle, those that exit 3 by design among them, and a
+# usage error.
 @pytest.mark.parametrize(
     "argv, code, numpy",
     [
@@ -86,7 +96,7 @@ def test_cli_process_loads_no_scipy(argv, code, numpy):
     proc = _python("-c", _RUN_AND_REPORT, *argv)
     assert proc.returncode == 0, proc.stderr
     report = proc.stderr.strip().splitlines()[-1]
-    assert report == f"exit={code} scipy=[] numpy={numpy}"
+    assert report == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
 
 
 def test_every_public_name_resolves_and_is_listed():

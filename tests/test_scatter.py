@@ -277,6 +277,17 @@ def test_chain_overflow_is_a_transfer_overflow():
         compose_chain([(0.0, j), (1.0, j)], k=math.inf)
 
 
+def test_chain_overflow_names_the_first_junction_past_the_range():
+    # the running product is checked once, after the loop; the error still
+    # names the junction at which it first left the range
+    j = junction_matrix(PotentialSpec(1.0, -50.0))
+    chain = [(float(i), j) for i in range(400)]
+    with pytest.raises(TransferOverflow, match=r"at x = 187\.0$"):
+        compose_chain(chain, k=0.5)
+    total = compose_chain(chain[:187], k=0.5)
+    assert max(map(abs, total)) > 1e300
+
+
 def test_chain_of_identity_junctions_is_free_propagation():
     eye = Mat2.identity()
     k = 1.9
