@@ -59,39 +59,6 @@ from .scatter import (
 
 __version__ = "0.1.0"
 
-# Looked up through __getattr__ (PEP 562), which caches each in globals().
-_MOLLIFIER_NAMES = frozenset(
-    {
-        "COSINE_BUMP",
-        "GAUSSIAN",
-        "SHAPES",
-        "TOP_HAT",
-        "TRIANGLE",
-        "ConvergenceRow",
-        "MollifierShape",
-        "RegularizedPotential",
-        "certify_convergence",
-        "convergence_sweep",
-        "effective_junction",
-        "estimate_order",
-        "numeric_transfer",
-        "resonant_search",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name not in _MOLLIFIER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import mollifier
-
-    value = globals()[name] = getattr(mollifier, name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(globals().keys() | _MOLLIFIER_NAMES)
-
 __all__ = [
     "Mat2",
     "PotentialSpec",
@@ -144,3 +111,18 @@ __all__ = [
     "BracketError",
     "InsufficientData",
 ]
+
+
+# The names of __all__ not bound above are the mollifier lab's, looked up
+# through __getattr__ (PEP 562), which caches each in globals().
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import mollifier
+
+    value = globals()[name] = getattr(mollifier, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

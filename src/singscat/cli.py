@@ -123,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--iv-a", type=int, choices=(1, -1), dest="iv_a")
     point.add_argument("--iv-b", type=float, dest="iv_b")
     point.add_argument(
-        "--iv-default",
-        action="store_true",
-        dest="iv_default",
-        help="resolve the indeterminate regime with (a, b) = (+1, 0)",
-    )
-    point.add_argument(
         "--resonance-tol",
         type=_positive_float,
         default=DEFAULT_RESONANCE_TOL,
@@ -209,23 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_choice(args: argparse.Namespace) -> IvChoice | None:
     """The case IV choice of the flags; they are refused in any other regime."""
     regime = classify_regime(PotentialSpec(args.m, args.c), args.resonance_tol)
-    if regime.kind is not RegimeKind.INDETERMINATE:
-        given = {
-            "--iv-a": args.iv_a is not None,
-            "--iv-b": args.iv_b is not None,
-            "--iv-default": args.iv_default,
-        }
-        if any(given.values()):
-            flags = ", ".join(flag for flag, present in given.items() if present)
-            raise UsageError(f"only m > 2 with c < 0 (indeterminate) takes {flags}")
-        return None
-    if args.iv_a is not None or args.iv_b is not None:
-        if args.iv_a is None or args.iv_b is None:
-            raise UsageError("the indeterminate regime needs both --iv-a and --iv-b")
-        return IvChoice(args.iv_a, args.iv_b)
-    if args.iv_default:
-        return IvChoice(1, 0.0)
-    return None
+    given = [
+        flag
+        for flag, value in (("--iv-a", args.iv_a), ("--iv-b", args.iv_b))
+        if value is not None
+    ]
+    if given and regime.kind is not RegimeKind.INDETERMINATE:
+        flags = ", ".join(given)
+        raise UsageError(f"only m > 2 with c < 0 (indeterminate) takes {flags}")
+    if len(given) == 1:
+        raise UsageError("the indeterminate regime needs both --iv-a and --iv-b")
+    return IvChoice(args.iv_a, args.iv_b) if given else None
 
 
 def _k_grid(args: argparse.Namespace) -> list[float] | None:
@@ -317,8 +305,8 @@ def cmd_bound(args: argparse.Namespace) -> str:
     if spectrum.kind == "discrete":
         doc = {
             "spectrum": [
-                {"kappa": kappa, "energy": -kappa * kappa}
-                for kappa in spectrum.kappas
+                {"kappa": kappa, "energy": energy}
+                for kappa, energy in zip(spectrum.kappas, spectrum.energies)
             ]
         }
     else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidExponent, PrecisionLoss
 
@@ -209,40 +209,19 @@ def check_phase(k: float, x: float) -> None:
         )
 
 
-class PiecewiseSolution(
-    CheckedRecord,
-    namedtuple("PiecewiseSolution", "k left_coeffs right_coeffs junction"),
-):
+class PiecewiseSolution(NamedTuple):
     """Solution of the point-potential problem on both half lines.
 
     Coefficients are in the (C, S) basis anchored at the origin, so each
     coefficient pair is literally the one-sided boundary data
-    (psi(0), psi'(0)) of its branch.  The right pair must equal the
-    junction matrix applied to the left pair.
+    (psi(0), psi'(0)) of its branch.  The left pair and the junction fix
+    the solution; the right pair is the junction applied to the left.
     """
 
-    __slots__ = ()
+    k: float
+    left_coeffs: tuple[float, float]
+    junction: Mat2
 
-    def __new__(
-        cls,
-        k: float,
-        left_coeffs: tuple[float, float],
-        right_coeffs: tuple[float, float],
-        junction: Mat2,
-    ):
-        expected = junction.apply(left_coeffs)
-        scale = max(1.0, *(abs(v) for v in expected), *(abs(v) for v in left_coeffs))
-        gap = max(
-            abs(expected[0] - right_coeffs[0]),
-            abs(expected[1] - right_coeffs[1]),
-        )
-        if gap > 1e-9 * scale:
-            raise ValueError("right coefficients are not junction * left coefficients")
-        return tuple.__new__(cls, (k, left_coeffs, right_coeffs, junction))
-
-    @classmethod
-    def from_left(
-        cls, k: float, left_coeffs: tuple[float, float], junction: Mat2
-    ) -> "PiecewiseSolution":
-        """Build the solution determined by left boundary data."""
-        return cls(k, tuple(left_coeffs), junction.apply(left_coeffs), junction)
+    @property
+    def right_coeffs(self) -> tuple[float, float]:
+        return self.junction.apply(self.left_coeffs)

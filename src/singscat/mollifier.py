@@ -124,10 +124,10 @@ class MollifierShape(
         centres = -s + (2.0 * np.arange(_MASS_PANELS) + 1.0) * half_panel
         nodes = centres[:, None] + half_panel * _MASS_NODES
         mass = half_panel * float(np.sum(profile(nodes) @ _MASS_WEIGHTS))
-        if abs(mass - 1.0) > 1e-10:
+        if not abs(mass - 1.0) <= 1e-10:
             raise ValueError(f"shape {name} has mass {mass!r}, expected 1")
         probe = np.linspace(0.0, s, 17)
-        if np.max(np.abs(profile(probe) - profile(-probe))) > 1e-12:
+        if not np.max(np.abs(profile(probe) - profile(-probe))) <= 1e-12:
             raise ValueError(f"shape {name} is not even")
         if edge_order is not None:
             self._check_edge_order()
@@ -612,13 +612,13 @@ def resonant_search(
     Raises
     ------
     ValueError
-        if n is outside 1..MAX_LEVEL.
+        if n is not an integer in 1..MAX_LEVEL.
     BracketError
         if the scan does not isolate the requested level.
     NoConvergence
         if cell refinement cannot pin the level to rel_tol.
     """
-    if not 1 <= n <= MAX_LEVEL:
+    if not (1 <= n <= MAX_LEVEL and n == int(n)):
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
     c_lo, c_hi = -4.0 * ((n + 2) * math.pi) ** 2, -1e-12
 

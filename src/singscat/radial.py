@@ -19,14 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-# PHASE_ULP_FRACTION is re-exported: README documents it under this module.
-from .core import (
-    PHASE_ULP_FRACTION,
-    Mat2,
-    ShellPotentialSpec,
-    check_phase,
-    free_propagators,
-)
+from .core import Mat2, ShellPotentialSpec, check_phase, free_propagators
 from .errors import NonPositiveEnergy, TransferOverflow
 from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
 

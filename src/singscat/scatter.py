@@ -273,10 +273,6 @@ def bound_states(junction: Mat2) -> BoundSpectrum:
     return BoundSpectrum(kind="discrete", kappas=tuple(kappas))
 
 
-# Row-major identity, the start of compose_chain's running product.
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-
-
 def compose_chain(
     chain: Sequence[tuple[float, Mat2]], k: float
 ) -> Mat2:
@@ -305,13 +301,13 @@ def compose_chain(
     gaps = free_propagators(k, [b - a for a, b in zip(xs, xs[1:])])
     # nothing propagates before the first junction; identity @ identity
     # is exactly the identity, so this step changes no bit
-    gaps = [_IDENTITY] + gaps.reshape(-1, 4).tolist()
-    total = _fold(_IDENTITY, gaps, chain)
+    gaps = [Mat2.identity()] + gaps.reshape(-1, 4).tolist()
+    total = _fold(Mat2.identity(), gaps, chain)
     if not all(map(math.isfinite, total)):
         # A non-finite entry never leaves its column (every later entry of
         # that column adds a multiple of it), so the total is non-finite
         # exactly when some step made it so; walk again to find that step.
-        total = _IDENTITY
+        total = Mat2.identity()
         for gap, step in zip(gaps, chain):
             total = _fold(total, [gap], [step])
             if not all(map(math.isfinite, total)):
@@ -356,7 +352,7 @@ def evaluate_solution(
     meaningful digits (core.check_phase), and TransferOverflow when a
     growing branch (k < 0) leaves the representable range.
     """
-    k = solution.k
+    k, left, right = solution.k, solution.left_coeffs, solution.right_coeffs
     xs = list(xs)
     if not all(math.isfinite(x) for x in xs):
         raise ValueError("sample points must be finite")
@@ -365,11 +361,11 @@ def evaluate_solution(
     out: list[tuple[float, float, float]] = []
     for x, ((c, s), _) in zip(xs, props):
         if x < 0.0:
-            branches = [solution.left_coeffs]
+            branches = [left]
         elif x > 0.0:
-            branches = [solution.right_coeffs]
+            branches = [right]
         else:
-            branches = [solution.left_coeffs, solution.right_coeffs]
+            branches = [left, right]
         for alpha, beta in branches:
             psi = alpha * c + beta * s
             dpsi = -k * alpha * s + beta * c

@@ -255,8 +255,7 @@ def test_radial_cross_section_that_overflows_is_refused(capsys, m, c):
 
 # ------------------------------------------------------------------ flags
 
-_POINT_OPTIONS = {"--out", "--m", "--c", "--iv-a", "--iv-b", "--iv-default",
-                  "--resonance-tol"}
+_POINT_OPTIONS = {"--out", "--m", "--c", "--iv-a", "--iv-b", "--resonance-tol"}
 _KGRID_OPTIONS = {"--k", "--kmin", "--kmax", "--ksteps", "--kscale"}
 _SUBCOMMAND_OPTIONS = {
     "junction": _POINT_OPTIONS,
@@ -288,7 +287,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, strings in _subcommand_options().items()
     }
     assert options == _SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 57
+    assert sum(map(len, options.values())) == 52
 
 
 @pytest.mark.parametrize(
@@ -306,6 +305,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         (("resonance", "--shape", "tophat", "--n", "1"), ("--resonance-tol", "1e-6")),
         (("resonance", "--shape", "tophat", "--n", "1"),
          ("--c-min", "-5", "--c-max", "-1")),
+        (("junction", "--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "0"),
+         ("--iv-default",)),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
@@ -350,8 +351,10 @@ def test_negative_infinity_and_nan_parse_as_values(capsys, argv, message):
     assert json.loads(out) == {"error": "invalid_argument", "message": message}
 
 
-def test_iv_default_supplies_neutral_choice(capsys):
-    code, out, _ = run(capsys, "junction", "--m", "3", "--c", "-1", "--iv-default")
+def test_neutral_iv_choice_gives_the_identity_junction(capsys):
+    code, out, _ = run(
+        capsys, "junction", "--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "0"
+    )
     assert code == 0
     doc = json.loads(out)
     assert doc["regime"] == "indeterminate"
@@ -585,7 +588,7 @@ _POINT_ARGS = {
     [
         ("--iv-a", "-1"),
         ("--iv-b", "5"),
-        ("--iv-default",),
+        ("--iv-a", "-1", "--iv-b", "0.5"),
         ("--iv-a", "1", "--iv-b", "0"),
     ],
 )
@@ -600,7 +603,9 @@ def test_indeterminate_flags_are_refused_in_other_regimes(capsys, command, flags
 
 
 @pytest.mark.parametrize("command", sorted(_POINT_ARGS))
-@pytest.mark.parametrize("flags", [("--iv-default",), ("--iv-a", "1", "--iv-b", "0")])
+@pytest.mark.parametrize(
+    "flags", [("--iv-a", "-1", "--iv-b", "0.5"), ("--iv-a", "1", "--iv-b", "0")]
+)
 def test_indeterminate_flags_are_read_in_their_regime(capsys, command, flags):
     argv = (command, "--m", "3", "--c", "-1", *_POINT_ARGS[command], *flags)
     assert run(capsys, *argv)[0] == 0

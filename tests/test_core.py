@@ -205,7 +205,9 @@ def test_shell_spec_needs_positive_radius():
 
 def test_piecewise_solution_invariant():
     junction = Mat2(1.0, 0.0, -2.0, 1.0)
-    sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), junction)
-    assert sol.right_coeffs == (1.0, -2.0)
-    with pytest.raises(ValueError):
-        PiecewiseSolution(1.0, (1.0, 0.0), (1.0, 0.5), junction)
+    sol = PiecewiseSolution(1.0, (1.0, 0.0), junction)
+    # the right branch is derived, so it cannot disagree with J * left
+    assert sol.right_coeffs == junction.apply(sol.left_coeffs) == (1.0, -2.0)
+    assert sol._fields == ("k", "left_coeffs", "junction")
+    with pytest.raises(TypeError):
+        PiecewiseSolution(1.0, (1.0, 0.0), (1.0, -2.0), junction)

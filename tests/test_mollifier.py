@@ -81,6 +81,24 @@ def test_shape_construction_refuses_wrong_mass_and_uneven_profiles():
     MollifierShape("triangle", 1.0, triangle)
 
 
+@pytest.mark.parametrize(
+    "half_support, profile, message",
+    [
+        (math.nan, TOP_HAT.profile, "mass"),
+        (math.inf, TOP_HAT.profile, "mass"),
+        (0.5, lambda y: np.full_like(y, math.nan), "mass"),
+        # nan at the one probe point y = 0, which no mass node hits
+        (0.5, lambda y: np.where(y == 0.0, math.nan, TOP_HAT.profile(y)), "not even"),
+    ],
+    ids=["nan_support", "inf_support", "nan_profile", "nan_at_origin"],
+)
+def test_shape_construction_refuses_non_finite_input(half_support, profile, message):
+    # nan fails every comparison, so the checks must not read "> tol";
+    # inf - inf in the panel centres warns
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        MollifierShape("x", half_support, profile)
+
+
 def test_regularized_potential_values():
     pot = RegularizedPotential(PotentialSpec(1.0, -2.0), TOP_HAT, 0.1)
     assert pot(0.0) == -2.0 / 0.1
@@ -329,6 +347,9 @@ def test_resonant_search_bracket_and_argument_errors():
         resonant_search(TOP_HAT, 0)
     with pytest.raises(ValueError):
         resonant_search(TOP_HAT, mollifier_mod.MAX_LEVEL + 1)
+    # the scan counts sign changes while found < n, so 1.5 was level 2
+    with pytest.raises(ValueError, match="got 1.5"):
+        resonant_search(TOP_HAT, 1.5)
     with pytest.raises(BracketError):  # cos has no root in [0, 1]
         mollifier_mod._brent(math.cos, 0.0, 1.0, 1.0, math.cos(1.0))
 

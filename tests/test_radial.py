@@ -23,7 +23,7 @@ from singscat import (
     radial_wavefunction,
     s_wave_solve,
 )
-from singscat.radial import PHASE_ULP_FRACTION
+from singscat.core import PHASE_ULP_FRACTION
 
 
 def _shell(m: float, c: float, a: float = 1.0) -> ShellPotentialSpec:

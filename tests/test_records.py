@@ -35,7 +35,7 @@ RECORDS = {
     "Mat2": _JUNCTION,
     "PotentialSpec": _SPEC,
     "ShellPotentialSpec": ShellPotentialSpec(_SPEC, 1.5),
-    "PiecewiseSolution": PiecewiseSolution.from_left(1.0, (1.0, 0.0), _JUNCTION),
+    "PiecewiseSolution": PiecewiseSolution(1.0, (1.0, 0.0), _JUNCTION),
     "Regime": Regime(RegimeKind.RESONANT_SQUARE, n=2),
     "IvChoice": IvChoice(-1, 0.5),
     "RadialResult": RadialResult(1.0, 1.5, 0.25, 0.5, 0.75, (0.5, -0.25)),
@@ -52,7 +52,6 @@ REFUSALS = {
     "Mat2": ("m11", math.inf, ValueError),
     "PotentialSpec": ("m", 0.0, InvalidExponent),
     "ShellPotentialSpec": ("a", -1.0, ValueError),
-    "PiecewiseSolution": ("right_coeffs", (1.0, 0.5), ValueError),
     "IvChoice": ("a", 2, ValueError),
     "MollifierShape": ("edge_order", 2.0, ValueError),
     "RegularizedPotential": ("eps", 0.0, ValueError),

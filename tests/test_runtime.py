@@ -66,6 +66,23 @@ def test_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_lazy_loader_refuses_unknown_names():
+    code = (
+        "import sys, singscat\n"
+        "try:\n"
+        "    singscat.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print('numpy' in sys.modules, 'singscat.mollifier' in sys.modules)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "module 'singscat' has no attribute 'no_such_name'",
+        "False False",
+    ]
+
+
 _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "json")
 
 

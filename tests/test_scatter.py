@@ -322,13 +322,13 @@ def test_long_chain_equals_free_transfer_fold_bit_for_bit():
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
 def test_evaluate_solution_refuses_non_finite_energy(k):
-    sol = PiecewiseSolution(k, (1.0, 0.0), (1.0, 0.0), Mat2.identity())
+    sol = PiecewiseSolution(k, (1.0, 0.0), Mat2.identity())
     with pytest.raises(ValueError, match="k must be finite"):
         evaluate_solution(sol, [0.5])
 
 
 def test_evaluate_solution_refuses_non_finite_points():
-    sol = PiecewiseSolution.from_left(0.0, (1.0, 0.0), Mat2.identity())
+    sol = PiecewiseSolution(0.0, (1.0, 0.0), Mat2.identity())
     with pytest.raises(ValueError):
         evaluate_solution(sol, [0.5, math.inf])
 
@@ -336,24 +336,24 @@ def test_evaluate_solution_refuses_non_finite_points():
 def test_evaluate_solution_refuses_phases_past_their_rounding():
     # sqrt(k) |x| = 2^34 is where one ulp first exceeds 1e-6 pi
     edge = 2.0**34
-    sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), Mat2.identity())
+    sol = PiecewiseSolution(1.0, (1.0, 0.0), Mat2.identity())
     below = math.nextafter(edge, 0.0)
     assert len(evaluate_solution(sol, [-below, 0.5, below])) == 3
     for xs in ([0.5, edge], [-edge, 0.5]):
         with pytest.raises(PrecisionLoss):
             evaluate_solution(sol, xs)
-    far = PiecewiseSolution.from_left(1e10, (1.0, 0.0), Mat2.identity())
+    far = PiecewiseSolution(1e10, (1.0, 0.0), Mat2.identity())
     with pytest.raises(PrecisionLoss):
         evaluate_solution(far, [1e300])
     # decaying and flat branches have no phase to lose
     for k in (0.0, -1e-30):
-        flat = PiecewiseSolution.from_left(k, (1.0, 0.0), Mat2.identity())
+        flat = PiecewiseSolution(k, (1.0, 0.0), Mat2.identity())
         evaluate_solution(flat, [edge])
 
 
 def test_evaluate_solution_refuses_overflowing_branches():
     # cosh(1000) overflows; the sample used to come back as nan
-    sol = PiecewiseSolution.from_left(-1.0, (1.0, 0.0), Mat2.identity())
+    sol = PiecewiseSolution(-1.0, (1.0, 0.0), Mat2.identity())
     with pytest.raises(TransferOverflow):
         evaluate_solution(sol, [1000.0])
     with pytest.raises(TransferOverflow):
@@ -362,7 +362,7 @@ def test_evaluate_solution_refuses_overflowing_branches():
 
 
 def test_evaluate_solution_free_cosine():
-    sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), Mat2.identity())
+    sol = PiecewiseSolution(1.0, (1.0, 0.0), Mat2.identity())
     pts = evaluate_solution(sol, [-1.0, 0.0, 1.0])
     xs = [p[0] for p in pts]
     assert xs == [-1.0, 0.0, 0.0, 1.0]
@@ -374,7 +374,7 @@ def test_evaluate_solution_free_cosine():
 def test_evaluate_solution_derivative_jump():
     c = -2.0
     j = junction_matrix(PotentialSpec(1.0, c))
-    sol = PiecewiseSolution.from_left(1.0, (1.0, 0.0), j)
+    sol = PiecewiseSolution(1.0, (1.0, 0.0), j)
     pts = evaluate_solution(sol, [0.0])
     assert len(pts) == 2
     (x0, psi_l, dpsi_l), (x1, psi_r, dpsi_r) = pts
