@@ -32,7 +32,6 @@ from .errors import (
     SingscatError,
     TransferOverflow,
     UndefinedRegime,
-    error_tag,
 )
 from .junction import (
     DEFAULT_RESONANCE_TOL,
@@ -367,9 +366,9 @@ def cmd_mollify(args: argparse.Namespace) -> str:
         summary = {"slope": slope, "r2": r2, "verdict": verdict}
         print(canonical_json(summary), file=sys.stderr)
     if computed == 0:
-        if all(row.error == "overflow" for row in rows):
+        if all(row.error == TransferOverflow.tag for row in rows):
             raise TransferOverflow("every eps value overflowed")
-        if all(row.error == "precision_loss" for row in rows):
+        if all(row.error == PrecisionLoss.tag for row in rows):
             raise PrecisionLoss("every eps value lost its phase to rounding")
         raise NoConvergence("no eps value produced a transfer matrix")
     return _emit(MOLLIFY_FIELDS, cells, args.format, sweep=True)
@@ -399,11 +398,11 @@ def _fail(exc: Exception) -> int:
         NoConvergence, TransferOverflow, PrecisionLoss, BracketError, InsufficientData
     )
     if isinstance(exc, UndefinedRegime):
-        code, doc = EXIT_REGIME, {"error": "undefined_regime", "reason": exc.reason}
+        code, doc = EXIT_REGIME, {"error": exc.tag, "reason": exc.reason}
     elif isinstance(exc, (MissingChoice, NoScatteringState)):
-        code, doc = EXIT_REGIME, {"error": error_tag(exc)}
+        code, doc = EXIT_REGIME, {"error": exc.tag}
     elif isinstance(exc, numeric):
-        code, doc = EXIT_NUMERIC, {"error": error_tag(exc), "message": str(exc)}
+        code, doc = EXIT_NUMERIC, {"error": exc.tag, "message": str(exc)}
     else:
         code, doc = EXIT_USAGE, {"error": "invalid_argument", "message": str(exc)}
     sys.stdout.write(canonical_json(doc) + "\n")

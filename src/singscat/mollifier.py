@@ -92,9 +92,10 @@ class MollifierShape(
     """Unit-mass even bump phi supported on [-half_support, half_support].
 
     The profile is vectorized over numpy arrays and returns 0 outside the
-    support.  Construction checks the mass to 1e-10 with a composite
-    16-node Gauss-Legendre rule on 64 equal panels of [-half_support,
-    half_support], and evenness on 17 probe points; either failure raises
+    support.  Construction refuses a half_support that is not positive and
+    finite, then checks the mass to 1e-10 with a composite 16-node
+    Gauss-Legendre rule on 64 equal panels of [-half_support,
+    half_support], and evenness on 17 probe points; each failure raises
     ValueError.  A profile with kinks inside the support should have them
     on panel edges, as the triangle's at y = 0 is.
 
@@ -118,6 +119,11 @@ class MollifierShape(
         profile: Callable[[np.ndarray], np.ndarray],
         edge_order: float | None = None,
     ):
+        if not (math.isfinite(half_support) and half_support > 0.0):
+            raise ValueError(
+                f"shape {name} half support must be positive and finite, "
+                f"got {half_support!r}"
+            )
         self = tuple.__new__(cls, (name, half_support, profile, edge_order))
         s = half_support
         half_panel = s / _MASS_PANELS
@@ -321,16 +327,17 @@ def _ladder(
 def _checked(mat: np.ndarray, n_cells: int) -> Mat2:
     """Mat2 of a converged transfer; refuses one whose determinant is off 1.
 
+    The ladder returns finite entries only; they become Python floats here.
     The exact transfer is unimodular, so a determinant further than
     _DET_TOL from 1 means the entries have outgrown their digits.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+    result = Mat2(*mat.ravel().tolist())
+    det = result.det()
     if not abs(det - 1.0) <= _DET_TOL:
         raise TransferOverflow(
             f"transfer determinant {det!r} is off 1 at {n_cells} cells"
         )
-    return Mat2(mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
+    return result
 
 
 def numeric_transfer(
@@ -530,6 +537,9 @@ def certify_convergence(
 _BRENT_XTOL = 1e-30
 _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100
+# Relative tolerance to which resonant_search pins a level under cell
+# refinement.
+_LEVEL_TOL = 1e-10
 
 
 def _brent(
@@ -586,11 +596,7 @@ def _brent(
     raise NoConvergence(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
-def resonant_search(
-    shape: MollifierShape,
-    n: int,
-    rel_tol: float = 1e-10,
-) -> tuple[float, int]:
+def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     """n-th resonant coupling of the m = 2 scaling limit for a shape.
 
     Shooting at zero energy: integrate w'' = c phi(y)^2 w from (1, 0) at
@@ -602,12 +608,13 @@ def resonant_search(
     top-hat shape the levels are exactly -(n pi)^2.
 
     A scan at 2048 cells walks down from c = 0 in steps of pi^2 / 8 over
-    the window (-4 ((n + 2) pi)^2, 0) and brackets the level.  The root,
-    found there first, is refined on the same ladder as numeric_transfer
-    (_ladder, up to 2^20 cells, stop tests relative to |root|), each rung
-    bracketing its root around the previous one, with the shape's
-    error_exponents at m = 2.  The top hat, exact per cell, stops on
-    agreeing roots; smooth shapes on agreeing tableau entries.
+    the window (-4 ((n + 2) pi)^2, 0) and brackets the level.  The root is
+    found in that bracket from the scan's own shots, then refined on the
+    same ladder as numeric_transfer (_ladder, up to 2^20 cells, stop tests
+    to _LEVEL_TOL relative to |root|), each later rung bracketing its root
+    around the previous one, with the shape's error_exponents at m = 2.
+    The top hat, exact per cell, stops on agreeing roots; smooth shapes on
+    agreeing tableau entries.
 
     Raises
     ------
@@ -616,7 +623,7 @@ def resonant_search(
     BracketError
         if the scan does not isolate the requested level.
     NoConvergence
-        if cell refinement cannot pin the level to rel_tol.
+        if cell refinement cannot pin the level to _LEVEL_TOL.
     """
     if not (1 <= n <= MAX_LEVEL and n == int(n)):
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
@@ -649,22 +656,23 @@ def resonant_search(
             hi, g_hi = lo, g_lo
 
     def refine(cells: int, prev: float | None) -> float:
-        a, b = lo, hi
-        if prev is not None:
-            a, b = prev - step / 8.0, min(prev + step / 8.0, -1e-12)
-        ga, gb = shoot(a, cells), shoot(b, cells)
+        if prev is None:  # the scan's bracket, already shot at these cells
+            a, b, ga, gb = lo, hi, g_lo, g_hi
+        else:
+            a, b = prev - step / 8.0, min(prev + step / 8.0, c_hi)
+            ga, gb = shoot(a, cells), shoot(b, cells)
         widen = 0
         while ga * gb > 0.0:
             widen += 1
             if widen > 8:
                 raise BracketError("bracket lost under cell refinement")
             a -= step / 4.0
-            b = min(b + step / 4.0, -1e-12)
+            b = min(b + step / 4.0, c_hi)
             ga, gb = shoot(a, cells), shoot(b, cells)
         return _brent(lambda c: shoot(c, cells), a, b, ga, gb)
 
     root, n_cells = _ladder(
-        refine, n_cells, 2**20, rel_tol, abs, shape.error_exponents(2.0)
+        refine, n_cells, 2**20, _LEVEL_TOL, abs, shape.error_exponents(2.0)
     )
     parity = 1 if transfer(root, n_cells)[0, 0] > 0.0 else -1
     return root, parity

@@ -17,7 +17,6 @@ from .errors import (
     NonPositiveEnergy,
     NoScatteringState,
     TransferOverflow,
-    error_tag,
 )
 
 if TYPE_CHECKING:
@@ -96,7 +95,7 @@ def scattering_amplitudes(
         (error, r, t, reflect_prob, transmit_prob, flux_residual)
 
     where error is "" for a good energy, and for a failing one the tag of
-    its exception (errors.error_tag), with nan in the other entries.  The
+    its exception (SingscatError.tag), with nan in the other entries.  The
     energies are computed _BLOCK at a time by an array kernel, as the
     iterator is consumed.  Both forms give each energy's numbers bit for
     bit as CPython's complex arithmetic gives them for the formulas above.
@@ -180,7 +179,7 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> Iterator[tuple]:
         amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
         amps[:, code != 0] = complex(math.nan, math.nan)
         mods = np.hypot(amps.real, amps.imag)
-    tags = ["", error_tag(NonPositiveEnergy()), error_tag(NoScatteringState())]
+    tags = ["", NonPositiveEnergy.tag, NoScatteringState.tag]
     errors = np.array(tags, dtype=object)[code].tolist()
     # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
     rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)

@@ -26,13 +26,12 @@ _CHUNK = 512
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
+    """A float in 17 significant digits, enough to round-trip any double.
+
+    The + 0.0 turns -0.0 into 0.0, which %.17g spells "0"; nan, inf and
+    -inf come out as those words.
+    """
+    return "%.17g" % (x + 0.0)
 
 
 def _ser(value: Any, out: list[str]) -> None:
@@ -95,10 +94,9 @@ def csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 def _column_text(column: Sequence[Any], fmt: str) -> list[str]:
     """The cells of one table column as text, a whole column per call.
 
-    A column of floats goes through "%.17g" on x + 0.0, which is fmt_float
-    for every double: the + 0.0 turns -0.0 into 0.0, and %.17g already
-    spells nan, inf and -inf as fmt_float does.  Any other column is written
-    cell by cell as csv_document or canonical_json would write it.
+    A column of floats goes through fmt_float's "%.17g" on x + 0.0, mapped
+    over the whole column.  Any other column is written cell by cell as
+    csv_document or canonical_json would write it.
     """
     kinds = set(map(type, column))
     if kinds == {float}:

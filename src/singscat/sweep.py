@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import SingscatError, error_tag
+from .errors import SingscatError
 
 
 def sweep_map(fn: Callable, items: Sequence, failed: Callable) -> list:
@@ -18,5 +18,5 @@ def sweep_map(fn: Callable, items: Sequence, failed: Callable) -> list:
         try:
             out.append(fn(item))
         except SingscatError as exc:
-            out.append(failed(item, error_tag(exc)))
+            out.append(failed(item, exc.tag))
     return out

@@ -195,6 +195,15 @@ def test_exit_four_on_numerical_failure(capsys):
     code, out, _ = run(capsys, "bound", "--m", "1", "--c", "-1e308")
     assert code == 4
     assert json.loads(out)["error"] == "overflow"
+    # rows that fail with different tags leave as no_convergence: one row
+    # loses its phase at k = 1e24, the other overflows in its well
+    code, out, _ = run(
+        capsys,
+        "mollify", "--m", "3", "--c", "1", "--shape", "tophat",
+        "--eps", "1e-1,1e-9", "--k", "1e24",
+    )
+    assert code == 4
+    assert json.loads(out)["error"] == "no_convergence"
     # a level the scan cannot isolate leaves through the same exit code
     assert _fail(BracketError("no sign change between -1 and -5")) == 4
     assert json.loads(capsys.readouterr().out) == {
@@ -216,8 +225,8 @@ def test_mollify_rows_past_the_phase_limit_are_flagged(capsys):
 
 
 def test_mollify_overflowing_strip_flags_rows_and_exits_four(capsys):
-    # at k = -1e4 the free strips around the eps = 1 gauss (half width 8)
-    # overflow; every row is flagged overflow, and so is the command
+    # at k = -1e4 the transfer across the eps = 1 gauss (half width 8)
+    # overflows; every row is flagged overflow, and so is the command
     code, out, _ = run(
         capsys,
         "mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
@@ -556,6 +565,8 @@ def test_non_finite_energies_are_refused(capsys, energy):
          "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-300"),
         ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
          "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-17"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
+         "--eps", "1e-1,x"),
     ],
 )
 def test_tolerances_and_brackets_are_checked_at_parse_time(capsys, argv):
@@ -564,6 +575,26 @@ def test_tolerances_and_brackets_are_checked_at_parse_time(capsys, argv):
     doc = json.loads(out)
     assert doc["error"] == "invalid_argument"
     assert argv[-2] in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "point, energy, message",
+    [
+        (("1", "-1"), ("--k", "1", "--kmin", "1", "--kmax", "2"), "not both"),
+        (("1", "-1"), (), "an energy is required"),
+        (("1", "-1"), ("--kmin", "1"), "both --kmin and --kmax"),
+        (("3", "-1"), ("--k", "1", "--iv-a", "1"), "needs both --iv-a and --iv-b"),
+    ],
+    ids=["k_and_sweep", "no_energy", "kmin_alone", "iv_a_alone"],
+)
+def test_incomplete_or_conflicting_flags_are_refused(capsys, point, energy, message):
+    m, c = point
+    for cmd, extra in (("scatter", ()), ("radial", ("--a", "1"))):
+        code, out, _ = run(capsys, cmd, "--m", m, "--c", c, *extra, *energy)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "invalid_argument"
+        assert message in doc["message"]
 
 
 def test_default_integration_tolerance_is_above_the_floor(capsys):
@@ -618,6 +649,13 @@ def test_ksteps_bound_admits_long_sweeps(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 5001
+    # one step is the one energy kmin
+    code, out, _ = run(
+        capsys, "scatter", "--m", "1", "--c", "-1",
+        "--kmin", "1", "--kmax", "2", "--ksteps", "1",
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1"]
 
 
 def test_resonance_level_past_the_bound_is_refused(capsys):

@@ -84,18 +84,22 @@ def test_shape_construction_refuses_wrong_mass_and_uneven_profiles():
 @pytest.mark.parametrize(
     "half_support, profile, message",
     [
-        (math.nan, TOP_HAT.profile, "mass"),
-        (math.inf, TOP_HAT.profile, "mass"),
+        (math.nan, TOP_HAT.profile, "half support"),
+        (math.inf, TOP_HAT.profile, "half support"),
+        (0.0, TOP_HAT.profile, "half support"),
+        (-0.5, TOP_HAT.profile, "half support"),
         (0.5, lambda y: np.full_like(y, math.nan), "mass"),
         # nan at the one probe point y = 0, which no mass node hits
         (0.5, lambda y: np.where(y == 0.0, math.nan, TOP_HAT.profile(y)), "not even"),
     ],
-    ids=["nan_support", "inf_support", "nan_profile", "nan_at_origin"],
+    ids=[
+        "nan_support", "inf_support", "zero_support", "negative_support",
+        "nan_profile", "nan_at_origin",
+    ],
 )
 def test_shape_construction_refuses_non_finite_input(half_support, profile, message):
-    # nan fails every comparison, so the checks must not read "> tol";
-    # inf - inf in the panel centres warns
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+    # nan fails every comparison, so the checks must not read "> tol"
+    with pytest.raises(ValueError, match=message):
         MollifierShape("x", half_support, profile)
 
 
@@ -226,11 +230,27 @@ def test_sweep_rows_carry_overflow_tags_instead_of_raising():
 
 
 def test_overflowing_strip_is_a_transfer_overflow():
+    # at k = -1e4 the transfer across the gauss already overflows
     pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 1.0)
     with pytest.raises(TransferOverflow):
         effective_junction(pot, -1e4)
     rows = convergence_sweep(PotentialSpec(1.0, -1.0), GAUSSIAN, [1.0, 0.5, 0.1], -1e4)
     assert [row.error for row in rows] == ["overflow"] * 3
+    # here the well keeps the transfer finite, and only the strips overflow
+    pot = RegularizedPotential(PotentialSpec(1.0, -8e6), TOP_HAT, 1.0)
+    numeric_transfer(pot, -4e6)
+    with pytest.raises(TransferOverflow, match="stripping free flight"):
+        effective_junction(pot, -4e6)
+
+
+def test_lab_results_are_plain_floats():
+    pot = RegularizedPotential(PotentialSpec(1.0, -1.0), TOP_HAT, 0.1)
+    (row,) = convergence_sweep(
+        PotentialSpec(1.0, -1.0), TOP_HAT, [0.1], 1.0, reference=Mat2.identity()
+    )
+    values = [*numeric_transfer(pot, 1.0), *effective_junction(pot, 1.0)]
+    values += [*row.matrix, row.deviation, row.det_err]
+    assert [type(v) for v in values] == [float] * 14
 
 
 def test_phase_past_its_rounding_is_a_precision_loss():
@@ -275,6 +295,30 @@ def test_estimate_order_on_synthetic_rows():
     ]
     with pytest.raises(InsufficientData):
         estimate_order(errored)
+    # equal deviations: the fit is flat and explains everything
+    flat = [ConvergenceRow(eps, eye, 0.5, 0.0) for eps in (1e-1, 1e-2, 1e-3)]
+    slope, r2 = estimate_order(flat)
+    assert abs(slope) < 1e-12 and r2 == 1.0
+
+
+def _synthetic_rows(deviations: list[float]) -> list[ConvergenceRow]:
+    eps_list = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+    return [
+        ConvergenceRow(eps, Mat2.identity(), dev, 0.0)
+        for eps, dev in zip(eps_list, deviations)
+    ]
+
+
+def test_deviations_spread_within_a_decade_are_non_convergent():
+    # the fit is flat and explains nothing, so the decade test decides
+    rows = _synthetic_rows([1.0, 10.0, 1.0, 10.0, 1.0])
+    verdict, slope, r2 = certify_convergence(rows)
+    assert verdict == "non_convergent"
+    assert abs(slope) < 0.05 and r2 < 0.5
+    rows = _synthetic_rows([1.0, 2.0, 1.0, 2.0, 1.0])
+    verdict, slope, r2 = certify_convergence(rows)
+    assert verdict == "convergent"
+    assert abs(slope) < 0.05 and r2 < 0.5
 
 
 def test_certified_divergence_of_intermediate_band():
@@ -329,16 +373,31 @@ def test_resonant_search_tophat_exact_levels():
 
 def test_resonant_search_parity_alternates_for_smooth_shapes():
     for shape in (TRIANGLE, COSINE_BUMP):
-        c_1, parity_1 = resonant_search(shape, 1, rel_tol=1e-8)
-        c_2, parity_2 = resonant_search(shape, 2, rel_tol=1e-8)
+        c_1, parity_1 = resonant_search(shape, 1)
+        c_2, parity_2 = resonant_search(shape, 2)
         assert c_2 < c_1 < 0
         assert parity_1 == -1.0
         assert parity_2 == 1.0
 
 
+def test_first_level_reuses_the_scan_shots(monkeypatch):
+    shots = []
+
+    def counting(pot, k, n_cells):
+        shots.append(n_cells)
+        return transfer_fixed_cells(pot, k, n_cells)
+
+    monkeypatch.setattr(mollifier_mod, "transfer_fixed_cells", counting)
+    level, _ = resonant_search(TOP_HAT, 1)
+    assert abs(level + math.pi**2) < 1e-8 * math.pi**2
+    # the first rung solves in the scan's bracket without shooting its ends
+    # again
+    assert len(shots) == 20
+
+
 def test_resonant_levels_depend_on_shape():
     c_tophat, _ = resonant_search(TOP_HAT, 1)
-    c_gauss, _ = resonant_search(GAUSSIAN, 1, rel_tol=1e-8)
+    c_gauss, _ = resonant_search(GAUSSIAN, 1)
     assert abs(c_tophat - c_gauss) > 1e-3
 
 

@@ -34,7 +34,6 @@ from singscat import (
 )
 from singscat import scatter
 from singscat.cli import main
-from singscat.errors import error_tag
 from singscat.serialize import canonical_json, csv_document, fmt_float, table_document
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -320,10 +319,10 @@ def test_failing_energies_carry_the_tag_of_their_error():
             scattering_amplitudes(junction, k)
         (row,) = transmission_curve(junction, [k])
         assert row.result is None
-        assert row.error == error_tag(caught.value)
+        assert row.error == caught.value.tag
     assert isinstance(caught.value, NoScatteringState)
     rows = transmission_curve(delta, [0.0, -1.0, math.nan, 2.0])
-    assert [row.error for row in rows] == [error_tag(NonPositiveEnergy())] * 3 + [""]
+    assert [row.error for row in rows] == [NonPositiveEnergy.tag] * 3 + [""]
     with pytest.raises(ValueError, match="finite"):
         scattering_amplitudes(delta, math.inf)
     with pytest.raises(ValueError, match="finite"):
@@ -337,7 +336,7 @@ def test_a_matching_determinant_past_the_float_range_is_refused_on_both_paths():
     with pytest.raises(NoScatteringState):
         scattering_amplitudes(junction, 1.0)
     (row,) = transmission_curve(junction, [1.0])
-    assert row.error == error_tag(NoScatteringState())
+    assert row.error == NoScatteringState.tag
 
 
 def _complex_reference(junction: Mat2, k: float) -> str:
@@ -347,7 +346,7 @@ def _complex_reference(junction: Mat2, k: float) -> str:
     denom = complex(k * j12 - j21, q * (j11 + j22))
     scale = k * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
     if abs(denom) <= 1e-14 * max(1.0, scale):
-        return error_tag(NoScatteringState())
+        return NoScatteringState.tag
     r = complex(k * j12 + j21, q * (j22 - j11)) / denom
     t = j11 * (1.0 + r) + 1j * q * j12 * (1.0 - r)
     det_j = junction.det()
@@ -385,7 +384,7 @@ def test_curve_equals_single_energies_and_complex_arithmetic(junction, grid):
             single = _row_text(transmission_curve(junction, [k])[0])
             assert single == _hexes(scattering_amplitudes(junction, k))
         except SingscatError as exc:
-            assert single == error_tag(exc)
+            assert single == exc.tag
         assert _row_text(row) == single
         if k > 0.0:
             assert single == _complex_reference(junction, k)
@@ -481,3 +480,16 @@ def test_table_writer_equals_csv_document_and_canonical_json(table):
     doc = {"rows": [dict(zip(fields, row)) for row in rows]}
     json_text = table_document(fields, iter(rows), "json")
     assert _first_difference(json_text, canonical_json(doc) + "\n") is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt_float_spells_specials_and_round_trips_at_17_digits(x):
+    assert [fmt_float(v) for v in (math.nan, math.inf, -math.inf)] == [
+        "nan", "inf", "-inf"
+    ]
+    assert fmt_float(0.0) == fmt_float(-0.0) == "0"
+    assert fmt_float(-1.5) == "-1.5" and fmt_float(0.1) == "0.10000000000000001"
+    text = fmt_float(x)
+    digits = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+    assert float(text) == x and len(digits) <= 17
