@@ -33,7 +33,7 @@ from .errors import (
     UndefinedRegime,
 )
 from .junction import (
-    DEFAULT_RESONANCE_TOL,
+    RESONANCE_TOL,
     IvChoice,
     Regime,
     RegimeKind,
@@ -72,7 +72,7 @@ __all__ = [
     "classify_regime",
     "junction_matrix",
     "resonant_couplings",
-    "DEFAULT_RESONANCE_TOL",
+    "RESONANCE_TOL",
     "ScatteringResult",
     "SweepRow",
     "BoundSpectrum",

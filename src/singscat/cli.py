@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Iterable
 
-from .core import DEFAULT_TOL_REL, PotentialSpec, ShellPotentialSpec
+from .core import PotentialSpec, ShellPotentialSpec
 from .errors import (
     BracketError,
     InsufficientData,
@@ -33,13 +33,7 @@ from .errors import (
     TransferOverflow,
     UndefinedRegime,
 )
-from .junction import (
-    DEFAULT_RESONANCE_TOL,
-    IvChoice,
-    RegimeKind,
-    classify_regime,
-    junction_matrix,
-)
+from .junction import IvChoice, RegimeKind, classify_regime, junction_matrix
 from .radial import _s_wave
 from .scatter import bound_states as solve_bound_states
 from .scatter import scattering_amplitudes
@@ -88,46 +82,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(raw: str) -> float:
-    """argparse type of a positive finite tolerance."""
-    value = float(raw)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {raw!r}")
-    return value
-
-
-def _int_tol(raw: str) -> float:
-    """argparse type of --int-tol: a tolerance no finer than double rounding.
-
-    Cell results carry rounding of about one ulp, so a relative gap below
-    machine epsilon is never reached and the ladder would run to its cap.
-    """
-    value = _positive_float(raw)
-    if value < sys.float_info.epsilon:
-        raise argparse.ArgumentTypeError(
-            f"expected a tolerance >= {sys.float_info.epsilon!r}, got {raw!r}"
-        )
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the result document to this path")
 
-    # (m, c) of the point potential, the case IV choice and the m=2
-    # resonance matching tolerance
+    # (m, c) of the point potential and the case IV choice
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--m", type=float, required=True)
     point.add_argument("--c", type=float, required=True)
     point.add_argument("--iv-a", type=int, choices=(1, -1), dest="iv_a")
     point.add_argument("--iv-b", type=float, dest="iv_b")
-    point.add_argument(
-        "--resonance-tol",
-        type=_positive_float,
-        default=DEFAULT_RESONANCE_TOL,
-        dest="resonance_tol",
-        help="relative tolerance matching m=2 resonant couplings",
-    )
 
     # the output format of the subcommands whose rows go through _emit
     table = argparse.ArgumentParser(add_help=False)
@@ -137,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     kgrid.add_argument("--k", type=float, help="single energy k > 0")
     kgrid.add_argument("--kmin", type=float)
     kgrid.add_argument("--kmax", type=float)
-    kgrid.add_argument("--ksteps", type=int, default=50)
-    kgrid.add_argument("--kscale", choices=("log", "lin"), default="log")
+    # defaults 50 and log, applied by _k_grid, which refuses either with --k
+    kgrid.add_argument("--ksteps", type=int)
+    kgrid.add_argument("--kscale", choices=("log", "lin"))
 
     parser = _Parser(
         prog="singscat",
@@ -175,13 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mollify.add_argument("--k", type=float, default=1.0)
     p_mollify.add_argument(
-        "--int-tol",
-        type=_int_tol,
-        default=DEFAULT_TOL_REL,
-        dest="int_tol",
-        help="relative tolerance of the cell integrator",
-    )
-    p_mollify.add_argument(
         "--reference",
         choices=("junction", "none"),
         default="junction",
@@ -201,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_choice(args: argparse.Namespace) -> IvChoice | None:
     """The case IV choice of the flags; they are refused in any other regime."""
-    regime = classify_regime(PotentialSpec(args.m, args.c), args.resonance_tol)
+    regime = classify_regime(PotentialSpec(args.m, args.c))
     given = [
         flag
         for flag, value in (("--iv-a", args.iv_a), ("--iv-b", args.iv_b))
@@ -223,6 +181,8 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
     if not sweeping:
         if args.k is None:
             raise UsageError("an energy is required: --k or --kmin/--kmax")
+        if args.ksteps is not None or args.kscale is not None:
+            raise UsageError("--ksteps and --kscale shape a sweep, not a single --k")
         if not 0.0 < args.k < math.inf:
             raise UsageError(f"k must be positive and finite, got {args.k}")
         return None
@@ -230,12 +190,12 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
         raise UsageError("sweeps need both --kmin and --kmax")
     if not 0.0 < args.kmin <= args.kmax < math.inf:
         raise UsageError("sweeps need 0 < kmin <= kmax < inf")
-    if not 1 <= args.ksteps <= MAX_KSTEPS:
-        raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {args.ksteps}")
-    if args.ksteps == 1:
+    steps = 50 if args.ksteps is None else args.ksteps
+    if not 1 <= steps <= MAX_KSTEPS:
+        raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {steps}")
+    if steps == 1:
         return [args.kmin]
-    steps = args.ksteps
-    if args.kscale == "log":
+    if args.kscale != "lin":
         ratio = args.kmax / args.kmin
         grid = [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
     else:
@@ -248,8 +208,8 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
 
 def cmd_junction(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    regime = classify_regime(p, args.resonance_tol)
-    matrix = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
+    regime = classify_regime(p)
+    matrix = junction_matrix(p, _resolve_choice(args))
     doc = {
         "regime": regime.kind.value,
         "n": regime.n,
@@ -282,7 +242,7 @@ def _scatter_row(res) -> list:
 
 def cmd_scatter(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
+    matrix = junction_matrix(p, _resolve_choice(args))
     grid = _k_grid(args)
     if grid is None:
         row = _scatter_row(scattering_amplitudes(matrix, args.k))
@@ -299,7 +259,7 @@ def cmd_scatter(args: argparse.Namespace) -> str:
 
 def cmd_bound(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
+    matrix = junction_matrix(p, _resolve_choice(args))
     spectrum = solve_bound_states(matrix)
     if spectrum.kind == "discrete":
         doc = {
@@ -317,7 +277,7 @@ def cmd_radial(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
     a = ShellPotentialSpec(p, args.a).a
     # regime errors surface before grid errors; _k_grid makes every k > 0
-    junction = junction_matrix(p, _resolve_choice(args), args.resonance_tol)
+    junction = junction_matrix(p, _resolve_choice(args))
     grid = _k_grid(args)
 
     def solve(k: float) -> list:
@@ -347,12 +307,10 @@ def cmd_mollify(args: argparse.Namespace) -> str:
     reference = None
     if args.reference == "junction":
         try:
-            reference = junction_matrix(p, choice, args.resonance_tol)
+            reference = junction_matrix(p, choice)
         except (UndefinedRegime, MissingChoice):
             reference = None
-    rows = convergence_sweep(
-        p, shape, eps_list, args.k, reference=reference, tol_rel=args.int_tol
-    )
+    rows = convergence_sweep(p, shape, eps_list, args.k, reference=reference)
     verdict, slope, r2 = certify_convergence(rows)
     flag = "non_convergent" if verdict == "non_convergent" else "ok"
     cells = [

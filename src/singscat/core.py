@@ -31,10 +31,6 @@ from .errors import InvalidExponent, PrecisionLoss
 if TYPE_CHECKING:
     import numpy as np
 
-# Default relative tolerance of the mollifier's cell integrator; kept here
-# so the CLI reads it without importing the mollifier.
-DEFAULT_TOL_REL = 1e-10
-
 # Below this |k|*x^2 the closed forms for S lose digits (and divide 0/0 at
 # k = 0), so a 3-term series takes over.  Truncation error ~ (1e-4)^3/5040.
 SERIES_WINDOW = 1e-4

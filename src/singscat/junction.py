@@ -22,13 +22,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import CheckedRecord, Mat2, PotentialSpec
-from .errors import MissingChoice, UndefinedRegime
+from .errors import MissingChoice, PrecisionLoss, UndefinedRegime
 
 # Absolute tolerance for deciding m == 1 and m == 2.
 EXPONENT_TOL = 1e-12
 
-# Default relative tolerance on sqrt(-c)/pi when matching resonant levels.
-DEFAULT_RESONANCE_TOL = 1e-9
+# Relative tolerance on sqrt(-c)/pi when matching resonant levels.
+RESONANCE_TOL = 1e-9
 
 
 class RegimeKind(str, Enum):
@@ -63,15 +63,15 @@ class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
         return tuple.__new__(cls, (a, b))
 
 
-def classify_regime(
-    p: PotentialSpec, resonance_tol: float = DEFAULT_RESONANCE_TOL
-) -> Regime:
+def classify_regime(p: PotentialSpec) -> Regime:
     """Assign the unique regime of a point potential.
 
     The exponent comparisons m == 1 and m == 2 use the absolute tolerance
     EXPONENT_TOL.  Resonance matching at m = 2 is relative: with
     nu = sqrt(-c)/pi, level n = round(nu) matches iff
-    |nu - n| <= resonance_tol * max(1, nu).
+    |nu - n| <= RESONANCE_TOL * max(1, nu).  Once that window reaches half
+    the level spacing (nu >= 5e8, c <= about -2.47e18) every coupling
+    would match a level, so PrecisionLoss is raised instead.
     """
     m, c = p.m, p.c
     if abs(m - 1.0) <= EXPONENT_TOL:
@@ -82,8 +82,13 @@ def classify_regime(
                 RegimeKind.UNDEFINED, reason="m = 2 with positive coupling"
             )
         nu = math.sqrt(-c) / math.pi
+        window = RESONANCE_TOL * max(1.0, nu)
+        if window >= 0.5:
+            raise PrecisionLoss(
+                f"m = 2 coupling {c!r} is too large to tell resonant levels apart"
+            )
         n = round(nu)
-        if abs(nu - n) <= resonance_tol * max(1.0, nu):
+        if abs(nu - n) <= window:
             return Regime(RegimeKind.RESONANT_SQUARE, n=n)
         return Regime(
             RegimeKind.UNDEFINED,
@@ -103,11 +108,7 @@ def classify_regime(
     )
 
 
-def junction_matrix(
-    p: PotentialSpec,
-    choice: IvChoice | None = None,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
-) -> Mat2:
+def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
     """Junction matrix of a point potential.
 
     choice must be supplied exactly when the regime is indeterminate;
@@ -120,8 +121,10 @@ def junction_matrix(
         if no junction exists for (m, c).
     MissingChoice
         if the regime is indeterminate and choice is None.
+    PrecisionLoss
+        if m = 2 and c is too large to match resonant levels.
     """
-    regime = classify_regime(p, resonance_tol)
+    regime = classify_regime(p)
     if regime.kind is RegimeKind.INDETERMINATE:
         if choice is None:
             raise MissingChoice(

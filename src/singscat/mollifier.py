@@ -15,9 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# DEFAULT_TOL_REL is re-exported: it is the default tol_rel of this module.
 from .core import (
-    DEFAULT_TOL_REL,
     CheckedRecord,
     Mat2,
     PotentialSpec,
@@ -33,9 +31,11 @@ from .errors import (
 )
 from .sweep import sweep_map
 
-# Cell refinement of the transfer integrator: start, hard cap.
+# Cell refinement of the transfer integrator: start, hard cap, and the
+# relative tolerance its stop tests apply.
 N_CELLS_START = 64
 N_CELLS_CAP = 2**22
+TOL_REL = 1e-10
 # Cells per chunk of the ordered product; bounds its working memory.
 _CHUNK_CELLS = 2**16
 
@@ -340,19 +340,17 @@ def _checked(mat: np.ndarray, n_cells: int) -> Mat2:
     return result
 
 
-def numeric_transfer(
-    pot: RegularizedPotential, k: float, tol_rel: float = DEFAULT_TOL_REL
-) -> Mat2:
+def numeric_transfer(pot: RegularizedPotential, k: float) -> Mat2:
     """Transfer matrix of the mollified potential across its support.
 
     transfer_fixed_cells on the refinement ladder _ladder, from 64 cells
-    up to a hard cap of 2^22, with both stop tests in max-abs entry
-    relative to max(1, max-abs entry) and the tableau's powers of h from
-    the shape's error_exponents at the potential's m.  Shapes that are
-    constant per cell, such as the top hat, stop on agreeing midpoint
-    iterates and return the finer one; smooth shapes stop on agreeing
-    tableau entries, for m in 0.5..3 at eps = 1e-3 and k = 1 within 2^13
-    cells.
+    up to a hard cap of 2^22, with both stop tests at TOL_REL = 1e-10 in
+    max-abs entry relative to max(1, max-abs entry) and the tableau's
+    powers of h from the shape's error_exponents at the potential's m.
+    Shapes that are constant per cell, such as the top hat, stop on
+    agreeing midpoint iterates and return the finer one; smooth shapes
+    stop on agreeing tableau entries, for m in 0.5..3 at eps = 1e-3 and
+    k = 1 within 2^13 cells.
 
     Raises
     ------
@@ -376,15 +374,13 @@ def numeric_transfer(
         return max(1.0, float(np.abs(mat).max()))
 
     mat, n = _ladder(
-        iterate, N_CELLS_START, N_CELLS_CAP, tol_rel, scale,
+        iterate, N_CELLS_START, N_CELLS_CAP, TOL_REL, scale,
         pot.shape.error_exponents(pot.spec.m),
     )
     return _checked(mat, n)
 
 
-def effective_junction(
-    pot: RegularizedPotential, k: float, tol_rel: float = DEFAULT_TOL_REL
-) -> Mat2:
+def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
     """Junction-like matrix of a mollified potential.
 
     Free propagation over the half supports is stripped from both sides
@@ -399,7 +395,7 @@ def effective_junction(
     product leave the representable range.
     """
     check_phase(k, pot.half_width)
-    transfer = numeric_transfer(pot, k, tol_rel)
+    transfer = numeric_transfer(pot, k)
     try:
         strip = free_transfer(k, -pot.half_width)
         return strip @ transfer @ strip
@@ -430,7 +426,6 @@ def convergence_sweep(
     eps_list: Sequence[float],
     k: float,
     reference: Mat2 | None = None,
-    tol_rel: float = DEFAULT_TOL_REL,
 ) -> list[ConvergenceRow]:
     """Effective junction per eps, never aborting on per-row failures.
 
@@ -447,7 +442,7 @@ def convergence_sweep(
         raise ValueError("eps values must be positive")
 
     def one(eps: float) -> ConvergenceRow:
-        m_eps = effective_junction(RegularizedPotential(p, shape, eps), k, tol_rel)
+        m_eps = effective_junction(RegularizedPotential(p, shape, eps), k)
         deviation = (
             m_eps.max_abs_diff(reference) if reference is not None else math.nan
         )

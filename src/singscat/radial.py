@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .core import Mat2, ShellPotentialSpec, check_phase, free_propagators
 from .errors import NonPositiveEnergy, TransferOverflow
-from .junction import DEFAULT_RESONANCE_TOL, IvChoice, junction_matrix
+from .junction import IvChoice, junction_matrix
 
 
 class RadialResult(NamedTuple):
@@ -88,10 +88,7 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
 
 
 def s_wave_solve(
-    shell: ShellPotentialSpec,
-    k: float,
-    choice: IvChoice | None = None,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
+    shell: ShellPotentialSpec, k: float, choice: IvChoice | None = None
 ) -> RadialResult:
     """Phase shift delta0 in (-pi/2, pi/2], cross section sigma0 and u(r).
 
@@ -103,7 +100,7 @@ def s_wave_solve(
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
-    junction = junction_matrix(shell.base, choice, resonance_tol)
+    junction = junction_matrix(shell.base, choice)
     delta0, sigma0, interior, alpha, beta = _s_wave(junction, shell.a, k)
     return RadialResult(k, shell.a, delta0, sigma0, interior, (alpha, beta))
 

@@ -264,7 +264,7 @@ def test_radial_cross_section_that_overflows_is_refused(capsys, m, c):
 
 # ------------------------------------------------------------------ flags
 
-_POINT_OPTIONS = {"--out", "--m", "--c", "--iv-a", "--iv-b", "--resonance-tol"}
+_POINT_OPTIONS = {"--out", "--m", "--c", "--iv-a", "--iv-b"}
 _KGRID_OPTIONS = {"--k", "--kmin", "--kmax", "--ksteps", "--kscale"}
 _SUBCOMMAND_OPTIONS = {
     "junction": _POINT_OPTIONS,
@@ -272,7 +272,7 @@ _SUBCOMMAND_OPTIONS = {
     "scatter": _POINT_OPTIONS | _KGRID_OPTIONS | {"--format"},
     "radial": _POINT_OPTIONS | _KGRID_OPTIONS | {"--format", "--a"},
     "mollify": _POINT_OPTIONS
-    | {"--format", "--int-tol", "--shape", "--eps", "--k", "--reference"},
+    | {"--format", "--shape", "--eps", "--k", "--reference"},
     "resonance": {"--out", "--shape", "--n"},
 }
 
@@ -296,7 +296,36 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, strings in _subcommand_options().items()
     }
     assert options == _SUBCOMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 52
+    assert sum(map(len, options.values())) == 46
+
+
+def test_no_tolerance_is_a_knob():
+    """Tolerances are module constants: no public function takes one as a
+    parameter and no subcommand takes one as an option."""
+    import ast
+
+    src = Path(__file__).parent.parent / "src" / "singscat"
+
+    def public(name: str) -> bool:
+        return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+    def functions(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and public(node.name):
+                yield node
+            elif isinstance(node, ast.ClassDef) and public(node.name):
+                yield from functions(node.body)
+
+    knobs = [
+        f"{path.name}:{func.name}({arg.arg})"
+        for path in sorted(src.glob("*.py"))
+        for func in functions(ast.parse(path.read_text(encoding="utf-8")).body)
+        for arg in ast.walk(func.args)
+        if isinstance(arg, ast.arg) and "tol" in arg.arg
+    ]
+    assert knobs == []
+    options = set().union(*_subcommand_options().values())
+    assert [option for option in options if option.endswith("-tol")] == []
 
 
 @pytest.mark.parametrize(
@@ -316,6 +345,10 @@ def test_each_subcommand_takes_only_the_options_it_reads():
          ("--c-min", "-5", "--c-max", "-1")),
         (("junction", "--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "0"),
          ("--iv-default",)),
+        (("mollify", "--m", "1", "--c", "-1", "--shape", "tophat",
+          "--eps", "1e-1,1e-2", "--reference", "none"), ("--int-tol", "1e-3")),
+        (("junction", "--m", "2", "--c", "-9.869604401089358"),
+         ("--resonance-tol", "1e-6")),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
@@ -461,16 +494,20 @@ def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_resonance_tol_flag_widens_the_matching_window(capsys):
-    off_resonance = -(((1 + 5e-7) * math.pi) ** 2)
-    argv = ("junction", "--m", "2", "--c", repr(off_resonance))
-
-    code, _, _ = run(capsys, *argv)
-    assert code == 3  # default tolerance rejects the perturbed coupling
-
-    code, out, _ = run(capsys, *argv, "--resonance-tol", "1e-6")
+def test_m2_couplings_past_the_matching_window_exit_four(capsys):
+    # RESONANCE_TOL * sqrt(-c) / pi reaches half the level spacing at
+    # c = -(5e8 pi)^2, about -2.47e18; past it every coupling matches a level
+    code, out, _ = run(capsys, "junction", "--m", "2", "--c", "-1e20")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["error"] == "precision_loss"
+    assert "-1e+20" in doc["message"]
+    assert run(capsys, "junction", "--m", "2", "--c", "-1e16")[0] == 3
+    level = repr(-((1000 * math.pi) ** 2))
+    code, out, _ = run(capsys, "junction", "--m", "2", "--c", level)
     assert code == 0
-    assert json.loads(out)["regime"] == "resonant_square"
+    doc = json.loads(out)
+    assert (doc["regime"], doc["n"]) == ("resonant_square", 1000)
 
 
 def test_mollify_reference_none_reports_nan_deviation(capsys):
@@ -541,30 +578,21 @@ def test_non_finite_energies_are_refused(capsys, energy):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "nan"),
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "0"),
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "-1e-9"),
-        ("junction", "--m", "2", "--c", "-9.869604401089358",
-         "--resonance-tol", "nan"),
-        ("junction", "--m", "2", "--c", "-9.869604401089358",
-         "--resonance-tol", "-1"),
-        ("junction", "--m", "2", "--c", "-9.869604401089358",
-         "--resonance-tol", "inf"),
-        ("junction", "--m", "2", "--c", "-9.869604401089358",
-         "--resonance-tol", "-inf"),
-        ("scatter", "--m", "1", "--c", "-1", "--k", "1",
-         "--resonance-tol", "-Infinity"),
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "-nan"),
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "-inf"),
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-300"),
-        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
-         "--eps", "1e-1,1e-2,1e-3", "--int-tol", "1e-17"),
+        ("junction", "--c", "-1", "--m", "x"),
+        ("junction", "--m", "1", "--c", "1e"),
+        ("junction", "--m", "3", "--c", "-1", "--iv-b", "0", "--iv-a", "2"),
+        ("junction", "--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "x"),
+        ("scatter", "--m", "1", "--c", "-1", "--k", "x"),
+        ("scatter", "--m", "1", "--c", "-1", "--kmax", "2", "--kmin", "x"),
+        ("scatter", "--m", "1", "--c", "-1", "--kmin", "1", "--kmax", "2",
+         "--ksteps", "2.5"),
+        ("radial", "--m", "1", "--c", "-1", "--a", "1", "--kmin", "1", "--kmax", "2",
+         "--kscale", "exp"),
+        ("radial", "--m", "1", "--c", "-1", "--k", "1", "--a", "x"),
+        ("scatter", "--m", "1", "--c", "-1", "--k", "1", "--format", "xml"),
+        ("mollify", "--m", "1", "--c", "-1", "--eps", "1e-1,1e-2", "--shape", "box"),
+        ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss", "--eps", "1e-1,1e-2",
+         "--reference", "exact"),
         ("mollify", "--m", "1", "--c", "-1", "--shape", "gauss",
          "--eps", "1e-1,x"),
     ],
@@ -584,8 +612,11 @@ def test_tolerances_and_brackets_are_checked_at_parse_time(capsys, argv):
         (("1", "-1"), (), "an energy is required"),
         (("1", "-1"), ("--kmin", "1"), "both --kmin and --kmax"),
         (("3", "-1"), ("--k", "1", "--iv-a", "1"), "needs both --iv-a and --iv-b"),
+        (("1", "-1"), ("--k", "1", "--ksteps", "7"), "not a single --k"),
+        (("1", "-1"), ("--k", "1", "--kscale", "lin"), "not a single --k"),
     ],
-    ids=["k_and_sweep", "no_energy", "kmin_alone", "iv_a_alone"],
+    ids=["k_and_sweep", "no_energy", "kmin_alone", "iv_a_alone", "k_and_ksteps",
+         "k_and_kscale"],
 )
 def test_incomplete_or_conflicting_flags_are_refused(capsys, point, energy, message):
     m, c = point
@@ -595,13 +626,6 @@ def test_incomplete_or_conflicting_flags_are_refused(capsys, point, energy, mess
         doc = json.loads(out)
         assert doc["error"] == "invalid_argument"
         assert message in doc["message"]
-
-
-def test_default_integration_tolerance_is_above_the_floor(capsys):
-    argv = ("mollify", "--m", "1", "--c", "-1", "--shape", "tophat", "--eps", "1e-1,1e-2")
-    code, out, _ = run(capsys, *argv, "--int-tol", "1e-10")
-    assert code == 0
-    assert run(capsys, *argv)[1] == out
 
 
 _POINT_ARGS = {

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from singscat import (
-    DEFAULT_RESONANCE_TOL,
+    RESONANCE_TOL,
     IvChoice,
     Mat2,
     MissingChoice,
     PotentialSpec,
+    PrecisionLoss,
     Regime,
     RegimeKind,
     UndefinedRegime,
@@ -49,7 +50,7 @@ def test_exactly_one_regime_per_parameter_point():
     cs = rng.uniform(-120.0, 20.0, size=4000)
     for m, c in zip(ms, cs):
         regime = classify_regime(PotentialSpec(float(m), float(c)))
-        assert regime.kind == _reference_kind(float(m), float(c), DEFAULT_RESONANCE_TOL)
+        assert regime.kind == _reference_kind(float(m), float(c), RESONANCE_TOL)
 
 
 def test_subcritical_regime_is_transparent():
@@ -83,13 +84,16 @@ def test_resonance_tolerance_window():
     def shifted(d_nu: float) -> float:
         return -(((n + d_nu) * math.pi) ** 2)
 
-    inside = shifted(0.5 * DEFAULT_RESONANCE_TOL * n)
-    outside = shifted(10.0 * DEFAULT_RESONANCE_TOL * n)
+    inside = shifted(0.5 * RESONANCE_TOL * n)
+    outside = shifted(10.0 * RESONANCE_TOL * n)
     assert classify_regime(PotentialSpec(2.0, inside)).kind is RegimeKind.RESONANT_SQUARE
     assert classify_regime(PotentialSpec(2.0, outside)).kind is RegimeKind.UNDEFINED
-    # widening the tolerance reclassifies the same point
-    wide = classify_regime(PotentialSpec(2.0, outside), resonance_tol=1e-6)
-    assert wide.kind is RegimeKind.RESONANT_SQUARE
+    # the window RESONANCE_TOL * nu is 0.032 at c = -1e16; at c = -1e20 it
+    # is 3.2, past half the level spacing, and is refused
+    assert classify_regime(PotentialSpec(2.0, -1e16)).kind is RegimeKind.UNDEFINED
+    for call in (classify_regime, junction_matrix):
+        with pytest.raises(PrecisionLoss, match="-1e\\+20"):
+            call(PotentialSpec(2.0, -1e20))
 
 
 def test_square_exponent_off_resonance_is_undefined():

@@ -274,8 +274,12 @@ def test_numeric_transfer_reports_no_convergence_at_cell_cap(monkeypatch):
     monkeypatch.setattr(mollifier_mod, "N_CELLS_CAP", 256)
     pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 0.1)
     with pytest.raises(NoConvergence) as exc_info:
-        numeric_transfer(pot, 1.0, tol_rel=1e-18)
-    assert len(exc_info.value.last_iterates) >= 2
+        numeric_transfer(pot, 1.0)
+    first, second = exc_info.value.last_iterates
+    assert first is not None and second is not None
+    # one more doubling meets the tolerance: the cap, not the shape, failed
+    monkeypatch.setattr(mollifier_mod, "N_CELLS_CAP", 512)
+    numeric_transfer(pot, 1.0)
 
 
 def test_estimate_order_on_synthetic_rows():

@@ -135,20 +135,6 @@ def test_cli_shape_names_are_the_shape_registry():
     assert cli.SHAPE_NAMES == tuple(sorted(mollifier.SHAPES))
 
 
-def test_default_integration_tolerance_is_defined_once():
-    from singscat import core, mollifier
-
-    sources = (ROOT / "src" / "singscat").glob("*.py")
-    definitions = [
-        path.name
-        for path in sources
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if re.match(r"DEFAULT_TOL_REL\s*=", line)
-    ]
-    assert definitions == ["core.py"]
-    assert mollifier.DEFAULT_TOL_REL is core.DEFAULT_TOL_REL
-
-
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
 def test_runtime_dependencies_are_numpy_alone():
     import tomllib
