@@ -19,7 +19,7 @@ import argparse
 import math
 import re
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from .core import PotentialSpec, ShellPotentialSpec
 from .errors import (
@@ -201,6 +201,8 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
     else:
         span = args.kmax - args.kmin
         grid = [args.kmin + span * i / (steps - 1) for i in range(steps)]
+    # both formulas can land an ulp off kmax at the last point
+    grid[-1] = args.kmax
     if not all(map(math.isfinite, grid)):
         raise UsageError("the energy grid overflows; narrow --kmin/--kmax")
     return grid

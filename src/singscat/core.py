@@ -15,19 +15,20 @@ or one at a time through the scalar wrapper free_transfer.  It is the
 one place here that uses numpy, and imports it when called, so the
 closed-form paths that never propagate run without loading numpy.
 
-The package's records are tuples with named fields: typing.NamedTuple
-classes, or, where fields are checked, namedtuple subclasses that check
-them in __new__, through which CheckedRecord routes _make and _replace.
+Every record of the package is a collections.namedtuple subclass with
+__slots__ = ().  Where fields are checked, __new__ checks them, and
+CheckedRecord routes _make and _replace through __new__.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidExponent, PrecisionLoss
 
+# Read as true by type checkers; it keeps typing off the import path.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -205,18 +206,17 @@ def check_phase(k: float, x: float) -> None:
         )
 
 
-class PiecewiseSolution(NamedTuple):
+class PiecewiseSolution(namedtuple("PiecewiseSolution", "k left_coeffs junction")):
     """Solution of the point-potential problem on both half lines.
 
+    Energy k, a float pair left_coeffs and the Mat2 junction.
     Coefficients are in the (C, S) basis anchored at the origin, so each
     coefficient pair is literally the one-sided boundary data
     (psi(0), psi'(0)) of its branch.  The left pair and the junction fix
     the solution; the right pair is the junction applied to the left.
     """
 
-    k: float
-    left_coeffs: tuple[float, float]
-    junction: Mat2
+    __slots__ = ()
 
     @property
     def right_coeffs(self) -> tuple[float, float]:

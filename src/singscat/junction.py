@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .core import CheckedRecord, Mat2, PotentialSpec
 from .errors import MissingChoice, PrecisionLoss, UndefinedRegime
@@ -39,15 +38,14 @@ class RegimeKind(str, Enum):
     UNDEFINED = "undefined"
 
 
-class Regime(NamedTuple):
+class Regime(namedtuple("Regime", "kind n reason", defaults=(None, None))):
     """Classification of an (m, c) pair.
 
-    n is set only for RESONANT_SQUARE, reason only for UNDEFINED.
+    kind is a RegimeKind.  The int n is set only for RESONANT_SQUARE, the
+    str reason only for UNDEFINED; both are None otherwise.
     """
 
-    kind: RegimeKind
-    n: int | None = None
-    reason: str | None = None
+    __slots__ = ()
 
 
 class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
@@ -144,8 +142,11 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
 
 
 def resonant_couplings(n_max: int) -> list[tuple[int, float]]:
-    """Couplings c_n = -(n*pi)^2, n = 0 .. n_max, that admit a junction at m = 2."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    """Couplings c_n = -(n*pi)^2, n = 0 .. n_max, that admit a junction at m = 2.
+
+    Raises ValueError unless n_max is a non-negative integer or integral float.
+    """
+    if not (0 <= n_max < math.inf and n_max == int(n_max)):
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
     # + 0.0 keeps the n = 0 entry at plain zero instead of -0.0
-    return [(n, -((n * math.pi) ** 2) + 0.0) for n in range(n_max + 1)]
+    return [(n, -((n * math.pi) ** 2) + 0.0) for n in range(int(n_max) + 1)]

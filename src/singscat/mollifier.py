@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, NamedTuple, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -405,19 +405,19 @@ def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
         ) from exc
 
 
-class ConvergenceRow(NamedTuple):
+class ConvergenceRow(
+    namedtuple("ConvergenceRow", "eps matrix deviation det_err error", defaults=("",))
+):
     """One eps of a convergence sweep.
 
-    deviation is the max-abs entry distance to the reference matrix (nan
-    when no reference applies or the row failed); det_err is |det - 1|.
-    error is "" for a computed row.
+    matrix is the effective junction, a Mat2, or None when the row failed.
+    The float deviation is the max-abs entry distance to the reference
+    matrix (nan when no reference applies or the row failed); the float
+    det_err is |det - 1|.  error is "" for a computed row, else the
+    failure's tag.
     """
 
-    eps: float
-    matrix: Mat2 | None
-    deviation: float
-    det_err: float
-    error: str = ""
+    __slots__ = ()
 
 
 def convergence_sweep(

@@ -17,18 +17,21 @@ shift follows from
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import Mat2, ShellPotentialSpec, check_phase, free_propagators
 from .errors import NonPositiveEnergy, TransferOverflow
 from .junction import IvChoice, junction_matrix
 
 
-class RadialResult(NamedTuple):
+class RadialResult(
+    namedtuple("RadialResult", "k a delta0 sigma0 interior_amplitude exterior_coeffs")
+):
     """s-wave solution of a shell at energy k > 0.
 
     Phase shift delta0, cross section sigma0 and the reduced radial
-    solution u(r), normalized to unit exterior amplitude.
+    solution u(r), normalized to unit exterior amplitude.  Every field is
+    a float but exterior_coeffs, a float pair.
 
     Interior: u = interior_amplitude * sin(sqrt(k) r) for r < a.
     Exterior: u = alpha C(k, r - a) + beta S(k, r - a) for r > a, with
@@ -37,12 +40,7 @@ class RadialResult(NamedTuple):
     sin(sqrt(k) r + delta0).
     """
 
-    k: float
-    a: float
-    delta0: float
-    sigma0: float
-    interior_amplitude: float
-    exterior_coeffs: tuple[float, float]
+    __slots__ = ()
 
 
 def _principal_shift(raw: float) -> float:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .core import Mat2, PiecewiseSolution, check_phase, free_propagators
+from .core import TYPE_CHECKING, Mat2, PiecewiseSolution, check_phase, free_propagators
 from .errors import (
     ChainOrderError,
     NonPositiveEnergy,
@@ -32,42 +33,38 @@ _DEGENERACY_TOL = 1e-14
 _BLOCK = 2048
 
 
-class ScatteringResult(NamedTuple):
+class ScatteringResult(
+    namedtuple(
+        "ScatteringResult", "k r t reflect_prob transmit_prob det_j flux_residual"
+    )
+):
     """Amplitudes and flux diagnostics at one energy k > 0.
 
+    The amplitudes r and t are complex, every other field a float.
     flux_residual = |t|^2 + det(J) |r|^2 - det(J); it vanishes identically
     for unit-determinant junctions, and the signed form holds for
     det(J) = -1 as well, so the residual is the one number to watch in
     either case.
     """
 
-    k: float
-    r: complex
-    t: complex
-    reflect_prob: float
-    transmit_prob: float
-    det_j: float
-    flux_residual: float
+    __slots__ = ()
 
 
-class SweepRow(NamedTuple):
-    """One energy of a transmission sweep; error is "" when result holds."""
+class SweepRow(namedtuple("SweepRow", "k result error", defaults=(None, ""))):
+    """One energy of a sweep: a ScatteringResult and error "", or None and a tag."""
 
-    k: float
-    result: ScatteringResult | None = None
-    error: str = ""
+    __slots__ = ()
 
 
-class BoundSpectrum(NamedTuple):
+class BoundSpectrum(namedtuple("BoundSpectrum", "kind kappas", defaults=((),))):
     """Negative-energy spectrum of a junction matrix.
 
-    kind is "empty", "discrete" (kappas carries the decay rates, energies
-    are -kappa^2) or "continuum_degenerate" (every kappa > 0 matches, so
-    no discrete set exists).
+    kind is "empty", "discrete" (kappas carries the decay rates as a
+    tuple of floats, energies are -kappa^2) or "continuum_degenerate"
+    (every kappa > 0 matches, so no discrete set exists).
     """
 
-    kind: str
-    kappas: tuple[float, ...] = ()
+    __slots__ = ()
 
     @property
     def energies(self) -> tuple[float, ...]:

@@ -14,9 +14,9 @@ to the same bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable, Sequence
 
 # %.17g spells the non-finite floats this way; JSON writes them as null.
 _JSON_NULLS = {"nan": "null", "inf": "null", "-inf": "null"}
@@ -34,7 +34,7 @@ def fmt_float(x: float) -> str:
     return "%.17g" % (x + 0.0)
 
 
-def _ser(value: Any, out: list[str]) -> None:
+def _ser(value: object, out: list[str]) -> None:
     if value is None:
         out.append("null")
     elif isinstance(value, bool):
@@ -68,14 +68,14 @@ def _ser(value: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def canonical_json(doc: Any) -> str:
+def canonical_json(doc: object) -> str:
     """Serialize with sorted keys and round-trip-stable floats."""
     out: list[str] = []
     _ser(doc, out)
     return "".join(out)
 
 
-def _csv_cell(cell: Any) -> str:
+def _csv_cell(cell: object) -> str:
     """One CSV cell: floats through fmt_float, ints through repr, else str."""
     if isinstance(cell, float):
         return fmt_float(cell)
@@ -84,14 +84,14 @@ def _csv_cell(cell: Any) -> str:
     return str(cell)
 
 
-def csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Join the header and each row's _csv_cell texts with commas."""
     lines = [",".join(header)]
     lines += (",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _column_text(column: Sequence[Any], fmt: str) -> list[str]:
+def _column_text(column: Sequence[object], fmt: str) -> list[str]:
     """The cells of one table column as text, a whole column per call.
 
     A column of floats goes through fmt_float's "%.17g" on x + 0.0, mapped
@@ -108,7 +108,7 @@ def _column_text(column: Sequence[Any], fmt: str) -> list[str]:
 
 
 def table_document(
-    fields: Sequence[str], rows: Iterable[Sequence[Any]], fmt: str
+    fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str
 ) -> str:
     """A table of one cell per distinct field and row, as CSV or JSON.
 

@@ -682,6 +682,21 @@ def test_ksteps_bound_admits_long_sweeps(capsys):
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1"]
 
 
+@pytest.mark.parametrize("command", [("scatter",), ("radial", "--a", "1")])
+@pytest.mark.parametrize(
+    "kmin, kmax, kscale", [("0.3", "0.7", "log"), ("0.13", "1.2", "lin")]
+)
+def test_sweeps_start_and_end_exactly_on_kmin_and_kmax(capsys, command, kmin, kmax, kscale):
+    # kmin * ratio ** 1.0 and kmin + span * 1.0 land an ulp off kmax here
+    code, out, _ = run(
+        capsys, *command, "--m", "1", "--c", "-1",
+        "--kmin", kmin, "--kmax", kmax, "--ksteps", "3", "--kscale", kscale,
+    )
+    assert code == 0
+    ks = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert [ks[0], ks[-1]] == [float(kmin), float(kmax)]
+
+
 def test_resonance_level_past_the_bound_is_refused(capsys):
     code, out, _ = run(
         capsys, "resonance", "--shape", "tophat", "--n", str(MAX_LEVEL + 1)

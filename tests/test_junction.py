@@ -161,6 +161,32 @@ def test_resonant_couplings_listing():
         resonant_couplings(-1)
 
 
+@pytest.mark.parametrize(
+    "n_max, expected",
+    [
+        (2, [0, 1, 2]),
+        (2.0, [0, 1, 2]),
+        (2.5, ValueError),
+        (-1, ValueError),
+        (-1.0, ValueError),
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (-math.inf, ValueError),
+    ],
+)
+def test_resonant_couplings_takes_integral_values_as_resonant_search_does(
+    n_max, expected
+):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="non-negative integer"):
+            resonant_couplings(n_max)
+    else:
+        table = resonant_couplings(n_max)
+        assert [n for n, _ in table] == expected
+        assert all(type(n) is int for n, _ in table)
+        assert table == resonant_couplings(int(n_max))
+
+
 def test_undefined_regime_reports_reason():
     regime = classify_regime(PotentialSpec(1.5, -2.0))
     assert regime.kind is RegimeKind.UNDEFINED

@@ -3,10 +3,13 @@ on every construction path, with the Name(field=value, ...) repr."""
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
+import singscat
 from singscat import (
     TOP_HAT,
     TRIANGLE,
@@ -15,6 +18,7 @@ from singscat import (
     InvalidExponent,
     IvChoice,
     Mat2,
+    MollifierShape,
     PiecewiseSolution,
     PotentialSpec,
     RadialResult,
@@ -104,3 +108,31 @@ def test_records_compare_and_unpack_as_tuples():
     assert (m11, m12, m21, m22) == (1.0, 0.0, -2.0, 1.0)
     assert PotentialSpec(1.0, -2.0) == _SPEC and hash(PotentialSpec(1.0, -2.0)) == hash(_SPEC)
     assert SweepRow(2.0).result is None and SweepRow(2.0).error == ""
+
+
+def test_records_cover_every_tuple_class_of_the_package():
+    public = {
+        name
+        for name in singscat.__all__
+        if isinstance(getattr(singscat, name), type)
+        and issubclass(getattr(singscat, name), tuple)
+    }
+    assert public == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_survive_pickle_and_deepcopy(name):
+    record = RECORDS[name]
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert clone == record and repr(clone) == repr(record)
+
+
+def test_field_defaults_are_pinned():
+    assert Regime._field_defaults == {"n": None, "reason": None}
+    assert SweepRow._field_defaults == {"result": None, "error": ""}
+    assert BoundSpectrum._field_defaults == {"kappas": ()}
+    assert ConvergenceRow._field_defaults == {"error": ""}
+    # a checked record's defaults are those of its __new__, not the tuple's
+    assert MollifierShape._field_defaults == {}
+    assert MollifierShape("tophat", 0.5, TOP_HAT.profile).edge_order is None

@@ -1,8 +1,9 @@
 """The runtime: numpy alone (no process loads scipy), numpy only on the
-array paths, and every name the benchmark probes looks up."""
+array paths, no typing, and every name the benchmark probes looks up."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -114,6 +115,49 @@ def test_cli_process_loads_no_scipy(argv, code, numpy):
     assert proc.returncode == 0, proc.stderr
     report = proc.stderr.strip().splitlines()[-1]
     assert report == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
+
+
+def test_no_module_imports_typing():
+    # every annotation is a string (PEP 563), so none needs typing at run time
+    importers = []
+    for path in sorted((ROOT / "src" / "singscat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "typing" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
+# -S keeps the site hook, which may import typing itself, out of the child;
+# the report after the import and after each run says whether typing is loaded.
+_TYPING_AFTER_RUNS = """
+import sys
+from singscat import cli
+report = ["typing" in sys.modules]
+for argv in %r:
+    cli.main(list(argv))
+    report.append("typing" in sys.modules)
+print(report, file=sys.stderr)
+"""
+
+
+def test_closed_form_cli_runs_load_no_typing():
+    runs = [
+        ("junction", "--m", "1", "--c", "-2"),
+        ("bound", "--m", "1", "--c", "-2"),
+        ("scatter", "--m", "1", "--c", "-1", "--k", "2.5"),
+        ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"),
+        ("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP),
+        ("scatter", "--m", "1", "--c", "-1"),  # a usage error: no energy
+    ]
+    proc = _python("-S", "-c", _TYPING_AFTER_RUNS % (runs,))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == repr([False] * (1 + len(runs)))
 
 
 def test_every_public_name_resolves_and_is_listed():
