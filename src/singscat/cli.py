@@ -8,9 +8,8 @@ eps table as CSV; these three take --format to pick either.
 Exit codes: 0 success, 2 bad arguments, 3 no junction / no scattering
 state, 4 numerical failure.
 
-Only mollify, resonance and a scatter sweep import numpy (mollify and
-resonance with the mollifier); junction, bound, a single-k scatter,
-radial and every usage error run without it.
+Only mollify and resonance import numpy, with the mollifier; junction,
+bound, scatter, radial and every usage error run without it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (
 from .junction import IvChoice, RegimeKind, classify_regime, junction_matrix
 from .radial import _s_wave
 from .scatter import bound_states as solve_bound_states
-from .scatter import scattering_amplitudes
+from .scatter import _amplitude_rows, scattering_amplitudes
 from .serialize import canonical_json, table_document
 from .sweep import sweep_map
 
@@ -249,12 +248,9 @@ def cmd_scatter(args: argparse.Namespace) -> str:
     if grid is None:
         row = _scatter_row(scattering_amplitudes(matrix, args.k))
         return _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
-    import numpy as np
-
-    amplitudes = scattering_amplitudes(matrix, np.array(grid))
     rows = (
         (k, r.real, r.imag, t.real, t.imag, rr, tt, flux, error)
-        for k, (error, r, t, rr, tt, flux) in zip(grid, amplitudes)
+        for k, (error, r, t, rr, tt, flux) in zip(grid, _amplitude_rows(matrix, grid))
     )
     return _emit(SCATTER_FIELDS + ["error"], rows, args.format, sweep=True)
 

@@ -87,7 +87,9 @@ _DECADE_R2 = 0.5
 
 class MollifierShape(
     CheckedRecord,
-    namedtuple("MollifierShape", "name half_support profile edge_order"),
+    namedtuple(
+        "MollifierShape", "name half_support profile edge_order", defaults=(None,)
+    ),
 ):
     """Unit-mass even bump phi supported on [-half_support, half_support].
 
@@ -112,20 +114,13 @@ class MollifierShape(
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        name: str,
-        half_support: float,
-        profile: Callable[[np.ndarray], np.ndarray],
-        edge_order: float | None = None,
-    ):
-        if not (math.isfinite(half_support) and half_support > 0.0):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        name, s, profile, edge_order = self
+        if not (math.isfinite(s) and s > 0.0):
             raise ValueError(
-                f"shape {name} half support must be positive and finite, "
-                f"got {half_support!r}"
+                f"shape {name} half support must be positive and finite, got {s!r}"
             )
-        self = tuple.__new__(cls, (name, half_support, profile, edge_order))
-        s = half_support
         half_panel = s / _MASS_PANELS
         centres = -s + (2.0 * np.arange(_MASS_PANELS) + 1.0) * half_panel
         nodes = centres[:, None] + half_panel * _MASS_NODES

@@ -78,7 +78,13 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
         # up to overall sign, so the shift is zero exactly, not via atan2
         delta0 = 0.0
     else:
-        delta0 = _principal_shift(math.atan2(q * alpha, beta) - q * a)
+        raw = math.atan2(q * alpha, beta) - q * a
+        delta0 = _principal_shift(raw)
+        if abs(delta0) < 1e-6 * abs(raw) and beta != 0.0:
+            # raw lies near a multiple of pi (atan2 near pi for beta < 0),
+            # and reducing it cancels the digits of a small delta0; atan
+            # gives the same phase mod pi without that cancellation
+            delta0 = _principal_shift(math.atan(q * alpha / beta) - q * a)
     sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
     if not math.isfinite(sigma0):
         raise TransferOverflow(f"4 pi / k overflows at k = {k!r}: sigma0 is not finite")

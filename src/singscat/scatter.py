@@ -19,6 +19,7 @@ from .errors import (
     NoScatteringState,
     TransferOverflow,
 )
+from .sweep import sweep_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,9 +72,7 @@ class BoundSpectrum(namedtuple("BoundSpectrum", "kind kappas", defaults=((),))):
         return tuple(-kappa * kappa for kappa in self.kappas)
 
 
-def scattering_amplitudes(
-    junction: Mat2, k: float | np.ndarray
-) -> ScatteringResult | Iterator[tuple]:
+def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     """Reflection and transmission amplitudes of a junction at energy k > 0.
 
     The incoming wave exp(i sqrt(k) x) from the left, together with
@@ -85,46 +84,13 @@ def scattering_amplitudes(
         t = J11 (1 + r) + i q J12 (1 - r)
         D = q^2 J12 - J21 + i q (J11 + J22)
 
-    k is one energy, or a 1-D float64 numpy array of energies.  One
-    energy gives its ScatteringResult or raises.  For an array the result
-    is an iterator over the energies in order, each giving the tuple
-
-        (error, r, t, reflect_prob, transmit_prob, flux_residual)
-
-    where error is "" for a good energy, and for a failing one the tag of
-    its exception (SingscatError.tag), with nan in the other entries.  The
-    energies are computed _BLOCK at a time by an array kernel, as the
-    iterator is consumed.  Both forms give each energy's numbers bit for
-    bit as CPython's complex arithmetic gives them for the formulas above.
-
-    Raises
-    ------
-    NonPositiveEnergy
-        if k <= 0 (or k is nan).
-    ValueError
-        if k is infinite; an array raises at the call if any energy is.
-    NoScatteringState
-        if the matching system is inconsistent (D = 0), e.g. for the
-        junction diag(-1, 1).
-    """
-    # while numpy is not loaded k cannot be an array, and numpy stays unloaded
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(k, np.ndarray) or k.ndim == 0:
-        return _one_amplitude(junction, k)
-    k = np.asarray(k, dtype=float)
-    if (k == math.inf).any():
-        raise ValueError("scattering needs a finite k, got inf")
-    blocks = (k[lo : lo + _BLOCK] for lo in range(0, k.size, _BLOCK))
-    return chain.from_iterable(_amplitude_block(junction, block) for block in blocks)
-
-
-def _one_amplitude(junction: Mat2, k: float) -> ScatteringResult:
-    """scattering_amplitudes at one energy, in CPython's complex arithmetic.
-
-    _amplitude_block transcribes these operations into arrays.  The float
-    operands are spelled complex(x, 0.0), as CPython 3.11 promotes them in
-    a mixed float/complex operation, so the signed zeros do not depend on
-    the Python version.
+    in CPython's complex arithmetic; _amplitude_block transcribes these
+    operations into arrays.  The float operands are spelled complex(x, 0.0),
+    as CPython 3.11 promotes them in a mixed float/complex operation, so
+    the signed zeros do not depend on the Python version.  Raises
+    NonPositiveEnergy if k <= 0 (or nan), ValueError if k is infinite, and
+    NoScatteringState if the matching system is inconsistent (D = 0), as
+    for the junction diag(-1, 1).
     """
     kf = float(k)
     if kf == math.inf:
@@ -139,7 +105,7 @@ def _one_amplitude(junction: Mat2, k: float) -> ScatteringResult:
         size = abs(denom)
     except OverflowError:  # |D| past the float range, where np.hypot gives inf
         size = math.inf
-    if size <= _DEGENERACY_TOL * max(1.0, scale):
+    if size <= _DEGENERACY_TOL * scale:
         raise NoScatteringState("plane-wave matching system is inconsistent")
     r = complex(kf * j12 + j21, q * (j22 - j11)) / denom
     one = complex(1.0, 0.0)
@@ -151,8 +117,51 @@ def _one_amplitude(junction: Mat2, k: float) -> ScatteringResult:
     return ScatteringResult(k, r, t, rr, tt, det_j, tt + det_j * rr - det_j)
 
 
-def _amplitude_block(junction: Mat2, k: np.ndarray) -> Iterator[tuple]:
-    """The rows of scattering_amplitudes for finite energies k, in arrays."""
+def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
+    """Rows (error, r, t, reflect_prob, transmit_prob, flux_residual) of ks.
+
+    error is "" for a good energy; a failing one gives the tag of its
+    exception (SingscatError.tag) and nan for the numbers.  Raises
+    ValueError at the call if any energy is infinite.  The one choice of
+    amplitude kernel: once numpy is loaded, the array kernel takes the
+    energies _BLOCK at a time as the rows are consumed, and
+    scattering_amplitudes names the errors it flags; otherwise it takes
+    each energy, and numpy stays unloaded.  The bits are the same.
+    """
+    if math.inf in ks:
+        raise ValueError("scattering needs a finite k, got inf")
+
+    def row(k: float) -> tuple:
+        _, r, t, rr, tt, _, flux = scattering_amplitudes(junction, k)
+        return "", r, t, rr, tt, flux
+
+    def scalar_rows(ks: list[float]) -> list[tuple]:
+        nan = complex(math.nan, math.nan)
+        return sweep_map(row, ks, lambda k, tag: (tag, nan, nan, *[math.nan] * 3))
+
+    np = sys.modules.get("numpy")
+    if np is None:
+        return iter(scalar_rows(ks))
+
+    def block_rows(block: list[float]) -> Iterator[tuple]:
+        codes, rows = _amplitude_block(junction, np.array(block, dtype=float))
+        reasons = set(codes) - {0}
+        if not reasons:
+            return rows
+        # one row per reason: the scalar formula's error at its first energy
+        failed = {c: scalar_rows([block[codes.index(c)]])[0] for c in reasons}
+        return (failed[code] if code else kept for code, kept in zip(codes, rows))
+
+    blocks = (ks[lo : lo + _BLOCK] for lo in range(0, len(ks), _BLOCK))
+    return chain.from_iterable(map(block_rows, blocks))
+
+
+def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tuple]]:
+    """_amplitude_rows' rows for finite energies k, and a code per energy.
+
+    The code is 0 for a good energy, else why it fails: 1 for k <= 0 (or
+    nan), 2 for D = 0.  A failing energy's row holds nan and error "".
+    """
     import numpy as np
 
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
@@ -160,8 +169,7 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> Iterator[tuple]:
         q = np.sqrt(k)
         d_re, d_im = k * j12 - j21, q * (j11 + j22)
         scale = k * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
-        # abs(complex) is hypot; max(1.0, scale) keeps 1.0 unless scale > 1.0
-        tol = _DEGENERACY_TOL * np.where(scale > 1.0, scale, 1.0)
+        tol = _DEGENERACY_TOL * scale  # np.hypot below is abs(complex)
         code = np.where(k > 0.0, np.where(np.hypot(d_re, d_im) <= tol, 2, 0), 1)
         r_re, r_im = _c_quot(k * j12 + j21, q * (j22 - j11), d_re, d_im)
         # CPython 3.11 turns the float operand of a mixed float/complex
@@ -176,13 +184,11 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> Iterator[tuple]:
         amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
         amps[:, code != 0] = complex(math.nan, math.nan)
         mods = np.hypot(amps.real, amps.imag)
-    tags = ["", NonPositiveEnergy.tag, NoScatteringState.tag]
-    errors = np.array(tags, dtype=object)[code].tolist()
     # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
     rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
     det_j = junction.det()
     flux = (np.array(tt) + det_j * np.array(rr) - det_j).tolist()
-    return zip(errors, *amps.tolist(), rr, tt, flux)
+    return code.tolist(), zip(repeat(""), *amps.tolist(), rr, tt, flux)
 
 
 def _c_quot(a_re, a_im, b_re, b_im):
@@ -210,19 +216,16 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     """scattering_amplitudes over a grid, errors flagged per row.
 
     Output order matches input order; a failing energy yields a flagged
-    row instead of aborting the sweep.  The grid is one array call of
-    scattering_amplitudes.
+    row instead of aborting the sweep.  Raises ValueError if any energy
+    is infinite.
     """
-    import numpy as np
-
     ks = list(k_grid)
-    amplitudes = scattering_amplitudes(junction, np.array(ks, dtype=float))
     det_j = junction.det()
     return [
         SweepRow(k, error=error)
         if error
         else SweepRow(k, ScatteringResult(k, r, t, rr, tt, det_j, flux))
-        for k, (error, r, t, rr, tt, flux) in zip(ks, amplitudes)
+        for k, (error, r, t, rr, tt, flux) in zip(ks, _amplitude_rows(junction, ks))
     ]
 
 

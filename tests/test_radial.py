@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from singscat import (
     radial_wavefunction,
     s_wave_solve,
 )
+from singscat.cli import main
 from singscat.core import PHASE_ULP_FRACTION
 
 
@@ -235,3 +237,23 @@ def test_cross_section_that_overflows_is_refused():
             with pytest.raises(TransferOverflow):
                 s_wave_solve(shell, k)
         assert math.isfinite(s_wave_solve(shell, 1e-307).sigma0)
+
+
+def test_small_energy_phase_shift_keeps_its_digits(capsys):
+    # 1 + c a < 0 puts atan2(q alpha, beta) next to pi, and reducing it
+    # mod pi used to cancel every digit of a small delta0: k = 1e-300
+    # gave delta0 = sigma0 = 0 instead of sigma0 = 4 pi (c a^2 / (1 + c a))^2
+    mpmath = pytest.importorskip("mpmath")
+    shell = _shell(1.0, -2.0)
+    with mpmath.workdps(60):
+        for k in (1e-13, 1e-25, 1e-31, 1e-300):
+            res = s_wave_solve(shell, k)
+            q = mpmath.sqrt(mpmath.mpf(k))
+            u = mpmath.sin(q)
+            exact = mpmath.atan(q * u / (q * mpmath.cos(q) - 2 * u)) - q
+            assert abs(res.delta0 - exact) <= 1e-15 * abs(exact), k
+            sigma0 = 4 * mpmath.pi / k * mpmath.sin(exact) ** 2
+            assert abs(res.sigma0 - sigma0) <= 1e-14 * sigma0, k
+    argv = ["radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "1e-300"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["sigma0"] == 50.26548245743669

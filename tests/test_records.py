@@ -133,6 +133,6 @@ def test_field_defaults_are_pinned():
     assert SweepRow._field_defaults == {"result": None, "error": ""}
     assert BoundSpectrum._field_defaults == {"kappas": ()}
     assert ConvergenceRow._field_defaults == {"error": ""}
-    # a checked record's defaults are those of its __new__, not the tuple's
-    assert MollifierShape._field_defaults == {}
+    # a checked record builds through its tuple's __new__, defaults included
+    assert MollifierShape._field_defaults == {"edge_order": None}
     assert MollifierShape("tophat", 0.5, TOP_HAT.profile).edge_order is None

@@ -89,8 +89,8 @@ _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "jso
 
 # No process loads scipy or dataclasses.  Only resonance, among these,
 # loads numpy: the others are the closed-form ops of the benchmark's
-# one-process-per-op cycle, those that exit 3 by design among them, and a
-# usage error.
+# one-process-per-op cycle, those that exit 3 by design among them, a
+# scatter sweep and a usage error.
 @pytest.mark.parametrize(
     "argv, code, numpy",
     [
@@ -103,11 +103,13 @@ _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "jso
           "--k", "2.5"), 3, False),
         (("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"), 0, False),
         (("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP), 0, False),
+        (("scatter", "--m", "1", "--c", "-1", *_SWEEP), 0, False),
         (("scatter", "--m", "1", "--c", "-1"), 2, False),
     ],
     ids=[
         "junction", "resonance", "junction_undefined", "bound", "scatter_k",
-        "scatter_k_no_state", "radial_k", "radial_sweep", "usage_error",
+        "scatter_k_no_state", "radial_k", "radial_sweep", "scatter_sweep",
+        "usage_error",
     ],
 )
 def test_cli_process_loads_no_scipy(argv, code, numpy):
@@ -117,20 +119,46 @@ def test_cli_process_loads_no_scipy(argv, code, numpy):
     assert report == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
 
 
+def _imports_of(package: str, tree: ast.AST) -> list[int]:
+    """Line numbers of the imports of package, or of its modules, under tree."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == package for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def _parse(module: str) -> ast.Module:
+    path = ROOT / "src" / "singscat" / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_module_imports_typing():
     # every annotation is a string (PEP 563), so none needs typing at run time
-    importers = []
-    for path in sorted((ROOT / "src" / "singscat").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.partition(".")[0] == "typing" for name in names):
-                importers.append(f"{path.name}:{node.lineno}")
+    importers = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "singscat").glob("*.py"))
+        for line in _imports_of("typing", _parse(path.stem))
+    ]
     assert importers == []
+
+
+def test_cli_and_transmission_curve_import_no_numpy():
+    # scatter._amplitude_rows alone picks the amplitude kernel, from
+    # whether numpy is already loaded
+    assert _imports_of("numpy", _parse("cli")) == []
+    (curve,) = [
+        node
+        for node in _parse("scatter").body
+        if isinstance(node, ast.FunctionDef) and node.name == "transmission_curve"
+    ]
+    assert _imports_of("numpy", curve) == []
 
 
 # -S keeps the site hook, which may import typing itself, out of the child;
@@ -153,6 +181,7 @@ def test_closed_form_cli_runs_load_no_typing():
         ("scatter", "--m", "1", "--c", "-1", "--k", "2.5"),
         ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"),
         ("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP),
+        ("scatter", "--m", "1", "--c", "-1", *_SWEEP),
         ("scatter", "--m", "1", "--c", "-1"),  # a usage error: no energy
     ]
     proc = _python("-S", "-c", _TYPING_AFTER_RUNS % (runs,))

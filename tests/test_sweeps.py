@@ -4,14 +4,16 @@ helper and the table writer.
 The float.hex pins were captured from the scalar complex-arithmetic
 implementation that the array kernel replaced; the properties compare the
 kernel with CPython's complex arithmetic, with the one-energy path on
-grids of one energy, and the table writer with csv_document and
-canonical_json.
+grids of one energy and with the row branch of a process without numpy,
+and the table writer with csv_document and canonical_json.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from singscat import (
     PotentialSpec,
     ShellPotentialSpec,
     SingscatError,
+    SweepRow,
     compose_chain,
     junction_matrix,
     s_wave_solve,
@@ -345,7 +348,7 @@ def _complex_reference(junction: Mat2, k: float) -> str:
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
     denom = complex(k * j12 - j21, q * (j11 + j22))
     scale = k * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
-    if abs(denom) <= 1e-14 * max(1.0, scale):
+    if abs(denom) <= 1e-14 * scale:
         return NoScatteringState.tag
     r = complex(k * j12 + j21, q * (j22 - j11)) / denom
     t = j11 * (1.0 + r) + 1j * q * j12 * (1.0 - r)
@@ -388,6 +391,72 @@ def test_curve_equals_single_energies_and_complex_arithmetic(junction, grid):
         assert _row_text(row) == single
         if k > 0.0:
             assert single == _complex_reference(junction, k)
+
+
+def _scalar_rows(junction: Mat2, ks: list) -> list:
+    """_amplitude_rows as a process without numpy runs it.
+
+    numpy counts as not loaded while sys.modules maps it to None, and any
+    import of it in that time raises ImportError.
+    """
+    with mock.patch.dict(sys.modules, {"numpy": None}):
+        return list(scatter._amplitude_rows(junction, ks))
+
+
+def _rows_text(rows) -> list[str]:
+    return [
+        " ".join([error] + [x.hex() for x in (r.real, r.imag, t.real, t.imag, *probs)])
+        for error, r, t, *probs in rows
+    ]
+
+
+@st.composite
+def long_grids(draw):
+    drawn = draw(st.lists(energies, min_size=1, max_size=40))
+    # around and past one kernel block, repeat the drawn energies
+    n = draw(st.sampled_from([len(drawn), 2047, 2048, 2049, 4200]))
+    return [drawn[i % len(drawn)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.just(Mat2(-1.0, 0.0, 0.0, 1.0)), junctions), long_grids())
+def test_row_branches_with_and_without_numpy_agree_bit_for_bit(junction, grid):
+    # diag(-1, 1) half the time: a block then mixes both reasons to fail
+    kernel = _rows_text(scatter._amplitude_rows(junction, grid))
+    assert kernel == _rows_text(_scalar_rows(junction, grid))
+
+
+def test_identity_junctions_scatter_at_the_smallest_energies(capsys):
+    # |D| = scale = 2 sqrt(k) for +-identity: an absolute floor of 1e-14
+    # under the degeneracy test refused every k below about 2.5e-29
+    flip = Mat2(-1.0, 0.0, 0.0, 1.0)
+    for sign in (1.0, -1.0):
+        junction = Mat2(sign, 0.0, 0.0, sign)
+        for k in (1e-30, 5e-324):
+            res = scattering_amplitudes(junction, k)
+            assert (res.r, res.t, res.flux_residual) == (0, sign, 0)
+            assert transmission_curve(junction, [k]) == [SweepRow(k, res)]
+            assert _scalar_rows(junction, [k]) == [("", res.r, res.t, 0.0, 1.0, 0.0)]
+            with pytest.raises(NoScatteringState):
+                scattering_amplitudes(flip, k)
+            (row,) = transmission_curve(flip, [k])
+            assert row.error == NoScatteringState.tag
+            assert _scalar_rows(flip, [k])[0][0] == NoScatteringState.tag
+    sweep = ["--kmin", "5e-324", "--kmax", "1e-30", "--ksteps", "3"]
+    for m, c, t in (("0.5", "1", 1.0), ("2", repr(-(math.pi**2)), -1.0)):
+        point = ["scatter", "--m", m, "--c", c]
+        assert main(point + ["--k", "1e-30"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["re_r"], doc["im_r"], doc["re_t"], doc["im_t"]) == (0, 0, t, 0)
+        assert main(point + sweep + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["re_t"], row["error"]) for row in rows] == [(t, "")] * 3
+    refused = ["scatter", "--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0"]
+    assert main(refused + ["--k", "1e-30"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "no_scattering_state"}
+    assert main(refused + sweep + ["--format", "csv"]) == 0
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        assert line.endswith(",no_scattering_state")
 
 
 def test_curve_across_kernel_blocks_equals_complex_arithmetic():
