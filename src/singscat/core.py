@@ -17,7 +17,9 @@ closed-form paths that never propagate run without loading numpy.
 
 Every record of the package is a collections.namedtuple subclass with
 __slots__ = ().  Where fields are checked, __new__ checks them, and
-CheckedRecord routes _make and _replace through __new__.
+CheckedRecord routes _make and _replace through __new__.  A checked
+record is built only through its own __new__; the unchecked records of
+the per-energy paths are built with tuple.__new__(Record, fields).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class Mat2(CheckedRecord, namedtuple("Mat2", "m11 m12 m21 m22")):
 
     @staticmethod
     def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
+        return _IDENTITY
 
     def rows(self) -> list[list[float]]:
         return [[self.m11, self.m12], [self.m21, self.m22]]
@@ -108,6 +110,9 @@ class Mat2(CheckedRecord, namedtuple("Mat2", "m11 m12 m21 m22")):
             abs(self.m21 - other.m21),
             abs(self.m22 - other.m22),
         )
+
+
+_IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
 class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):

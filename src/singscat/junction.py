@@ -48,6 +48,12 @@ class Regime(namedtuple("Regime", "kind n reason", defaults=(None, None))):
     __slots__ = ()
 
 
+# The parameterless regimes, built once; junction_matrix tests them by identity.
+_NO_EFFECT = Regime(RegimeKind.NO_EFFECT)
+_STANDARD_DELTA = Regime(RegimeKind.STANDARD_DELTA)
+_INDETERMINATE = Regime(RegimeKind.INDETERMINATE)
+
+
 class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
     """Caller-supplied resolution (a, b) of the doubly indeterminate case."""
 
@@ -71,9 +77,9 @@ def classify_regime(p: PotentialSpec) -> Regime:
     the level spacing (nu >= 5e8, c <= about -2.47e18) every coupling
     would match a level, so PrecisionLoss is raised instead.
     """
-    m, c = p.m, p.c
+    m, c = p
     if abs(m - 1.0) <= EXPONENT_TOL:
-        return Regime(RegimeKind.STANDARD_DELTA)
+        return _STANDARD_DELTA
     if abs(m - 2.0) <= EXPONENT_TOL:
         if c > 0.0:
             return Regime(
@@ -93,14 +99,14 @@ def classify_regime(p: PotentialSpec) -> Regime:
             reason="m = 2 coupling is not a resonant level -(n*pi)^2",
         )
     if m < 1.0:
-        return Regime(RegimeKind.NO_EFFECT)
+        return _NO_EFFECT
     if m < 2.0:
         return Regime(
             RegimeKind.UNDEFINED, reason="exponents in the open band (1, 2)"
         )
     # m > 2 from here on
     if c < 0.0:
-        return Regime(RegimeKind.INDETERMINATE)
+        return _INDETERMINATE
     return Regime(
         RegimeKind.UNDEFINED, reason="m > 2 with non-negative coupling"
     )
@@ -123,7 +129,7 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
         if m = 2 and c is too large to match resonant levels.
     """
     regime = classify_regime(p)
-    if regime.kind is RegimeKind.INDETERMINATE:
+    if regime is _INDETERMINATE:
         if choice is None:
             raise MissingChoice(
                 "m > 2 with c < 0 is doubly indeterminate, supply (a, b)"
@@ -131,10 +137,10 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
         return Mat2(float(choice.a), 0.0, choice.b, 1.0)
     if choice is not None:
         raise ValueError("choice is only meaningful for the indeterminate regime")
-    if regime.kind is RegimeKind.NO_EFFECT:
-        return Mat2.identity()
-    if regime.kind is RegimeKind.STANDARD_DELTA:
+    if regime is _STANDARD_DELTA:
         return Mat2(1.0, 0.0, p.c, 1.0)
+    if regime is _NO_EFFECT:
+        return Mat2.identity()
     if regime.kind is RegimeKind.RESONANT_SQUARE:
         sign = -1.0 if regime.n % 2 else 1.0
         return Mat2(sign, 0.0, 0.0, sign)

@@ -68,12 +68,12 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
     q = math.sqrt(k)
     u_a = math.sin(q * a)
     du_a = q * math.cos(q * a)
-    alpha, beta = junction.apply((u_a, du_a))
+    j11, j12, j21, j22 = junction
+    alpha, beta = j11 * u_a + j12 * du_a, j21 * u_a + j22 * du_a
     # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
     interior = 1.0 / math.hypot(alpha, beta / q)
     alpha, beta = alpha * interior, beta * interior
-    j = junction
-    if j.m12 == 0.0 and j.m21 == 0.0 and abs(j.m11) == 1.0 and j.m11 == j.m22:
+    if j12 == 0.0 and j21 == 0.0 and abs(j11) == 1.0 and j11 == j22:
         # junction is +-identity: the exterior wave is the interior free wave
         # up to overall sign, so the shift is zero exactly, not via atan2
         delta0 = 0.0
@@ -104,9 +104,9 @@ def s_wave_solve(
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
-    junction = junction_matrix(shell.base, choice)
-    delta0, sigma0, interior, alpha, beta = _s_wave(junction, shell.a, k)
-    return RadialResult(k, shell.a, delta0, sigma0, interior, (alpha, beta))
+    base, a = shell
+    delta0, sigma0, interior, alpha, beta = _s_wave(junction_matrix(base, choice), a, k)
+    return tuple.__new__(RadialResult, (k, a, delta0, sigma0, interior, (alpha, beta)))
 
 
 def radial_wavefunction(

@@ -221,10 +221,11 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     """
     ks = list(k_grid)
     det_j = junction.det()
+    new = tuple.__new__
     return [
-        SweepRow(k, error=error)
+        new(SweepRow, (k, None, error))
         if error
-        else SweepRow(k, ScatteringResult(k, r, t, rr, tt, det_j, flux))
+        else new(SweepRow, (k, new(ScatteringResult, (k, r, t, rr, tt, det_j, flux)), ""))
         for k, (error, r, t, rr, tt, flux) in zip(ks, _amplitude_rows(junction, ks))
     ]
 

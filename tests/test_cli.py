@@ -236,6 +236,27 @@ def test_mollify_overflowing_strip_flags_rows_and_exits_four(capsys):
     assert json.loads(out)["error"] == "overflow"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "1", "--c", "-1", "--shape", "gauss", "--eps", "1e-320"],
+        ["--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "0.5", "--shape", "tophat", "--eps", "1e-110"],
+    ],
+)
+def test_mollify_eps_power_overflow_is_flagged_not_a_traceback(capsys, argv):
+    # eps^-m is past the float range: the row is an overflow, and a sweep
+    # of nothing else exits 4 with its error document
+    code, out, _ = run(capsys, "mollify", *argv, "--k", "1")
+    assert code == 4
+    assert json.loads(out) == {"error": "overflow", "message": "every eps value overflowed"}
+    eps = argv.index("--eps") + 1
+    argv = argv[:eps] + ["1e-1," + argv[eps]] + argv[eps + 1 :]
+    code, out, _ = run(capsys, "mollify", *argv, "--k", "1")
+    assert code == 0
+    flags = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert flags[1] == "overflow" and flags[0] != "overflow"
+
+
 def test_radial_phase_beyond_rounding_is_refused(capsys):
     code, out, _ = run(
         capsys, "radial", "--m", "1", "--c", "1", "--a", "1e300", "--k", "1e10"

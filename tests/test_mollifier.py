@@ -264,6 +264,19 @@ def test_phase_past_its_rounding_is_a_precision_loss():
     assert [row.error for row in rows] == ["precision_loss"] * 2
 
 
+def test_eps_power_past_the_float_range_is_a_transfer_overflow():
+    # eps^-m itself overflows: 1e-320^-1 and 1e-110^-3 are past 1.8e308
+    for m, c, shape, eps in ((1.0, -1.0, GAUSSIAN, 1e-320), (3.0, -1.0, TOP_HAT, 1e-110)):
+        pot = RegularizedPotential(PotentialSpec(m, c), shape, eps)
+        with pytest.raises(TransferOverflow, match="eps\\^-m overflows"):
+            pot(0.0)
+        with pytest.raises(TransferOverflow):
+            effective_junction(pot, 1.0)
+    rows = convergence_sweep(PotentialSpec(3.0, -1.0), TOP_HAT, [1e-1, 1e-110], 1.0)
+    assert [row.error for row in rows] == ["", "overflow"]
+    assert rows[0].matrix is not None and rows[1].matrix is None
+
+
 def test_transfer_overflow_raises_directly():
     pot = RegularizedPotential(PotentialSpec(3.0, 1.0), TOP_HAT, 1e-6)
     with pytest.raises(TransferOverflow):

@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from singscat import (
     COSINE_BUMP,
     IvChoice,
+    Mat2,
     MissingChoice,
     NonPositiveEnergy,
     PotentialSpec,
@@ -21,11 +22,13 @@ from singscat import (
     TransferOverflow,
     UndefinedRegime,
     free_transfer,
+    junction_matrix,
     radial_wavefunction,
     s_wave_solve,
 )
 from singscat.cli import main
 from singscat.core import PHASE_ULP_FRACTION
+from singscat.radial import _s_wave
 
 
 def _shell(m: float, c: float, a: float = 1.0) -> ShellPotentialSpec:
@@ -257,3 +260,29 @@ def test_small_energy_phase_shift_keeps_its_digits(capsys):
     argv = ["radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "1e-300"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["sigma0"] == 50.26548245743669
+
+
+def test_signed_zero_couplings_keep_their_own_junctions():
+    # PotentialSpec(1.0, 0.0) == PotentialSpec(1.0, -0.0), and the same for
+    # the two IvChoice, yet their junctions' m21 differ in sign; calls in
+    # alternation must each get their own, which no cache keyed by equality
+    # could give
+    cases = [
+        (PotentialSpec(1.0, 0.0), None, 0.0),
+        (PotentialSpec(1.0, -0.0), None, -0.0),
+        (PotentialSpec(3.0, -1.0), IvChoice(1, 0.0), 0.0),
+        (PotentialSpec(3.0, -1.0), IvChoice(1, -0.0), -0.0),
+    ]
+    assert cases[0][0] == cases[1][0] and cases[2][1] == cases[3][1]
+    for _ in range(3):
+        for p, choice, m21 in cases:
+            got = junction_matrix(p, choice).m21
+            assert math.copysign(1.0, got) == math.copysign(1.0, m21)
+    for _ in range(3):
+        for p, choice, m21 in cases:
+            shell = ShellPotentialSpec(p, 1.25)
+            for k in (0.5, 2.0, 30.0):
+                result = s_wave_solve(shell, k, choice)
+                own = _s_wave(Mat2(1.0, 0.0, m21, 1.0), 1.25, k)
+                got = [*result[2:5], *result.exterior_coeffs]
+                assert list(map(float.hex, got)) == list(map(float.hex, own))

@@ -6,6 +6,8 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import sys
+from unittest import mock
 
 import pytest
 
@@ -28,7 +30,10 @@ from singscat import (
     ScatteringResult,
     ShellPotentialSpec,
     SweepRow,
+    classify_regime,
+    s_wave_solve,
     scattering_amplitudes,
+    transmission_curve,
 )
 
 _SPEC = PotentialSpec(1.0, -2.0)
@@ -65,7 +70,7 @@ REFUSALS = {
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_are_immutable_tuples(name):
     record = RECORDS[name]
-    assert type(record).__name__ == name
+    assert type(record) is getattr(singscat, name)
     assert isinstance(record, tuple)
     assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
     # no instance dict: __slots__ = () on every class of the record
@@ -104,6 +109,7 @@ def test_replace_and_make_keep_the_checks(name):
 
 def test_records_compare_and_unpack_as_tuples():
     assert Mat2.identity() == (1.0, 0.0, 0.0, 1.0)
+    assert type(Mat2.identity()) is Mat2
     m11, m12, m21, m22 = _JUNCTION
     assert (m11, m12, m21, m22) == (1.0, 0.0, -2.0, 1.0)
     assert PotentialSpec(1.0, -2.0) == _SPEC and hash(PotentialSpec(1.0, -2.0)) == hash(_SPEC)
@@ -136,3 +142,44 @@ def test_field_defaults_are_pinned():
     # a checked record builds through its tuple's __new__, defaults included
     assert MollifierShape._field_defaults == {"edge_order": None}
     assert MollifierShape("tophat", 0.5, TOP_HAT.profile).edge_order is None
+
+
+# A plain tuple compares equal to a namedtuple, so the records that the
+# per-energy paths build with tuple.__new__ have their types pinned here.
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_curve_rows_keep_their_record_types(numpy_loaded):
+    if numpy_loaded:
+        import numpy  # noqa: F401  the array kernel runs once numpy is loaded
+    grid = [-1.0, 0.5, math.nan, 2.0]
+    with mock.patch.dict(sys.modules, {} if numpy_loaded else {"numpy": None}):
+        rows = transmission_curve(_JUNCTION, grid)
+        rows += transmission_curve(Mat2(-1.0, 0.0, 0.0, 1.0), [2.0])
+    tags = ["non_positive_energy", "", "non_positive_energy", "", "no_scattering_state"]
+    assert [row.error for row in rows] == tags
+    for row in rows:
+        assert type(row) is SweepRow
+        assert type(row.result) is (type(None) if row.error else ScatteringResult)
+    assert rows[3] == SweepRow(2.0, _RESULT) and repr(rows[3]) == repr(SweepRow(2.0, _RESULT))
+    assert repr(rows[4]) == repr(SweepRow(2.0, error="no_scattering_state"))
+
+
+def test_s_wave_result_keeps_its_record_type():
+    result = s_wave_solve(ShellPotentialSpec(_SPEC, 1.5), 2.0)
+    assert type(result) is RadialResult
+    assert result == RadialResult(*result) and repr(result) == repr(RadialResult(*result))
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        (PotentialSpec(0.5, 1.0), RegimeKind.NO_EFFECT),
+        (_SPEC, RegimeKind.STANDARD_DELTA),
+        (PotentialSpec(3.0, -1.0), RegimeKind.INDETERMINATE),
+    ],
+)
+def test_parameterless_regimes_equal_their_built_records(spec, kind):
+    regime = classify_regime(spec)
+    assert type(regime) is Regime and regime == Regime(kind)
+    assert regime.kind is kind and regime.n is None and regime.reason is None
