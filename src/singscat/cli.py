@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from collections.abc import Iterable
@@ -385,4 +386,7 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    # OpenBLAS starts a thread per CPU when numpy loads, and the 2x2
+    # products gain nothing from them; a value the caller set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main(sys.argv[1:]))

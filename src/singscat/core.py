@@ -159,9 +159,19 @@ def free_propagators(k, h) -> np.ndarray:
     For |k| h^2 < SERIES_WINDOW the sine solution switches to its power
     series, which keeps S continuous in k across 0.  Extreme hyperbolic
     arguments overflow to inf and non-finite inputs give nan entries,
-    without raising; callers inspect finiteness.
+    without raising; callers inspect finiteness.  Each branch (cos/sin or
+    cosh/sinh, series or closed-form sine) is evaluated only when some
+    entry takes it.
     """
     import numpy as np
+
+    def either(mask, taken, other):
+        # np.where(mask, taken(), other()), calling only the branches used
+        if mask.all():
+            return taken()
+        if not mask.any():
+            return other()
+        return np.where(mask, taken(), other())
 
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -169,15 +179,18 @@ def free_propagators(k, h) -> np.ndarray:
         w = np.sqrt(np.abs(k))
         wh = w * h
         kh2 = k * h * h
-        c = np.where(k > 0.0, np.cos(wh), np.cosh(wh))
-        s_series = h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0)
-        s_closed = np.where(k > 0.0, np.sin(wh), np.sinh(wh)) / w
-        s = np.where(np.abs(kh2) < SERIES_WINDOW, s_series, s_closed)
-    mats = np.empty(s.shape + (2, 2))
-    mats[..., 0, 0] = c
-    mats[..., 0, 1] = s
-    mats[..., 1, 0] = -k * s
-    mats[..., 1, 1] = c
+        oscillating = k > 0.0
+        c = either(oscillating, lambda: np.cos(wh), lambda: np.cosh(wh))
+        s = either(
+            np.abs(kh2) < SERIES_WINDOW,
+            lambda: h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0),
+            lambda: either(oscillating, lambda: np.sin(wh), lambda: np.sinh(wh)) / w,
+        )
+        mats = np.empty(np.shape(s) + (2, 2))
+        mats[..., 0, 0] = c
+        mats[..., 0, 1] = s
+        mats[..., 1, 0] = -k * s
+        mats[..., 1, 1] = c
     return mats
 
 

@@ -27,6 +27,8 @@ from .errors import (
     BracketError,
     InsufficientData,
     NoConvergence,
+    PrecisionLoss,
+    SingscatError,
     TransferOverflow,
 )
 from .sweep import sweep_map
@@ -219,30 +221,56 @@ class RegularizedPotential(
     def half_width(self) -> float:
         return self.shape.half_support * self.eps
 
-    def __call__(self, x) -> np.ndarray:
+    @property
+    def scale(self) -> float:
+        """The factor c * eps^-m; a zero coupling gives zero at every eps.
+
+        Raises TransferOverflow when eps^-m leaves the float range.
+        """
+        c = self.spec.c
+        if c == 0.0:
+            return c
         try:
-            scale = self.spec.c * self.eps ** (-self.spec.m)
+            return c * self.eps ** (-self.spec.m)
         except OverflowError:
             raise TransferOverflow(f"eps^-m overflows at eps = {self.eps!r}") from None
-        return scale * self.shape(np.asarray(x, dtype=float) / self.eps) ** self.spec.m
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self.scale * self.shape(x / self.eps) ** self.spec.m
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by balanced pairwise reduction."""
+    """Product of the cell matrices along axis -3, last cell leftmost.
+
+    Balanced pairwise reduction; leading axes are lanes, each reduced by
+    the same pairing tree as alone.
+    """
     # overflow is legitimate here: callers inspect finiteness and report
     with np.errstate(over="ignore", invalid="ignore"):
-        while mats.shape[0] > 1:
-            n = mats.shape[0]
+        while mats.shape[-3] > 1:
+            n = mats.shape[-3]
             even = n - (n % 2)
-            paired = np.matmul(mats[1:even:2], mats[0:even:2])
+            paired = np.matmul(mats[..., 1:even:2, :, :], mats[..., 0:even:2, :, :])
             if n % 2:
-                paired = np.concatenate([paired, mats[even:]], axis=0)
+                paired = np.concatenate([paired, mats[..., even:, :, :]], axis=-3)
             mats = paired
-    return mats[0]
+    return mats[..., 0, :, :]
+
+
+def _spec_and_shape(pots: list) -> tuple[PotentialSpec, MollifierShape]:
+    """The spec and the shape every potential of a list shares."""
+    if not pots:
+        raise ValueError("no potentials to stack")
+    spec, shape = pots[0].spec, pots[0].shape
+    for pot in pots:
+        if pot.spec != spec or pot.shape != shape:
+            raise ValueError("stacked potentials must share one spec and one shape")
+    return spec, shape
 
 
 def transfer_fixed_cells(
-    pot: RegularizedPotential, k: float, n_cells: int
+    pot: RegularizedPotential | Sequence[RegularizedPotential], k: float, n_cells: int
 ) -> np.ndarray:
     """Transfer matrix across the support with a fixed cell count.
 
@@ -252,35 +280,53 @@ def transfer_fixed_cells(
     so memory stays bounded whatever the cell count; up to one chunk the
     product is the plain balanced reduction.  Returns the raw 2x2 array:
     overflowing cells leave non-finite entries, for the caller to refuse.
+
+    pot may also be a list of RegularizedPotentials that share one spec
+    and one shape, the lanes.  Their midpoints, potentials and propagators
+    are then evaluated stacked over (lanes, cells), and the result is an
+    array of shape (lanes, 2, 2) whose entries equal, bit for bit, those
+    of each lane's own call.  Raises ValueError for a list of several
+    lanes that would stack more than _CHUNK_CELLS cells, lanes times
+    n_cells, and TransferOverflow when some lane's eps^-m overflows.
     """
-    half = pot.half_width
+    one = isinstance(pot, RegularizedPotential)
+    pots = [pot] if one else list(pot)
+    spec, shape = _spec_and_shape(pots)
+    if len(pots) > 1 and len(pots) * n_cells > _CHUNK_CELLS:
+        raise ValueError(
+            f"{len(pots)} lanes of {n_cells} cells exceed {_CHUNK_CELLS} stacked cells"
+        )
+    eps = np.array([p.eps for p in pots])[:, None]
+    scale = np.array([p.scale for p in pots])[:, None]
+    half = shape.half_support * eps
     h = 2.0 * half / n_cells
     total: np.ndarray | None = None
     for start in range(0, n_cells, _CHUNK_CELLS):
         stop = min(start + _CHUNK_CELLS, n_cells)
         mids = -half + (np.arange(start, stop) + 0.5) * h
-        chunk = _ordered_product(free_propagators(k - pot(mids), h))
+        potential = scale * shape(mids / eps) ** spec.m
+        chunk = _ordered_product(free_propagators(k - potential, h))
         if total is None:
             total = chunk
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 total = chunk @ total
-    return total
+    return total[0] if one else total
 
 
 def _ladder(
-    iterate: Callable,
     n: int,
     cap: int,
     tol_rel: float,
     scale_of: Callable,
     exponents: Sequence[float],
 ):
-    """Romberg tableau on cell doubling; returns (result, cells).
+    """Romberg tableau on cell doubling, as a generator of one lane.
 
-    iterate(n, prev) is the midpoint-rule iterate at n cells, given the
-    previous one (None at the first).  Its error is taken to expand in
-    the powers h^p of exponents, ascending.  The symmetric midpoint cell
+    The ladder yields the cell count of its next midpoint-rule iterate,
+    starting at n, and is then sent that iterate; _lockstep drives one
+    ladder or many.  The error of the iterates is taken to expand in the
+    powers h^p of exponents, ascending.  The symmetric midpoint cell
     product gives even powers h^2, h^4, ... for a smooth profile; a
     profile vanishing like d^alpha at its edge adds h^(1 + alpha m), by
     the generalized Euler-Maclaurin expansion for algebraic endpoint
@@ -294,16 +340,17 @@ def _ladder(
     column j free of the first j powers.  From n, cells double until the
     first of two tests holds, both against tol_rel * scale_of(iterate):
 
-    - successive iterates agree; the finer iterate is returned.
+    - successive iterates agree; the finer iterate is the result.
     - the deepest column two successive rows share agrees between them;
-      the finer entry is returned.
+      the finer entry is the result.
 
-    Raises NoConvergence, with the last two iterates, once an iterate at
-    cap cells passes neither test.
+    The ladder then returns (result, cells), which StopIteration carries.
+    It raises NoConvergence, with the last two iterates, once an iterate
+    at cap cells passes neither test.
     """
     prev: list = []  # the previous row of the tableau
     while True:
-        row = [iterate(n, prev[0] if prev else None)]
+        row = [(yield n)]
         if prev:
             tol = tol_rel * scale_of(row[0])
             if float(np.abs(row[0] - prev[0]).max()) <= tol:
@@ -322,6 +369,34 @@ def _ladder(
         n *= 2
 
 
+def _lockstep(ladders: list, rung: Callable) -> list:
+    """Refine the lanes of ladders together; per lane (result, cells) or its error.
+
+    Each rung takes the lanes whose ladders ask for the fewest cells, n,
+    and sends each lane the iterate that rung(n, lanes) gives for it, in
+    the order of lanes.  A lane stops when its ladder returns, when its
+    iterate is a SingscatError, or with the NoConvergence its ladder
+    raises at the cap.
+    """
+    outcomes: list = [None] * len(ladders)
+    wants = {lane: next(ladder) for lane, ladder in enumerate(ladders)}
+    while wants:
+        n = min(wants.values())
+        lanes = sorted(lane for lane, want in wants.items() if want == n)
+        for lane, iterate in zip(lanes, rung(n, lanes)):
+            del wants[lane]
+            if isinstance(iterate, SingscatError):
+                outcomes[lane] = iterate
+                continue
+            try:
+                wants[lane] = ladders[lane].send(iterate)
+            except StopIteration as stop:
+                outcomes[lane] = stop.value
+            except NoConvergence as exc:
+                outcomes[lane] = exc
+    return outcomes
+
+
 def _checked(mat: np.ndarray, n_cells: int) -> Mat2:
     """Mat2 of a converged transfer; refuses one whose determinant is off 1.
 
@@ -338,7 +413,60 @@ def _checked(mat: np.ndarray, n_cells: int) -> Mat2:
     return result
 
 
-def numeric_transfer(pot: RegularizedPotential, k: float) -> Mat2:
+def _entry_scale(mat: np.ndarray) -> float:
+    return max(1.0, float(np.abs(mat).max()))
+
+
+def _transfers(pots: list, k: float) -> list:
+    """numeric_transfer of each potential: its Mat2 or the error refusing it."""
+    if not pots:
+        return []
+    spec, shape = _spec_and_shape(pots)
+    outcomes: list = [None] * len(pots)
+    live = []  # indices of the potentials whose eps^-m is in range
+    for i, pot in enumerate(pots):
+        try:
+            pot.scale
+        except TransferOverflow as exc:
+            outcomes[i] = exc
+        else:
+            live.append(i)
+
+    def rung(n: int, lanes: list) -> list:
+        # stack at most _CHUNK_CELLS cells per call; a longer lane goes alone
+        per = max(1, _CHUNK_CELLS // n)
+        iterates = []
+        for lo in range(0, len(lanes), per):
+            group = [pots[live[lane]] for lane in lanes[lo : lo + per]]
+            mats = transfer_fixed_cells(group, k, n)
+            for mat, finite in zip(mats, np.isfinite(mats).all(axis=(1, 2))):
+                iterates.append(
+                    mat
+                    if finite
+                    else TransferOverflow(
+                        f"transfer entries left the representable range at {n} cells"
+                    )
+                )
+        return iterates
+
+    exponents = shape.error_exponents(spec.m)
+    ladders = [
+        _ladder(N_CELLS_START, N_CELLS_CAP, TOL_REL, _entry_scale, exponents)
+        for _ in live
+    ]
+    for i, outcome in zip(live, _lockstep(ladders, rung)):
+        if not isinstance(outcome, SingscatError):
+            try:
+                outcome = _checked(*outcome)
+            except TransferOverflow as exc:
+                outcome = exc
+        outcomes[i] = outcome
+    return outcomes
+
+
+def numeric_transfer(
+    pot: RegularizedPotential | Sequence[RegularizedPotential], k: float
+) -> Mat2 | list:
     """Transfer matrix of the mollified potential across its support.
 
     transfer_fixed_cells on the refinement ladder _ladder, from 64 cells
@@ -350,6 +478,15 @@ def numeric_transfer(pot: RegularizedPotential, k: float) -> Mat2:
     stop on agreeing tableau entries, for m in 0.5..3 at eps = 1e-3 and
     k = 1 within 2^13 cells.
 
+    pot may also be a list of potentials that share one spec and one
+    shape (ValueError otherwise).  Their ladders are then refined in
+    lockstep: each rung makes one stacked transfer_fixed_cells call per
+    _CHUNK_CELLS cells over the lanes still refining (a lane longer than
+    that goes alone), and a lane leaves the stack when its stop test
+    holds or it fails.  The list form returns, for each potential, its
+    Mat2 or the SingscatError that refused it; either equals what the
+    one-potential call returns or raises, bit for bit.
+
     Raises
     ------
     TransferOverflow
@@ -359,23 +496,23 @@ def numeric_transfer(pot: RegularizedPotential, k: float) -> Mat2:
         if the cap is reached first (the last two iterates ride along on
         the exception).
     """
+    if not isinstance(pot, RegularizedPotential):
+        return _transfers(list(pot), k)
+    (outcome,) = _transfers([pot], k)
+    if isinstance(outcome, SingscatError):
+        raise outcome
+    return outcome
 
-    def iterate(n: int, _prev) -> np.ndarray:
-        mat = transfer_fixed_cells(pot, k, n)
-        if not np.isfinite(mat).all():
-            raise TransferOverflow(
-                f"transfer entries left the representable range at {n} cells"
-            )
-        return mat
 
-    def scale(mat: np.ndarray) -> float:
-        return max(1.0, float(np.abs(mat).max()))
-
-    mat, n = _ladder(
-        iterate, N_CELLS_START, N_CELLS_CAP, TOL_REL, scale,
-        pot.shape.error_exponents(pot.spec.m),
-    )
-    return _checked(mat, n)
+def _stripped(transfer: Mat2, k: float, half_width: float) -> Mat2:
+    """F(k, -half_width) transfer F(k, -half_width), for a finite k."""
+    try:
+        strip = free_transfer(k, -half_width)
+        return strip @ transfer @ strip
+    except ValueError as exc:  # k is finite, so Mat2 refused an overflowed entry
+        raise TransferOverflow(
+            f"stripping free flight over {half_width} overflows at k = {k}"
+        ) from exc
 
 
 def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
@@ -393,14 +530,7 @@ def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
     product leave the representable range.
     """
     check_phase(k, pot.half_width)
-    transfer = numeric_transfer(pot, k)
-    try:
-        strip = free_transfer(k, -pot.half_width)
-        return strip @ transfer @ strip
-    except ValueError as exc:  # k is finite, so Mat2 refused an overflowed entry
-        raise TransferOverflow(
-            f"stripping free flight over {pot.half_width} overflows at k = {k}"
-        ) from exc
+    return _stripped(numeric_transfer(pot, k), k, pot.half_width)
 
 
 class ConvergenceRow(
@@ -429,6 +559,10 @@ def convergence_sweep(
 
     eps_list must be strictly decreasing and positive.  Rows that
     overflow or fail to converge come back flagged with nan entries.
+    Each row equals effective_junction of its own potential: its phase is
+    checked first, then one list call to numeric_transfer refines the
+    transfers of every row still standing together, and the strips are
+    applied per row.
     """
     eps_values = [float(e) for e in eps_list]
     if not eps_values:
@@ -438,23 +572,39 @@ def convergence_sweep(
             raise ValueError("eps_list must decrease strictly")
     if eps_values[-1] <= 0.0:
         raise ValueError("eps values must be positive")
+    pots = [RegularizedPotential(p, shape, eps) for eps in eps_values]
 
-    def one(eps: float) -> ConvergenceRow:
-        m_eps = effective_junction(RegularizedPotential(p, shape, eps), k)
+    def phase_error(pot: RegularizedPotential) -> PrecisionLoss | None:
+        try:
+            check_phase(k, pot.half_width)
+        except PrecisionLoss as exc:
+            return exc
+        return None
+
+    refused = [phase_error(pot) for pot in pots]
+    kept = [pot for pot, error in zip(pots, refused) if error is None]
+    transfers = iter(numeric_transfer(kept, k))
+    outcomes = [error or next(transfers) for error in refused]
+
+    def one(item: tuple) -> ConvergenceRow:
+        pot, transfer = item
+        if isinstance(transfer, SingscatError):
+            raise transfer  # sweep_map flags the row with its tag
+        m_eps = _stripped(transfer, k, pot.half_width)
         deviation = (
             m_eps.max_abs_diff(reference) if reference is not None else math.nan
         )
         return ConvergenceRow(
-            eps=eps,
+            eps=pot.eps,
             matrix=m_eps,
             deviation=deviation,
             det_err=abs(m_eps.det() - 1.0),
         )
 
-    def failed(eps: float, tag: str) -> ConvergenceRow:
-        return ConvergenceRow(eps, None, math.nan, math.nan, tag)
+    def failed(item: tuple, tag: str) -> ConvergenceRow:
+        return ConvergenceRow(item[0].eps, None, math.nan, math.nan, tag)
 
-    return sweep_map(one, eps_values, failed)
+    return sweep_map(one, list(zip(pots, outcomes)), failed)
 
 
 def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
@@ -664,8 +814,16 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
             ga, gb = shoot(a, cells), shoot(b, cells)
         return _brent(lambda c: shoot(c, cells), a, b, ga, gb)
 
-    root, n_cells = _ladder(
-        refine, n_cells, 2**20, _LEVEL_TOL, abs, shape.error_exponents(2.0)
-    )
+    roots = [None]  # None: the first rung solves in the scan's bracket
+
+    def rung(cells: int, _lanes: list) -> list:
+        roots.append(refine(cells, roots[-1]))
+        return roots[-1:]
+
+    ladder = _ladder(n_cells, 2**20, _LEVEL_TOL, abs, shape.error_exponents(2.0))
+    (outcome,) = _lockstep([ladder], rung)
+    if isinstance(outcome, NoConvergence):
+        raise outcome
+    root, n_cells = outcome
     parity = 1 if transfer(root, n_cells)[0, 0] > 0.0 else -1
     return root, parity

@@ -178,6 +178,30 @@ def test_exit_three_on_regime_errors(capsys):
     assert json.loads(out)["error"] == "no_scattering_state"
 
 
+def test_zero_coupling_is_free_flight_even_where_eps_power_overflows(capsys):
+    # eps^-m is past the float range at eps = 1e-320, but c = 0 multiplies it
+    code, out, _ = run(
+        capsys,
+        "mollify", "--m", "1", "--c", "0", "--shape", "gauss",
+        "--eps", "1e-320", "--k", "1",
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert row.split(",")[1:] == ["1", "0", "0", "1", "0", "0", "ok"]
+
+
+def test_overflowing_row_leaves_stderr_empty(capsys):
+    # at eps = 1e-9 the lower-left entry of a cell propagator overflows
+    code, out, err = run(
+        capsys,
+        "mollify", "--m", "3", "--c", "1", "--shape", "triangle",
+        "--eps", "1e-1,1e-9", "--k", "1",
+    )
+    assert code == 0
+    assert out.splitlines()[-1].endswith(",overflow")
+    assert err == ""
+
+
 def test_exit_four_on_numerical_failure(capsys):
     # sqrt(k) eps / 2 is past 2^34 for every eps: no row keeps a digit of
     # its phase, so the command fails as a whole

@@ -16,6 +16,7 @@ from singscat import (
     free_propagators,
     free_transfer,
 )
+from singscat.core import SERIES_WINDOW
 
 
 def fundamental_pair(k: float, x: float) -> tuple[float, float, float, float]:
@@ -211,3 +212,68 @@ def test_piecewise_solution_invariant():
     assert sol._fields == ("k", "left_coeffs", "junction")
     with pytest.raises(TypeError):
         PiecewiseSolution(1.0, (1.0, 0.0), (1.0, -2.0), junction)
+
+
+def _all_branch_propagators(k, h) -> np.ndarray:
+    """free_propagators as it was written first: every branch on every entry."""
+    k = np.asarray(k, dtype=float)
+    h = np.asarray(h, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = np.sqrt(np.abs(k))
+        wh = w * h
+        kh2 = k * h * h
+        c = np.where(k > 0.0, np.cos(wh), np.cosh(wh))
+        s_series = h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0)
+        s_closed = np.where(k > 0.0, np.sin(wh), np.sinh(wh)) / w
+        s = np.where(np.abs(kh2) < SERIES_WINDOW, s_series, s_closed)
+    mats = np.empty(s.shape + (2, 2))
+    mats[..., 0, 0] = c
+    mats[..., 0, 1] = s
+    mats[..., 1, 0] = -k * s
+    mats[..., 1, 1] = c
+    return mats
+
+
+def _bits(mats: np.ndarray) -> np.ndarray:
+    """The float64 bits, with the sign bit of nan entries cleared."""
+    mats = np.ascontiguousarray(mats, dtype=float)
+    bits = mats.view(np.uint64).copy()
+    bits[np.isnan(mats)] &= np.uint64(2**63 - 1)
+    return bits
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize(
+    "k, h",
+    [
+        (np.linspace(0.5, 40.0, 7), 0.3),  # all oscillating, no series
+        (-np.linspace(0.5, 40.0, 7), 0.3),  # all hyperbolic, no series
+        (np.linspace(-40.0, 40.0, 9), 0.3),  # mixed signs, series at k = 0
+        (np.array([1e-6, 2.0, -3e-7, -5.0]), 1e-3),  # all series
+        (np.array([[1e-6], [-2.0]]), np.array([1e-3, 1.0, 5.0])),  # broadcast, mixed
+        (2.5, 0.7),  # 0-d
+        (-2.5, 0.7),
+        (1e-9, 0.7),
+        (np.array(_SPECIAL), 0.5),
+        (np.array(_SPECIAL)[:, None], np.array(_SPECIAL + [1.0, -1.0])),
+        (math.nan, 1.0),
+        (-math.inf, 1.0),
+        (3.0, math.inf),
+        (-0.0, -0.0),
+    ],
+)
+def test_free_propagators_evaluate_only_the_branches_used(k, h):
+    got = free_propagators(k, h)
+    want = _all_branch_propagators(k, h)
+    assert got.shape == want.shape
+    assert _bits(got).tobytes() == _bits(want).tobytes()
+
+
+def test_overflow_of_the_lower_left_entry_is_silent():
+    # sinh(700) / 1e150 is finite, -k S = 1e300 times it is not; the
+    # overflow is reported as an inf entry, never as a RuntimeWarning
+    # (which the test configuration turns into an error)
+    mats = free_propagators(-1e300, 7e-148)
+    assert np.isfinite(mats[0, 1]) and mats[1, 0] == math.inf

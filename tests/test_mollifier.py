@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -38,6 +38,7 @@ from singscat import (
     resonant_search,
     scattering_amplitudes,
 )
+from singscat.errors import SingscatError
 from singscat.mollifier import ConvergenceRow, transfer_fixed_cells
 
 
@@ -688,3 +689,133 @@ def test_brent_matches_brentq_on_smooth_functions(a, b, where, which):
 
     root = mollifier_mod._brent(f, a, b, f(a), f(b))
     assert root == brentq(f, a, b, xtol=1e-30, rtol=1e-15)
+
+
+def test_zero_coupling_is_free_flight_at_every_eps():
+    # eps^-m overflows at eps = 1e-320, but c = 0 makes the potential zero
+    pot = RegularizedPotential(PotentialSpec(1.0, 0.0), GAUSSIAN, 1e-320)
+    assert pot.scale == 0.0
+    assert not np.any(pot(np.linspace(-1e-319, 1e-319, 9)))
+    free = free_transfer(1.0, 2.0 * pot.half_width)
+    assert numeric_transfer(pot, 1.0).max_abs_diff(free) < 1e-12
+    (row,) = convergence_sweep(PotentialSpec(1.0, 0.0), GAUSSIAN, [1e-320], 1.0)
+    assert row.error == "" and row.matrix.max_abs_diff(Mat2.identity()) < 1e-12
+
+
+def _same_outcome(got, want) -> bool:
+    """Equal bits, or the same exception type, message and last iterates."""
+    if isinstance(want, Exception):
+        if type(got) is not type(want) or str(got) != str(want):
+            return False
+        pairs = zip(
+            getattr(got, "last_iterates", ()), getattr(want, "last_iterates", ())
+        )
+        return all(
+            (a is None and b is None) or (a.tobytes() == b.tobytes()) for a, b in pairs
+        )
+    return [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _one_at_a_time(fn, *args):
+    try:
+        return fn(*args)
+    except SingscatError as exc:
+        return exc
+
+
+_DESCENDING_EPS = st.lists(
+    st.floats(min_value=-4.0, max_value=-0.5), min_size=1, max_size=6, unique=True
+).map(lambda logs: sorted((10.0**x for x in set(logs)), reverse=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SHAPES.values())),
+    mc=st.sampled_from(_LAB_REGIMES + ((3.0, 1500.0),)),
+    k=st.one_of(st.floats(min_value=0.25, max_value=4.0), st.just(1e30)),
+    eps_list=_DESCENDING_EPS,
+    capped=st.booleans(),
+)
+# a clean row next to rows refused by their determinant and a row whose
+# entries overflow at the first rung
+@example(shape=TOP_HAT, mc=(3.0, 1500.0), k=1.0, eps_list=[10.0, 1.0, 1e-2, 1e-3],
+         capped=False)
+# a row that loses its phase next to one that keeps it
+@example(shape=TOP_HAT, mc=(0.5, -3.0), k=1e30, eps_list=[1e-1, 1e-20], capped=False)
+# rows leaving at 256 and 512 cells; capped at 256, two end in NoConvergence
+@example(shape=TRIANGLE, mc=(1.0, -1.0), k=1.0, eps_list=[0.3, 0.1, 0.03, 1e-3],
+         capped=False)
+@example(shape=TRIANGLE, mc=(1.0, -1.0), k=1.0, eps_list=[0.3, 0.1, 0.03, 1e-3],
+         capped=True)
+def test_lockstep_rows_equal_rows_computed_one_at_a_time(shape, mc, k, eps_list, capped):
+    p = PotentialSpec(*mc)
+    pots = [RegularizedPotential(p, shape, eps) for eps in eps_list]
+    with pytest.MonkeyPatch.context() as patch:
+        if capped:
+            patch.setattr(mollifier_mod, "N_CELLS_CAP", 256)
+        rows = convergence_sweep(p, shape, eps_list, k)
+        alone = [_one_at_a_time(effective_junction, pot, k) for pot in pots]
+        stacked = numeric_transfer(pots, k)
+        singles = [_one_at_a_time(numeric_transfer, pot, k) for pot in pots]
+    assert [row.eps for row in rows] == eps_list
+    for row, want in zip(rows, alone):
+        if isinstance(want, SingscatError):
+            assert (row.error, row.matrix) == (want.tag, None)
+        else:
+            assert row.error == "" and _same_outcome(row.matrix, want)
+            assert row.det_err.hex() == abs(want.det() - 1.0).hex()
+    assert len(stacked) == len(pots)
+    for got, want in zip(stacked, singles):
+        assert _same_outcome(got, want)
+
+
+def test_list_forms_refuse_potentials_of_different_specs_or_shapes():
+    a = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 0.1)
+    for b in (a._replace(spec=PotentialSpec(1.0, -2.0)), a._replace(shape=TOP_HAT)):
+        with pytest.raises(ValueError, match="share one spec and one shape"):
+            numeric_transfer([a, b], 1.0)
+        with pytest.raises(ValueError, match="share one spec and one shape"):
+            transfer_fixed_cells([a, b], 1.0, 64)
+    assert numeric_transfer([], 1.0) == []
+    with pytest.raises(ValueError, match="no potentials"):
+        transfer_fixed_cells([], 1.0, 64)
+    with pytest.raises(ValueError, match="stacked cells"):
+        transfer_fixed_cells([a, a], 1.0, mollifier_mod._CHUNK_CELLS)
+
+
+@pytest.mark.parametrize("chunk", [None, 2**12], ids=["default_chunk", "small_chunk"])
+def test_sweep_stacks_at_most_a_chunk_of_cells(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(mollifier_mod, "_CHUNK_CELLS", chunk)
+    limit = mollifier_mod._CHUNK_CELLS
+    calls, stacked_cells = [], []
+    real_fixed, real_free = transfer_fixed_cells, mollifier_mod.free_propagators
+
+    def fixed(pots, k, n_cells):
+        out = real_fixed(pots, k, n_cells)
+        calls.append((len(pots), n_cells))
+        # each lane's entries are those of its own call, chunked as alone
+        for pot, mat in zip(pots, out):
+            assert mat.tobytes() == real_fixed(pot, k, n_cells).tobytes()
+        return out
+
+    def free(k, h):
+        stacked_cells.append(np.size(k))
+        return real_free(k, h)
+
+    monkeypatch.setattr(mollifier_mod, "transfer_fixed_cells", fixed)
+    monkeypatch.setattr(mollifier_mod, "free_propagators", free)
+    # the gauss at m = 3 needs from 2^10 to 2^14 cells over these eps
+    eps_list = [0.5 * 0.8**i for i in range(40)]
+    rows = convergence_sweep(PotentialSpec(3.0, -1.0), GAUSSIAN, eps_list, 1.0)
+    assert all(row.error == "" for row in rows)
+    assert all(lanes * n <= limit or lanes == 1 for lanes, n in calls)
+    assert max(stacked_cells) <= limit
+    lanes_per_rung = {}
+    for lanes, n in calls:
+        lanes_per_rung[n] = lanes_per_rung.get(n, 0) + lanes
+    assert lanes_per_rung[64] == 40 and lanes_per_rung[max(lanes_per_rung)] == 1
+    if chunk is not None:
+        # a rung split into several calls, and lanes longer than a chunk
+        assert any(lanes * n > limit for n, lanes in lanes_per_rung.items())
+        assert max(lanes_per_rung) > limit

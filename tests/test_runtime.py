@@ -119,6 +119,37 @@ def test_cli_process_loads_no_scipy(argv, code, numpy):
     assert report == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
 
 
+# Runs `python -m singscat <argv>` in-process, then reports on stderr the
+# threads of the process and the OpenBLAS thread setting it ended with.
+_THREADS_AFTER_RUN = """
+import os, runpy, sys
+sys.argv = ["singscat", *sys.argv[1:]]
+try:
+    runpy.run_module("singscat", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+threads = len(os.listdir("/proc/self/task"))
+print(threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc (Linux)"
+)
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "set_by_user"])
+def test_cli_process_caps_openblas_threads_unless_set(setting, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if setting is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+    proc = _python("-c", _THREADS_AFTER_RUN, "resonance", "--shape", "tophat", "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    threads, kept = proc.stderr.split()
+    if setting is None:
+        assert (threads, kept) == ("1", "1")
+    else:
+        assert kept == setting
+
+
 def _imports_of(package: str, tree: ast.AST) -> list[int]:
     """Line numbers of the imports of package, or of its modules, under tree."""
     lines = []
