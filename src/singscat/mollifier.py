@@ -21,7 +21,6 @@ from .core import (
     PotentialSpec,
     check_phase,
     free_propagators,
-    free_transfer,
 )
 from .errors import (
     BracketError,
@@ -43,7 +42,8 @@ _CHUNK_CELLS = 2**16
 
 # Highest level resonant_search accepts; the bracket scan grows like
 # level^2: level 32 takes 8202 shots for the top hat and 8435 for the
-# gauss (2.5-2.8 s end to end on a 2-vCPU VM, Python 3.11, 2026-10-18).
+# gauss (0.7-0.9 s and 2.2-2.5 s end to end on a 2-vCPU VM, Python 3.11,
+# 2026-10-19).
 MAX_LEVEL = 32
 
 # A converged transfer whose determinant is further than this from 1 is
@@ -269,16 +269,71 @@ def _spec_and_shape(pots: list) -> tuple[PotentialSpec, MollifierShape]:
     return spec, shape
 
 
+def _run_product(cell: np.ndarray, n: int) -> np.ndarray:
+    """_ordered_product of n copies of each lane's cell, bit for bit.
+
+    cell holds one 2x2 matrix per lane, (lanes, 2, 2).  Each level of the
+    pairing tree over n equal cells is a run of equal matrices followed by
+    at most two leftovers: the run pairs into its squares, and an odd run's
+    last matrix joins the leftovers, which pair later @ earlier as in the
+    tree.  So O(log n) contiguous products give the tree's bits; broadcast
+    views would leave numpy's BLAS path and round differently.
+    """
+    run, count, rest = cell, n, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while count + len(rest) > 1:
+            seq = [run] * (count % 2) + rest
+            rest = [
+                seq[i + 1] @ seq[i] if i + 1 < len(seq) else seq[i]
+                for i in range(0, len(seq), 2)
+            ]
+            count //= 2
+            if count:
+                run = run @ run
+    return run if count else rest[0]
+
+
+def _cells_product(wave_of: Callable, h, n_cells: int) -> np.ndarray:
+    """Ordered product of n_cells free propagators of width h, per lane.
+
+    wave_of(start, stop) gives the wave numbers k - U of cells start to
+    stop - 1, (lanes, stop - start), and h broadcasts against them.  Cells
+    are taken in chunks of _CHUNK_CELLS multiplied into a running product,
+    so memory stays bounded whatever the cell count; up to one chunk the
+    product is the plain balanced reduction _ordered_product.  When each
+    lane of a chunk holds one wave number throughout, compared as int64 so
+    that signed zeros and nan payloads never merge, as the top hat's do,
+    the propagators are evaluated for its first cell only and reduced by
+    _run_product, with the same bits.
+    """
+    total: np.ndarray | None = None
+    for start in range(0, n_cells, _CHUNK_CELLS):
+        wave = wave_of(start, min(start + _CHUNK_CELLS, n_cells))
+        bits = wave.view(np.int64)
+        # the middle cell rules out a bump's lanes at one comparison each
+        if (bits[:, bits.shape[1] // 2] == bits[:, 0]).all() and (
+            bits == bits[:, :1]
+        ).all():
+            cell = free_propagators(wave[:, :1], h)[:, 0]
+            chunk = _run_product(cell, wave.shape[1])
+        else:
+            chunk = _ordered_product(free_propagators(wave, h))
+        if total is None:
+            total = chunk
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = chunk @ total
+    return total
+
+
 def transfer_fixed_cells(
     pot: RegularizedPotential | Sequence[RegularizedPotential], k: float, n_cells: int
 ) -> np.ndarray:
     """Transfer matrix across the support with a fixed cell count.
 
     Each of the n_cells equal cells is the exact free propagator
-    core.free_propagators at k minus the potential at its midpoint.  Cells
-    are taken in chunks of _CHUNK_CELLS multiplied into a running product,
-    so memory stays bounded whatever the cell count; up to one chunk the
-    product is the plain balanced reduction.  Returns the raw 2x2 array:
+    core.free_propagators at k minus the potential at its midpoint, and
+    _cells_product multiplies them in order.  Returns the raw 2x2 array:
     overflowing cells leave non-finite entries, for the caller to refuse.
 
     pot may also be a list of RegularizedPotentials that share one spec
@@ -300,17 +355,12 @@ def transfer_fixed_cells(
     scale = np.array([p.scale for p in pots])[:, None]
     half = shape.half_support * eps
     h = 2.0 * half / n_cells
-    total: np.ndarray | None = None
-    for start in range(0, n_cells, _CHUNK_CELLS):
-        stop = min(start + _CHUNK_CELLS, n_cells)
+
+    def wave_of(start: int, stop: int) -> np.ndarray:
         mids = -half + (np.arange(start, stop) + 0.5) * h
-        potential = scale * shape(mids / eps) ** spec.m
-        chunk = _ordered_product(free_propagators(k - potential, h))
-        if total is None:
-            total = chunk
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = chunk @ total
+        return k - scale * shape(mids / eps) ** spec.m
+
+    total = _cells_product(wave_of, h, n_cells)
     return total[0] if one else total
 
 
@@ -504,11 +554,16 @@ def numeric_transfer(
     return outcome
 
 
-def _stripped(transfer: Mat2, k: float, half_width: float) -> Mat2:
-    """F(k, -half_width) transfer F(k, -half_width), for a finite k."""
+def _stripped(transfer: Mat2, k: float, half_width: float, strip: list) -> Mat2:
+    """F transfer F for a finite k, F = F(k, -half_width).
+
+    strip holds the entries of F as free_propagators(k, -half_width)
+    gives them, as nested lists.
+    """
     try:
-        strip = free_transfer(k, -half_width)
-        return strip @ transfer @ strip
+        (c, s), (dc, ds) = strip
+        f = Mat2(c, s, dc, ds)
+        return f @ transfer @ f
     except ValueError as exc:  # k is finite, so Mat2 refused an overflowed entry
         raise TransferOverflow(
             f"stripping free flight over {half_width} overflows at k = {k}"
@@ -530,7 +585,8 @@ def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
     product leave the representable range.
     """
     check_phase(k, pot.half_width)
-    return _stripped(numeric_transfer(pot, k), k, pot.half_width)
+    strip = free_propagators(k, -pot.half_width).tolist()
+    return _stripped(numeric_transfer(pot, k), k, pot.half_width, strip)
 
 
 class ConvergenceRow(
@@ -561,8 +617,8 @@ def convergence_sweep(
     overflow or fail to converge come back flagged with nan entries.
     Each row equals effective_junction of its own potential: its phase is
     checked first, then one list call to numeric_transfer refines the
-    transfers of every row still standing together, and the strips are
-    applied per row.
+    transfers of every row still standing together, and one
+    free_propagators call gives every row's strips, applied per row.
     """
     eps_values = [float(e) for e in eps_list]
     if not eps_values:
@@ -585,12 +641,13 @@ def convergence_sweep(
     kept = [pot for pot, error in zip(pots, refused) if error is None]
     transfers = iter(numeric_transfer(kept, k))
     outcomes = [error or next(transfers) for error in refused]
+    strips = free_propagators(k, [-pot.half_width for pot in pots]).tolist()
 
     def one(item: tuple) -> ConvergenceRow:
-        pot, transfer = item
+        pot, transfer, strip = item
         if isinstance(transfer, SingscatError):
             raise transfer  # sweep_map flags the row with its tag
-        m_eps = _stripped(transfer, k, pot.half_width)
+        m_eps = _stripped(transfer, k, pot.half_width, strip)
         deviation = (
             m_eps.max_abs_diff(reference) if reference is not None else math.nan
         )
@@ -604,7 +661,7 @@ def convergence_sweep(
     def failed(item: tuple, tag: str) -> ConvergenceRow:
         return ConvergenceRow(item[0].eps, None, math.nan, math.nan, tag)
 
-    return sweep_map(one, list(zip(pots, outcomes)), failed)
+    return sweep_map(one, list(zip(pots, outcomes, strips)), failed)
 
 
 def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
@@ -744,8 +801,10 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
 
     Shooting at zero energy: integrate w'' = c phi(y)^2 w from (1, 0) at
     the left edge and solve w'(right edge) = 0 for c by Brent's method.
-    In the m = 2 scaling limit eps drops out, so each shot is
-    transfer_fixed_cells of the m = 2 potential at eps = 1 and k = 0.
+    In the m = 2 scaling limit eps drops out, so each shot is the cell
+    product of transfer_fixed_cells for the m = 2 potential at eps = 1 and
+    k = 0, with the same bits: c times the profile phi(mids)^2, which is
+    evaluated once per cell count.
     Levels are ordered by |c|; the returned parity sign(w(s)/w(-s)) says
     whether the limiting junction is +identity or -identity.  For the
     top-hat shape the levels are exactly -(n pi)^2.
@@ -775,9 +834,20 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     n_cells = 2048
     step = math.pi**2 / 8.0
 
+    profiles: dict = {}  # the current rung's cells -> (phi(mids)^2, h)
+
     def transfer(c: float, cells: int) -> np.ndarray:
-        pot = RegularizedPotential(PotentialSpec(2.0, c), shape, 1.0)
-        return transfer_fixed_cells(pot, 0.0, cells)
+        if cells not in profiles:
+            profiles.clear()
+            h = 2.0 * shape.half_support / cells
+            mids = -shape.half_support + (np.arange(cells) + 0.5) * h
+            profiles[cells] = shape(mids)[None, :] ** 2.0, h
+        profile, h = profiles[cells]
+
+        def wave_of(start: int, stop: int) -> np.ndarray:
+            return 0.0 - c * profile[:, start:stop]
+
+        return _cells_product(wave_of, h, cells)[0]
 
     def shoot(c: float, cells: int) -> float:
         return float(transfer(c, cells)[1, 0])

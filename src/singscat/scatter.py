@@ -24,9 +24,13 @@ from .sweep import sweep_map
 if TYPE_CHECKING:
     import numpy as np
 
-# The matching system is declared inconsistent when its determinant is
-# this small relative to the matrix scale.
+# The matching system is declared inconsistent when both parts of its
+# determinant D are this small relative to their own terms: Re D against
+# k |J12| + |J21|, Im D against q (|J11| + |J22|).
 _DEGENERACY_TOL = 1e-14
+# |r| and |t| from here on are refused as overflow: their squares, R and T,
+# would leave the float range or come close to it.
+_AMPLITUDE_MAX = 2.0**511
 
 # Energies per pass of the amplitude kernel.  A pass holds about twenty
 # float arrays of this length at once, so blocks keep that memory small
@@ -90,7 +94,9 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     the signed zeros do not depend on the Python version.  Raises
     NonPositiveEnergy if k <= 0 (or nan), ValueError if k is infinite, and
     NoScatteringState if the matching system is inconsistent (D = 0), as
-    for the junction diag(-1, 1).
+    for the junction diag(-1, 1): each part of D is within _DEGENERACY_TOL
+    of its own terms, or |D| overflows.  Raises TransferOverflow when |r|
+    or |t| reaches _AMPLITUDE_MAX.
     """
     kf = float(k)
     if kf == math.inf:
@@ -99,21 +105,26 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
         raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
     q = math.sqrt(kf)
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
-    denom = complex(kf * j12 - j21, q * (j11 + j22))
-    scale = kf * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
-    try:
-        size = abs(denom)
-    except OverflowError:  # |D| past the float range, where np.hypot gives inf
-        size = math.inf
-    if size <= _DEGENERACY_TOL * scale:
+    d_re, d_im = kf * j12 - j21, q * (j11 + j22)
+    if math.hypot(d_re, d_im) == math.inf or (
+        abs(d_re) <= _DEGENERACY_TOL * (kf * abs(j12) + abs(j21))
+        and abs(d_im) <= _DEGENERACY_TOL * (q * (abs(j11) + abs(j22)))
+    ):
         raise NoScatteringState("plane-wave matching system is inconsistent")
+    denom = complex(d_re, d_im)
     r = complex(kf * j12 + j21, q * (j22 - j11)) / denom
     one = complex(1.0, 0.0)
     t = complex(j11, 0.0) * (one + r) + (
         1j * complex(q, 0.0) * complex(j12, 0.0) * (one - r)
     )
+    try:
+        mod_r, mod_t = abs(r), abs(t)
+    except OverflowError:  # past the float range, where np.hypot gives inf
+        mod_r = mod_t = math.inf
+    if not (mod_r < _AMPLITUDE_MAX and mod_t < _AMPLITUDE_MAX):
+        raise TransferOverflow(f"|r|^2 or |t|^2 leaves the float range at k = {k}")
+    rr, tt = mod_r**2, mod_t**2
     det_j = junction.det()
-    rr, tt = abs(r) ** 2, abs(t) ** 2
     return ScatteringResult(k, r, t, rr, tt, det_j, tt + det_j * rr - det_j)
 
 
@@ -160,7 +171,8 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tupl
     """_amplitude_rows' rows for finite energies k, and a code per energy.
 
     The code is 0 for a good energy, else why it fails: 1 for k <= 0 (or
-    nan), 2 for D = 0.  A failing energy's row holds nan and error "".
+    nan), 2 for D = 0, 3 for |r| or |t| from _AMPLITUDE_MAX.  A failing
+    energy's row holds nan and error "".
     """
     import numpy as np
 
@@ -168,9 +180,11 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tupl
     with np.errstate(all="ignore"):
         q = np.sqrt(k)
         d_re, d_im = k * j12 - j21, q * (j11 + j22)
-        scale = k * abs(j12) + abs(j21) + q * (abs(j11) + abs(j22))
-        tol = _DEGENERACY_TOL * scale  # np.hypot below is abs(complex)
-        code = np.where(k > 0.0, np.where(np.hypot(d_re, d_im) <= tol, 2, 0), 1)
+        degenerate = (np.hypot(d_re, d_im) == np.inf) | (
+            (abs(d_re) <= _DEGENERACY_TOL * (k * abs(j12) + abs(j21)))
+            & (abs(d_im) <= _DEGENERACY_TOL * (q * (abs(j11) + abs(j22))))
+        )
+        code = np.where(k > 0.0, np.where(degenerate, 2, 0), 1)
         r_re, r_im = _c_quot(k * j12 + j21, q * (j22 - j11), d_re, d_im)
         # CPython 3.11 turns the float operand of a mixed float/complex
         # operation into complex(x, 0.0) and then runs the complex formula,
@@ -184,6 +198,8 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tupl
         amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
         amps[:, code != 0] = complex(math.nan, math.nan)
         mods = np.hypot(amps.real, amps.imag)
+        code[(code == 0) & ~(mods < _AMPLITUDE_MAX).all(axis=0)] = 3
+        mods[:, code == 3] = math.nan
     # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
     rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
     det_j = junction.det()

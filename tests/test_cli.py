@@ -178,6 +178,23 @@ def test_exit_three_on_regime_errors(capsys):
     assert json.loads(out)["error"] == "no_scattering_state"
 
 
+def test_case_iv_scatter_at_large_k_is_computed(capsys):
+    code, out, _ = run(
+        capsys,
+        "scatter", "--m", "3", "--c", "-1",
+        "--iv-a", "-1", "--iv-b", "1", "--k", "1e28",
+    )
+    assert code == 0
+    assert abs(json.loads(out)["T"] - 4e28) <= 1e-12 * 4e28
+    code, out, _ = run(
+        capsys,
+        "scatter", "--m", "3", "--c", "-1",
+        "--iv-a", "-1", "--iv-b", "1e-10", "--k", "1e300",
+    )
+    assert code == 4
+    assert json.loads(out)["error"] == "overflow"
+
+
 def test_zero_coupling_is_free_flight_even_where_eps_power_overflows(capsys):
     # eps^-m is past the float range at eps = 1e-320, but c = 0 multiplies it
     code, out, _ = run(

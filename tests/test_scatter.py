@@ -113,6 +113,32 @@ def test_degenerate_junction_has_no_scattering_state():
         scattering_amplitudes(Mat2(-1.0, 0.0, 0.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("b", [1.0, -1.0, 3.0])
+@pytest.mark.parametrize("k", [1e28, 1e32])
+def test_case_iv_junction_scatters_at_large_k(b, k):
+    # D = -b: the real part of D is checked against its own terms, not
+    # against q (|J11| + |J22|), which outgrows it at large k
+    j = Mat2(-1.0, 0.0, b, 1.0)
+    want = 4.0 * k / (b * b)
+    res = scattering_amplitudes(j, k)
+    assert abs(res.transmit_prob - want) <= 1e-12 * want
+    (row,) = transmission_curve(j, [k])  # numpy is loaded: the array kernel
+    assert row.error == "" and row.result == res
+    for k_any in (1e-300, 1.0, 1e300):
+        with pytest.raises(NoScatteringState):
+            scattering_amplitudes(Mat2(-1.0, 0.0, 0.0, 1.0), k_any)
+
+
+def test_transmission_past_the_float_range_is_an_overflow():
+    # T = 4k/b^2 = 4e320 for b = 1e-10 at k = 1e300
+    j = Mat2(-1.0, 0.0, 1e-10, 1.0)
+    with pytest.raises(TransferOverflow):
+        scattering_amplitudes(j, 1e300)
+    rows = transmission_curve(j, [1e300, 1e20])  # the array kernel
+    assert [row.error for row in rows] == ["overflow", ""]
+    assert abs(rows[1].result.transmit_prob - 4e40) <= 1e-12 * 4e40
+
+
 def test_energy_must_be_positive():
     j = junction_matrix(PotentialSpec(1.0, -1.0))
     with pytest.raises(NonPositiveEnergy):
