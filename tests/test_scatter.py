@@ -109,8 +109,9 @@ def test_sign_flipped_choice_has_negative_determinant_relation():
 
 
 def test_degenerate_junction_has_no_scattering_state():
-    with pytest.raises(NoScatteringState):
-        scattering_amplitudes(Mat2(-1.0, 0.0, 0.0, 1.0), 1.0)
+    for k in (1e-300, 1.0, 1e300):
+        with pytest.raises(NoScatteringState):
+            scattering_amplitudes(Mat2(-1.0, 0.0, 0.0, 1.0), k)
 
 
 @pytest.mark.parametrize("b", [1.0, -1.0, 3.0])
@@ -124,9 +125,6 @@ def test_case_iv_junction_scatters_at_large_k(b, k):
     assert abs(res.transmit_prob - want) <= 1e-12 * want
     (row,) = transmission_curve(j, [k])  # numpy is loaded: the array kernel
     assert row.error == "" and row.result == res
-    for k_any in (1e-300, 1.0, 1e300):
-        with pytest.raises(NoScatteringState):
-            scattering_amplitudes(Mat2(-1.0, 0.0, 0.0, 1.0), k_any)
 
 
 def test_transmission_past_the_float_range_is_an_overflow():
