@@ -161,17 +161,10 @@ def free_propagators(k, h) -> np.ndarray:
     arguments overflow to inf and non-finite inputs give nan entries,
     without raising; callers inspect finiteness.  Each branch (cos/sin or
     cosh/sinh, series or closed-form sine) is evaluated only when some
-    entry takes it.
+    entry takes it, as np.count_nonzero of its mask shows; a mixed mask
+    merges both with np.where.
     """
     import numpy as np
-
-    def either(mask, taken, other):
-        # np.where(mask, taken(), other()), calling only the branches used
-        if mask.all():
-            return taken()
-        if not mask.any():
-            return other()
-        return np.where(mask, taken(), other())
 
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -180,18 +173,33 @@ def free_propagators(k, h) -> np.ndarray:
         wh = w * h
         kh2 = k * h * h
         oscillating = k > 0.0
-        c = either(oscillating, lambda: np.cos(wh), lambda: np.cosh(wh))
-        s = either(
-            np.abs(kh2) < SERIES_WINDOW,
-            lambda: h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0),
-            lambda: either(oscillating, lambda: np.sin(wh), lambda: np.sinh(wh)) / w,
-        )
+        c = _either(oscillating, np.cos, np.cosh, wh)
+        series = np.abs(kh2) < SERIES_WINDOW
+        used = np.count_nonzero(series)
+        s = None  # the closed-form sine, where some entry takes it
+        if used < series.size:
+            s = _either(oscillating, np.sin, np.sinh, wh) / w
+        if used or s is None:  # some entry takes the series, or there are none
+            taylor = h * (1.0 - kh2 / 6.0 + kh2 * kh2 / 120.0)
+            s = taylor if s is None else np.where(series, taylor, s)
         mats = np.empty(np.shape(s) + (2, 2))
         mats[..., 0, 0] = c
         mats[..., 0, 1] = s
         mats[..., 1, 0] = -k * s
         mats[..., 1, 1] = c
     return mats
+
+
+def _either(mask, taken, other, x):
+    """np.where(mask, taken(x), other(x)), calling only the functions used."""
+    import numpy as np
+
+    used = np.count_nonzero(mask)
+    if used == mask.size:
+        return taken(x)
+    if not used:
+        return other(x)
+    return np.where(mask, taken(x), other(x))
 
 
 def free_transfer(k: float, h: float) -> Mat2:

@@ -41,7 +41,7 @@ TOL_REL = 1e-10
 _CHUNK_CELLS = 2**16
 
 # Highest level resonant_search accepts; the bracket scan grows like
-# level^2: level 32 takes 8202 shots for the top hat and 8435 for the
+# level^2: level 32 takes 8201 shots for the top hat and 8434 for the
 # gauss (0.7-0.9 s and 2.2-2.5 s end to end on a 2-vCPU VM, Python 3.11,
 # 2026-10-19).
 MAX_LEVEL = 32
@@ -368,47 +368,54 @@ def _ladder(
     n: int,
     cap: int,
     tol_rel: float,
-    scale_of: Callable,
+    floor: float,
     exponents: Sequence[float],
 ):
     """Romberg tableau on cell doubling, as a generator of one lane.
 
     The ladder yields the cell count of its next midpoint-rule iterate,
-    starting at n, and is then sent that iterate; _lockstep drives one
-    ladder or many.  The error of the iterates is taken to expand in the
-    powers h^p of exponents, ascending.  The symmetric midpoint cell
-    product gives even powers h^2, h^4, ... for a smooth profile; a
-    profile vanishing like d^alpha at its edge adds h^(1 + alpha m), by
-    the generalized Euler-Maclaurin expansion for algebraic endpoint
-    behaviour (Navot, J. Math. Phys. 40 (1961) 271; Lyness and Ninham,
-    Math. Comp. 21 (1967) 162).  Row i of the tableau holds the iterate
-    T_i at n 2^i cells and its extrapolants
+    starting at n, and is then sent that iterate, a list of floats: the
+    entries of a transfer, or one root.  _lockstep drives the ladders of
+    _transfers, and resonant_search its own.  The error of the iterates is
+    taken to expand in the powers h^p of exponents, ascending.  The
+    symmetric midpoint cell product gives even powers h^2, h^4, ... for a
+    smooth profile; a profile vanishing like d^alpha at its edge adds
+    h^(1 + alpha m), by the generalized Euler-Maclaurin expansion for
+    algebraic endpoint behaviour (Navot, J. Math. Phys. 40 (1961) 271;
+    Lyness and Ninham, Math. Comp. 21 (1967) 162).  Row i of the tableau
+    holds the iterate T_i at n 2^i cells and its extrapolants
 
         R[i][0] = T_i,
         R[i][j] = (2^p_j R[i][j-1] - R[i-1][j-1]) / (2^p_j - 1),
 
-    column j free of the first j powers.  From n, cells double until the
-    first of two tests holds, both against tol_rel * scale_of(iterate):
+    entry by entry, column j free of the first j powers.  From n, cells
+    double until the first of two tests holds, both against tol_rel times
+    the larger of floor and the iterate's largest |entry|:
 
-    - successive iterates agree; the finer iterate is the result.
-    - the deepest column two successive rows share agrees between them;
-      the finer entry is the result.
+    - successive iterates agree in every entry; the finer iterate is the
+      result.
+    - the deepest column two successive rows share agrees between them in
+      every entry; the finer entry is the result.
 
-    The ladder then returns (result, cells), which StopIteration carries.
-    It raises NoConvergence, with the last two iterates, once an iterate
-    at cap cells passes neither test.
+    A nan entry, as an extrapolant overflowing to inf - inf gives, agrees
+    with nothing.  The ladder then returns (result, cells), which
+    StopIteration carries.  It raises NoConvergence, with the last two
+    iterates, once an iterate at cap cells passes neither test.
     """
     prev: list = []  # the previous row of the tableau
     while True:
         row = [(yield n)]
         if prev:
-            tol = tol_rel * scale_of(row[0])
-            if float(np.abs(row[0] - prev[0]).max()) <= tol:
+            tol = tol_rel * max(floor, *map(abs, row[0]))
+            if all(abs(x - y) <= tol for x, y in zip(row[0], prev[0])):
                 return row[0], n
             for p, below in zip(exponents, prev):
-                row.append((2.0**p * row[-1] - below) / (2.0**p - 1.0))
+                weight = 2.0**p
+                row.append(
+                    [(weight * x - y) / (weight - 1.0) for x, y in zip(row[-1], below)]
+                )
             deep = len(prev) - 1
-            if deep and float(np.abs(row[deep] - prev[deep]).max()) <= tol:
+            if deep and all(abs(x - y) <= tol for x, y in zip(row[deep], prev[deep])):
                 return row[deep], n
         if n >= cap:
             raise NoConvergence(
@@ -420,7 +427,7 @@ def _ladder(
 
 
 def _lockstep(ladders: list, rung: Callable) -> list:
-    """Refine the lanes of ladders together; per lane (result, cells) or its error.
+    """Refine the lanes of _transfers together; per lane (result, cells) or its error.
 
     Each rung takes the lanes whose ladders ask for the fewest cells, n,
     and sends each lane the iterate that rung(n, lanes) gives for it, in
@@ -447,24 +454,20 @@ def _lockstep(ladders: list, rung: Callable) -> list:
     return outcomes
 
 
-def _checked(mat: np.ndarray, n_cells: int) -> Mat2:
-    """Mat2 of a converged transfer; refuses one whose determinant is off 1.
+def _checked(entries: list, n_cells: int) -> Mat2:
+    """Mat2 of a converged transfer's entries; refuses one whose determinant is off 1.
 
-    The ladder returns finite entries only; they become Python floats here.
-    The exact transfer is unimodular, so a determinant further than
-    _DET_TOL from 1 means the entries have outgrown their digits.
+    The ladder returns finite entries only.  The exact transfer is
+    unimodular, so a determinant further than _DET_TOL from 1 means the
+    entries have outgrown their digits.
     """
-    result = Mat2(*mat.ravel().tolist())
+    result = Mat2(*entries)
     det = result.det()
     if not abs(det - 1.0) <= _DET_TOL:
         raise TransferOverflow(
             f"transfer determinant {det!r} is off 1 at {n_cells} cells"
         )
     return result
-
-
-def _entry_scale(mat: np.ndarray) -> float:
-    return max(1.0, float(np.abs(mat).max()))
 
 
 def _transfers(pots: list, k: float) -> list:
@@ -488,11 +491,10 @@ def _transfers(pots: list, k: float) -> list:
         iterates = []
         for lo in range(0, len(lanes), per):
             group = [pots[live[lane]] for lane in lanes[lo : lo + per]]
-            mats = transfer_fixed_cells(group, k, n)
-            for mat, finite in zip(mats, np.isfinite(mats).all(axis=(1, 2))):
+            for entries in transfer_fixed_cells(group, k, n).reshape(-1, 4).tolist():
                 iterates.append(
-                    mat
-                    if finite
+                    entries
+                    if all(map(math.isfinite, entries))
                     else TransferOverflow(
                         f"transfer entries left the representable range at {n} cells"
                     )
@@ -501,11 +503,15 @@ def _transfers(pots: list, k: float) -> list:
 
     exponents = shape.error_exponents(spec.m)
     ladders = [
-        _ladder(N_CELLS_START, N_CELLS_CAP, TOL_REL, _entry_scale, exponents)
-        for _ in live
+        _ladder(N_CELLS_START, N_CELLS_CAP, TOL_REL, 1.0, exponents) for _ in live
     ]
     for i, outcome in zip(live, _lockstep(ladders, rung)):
-        if not isinstance(outcome, SingscatError):
+        if isinstance(outcome, NoConvergence):
+            outcome.last_iterates = tuple(
+                None if entries is None else np.reshape(entries, (2, 2))
+                for entries in outcome.last_iterates
+            )
+        elif not isinstance(outcome, SingscatError):
             try:
                 outcome = _checked(*outcome)
             except TransferOverflow as exc:
@@ -813,10 +819,12 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     the window (-4 ((n + 2) pi)^2, 0) and brackets the level.  The root is
     found in that bracket from the scan's own shots, then refined on the
     same ladder as numeric_transfer (_ladder, up to 2^20 cells, stop tests
-    to _LEVEL_TOL relative to |root|), each later rung bracketing its root
-    around the previous one, with the shape's error_exponents at m = 2.
-    The top hat, exact per cell, stops on agreeing roots; smooth shapes on
-    agreeing tableau entries.
+    to _LEVEL_TOL relative to |root|), which is sent each rung's root
+    directly; each later rung brackets its root around the previous one,
+    with the shape's error_exponents at m = 2.  The top hat, exact per
+    cell, stops on agreeing roots; smooth shapes on agreeing tableau
+    entries.  The parity is the sign of w(s) in the shot that the final
+    rung took at its root, next to the returned level.
 
     Raises
     ------
@@ -868,12 +876,19 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
         if found < n:
             hi, g_hi = lo, g_lo
 
-    def refine(cells: int, prev: float | None) -> float:
+    def refine(cells: int, prev: float | None) -> tuple[float, np.ndarray | None]:
+        """The rung's root, and its transfer if this rung shot it."""
+        shots: dict = {}  # c -> transfer, for this rung's own shots
+
+        def shot(c: float) -> float:
+            shots[c] = mat = transfer(c, cells)
+            return float(mat[1, 0])
+
         if prev is None:  # the scan's bracket, already shot at these cells
             a, b, ga, gb = lo, hi, g_lo, g_hi
         else:
             a, b = prev - step / 8.0, min(prev + step / 8.0, c_hi)
-            ga, gb = shoot(a, cells), shoot(b, cells)
+            ga, gb = shot(a), shot(b)
         widen = 0
         while ga * gb > 0.0:
             widen += 1
@@ -881,19 +896,24 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
                 raise BracketError("bracket lost under cell refinement")
             a -= step / 4.0
             b = min(b + step / 4.0, c_hi)
-            ga, gb = shoot(a, cells), shoot(b, cells)
-        return _brent(lambda c: shoot(c, cells), a, b, ga, gb)
+            ga, gb = shot(a), shot(b)
+        root = _brent(shot, a, b, ga, gb)
+        return root, shots.get(root)
 
-    roots = [None]  # None: the first rung solves in the scan's bracket
-
-    def rung(cells: int, _lanes: list) -> list:
-        roots.append(refine(cells, roots[-1]))
-        return roots[-1:]
-
-    ladder = _ladder(n_cells, 2**20, _LEVEL_TOL, abs, shape.error_exponents(2.0))
-    (outcome,) = _lockstep([ladder], rung)
-    if isinstance(outcome, NoConvergence):
-        raise outcome
-    root, n_cells = outcome
-    parity = 1 if transfer(root, n_cells)[0, 0] > 0.0 else -1
-    return root, parity
+    ladder = _ladder(n_cells, 2**20, _LEVEL_TOL, 0.0, shape.error_exponents(2.0))
+    root = None  # the first rung solves in the scan's bracket
+    try:
+        cells = next(ladder)
+        while True:
+            root, at_root = refine(cells, root)
+            cells = ladder.send([root])
+    except StopIteration as stop:
+        (level,), _ = stop.value
+    except NoConvergence as exc:
+        exc.last_iterates = tuple(
+            None if roots is None else roots[0] for roots in exc.last_iterates
+        )
+        raise
+    # the final rung is never the first, so it shot both ends of its bracket
+    parity = 1 if at_root[0, 0] > 0.0 else -1
+    return level, parity

@@ -195,6 +195,22 @@ def test_case_iv_scatter_at_large_k_is_computed(capsys):
     assert json.loads(out)["error"] == "overflow"
 
 
+def test_case_iv_flux_residual_is_relative_to_max_of_1_r_t(capsys):
+    # R = T = 4k/b^2 = 4e28: the bare T - R + 1 is the rounding of R and
+    # printed 1; relative to max(1, R, T) it is 1 / 4e28
+    iv = ["scatter", "--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "1"]
+    code, out, _ = run(capsys, *iv, "--k", "1e28")
+    assert code == 0
+    point = json.loads(out)
+    assert point["flux_residual"] == 1.0 / point["T"]
+    sweep = ["--kmin", "1e28", "--kmax", "1e32", "--ksteps", "3", "--format", "json"]
+    code, out, _ = run(capsys, *iv, *sweep)
+    assert code == 0
+    rows = json.loads(out)["rows"]  # numpy is loaded: the array kernel
+    assert rows[0] == dict(point, error="")
+    assert all(abs(row["flux_residual"]) <= 1e-15 for row in rows)
+
+
 def test_zero_coupling_is_free_flight_even_where_eps_power_overflows(capsys):
     # eps^-m is past the float range at eps = 1e-320, but c = 0 multiplies it
     code, out, _ = run(

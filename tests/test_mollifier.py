@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -411,10 +411,19 @@ def test_first_level_reuses_the_scan_shots(monkeypatch):
     assert abs(level + math.pi**2) < 1e-8 * math.pi**2
     # the first rung solves in the scan's bracket without shooting its ends
     # again
-    assert len(shots) == 20
+    assert len(shots) == 19
     shots.clear()
     resonant_search(GAUSSIAN, 1)
-    assert len(shots) == 34
+    assert len(shots) == 33
+
+
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_levels_9_and_10_have_parity_minus_1_to_the_n(shape):
+    # levels 1-8 are pinned with their parity; the parity is read from the
+    # final rung's own shot at its Brent root
+    for n in (9, 10):
+        _, parity = resonant_search(shape, n)
+        assert parity == (-1) ** n
 
 
 def test_resonant_levels_depend_on_shape():
@@ -769,6 +778,113 @@ def test_brent_matches_brentq_on_smooth_functions(a, b, where, which):
 
     root = mollifier_mod._brent(f, a, b, f(a), f(b))
     assert root == brentq(f, a, b, xtol=1e-30, rtol=1e-15)
+
+
+def _numpy_tableau(iterates: list, floor: float, cap: int, exponents: list):
+    """_ladder's tableau in numpy arithmetic over given iterates, from 64 cells.
+
+    Returns (result, cells) once a stop test holds, and ("cap", cells, last
+    two iterates) where the ladder raises NoConvergence; cap is at most the
+    cells of the last iterate.
+    """
+    n, prev = 64, []
+    for entries in iterates:
+        row = [np.array(entries)]
+        if prev:
+            tol = mollifier_mod.TOL_REL * max(floor, float(np.abs(row[0]).max()))
+            if float(np.abs(row[0] - prev[0]).max()) <= tol:
+                return row[0], n
+            with np.errstate(over="ignore", invalid="ignore"):
+                for p, below in zip(exponents, prev):
+                    row.append((2.0**p * row[-1] - below) / (2.0**p - 1.0))
+                deep = len(prev) - 1
+                if deep and float(np.abs(row[deep] - prev[deep]).max()) <= tol:
+                    return row[deep], n
+        if n >= cap:
+            return "cap", n, (prev[0] if prev else None, row[0])
+        prev = row
+        n *= 2
+
+
+def _float_ladder(iterates: list, floor: float, cap: int, exponents: list):
+    """_numpy_tableau's outcome, from the ladder itself."""
+    ladder = mollifier_mod._ladder(64, cap, mollifier_mod.TOL_REL, floor, exponents)
+    n = next(ladder)
+    try:
+        for entries in iterates:
+            n = ladder.send(list(entries))
+    except StopIteration as stop:
+        result, cells = stop.value
+        return np.array(result), cells
+    except NoConvergence as exc:
+        first, last = exc.last_iterates
+        return "cap", n, (None if first is None else np.array(first), np.array(last))
+
+
+_EXPONENT_SETS = sorted(
+    {
+        tuple(shape.error_exponents(m))
+        for shape in SHAPES.values()
+        for m in (0.5, 1.0, 1.5, 2.0, 3.0)
+    }
+)
+_LADDER_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 1e300, 1e-300, 5e-324, -0.0, 1.0, 3.0]),
+)
+
+
+@st.composite
+def _ladder_runs(draw):
+    """Iterates base + slope (sum of 2^(-p i)) (1 + jitter_i) of 1 or 4 entries."""
+    exponents = draw(st.sampled_from(_EXPONENT_SETS))
+    width = draw(st.sampled_from([1, 4]))
+    base = draw(st.lists(_LADDER_ENTRIES, min_size=width, max_size=width))
+    slopes = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.5, 3.0, 1e298]),
+                _LADDER_ENTRIES,
+            ),
+            min_size=width,
+            max_size=width,
+        )
+    )
+    powers = draw(st.lists(st.sampled_from(exponents), min_size=1, max_size=2))
+    iterates = []
+    for i in range(draw(st.integers(1, 8))):
+        error = sum(2.0 ** (-p * i) for p in powers)
+        error *= 1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-11, 1e-3, 1.0]))
+        iterates.append([b + s * error for b, s in zip(base, slopes)])
+    return list(exponents), iterates
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(run=_ladder_runs(), floor=st.sampled_from([0.0, 1.0]), rungs=st.integers(1, 8))
+# extrapolants overflow to inf, then inf - inf = nan fails the deep test
+@example(run=([2.0, 4.0, 6.0], [[1.7e308 - 1e300 * 2.0**-i] for i in range(5)]),
+         floor=1.0, rungs=8)
+# stops on the second column at 512 cells
+@example(run=([2.0, 4.0, 6.0], [[1.0 + 4.0**-i + 16.0**-i] * 4 for i in range(6)]),
+         floor=1.0, rungs=8)
+# subnormal and tiny entries beside one that sets the scale
+@example(run=([2.0, 3.0, 4.0],
+              [[5e-324, 1e-300 * (1.0 + 4.0**-i), -1e-310, 3.0 + 4.0**-i]
+               for i in range(6)]),
+         floor=0.0, rungs=8)
+def test_float_ladder_equals_the_numpy_tableau_bit_for_bit(run, floor, rungs):
+    exponents, iterates = run
+    assume(all(math.isfinite(x) for entries in iterates for x in entries))
+    cap = 64 * 2 ** (min(rungs, len(iterates)) - 1)
+    want = _numpy_tableau(iterates, floor, cap, exponents)
+    got = _float_ladder(iterates, floor, cap, exponents)
+    if isinstance(want[0], str):
+        assert got[:2] == want[:2]
+        assert [a is None or a.tobytes() for a in got[2]] == [
+            b is None or b.tobytes() for b in want[2]
+        ]
+    else:
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
 def test_zero_coupling_is_free_flight_at_every_eps():

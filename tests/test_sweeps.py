@@ -159,16 +159,16 @@ _SCATTER_PINS = {
     "indeterminate_minus": (
         "-0x1.0000000000000p+0 -0x1.a36e2eb1c432dp-12 0x0.0p+0"
         " 0x1.a36e2eb1c432dp-12 0x1.000002af31dc5p+0"
-        " 0x1.5798ee2308c3ap-23 -0x1.0000000000000p-52",
+        " 0x1.5798ee2308c3ap-23 -0x1.fffffaa19c55dp-53",
         "-0x1.0000000000000p+0 -0x1.030dc4ea03a72p-3 0x0.0p+0"
         " 0x1.030dc4ea03a72p-3 0x1.04189374bc6a9p+0"
-        " 0x1.0624dd2f1a9fbp-6 -0x1.0000000000000p-52",
+        " 0x1.0624dd2f1a9fbp-6 -0x1.f7efdfbf7efdep-53",
         "-0x1.0000000000000p+0 -0x1.0000000000000p+2 0x0.0p+0"
         " 0x1.0000000000000p+2 0x1.1000000000000p+4"
         " 0x1.0000000000000p+4 0x0.0p+0",
         "-0x1.0000000000000p+0 -0x1.f9f6e4990f227p+6 0x0.0p+0"
         " 0x1.f9f6e4990f227p+6 0x1.f407fffffffffp+13"
-        " 0x1.f400000000000p+13 0x1.0000000000000p-39",
+        " 0x1.f400000000000p+13 0x1.0620ab826037dp-53",
         "-0x1.0000000000000p+0 -0x1.3880000000000p+15 0x0.0p+0"
         " 0x1.3880000000000p+15 0x1.7d78400400000p+30"
         " 0x1.7d78400000000p+30 0x0.0p+0",
@@ -354,7 +354,8 @@ def _complex_reference(junction: Mat2, k: float) -> str:
     t = j11 * (1.0 + r) + 1j * q * j12 * (1.0 - r)
     det_j = junction.det()
     rr, tt = abs(r) ** 2, abs(t) ** 2
-    fields = (r.real, r.imag, t.real, t.imag, rr, tt, tt + det_j * rr - det_j)
+    flux = (tt + det_j * rr - det_j) / max(1.0, rr, tt)
+    fields = (r.real, r.imag, t.real, t.imag, rr, tt, flux)
     return " ".join(x.hex() for x in fields)
 
 
