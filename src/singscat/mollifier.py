@@ -343,7 +343,10 @@ def transfer_fixed_cells(
     of each lane's own call.  Raises ValueError for a list of several
     lanes that would stack more than _CHUNK_CELLS cells, lanes times
     n_cells, and TransferOverflow when some lane's eps^-m overflows.
+    Raises ValueError for an n_cells that is not a positive int.
     """
+    if not (isinstance(n_cells, int) and n_cells > 0):
+        raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
     one = isinstance(pot, RegularizedPotential)
     pots = [pot] if one else list(pot)
     spec, shape = _spec_and_shape(pots)
@@ -375,14 +378,15 @@ def _ladder(
 
     The ladder yields the cell count of its next midpoint-rule iterate,
     starting at n, and is then sent that iterate, a list of floats: the
-    entries of a transfer, or one root.  _lockstep drives the ladders of
-    _transfers, and resonant_search its own.  The error of the iterates is
-    taken to expand in the powers h^p of exponents, ascending.  The
-    symmetric midpoint cell product gives even powers h^2, h^4, ... for a
-    smooth profile; a profile vanishing like d^alpha at its edge adds
-    h^(1 + alpha m), by the generalized Euler-Maclaurin expansion for
-    algebraic endpoint behaviour (Navot, J. Math. Phys. 40 (1961) 271;
-    Lyness and Ninham, Math. Comp. 21 (1967) 162).  Row i of the tableau
+    entries of a transfer, or one root.  _transfers drives one ladder per
+    lane in a single loop over the cell counts, and resonant_search its
+    own.  The error of the iterates is taken to expand in the powers h^p
+    of exponents, ascending.  The symmetric midpoint cell product gives
+    even powers h^2, h^4, ... for a smooth profile; a profile vanishing
+    like d^alpha at its edge adds h^(1 + alpha m), by the generalized
+    Euler-Maclaurin expansion for algebraic endpoint behaviour (Navot,
+    J. Math. Phys. 40 (1961) 271; Lyness and Ninham, Math. Comp. 21
+    (1967) 162).  Row i of the tableau
     holds the iterate T_i at n 2^i cells and its extrapolants
 
         R[i][0] = T_i,
@@ -426,36 +430,8 @@ def _ladder(
         n *= 2
 
 
-def _lockstep(ladders: list, rung: Callable) -> list:
-    """Refine the lanes of _transfers together; per lane (result, cells) or its error.
-
-    Each rung takes the lanes whose ladders ask for the fewest cells, n,
-    and sends each lane the iterate that rung(n, lanes) gives for it, in
-    the order of lanes.  A lane stops when its ladder returns, when its
-    iterate is a SingscatError, or with the NoConvergence its ladder
-    raises at the cap.
-    """
-    outcomes: list = [None] * len(ladders)
-    wants = {lane: next(ladder) for lane, ladder in enumerate(ladders)}
-    while wants:
-        n = min(wants.values())
-        lanes = sorted(lane for lane, want in wants.items() if want == n)
-        for lane, iterate in zip(lanes, rung(n, lanes)):
-            del wants[lane]
-            if isinstance(iterate, SingscatError):
-                outcomes[lane] = iterate
-                continue
-            try:
-                wants[lane] = ladders[lane].send(iterate)
-            except StopIteration as stop:
-                outcomes[lane] = stop.value
-            except NoConvergence as exc:
-                outcomes[lane] = exc
-    return outcomes
-
-
-def _checked(entries: list, n_cells: int) -> Mat2:
-    """Mat2 of a converged transfer's entries; refuses one whose determinant is off 1.
+def _checked(entries: list, n_cells: int) -> Mat2 | TransferOverflow:
+    """Mat2 of a converged transfer's entries, or the TransferOverflow refusing it.
 
     The ladder returns finite entries only.  The exact transfer is
     unimodular, so a determinant further than _DET_TOL from 1 means the
@@ -463,60 +439,62 @@ def _checked(entries: list, n_cells: int) -> Mat2:
     """
     result = Mat2(*entries)
     det = result.det()
-    if not abs(det - 1.0) <= _DET_TOL:
-        raise TransferOverflow(
-            f"transfer determinant {det!r} is off 1 at {n_cells} cells"
-        )
-    return result
+    if abs(det - 1.0) <= _DET_TOL:
+        return result
+    return TransferOverflow(f"transfer determinant {det!r} is off 1 at {n_cells} cells")
 
 
 def _transfers(pots: list, k: float) -> list:
-    """numeric_transfer of each potential: its Mat2 or the error refusing it."""
+    """numeric_transfer of each potential: its Mat2 or the error refusing it.
+
+    One loop doubles n from N_CELLS_START.  Each pass stacks every lane
+    still refining, with at most _CHUNK_CELLS cells per
+    transfer_fixed_cells call (a lane longer than that goes alone), and
+    sends each lane's ladder its iterate.  A lane leaves when its ladder
+    returns or raises NoConvergence, or when its eps^-m or its entries
+    overflow.
+    """
     if not pots:
         return []
     spec, shape = _spec_and_shape(pots)
+    exponents = shape.error_exponents(spec.m)
     outcomes: list = [None] * len(pots)
-    live = []  # indices of the potentials whose eps^-m is in range
-    for i, pot in enumerate(pots):
+    ladders = {}  # lane -> its ladder, for the lanes still refining
+    for lane, pot in enumerate(pots):
         try:
             pot.scale
         except TransferOverflow as exc:
-            outcomes[i] = exc
-        else:
-            live.append(i)
-
-    def rung(n: int, lanes: list) -> list:
-        # stack at most _CHUNK_CELLS cells per call; a longer lane goes alone
+            outcomes[lane] = exc
+            continue
+        ladders[lane] = _ladder(N_CELLS_START, N_CELLS_CAP, TOL_REL, 1.0, exponents)
+        next(ladders[lane])
+    n = N_CELLS_START
+    while ladders:
+        lanes = list(ladders)
         per = max(1, _CHUNK_CELLS // n)
-        iterates = []
         for lo in range(0, len(lanes), per):
-            group = [pots[live[lane]] for lane in lanes[lo : lo + per]]
-            for entries in transfer_fixed_cells(group, k, n).reshape(-1, 4).tolist():
-                iterates.append(
-                    entries
-                    if all(map(math.isfinite, entries))
-                    else TransferOverflow(
-                        f"transfer entries left the representable range at {n} cells"
+            group = lanes[lo : lo + per]
+            stack = transfer_fixed_cells([pots[lane] for lane in group], k, n)
+            for lane, entries in zip(group, stack.reshape(-1, 4).tolist()):
+                try:
+                    if not all(map(math.isfinite, entries)):
+                        raise TransferOverflow(
+                            f"transfer entries left the representable range at {n} cells"
+                        )
+                    ladders[lane].send(entries)
+                    continue
+                except StopIteration as stop:
+                    outcomes[lane] = _checked(*stop.value)
+                except TransferOverflow as exc:
+                    outcomes[lane] = exc
+                except NoConvergence as exc:
+                    exc.last_iterates = tuple(
+                        None if it is None else np.reshape(it, (2, 2))
+                        for it in exc.last_iterates
                     )
-                )
-        return iterates
-
-    exponents = shape.error_exponents(spec.m)
-    ladders = [
-        _ladder(N_CELLS_START, N_CELLS_CAP, TOL_REL, 1.0, exponents) for _ in live
-    ]
-    for i, outcome in zip(live, _lockstep(ladders, rung)):
-        if isinstance(outcome, NoConvergence):
-            outcome.last_iterates = tuple(
-                None if entries is None else np.reshape(entries, (2, 2))
-                for entries in outcome.last_iterates
-            )
-        elif not isinstance(outcome, SingscatError):
-            try:
-                outcome = _checked(*outcome)
-            except TransferOverflow as exc:
-                outcome = exc
-        outcomes[i] = outcome
+                    outcomes[lane] = exc
+                del ladders[lane]
+        n *= 2
     return outcomes
 
 
@@ -535,16 +513,19 @@ def numeric_transfer(
     k = 1 within 2^13 cells.
 
     pot may also be a list of potentials that share one spec and one
-    shape (ValueError otherwise).  Their ladders are then refined in
-    lockstep: each rung makes one stacked transfer_fixed_cells call per
-    _CHUNK_CELLS cells over the lanes still refining (a lane longer than
-    that goes alone), and a lane leaves the stack when its stop test
-    holds or it fails.  The list form returns, for each potential, its
-    Mat2 or the SingscatError that refused it; either equals what the
-    one-potential call returns or raises, bit for bit.
+    shape (ValueError otherwise).  Their ladders are then refined by one
+    loop over the cell counts: each pass makes one stacked
+    transfer_fixed_cells call per _CHUNK_CELLS cells over the lanes still
+    refining (a lane longer than that goes alone), and a lane leaves the
+    stack when its stop test holds or it fails.  The list form returns,
+    for each potential, its Mat2 or the SingscatError that refused it;
+    either equals what the one-potential call returns or raises, bit for
+    bit.
 
     Raises
     ------
+    ValueError
+        if k is not finite, in either form.
     TransferOverflow
         if eps^-m or hyperbolic growth leaves the representable range, or the
         result's determinant is off 1 by more than 1e-6.
@@ -552,6 +533,8 @@ def numeric_transfer(
         if the cap is reached first (the last two iterates ride along on
         the exception).
     """
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     if not isinstance(pot, RegularizedPotential):
         return _transfers(list(pot), k)
     (outcome,) = _transfers([pot], k)
@@ -809,8 +792,8 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     the left edge and solve w'(right edge) = 0 for c by Brent's method.
     In the m = 2 scaling limit eps drops out, so each shot is the cell
     product of transfer_fixed_cells for the m = 2 potential at eps = 1 and
-    k = 0, with the same bits: c times the profile phi(mids)^2, which is
-    evaluated once per cell count.
+    k = 0, with the same bits: c times the profile phi(mids)^2, which the
+    rung's shooter evaluates once.
     Levels are ordered by |c|; the returned parity sign(w(s)/w(-s)) says
     whether the limiting junction is +identity or -identity.  For the
     top-hat shape the levels are exactly -(n pi)^2.
@@ -824,7 +807,8 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     with the shape's error_exponents at m = 2.  The top hat, exact per
     cell, stops on agreeing roots; smooth shapes on agreeing tableau
     entries.  The parity is the sign of w(s) in the shot that the final
-    rung took at its root, next to the returned level.
+    rung took at its Brent root, next to the returned level, which may
+    be a tableau extrapolant that no rung shot.
 
     Raises
     ------
@@ -838,75 +822,56 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     if not (1 <= n <= MAX_LEVEL and n == int(n)):
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
     c_lo, c_hi = -4.0 * ((n + 2) * math.pi) ** 2, -1e-12
-
-    n_cells = 2048
     step = math.pi**2 / 8.0
 
-    profiles: dict = {}  # the current rung's cells -> (phi(mids)^2, h)
+    def shooter(cells: int):
+        """shot(c) -> w'(s) on this many cells, and taken, c -> w(s) per shot."""
+        h = 2.0 * shape.half_support / cells
+        mids = -shape.half_support + (np.arange(cells) + 0.5) * h
+        profile = shape(mids)[None, :] ** 2.0
+        taken: dict = {}
 
-    def transfer(c: float, cells: int) -> np.ndarray:
-        if cells not in profiles:
-            profiles.clear()
-            h = 2.0 * shape.half_support / cells
-            mids = -shape.half_support + (np.arange(cells) + 0.5) * h
-            profiles[cells] = shape(mids)[None, :] ** 2.0, h
-        profile, h = profiles[cells]
+        def shot(c: float) -> float:
+            (w, _), (dw, _) = _cells_product(
+                lambda start, stop: 0.0 - c * profile[:, start:stop], h, cells
+            )[0].tolist()
+            taken[c] = w
+            return dw
 
-        def wave_of(start: int, stop: int) -> np.ndarray:
-            return 0.0 - c * profile[:, start:stop]
+        return shot, taken
 
-        return _cells_product(wave_of, h, cells)[0]
-
-    def shoot(c: float, cells: int) -> float:
-        return float(transfer(c, cells)[1, 0])
-
+    ladder = _ladder(2048, 2**20, _LEVEL_TOL, 0.0, shape.error_exponents(2.0))
+    # the scan shoots on the first rung's cells, which then solves in its bracket
+    shot, taken = shooter(next(ladder))
     # Walk down from c_hi counting sign changes; the n-th one brackets c_n.
-    lo = hi = c_hi
-    g_hi = shoot(c_hi, n_cells)
+    a = b = c_hi
+    gb = shot(c_hi)
     found = 0
     while found < n:
-        lo = hi - step
-        if lo < c_lo - 1e-12:
+        a = b - step
+        if a < c_lo - 1e-12:
             raise BracketError(
                 f"only {found} sign changes above {c_lo}, needed {n}"
             )
-        g_lo = shoot(lo, n_cells)
-        if g_lo == 0.0 or g_lo * g_hi < 0.0:
+        ga = shot(a)
+        if ga == 0.0 or ga * gb < 0.0:
             found += 1
         if found < n:
-            hi, g_hi = lo, g_lo
-
-    def refine(cells: int, prev: float | None) -> tuple[float, np.ndarray | None]:
-        """The rung's root, and its transfer if this rung shot it."""
-        shots: dict = {}  # c -> transfer, for this rung's own shots
-
-        def shot(c: float) -> float:
-            shots[c] = mat = transfer(c, cells)
-            return float(mat[1, 0])
-
-        if prev is None:  # the scan's bracket, already shot at these cells
-            a, b, ga, gb = lo, hi, g_lo, g_hi
-        else:
-            a, b = prev - step / 8.0, min(prev + step / 8.0, c_hi)
-            ga, gb = shot(a), shot(b)
-        widen = 0
-        while ga * gb > 0.0:
-            widen += 1
-            if widen > 8:
-                raise BracketError("bracket lost under cell refinement")
-            a -= step / 4.0
-            b = min(b + step / 4.0, c_hi)
-            ga, gb = shot(a), shot(b)
-        root = _brent(shot, a, b, ga, gb)
-        return root, shots.get(root)
-
-    ladder = _ladder(n_cells, 2**20, _LEVEL_TOL, 0.0, shape.error_exponents(2.0))
-    root = None  # the first rung solves in the scan's bracket
+            b, gb = a, ga
     try:
-        cells = next(ladder)
         while True:
-            root, at_root = refine(cells, root)
-            cells = ladder.send([root])
+            widen = 0
+            while ga * gb > 0.0:
+                widen += 1
+                if widen > 8:
+                    raise BracketError("bracket lost under cell refinement")
+                a -= step / 4.0
+                b = min(b + step / 4.0, c_hi)
+                ga, gb = shot(a), shot(b)
+            root = _brent(shot, a, b, ga, gb)
+            shot, taken = shooter(ladder.send([root]))
+            a, b = root - step / 8.0, min(root + step / 8.0, c_hi)
+            ga, gb = shot(a), shot(b)
     except StopIteration as stop:
         (level,), _ = stop.value
     except NoConvergence as exc:
@@ -914,6 +879,6 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
             None if roots is None else roots[0] for roots in exc.last_iterates
         )
         raise
-    # the final rung is never the first, so it shot both ends of its bracket
-    parity = 1 if at_root[0, 0] > 0.0 else -1
+    # the level may be an extrapolant; the final rung shot its own root
+    parity = 1 if taken[root] > 0.0 else -1
     return level, parity

@@ -296,6 +296,23 @@ def test_numeric_transfer_reports_no_convergence_at_cell_cap(monkeypatch):
     numeric_transfer(pot, 1.0)
 
 
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_numeric_transfer_refuses_a_non_finite_k_in_both_forms(k):
+    pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 0.1)
+    for arg in (pot, [pot, pot], []):
+        with pytest.raises(ValueError, match="k must be finite"):
+            numeric_transfer(arg, k)
+
+
+@pytest.mark.parametrize("n_cells", [0, -3, 1.5, 64.0])
+def test_transfer_fixed_cells_refuses_a_cell_count_that_is_not_positive(n_cells):
+    pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 0.1)
+    for arg in (pot, [pot, pot]):
+        with pytest.raises(ValueError, match="n_cells must be a positive integer"):
+            transfer_fixed_cells(arg, 1.0, n_cells)
+    assert transfer_fixed_cells(pot, 1.0, 1).shape == (2, 2)
+
 def test_estimate_order_on_synthetic_rows():
     eye = Mat2.identity()
     rows = [
@@ -443,6 +460,28 @@ def test_resonant_search_bracket_and_argument_errors():
     with pytest.raises(BracketError):  # cos has no root in [0, 1]
         mollifier_mod._brent(math.cos, 0.0, 1.0, 1.0, math.cos(1.0))
 
+
+
+def test_level_that_never_settles_reports_its_last_two_roots(monkeypatch):
+    monkeypatch.setattr(mollifier_mod, "_LEVEL_TOL", -1.0)
+    with pytest.raises(NoConvergence, match="within 1048576 cells") as exc_info:
+        resonant_search(TOP_HAT, 1)
+    roots = exc_info.value.last_iterates
+    assert len(roots) == 2 and all(type(root) is float for root in roots)
+    assert all(abs(root + math.pi**2) < 1e-8 * math.pi**2 for root in roots)
+
+
+def test_level_lost_under_cell_refinement_is_a_bracket_error(monkeypatch):
+    real_product = mollifier_mod._cells_product
+
+    def drifting(wave_of, h, n_cells):
+        # past the scan's cells, w'(s) = T[1, 0] keeps one sign near the level
+        mat = real_product(wave_of, h, n_cells)
+        return mat + 1e3 if n_cells > 2048 else mat
+
+    monkeypatch.setattr(mollifier_mod, "_cells_product", drifting)
+    with pytest.raises(BracketError, match="bracket lost under cell refinement"):
+        resonant_search(TOP_HAT, 1)
 
 def _rk_transfer(pot: RegularizedPotential, k: float) -> np.ndarray:
     """Oracle: both fundamental solutions across the support by DOP853.
