@@ -33,7 +33,8 @@ from .errors import (
 from .sweep import sweep_map
 
 # Cell refinement of the transfer integrator: start, hard cap, and the
-# relative tolerance its stop tests apply.
+# relative tolerance that the stop tests of every ladder apply, the
+# resonance levels' included.
 N_CELLS_START = 64
 N_CELLS_CAP = 2**22
 TOL_REL = 1e-10
@@ -367,13 +368,7 @@ def transfer_fixed_cells(
     return total[0] if one else total
 
 
-def _ladder(
-    n: int,
-    cap: int,
-    tol_rel: float,
-    floor: float,
-    exponents: Sequence[float],
-):
+def _ladder(n: int, cap: int, floor: float, exponents: Sequence[float]):
     """Romberg tableau on cell doubling, as a generator of one lane.
 
     The ladder yields the cell count of its next midpoint-rule iterate,
@@ -393,7 +388,7 @@ def _ladder(
         R[i][j] = (2^p_j R[i][j-1] - R[i-1][j-1]) / (2^p_j - 1),
 
     entry by entry, column j free of the first j powers.  From n, cells
-    double until the first of two tests holds, both against tol_rel times
+    double until the first of two tests holds, both against TOL_REL times
     the larger of floor and the iterate's largest |entry|:
 
     - successive iterates agree in every entry; the finer iterate is the
@@ -410,7 +405,7 @@ def _ladder(
     while True:
         row = [(yield n)]
         if prev:
-            tol = tol_rel * max(floor, *map(abs, row[0]))
+            tol = TOL_REL * max(floor, *map(abs, row[0]))
             if all(abs(x - y) <= tol for x, y in zip(row[0], prev[0])):
                 return row[0], n
             for p, below in zip(exponents, prev):
@@ -423,7 +418,7 @@ def _ladder(
                 return row[deep], n
         if n >= cap:
             raise NoConvergence(
-                f"no convergence to {tol_rel} within {cap} cells",
+                f"no convergence to {TOL_REL} within {cap} cells",
                 last_iterates=(prev[0] if prev else None, row[0]),
             )
         prev = row
@@ -466,7 +461,7 @@ def _transfers(pots: list, k: float) -> list:
         except TransferOverflow as exc:
             outcomes[lane] = exc
             continue
-        ladders[lane] = _ladder(N_CELLS_START, N_CELLS_CAP, TOL_REL, 1.0, exponents)
+        ladders[lane] = _ladder(N_CELLS_START, N_CELLS_CAP, 1.0, exponents)
         next(ladders[lane])
     n = N_CELLS_START
     while ladders:
@@ -653,69 +648,75 @@ def convergence_sweep(
     return sweep_map(one, list(zip(pots, outcomes, strips)), failed)
 
 
+def _order_fit(points: list) -> tuple[float, float]:
+    """(slope, r^2) of the least-squares line of log deviation on log eps.
+
+    points are (eps, deviation) pairs with finite positive deviations.  The
+    line is fitted in closed form in Python floats: means first, relative
+    to the first point so that equal values have an exact mean, then
+    math.fsum sums of centred products (Chan, Golub and LeVeque, Am. Stat.
+    37 (1983) 242).  r^2 is 1 for equal deviations.  Raises
+    InsufficientData for fewer than three points or one distinct log eps.
+    """
+    if len(points) < 3:
+        raise InsufficientData(f"order fit needs >= 3 usable rows, got {len(points)}")
+    logs = [(math.log(eps), math.log(deviation)) for eps, deviation in points]
+    (x0, y0), n = logs[0], len(logs)
+    mx = math.fsum(x - x0 for x, _ in logs) / n
+    my = math.fsum(y - y0 for _, y in logs) / n
+    centred = [(x - x0 - mx, y - y0 - my) for x, y in logs]
+    sxx = math.fsum(dx * dx for dx, _ in centred)
+    if sxx == 0.0:
+        raise InsufficientData("order fit needs two distinct eps values")
+    slope = math.fsum(dx * dy for dx, dy in centred) / sxx
+    ss_tot = math.fsum(dy * dy for _, dy in centred)
+    ss_res = math.fsum((dy - slope * dx) ** 2 for dx, dy in centred)
+    return slope, 1.0 - ss_res / ss_tot if ss_tot else 1.0
+
+
 def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
     """Least-squares slope of log(deviation) against log(eps), with r^2.
 
     A positive slope is a convergence order, a negative one a divergence
-    rate.  Needs at least three clean rows with positive deviations.
+    rate.  The fit is closed form in Python floats, so its bits do not
+    depend on the BLAS kernel.  Needs at least three clean rows with
+    finite positive deviations, at two or more distinct eps
+    (InsufficientData otherwise).
     """
-    xs = []
-    ys = []
-    for row in rows:
-        if row.error == "" and math.isfinite(row.deviation) and row.deviation > 0.0:
-            xs.append(math.log(row.eps))
-            ys.append(math.log(row.deviation))
-    if len(xs) < 3:
-        raise InsufficientData(
-            f"order fit needs >= 3 usable rows, got {len(xs)}"
-        )
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res <= 1e-30 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    points = [(row.eps, row.deviation) for row in rows if row.error == ""]
+    return _order_fit([(eps, dev) for eps, dev in points if 0.0 < dev < math.inf])
 
 
-def certify_convergence(
-    rows: Sequence[ConvergenceRow],
-) -> tuple[str, float, float]:
+def certify_convergence(rows: Sequence[ConvergenceRow]) -> tuple[str, float, float]:
     """Classify a sweep as "convergent" or "non_convergent".
 
-    Uses the reference deviations when present; without a reference the
-    gaps between consecutive matrices stand in (a settling sequence has
-    shrinking gaps, growth or oscillation does not).  A sweep is
+    Uses the reference deviations when three or more are finite and
+    positive; otherwise the positive gaps between consecutive matrices
+    stand in (a settling sequence has shrinking gaps, growth or
+    oscillation does not).  That one list of (eps, deviation) points feeds
+    estimate_order's closed-form fit and the decade test.  A sweep is
     non-convergent when the fitted slope is <= -0.2, or when deviations
     within some decade of eps spread by more than 5x while the fit
-    explains little (r^2 < 0.5).  Returns (verdict, slope, r2); too
-    little data yields ("unknown", nan, nan).
+    explains little (r^2 < 0.5).  Returns (verdict, slope, r2); data the
+    fit refuses yields ("unknown", nan, nan).
     """
     clean = [row for row in rows if row.error == "" and row.matrix is not None]
-    fit_rows = [
-        row
-        for row in clean
-        if math.isfinite(row.deviation) and row.deviation > 0.0
-    ]
-    if len(fit_rows) < 3:
-        fit_rows = []
-        for row, finer in zip(clean, clean[1:]):
-            gap = row.matrix.max_abs_diff(finer.matrix)
-            if gap > 0.0:
-                fit_rows.append(ConvergenceRow(row.eps, row.matrix, gap, row.det_err))
-    if len(fit_rows) < 3:
+    points = [(r.eps, r.deviation) for r in clean if 0.0 < r.deviation < math.inf]
+    if len(points) < 3:
+        gaps = (
+            (row.eps, row.matrix.max_abs_diff(finer.matrix))
+            for row, finer in zip(clean, clean[1:])
+        )
+        points = [(eps, gap) for eps, gap in gaps if 0.0 < gap < math.inf]
+    try:
+        slope, r2 = _order_fit(points)
+    except InsufficientData:
         return ("unknown", math.nan, math.nan)
-    slope, r2 = estimate_order(fit_rows)
     if slope <= _DIVERGENT_SLOPE:
         return ("non_convergent", slope, r2)
     if r2 < _DECADE_R2:
-        devs = [(row.eps, row.deviation) for row in fit_rows]
-        for eps_lo, _ in devs:
-            window = [d for e, d in devs if eps_lo <= e <= 10.0 * eps_lo]
+        for eps_lo, _ in points:
+            window = [d for e, d in points if eps_lo <= e <= 10.0 * eps_lo]
             if len(window) >= 2 and max(window) > _DECADE_RATIO * min(window):
                 return ("non_convergent", slope, r2)
     return ("convergent", slope, r2)
@@ -726,9 +727,6 @@ def certify_convergence(
 _BRENT_XTOL = 1e-30
 _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100
-# Relative tolerance to which resonant_search pins a level under cell
-# refinement.
-_LEVEL_TOL = 1e-10
 
 
 def _brent(
@@ -802,7 +800,7 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     the window (-4 ((n + 2) pi)^2, 0) and brackets the level.  The root is
     found in that bracket from the scan's own shots, then refined on the
     same ladder as numeric_transfer (_ladder, up to 2^20 cells, stop tests
-    to _LEVEL_TOL relative to |root|), which is sent each rung's root
+    to TOL_REL relative to |root|), which is sent each rung's root
     directly; each later rung brackets its root around the previous one,
     with the shape's error_exponents at m = 2.  The top hat, exact per
     cell, stops on agreeing roots; smooth shapes on agreeing tableau
@@ -817,7 +815,7 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     BracketError
         if the scan does not isolate the requested level.
     NoConvergence
-        if cell refinement cannot pin the level to _LEVEL_TOL.
+        if cell refinement cannot pin the level to TOL_REL.
     """
     if not (1 <= n <= MAX_LEVEL and n == int(n)):
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
@@ -840,7 +838,7 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
 
         return shot, taken
 
-    ladder = _ladder(2048, 2**20, _LEVEL_TOL, 0.0, shape.error_exponents(2.0))
+    ladder = _ladder(2048, 2**20, 0.0, shape.error_exponents(2.0))
     # the scan shoots on the first rung's cells, which then solves in its bracket
     shot, taken = shooter(next(ladder))
     # Walk down from c_hi counting sign changes; the n-th one brackets c_n.

@@ -336,6 +336,63 @@ def test_estimate_order_on_synthetic_rows():
     assert abs(slope) < 1e-12 and r2 == 1.0
 
 
+def test_order_fit_refuses_eps_that_are_all_equal():
+    # one eps fixes no slope, however the deviations spread
+    rows = [ConvergenceRow(1e-2, Mat2.identity(), dev, 0.0) for dev in (1e-3, 2e-3, 4e-3)]
+    with pytest.raises(InsufficientData, match="two distinct eps"):
+        estimate_order(rows)
+    assert certify_convergence(rows)[0] == "unknown"
+    # gap mode: four matrices at one eps give three positive gaps
+    gaps = [
+        ConvergenceRow(1e-2, Mat2(1.0, 2.0**-i, 0.0, 1.0), math.nan, 0.0)
+        for i in range(4)
+    ]
+    verdict, slope, r2 = certify_convergence(gaps)
+    assert verdict == "unknown" and math.isnan(slope) and math.isnan(r2)
+
+
+@st.composite
+def _power_law_points(draw):
+    """(eps, deviation) points of a noisy power law deviation = e^a eps^b.
+
+    log10 eps falls in steps of 0.05-0.5.  The log noise stays within a
+    quarter of |b| times the narrowest step in log eps, which keeps the
+    exact slope within 31 % of b, so a relative bound on it is meaningful.
+    """
+    n = draw(st.integers(3, 40))
+    steps = draw(st.lists(st.floats(0.05, 0.5), min_size=n - 1, max_size=n - 1))
+    log10_eps = [-draw(st.floats(0.0, 2.0))]
+    for step in steps:
+        log10_eps.append(log10_eps[-1] - step)
+    b = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    a = draw(st.floats(-10.0, 10.0))
+    noise = 0.25 * abs(b) * min(steps) * math.log(10.0)
+    jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    points = []
+    for u, j in zip(log10_eps, jitter):
+        eps = 10.0**u
+        points.append((eps, math.exp(a + b * math.log(eps) + noise * j)))
+    return points
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_power_law_points())
+def test_order_fit_matches_a_50_digit_oracle(points):
+    mpmath = pytest.importorskip("mpmath")
+    rows = [ConvergenceRow(eps, Mat2.identity(), dev, 0.0) for eps, dev in points]
+    slope, r2 = estimate_order(rows)
+    with mpmath.workdps(50):
+        xs = [mpmath.log(eps) for eps, _ in points]
+        ys = [mpmath.log(dev) for _, dev in points]
+        mx, my = mpmath.fsum(xs) / len(xs), mpmath.fsum(ys) / len(ys)
+        sxx = mpmath.fsum((x - mx) ** 2 for x in xs)
+        syy = mpmath.fsum((y - my) ** 2 for y in ys)
+        sxy = mpmath.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        exact_slope, exact_r2 = sxy / sxx, sxy**2 / (sxx * syy)
+        assert abs(slope - exact_slope) <= 1e-12 * abs(exact_slope)
+        assert abs(r2 - exact_r2) <= 1e-14
+
+
 def _synthetic_rows(deviations: list[float]) -> list[ConvergenceRow]:
     eps_list = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
     return [
@@ -463,7 +520,7 @@ def test_resonant_search_bracket_and_argument_errors():
 
 
 def test_level_that_never_settles_reports_its_last_two_roots(monkeypatch):
-    monkeypatch.setattr(mollifier_mod, "_LEVEL_TOL", -1.0)
+    monkeypatch.setattr(mollifier_mod, "TOL_REL", -1.0)
     with pytest.raises(NoConvergence, match="within 1048576 cells") as exc_info:
         resonant_search(TOP_HAT, 1)
     roots = exc_info.value.last_iterates
@@ -847,7 +904,7 @@ def _numpy_tableau(iterates: list, floor: float, cap: int, exponents: list):
 
 def _float_ladder(iterates: list, floor: float, cap: int, exponents: list):
     """_numpy_tableau's outcome, from the ladder itself."""
-    ladder = mollifier_mod._ladder(64, cap, mollifier_mod.TOL_REL, floor, exponents)
+    ladder = mollifier_mod._ladder(64, cap, floor, exponents)
     n = next(ladder)
     try:
         for entries in iterates:

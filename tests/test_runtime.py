@@ -150,6 +150,41 @@ def test_cli_process_caps_openblas_threads_unless_set(setting, monkeypatch):
         assert kept == setting
 
 
+# Prints the float.hex of estimate_order and certify_convergence, in
+# reference mode and in gap mode, on four synthetic sweeps whose
+# np.polyfit slopes differed in the last bit between OpenBLAS's default
+# kernel and its Sandybridge one.
+_ORDER_FITS = """
+import math
+from singscat import Mat2
+from singscat.mollifier import ConvergenceRow, certify_convergence, estimate_order
+eps_list = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+for seed in (2, 3, 4, 5):
+    devs = [e**0.8 * (1.0 + 0.5 * math.sin(seed * i)) for i, e in enumerate(eps_list)]
+    ref = [ConvergenceRow(e, Mat2.identity(), d, 0.0) for e, d in zip(eps_list, devs)]
+    gap = [
+        ConvergenceRow(e, Mat2(1.0, math.fsum(devs[i:]), 0.0, 1.0), math.nan, 0.0)
+        for i, e in enumerate(eps_list)
+    ]
+    _, *ref_fit = certify_convergence(ref)
+    _, *gap_fit = certify_convergence(gap)
+    print(*(x.hex() for x in (*estimate_order(ref), *ref_fit, *gap_fit)))
+"""
+
+
+def test_order_fits_have_the_same_bits_on_every_blas_kernel(monkeypatch):
+    outputs = []
+    for coretype in (None, "Sandybridge"):
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        if coretype is not None:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        proc = _python("-c", _ORDER_FITS)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 4 * 6
+    assert outputs[0] == outputs[1]
+
+
 def _imports_of(package: str, tree: ast.AST) -> list[int]:
     """Line numbers of the imports of package, or of its modules, under tree."""
     lines = []
