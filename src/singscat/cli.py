@@ -235,19 +235,13 @@ def _emit(fields: list[str], rows: Iterable, fmt: str | None, sweep: bool) -> st
     return canonical_json(dict(zip(fields, next(iter(rows))))) + "\n"
 
 
-def _scatter_row(res) -> list:
-    """SCATTER_FIELDS of a result, for single points and sweeps alike."""
-    r, t = res.r, res.t
-    flux = [res.reflect_prob, res.transmit_prob, res.flux_residual]
-    return [res.k, r.real, r.imag, t.real, t.imag] + flux
-
-
 def cmd_scatter(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
     matrix = junction_matrix(p, _resolve_choice(args))
     grid = _k_grid(args)
     if grid is None:
-        row = _scatter_row(scattering_amplitudes(matrix, args.k))
+        k, r, t, rr, tt, _, flux = scattering_amplitudes(matrix, args.k)
+        row = (k, r.real, r.imag, t.real, t.imag, rr, tt, flux)
         return _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
     rows = (
         (k, r.real, r.imag, t.real, t.imag, rr, tt, flux, error)

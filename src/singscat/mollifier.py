@@ -339,32 +339,33 @@ def transfer_fixed_cells(
 
     pot may also be a list of RegularizedPotentials that share one spec
     and one shape, the lanes.  Their midpoints, potentials and propagators
-    are then evaluated stacked over (lanes, cells), and the result is an
-    array of shape (lanes, 2, 2) whose entries equal, bit for bit, those
-    of each lane's own call.  Raises ValueError for a list of several
-    lanes that would stack more than _CHUNK_CELLS cells, lanes times
-    n_cells, and TransferOverflow when some lane's eps^-m overflows.
-    Raises ValueError for an n_cells that is not a positive int.
+    are then evaluated stacked over (lanes, cells), in stacks of at most
+    _CHUNK_CELLS cells (a lane longer than that goes alone), and the
+    result is an array of shape (lanes, 2, 2) whose entries equal, bit
+    for bit, those of each lane's own call.  Raises TransferOverflow when
+    some lane's eps^-m overflows, and ValueError for an n_cells that is
+    not a positive int.
     """
     if not (isinstance(n_cells, int) and n_cells > 0):
         raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
     one = isinstance(pot, RegularizedPotential)
     pots = [pot] if one else list(pot)
     spec, shape = _spec_and_shape(pots)
-    if len(pots) > 1 and len(pots) * n_cells > _CHUNK_CELLS:
-        raise ValueError(
-            f"{len(pots)} lanes of {n_cells} cells exceed {_CHUNK_CELLS} stacked cells"
-        )
-    eps = np.array([p.eps for p in pots])[:, None]
-    scale = np.array([p.scale for p in pots])[:, None]
-    half = shape.half_support * eps
-    h = 2.0 * half / n_cells
+    per = max(1, _CHUNK_CELLS // n_cells)
+    stacks = []
+    for lo in range(0, len(pots), per):
+        lanes = pots[lo : lo + per]
+        eps = np.array([p.eps for p in lanes])[:, None]
+        scale = np.array([p.scale for p in lanes])[:, None]
+        half = shape.half_support * eps
+        h = 2.0 * half / n_cells
 
-    def wave_of(start: int, stop: int) -> np.ndarray:
-        mids = -half + (np.arange(start, stop) + 0.5) * h
-        return k - scale * shape(mids / eps) ** spec.m
+        def wave_of(start: int, stop: int) -> np.ndarray:
+            mids = -half + (np.arange(start, stop) + 0.5) * h
+            return k - scale * shape(mids / eps) ** spec.m
 
-    total = _cells_product(wave_of, h, n_cells)
+        stacks.append(_cells_product(wave_of, h, n_cells))
+    total = np.concatenate(stacks)
     return total[0] if one else total
 
 
@@ -425,29 +426,17 @@ def _ladder(n: int, cap: int, floor: float, exponents: Sequence[float]):
         n *= 2
 
 
-def _checked(entries: list, n_cells: int) -> Mat2 | TransferOverflow:
-    """Mat2 of a converged transfer's entries, or the TransferOverflow refusing it.
-
-    The ladder returns finite entries only.  The exact transfer is
-    unimodular, so a determinant further than _DET_TOL from 1 means the
-    entries have outgrown their digits.
-    """
-    result = Mat2(*entries)
-    det = result.det()
-    if abs(det - 1.0) <= _DET_TOL:
-        return result
-    return TransferOverflow(f"transfer determinant {det!r} is off 1 at {n_cells} cells")
-
-
 def _transfers(pots: list, k: float) -> list:
     """numeric_transfer of each potential: its Mat2 or the error refusing it.
 
-    One loop doubles n from N_CELLS_START.  Each pass stacks every lane
-    still refining, with at most _CHUNK_CELLS cells per
-    transfer_fixed_cells call (a lane longer than that goes alone), and
-    sends each lane's ladder its iterate.  A lane leaves when its ladder
-    returns or raises NoConvergence, or when its eps^-m or its entries
-    overflow.
+    One loop doubles n from N_CELLS_START.  Each pass makes one
+    transfer_fixed_cells call over every lane still refining, which
+    bounds its own stacks, and sends each lane's ladder its iterate.  A
+    lane leaves when its ladder raises NoConvergence, when its eps^-m or
+    its entries overflow, or when its ladder returns.  The ladder returns
+    finite entries only, but the exact transfer is unimodular, so a
+    determinant further than _DET_TOL from 1 means the entries have
+    outgrown their digits, and TransferOverflow refuses them.
     """
     if not pots:
         return []
@@ -466,29 +455,32 @@ def _transfers(pots: list, k: float) -> list:
     n = N_CELLS_START
     while ladders:
         lanes = list(ladders)
-        per = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, len(lanes), per):
-            group = lanes[lo : lo + per]
-            stack = transfer_fixed_cells([pots[lane] for lane in group], k, n)
-            for lane, entries in zip(group, stack.reshape(-1, 4).tolist()):
-                try:
-                    if not all(map(math.isfinite, entries)):
-                        raise TransferOverflow(
-                            f"transfer entries left the representable range at {n} cells"
-                        )
-                    ladders[lane].send(entries)
-                    continue
-                except StopIteration as stop:
-                    outcomes[lane] = _checked(*stop.value)
-                except TransferOverflow as exc:
-                    outcomes[lane] = exc
-                except NoConvergence as exc:
-                    exc.last_iterates = tuple(
-                        None if it is None else np.reshape(it, (2, 2))
-                        for it in exc.last_iterates
+        stack = transfer_fixed_cells([pots[lane] for lane in lanes], k, n)
+        for lane, entries in zip(lanes, stack.reshape(-1, 4).tolist()):
+            try:
+                if not all(map(math.isfinite, entries)):
+                    raise TransferOverflow(
+                        f"transfer entries left the representable range at {n} cells"
                     )
-                    outcomes[lane] = exc
-                del ladders[lane]
+                ladders[lane].send(entries)
+                continue
+            except StopIteration as stop:
+                result = Mat2(*stop.value[0])
+                det = result.det()
+                if not abs(det - 1.0) <= _DET_TOL:
+                    result = TransferOverflow(
+                        f"transfer determinant {det!r} is off 1 at {n} cells"
+                    )
+                outcomes[lane] = result
+            except TransferOverflow as exc:
+                outcomes[lane] = exc
+            except NoConvergence as exc:
+                exc.last_iterates = tuple(
+                    None if it is None else np.reshape(it, (2, 2))
+                    for it in exc.last_iterates
+                )
+                outcomes[lane] = exc
+            del ladders[lane]
         n *= 2
     return outcomes
 
@@ -509,13 +501,13 @@ def numeric_transfer(
 
     pot may also be a list of potentials that share one spec and one
     shape (ValueError otherwise).  Their ladders are then refined by one
-    loop over the cell counts: each pass makes one stacked
-    transfer_fixed_cells call per _CHUNK_CELLS cells over the lanes still
-    refining (a lane longer than that goes alone), and a lane leaves the
-    stack when its stop test holds or it fails.  The list form returns,
-    for each potential, its Mat2 or the SingscatError that refused it;
-    either equals what the one-potential call returns or raises, bit for
-    bit.
+    loop over the cell counts: each pass makes one transfer_fixed_cells
+    call over the lanes still refining, which stacks them at most
+    _CHUNK_CELLS cells at a time (a lane longer than that goes alone), and
+    a lane leaves the stack when its stop test holds or it fails.  The
+    list form returns, for each potential, its Mat2 or the SingscatError
+    that refused it; either equals what the one-potential call returns or
+    raises, bit for bit.
 
     Raises
     ------
@@ -801,8 +793,9 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     found in that bracket from the scan's own shots, then refined on the
     same ladder as numeric_transfer (_ladder, up to 2^20 cells, stop tests
     to TOL_REL relative to |root|), which is sent each rung's root
-    directly; each later rung brackets its root around the previous one,
-    with the shape's error_exponents at m = 2.  The top hat, exact per
+    directly, with the shape's error_exponents at m = 2.  Each later rung
+    brackets its root within pi^2 / 64 of the previous one, and a bracket
+    without a sign change is refused.  The top hat, exact per
     cell, stops on agreeing roots; smooth shapes on agreeing tableau
     entries.  The parity is the sign of w(s) in the shot that the final
     rung took at its Brent root, next to the returned level, which may
@@ -813,7 +806,8 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     ValueError
         if n is not an integer in 1..MAX_LEVEL.
     BracketError
-        if the scan does not isolate the requested level.
+        if the scan does not isolate the requested level, or a later
+        rung's bracket holds no sign change.
     NoConvergence
         if cell refinement cannot pin the level to TOL_REL.
     """
@@ -858,18 +852,12 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
             b, gb = a, ga
     try:
         while True:
-            widen = 0
-            while ga * gb > 0.0:
-                widen += 1
-                if widen > 8:
-                    raise BracketError("bracket lost under cell refinement")
-                a -= step / 4.0
-                b = min(b + step / 4.0, c_hi)
-                ga, gb = shot(a), shot(b)
             root = _brent(shot, a, b, ga, gb)
             shot, taken = shooter(ladder.send([root]))
             a, b = root - step / 8.0, min(root + step / 8.0, c_hi)
             ga, gb = shot(a), shot(b)
+            if ga * gb > 0.0:
+                raise BracketError("bracket lost under cell refinement")
     except StopIteration as stop:
         (level,), _ = stop.value
     except NoConvergence as exc:

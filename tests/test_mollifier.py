@@ -518,6 +518,14 @@ def test_resonant_search_bracket_and_argument_errors():
         mollifier_mod._brent(math.cos, 0.0, 1.0, 1.0, math.cos(1.0))
 
 
+def test_brent_returns_an_endpoint_where_the_function_is_zero():
+    def never(c):
+        raise AssertionError("no shot is needed at a root endpoint")
+
+    assert mollifier_mod._brent(never, -2.0, -1.0, 0.0, 3.0) == -2.0
+    assert mollifier_mod._brent(never, -2.0, -1.0, 3.0, 0.0) == -1.0
+    assert math.copysign(1.0, mollifier_mod._brent(never, -0.0, 1.0, -0.0, 1.0)) < 0
+
 
 def test_level_that_never_settles_reports_its_last_two_roots(monkeypatch):
     monkeypatch.setattr(mollifier_mod, "TOL_REL", -1.0)
@@ -1071,8 +1079,29 @@ def test_list_forms_refuse_potentials_of_different_specs_or_shapes():
     assert numeric_transfer([], 1.0) == []
     with pytest.raises(ValueError, match="no potentials"):
         transfer_fixed_cells([], 1.0, 64)
-    with pytest.raises(ValueError, match="stacked cells"):
-        transfer_fixed_cells([a, a], 1.0, mollifier_mod._CHUNK_CELLS)
+
+
+@pytest.mark.parametrize("shape", [GAUSSIAN, TOP_HAT], ids=["gauss", "tophat"])
+def test_list_form_stacks_at_most_a_chunk_of_cells(shape, monkeypatch):
+    limit = 256
+    monkeypatch.setattr(mollifier_mod, "_CHUNK_CELLS", limit)
+    stacked_cells = []
+    real_free = mollifier_mod.free_propagators
+
+    def free(k, h):
+        stacked_cells.append(np.size(k))
+        return real_free(k, h)
+
+    monkeypatch.setattr(mollifier_mod, "free_propagators", free)
+    spec = PotentialSpec(3.0, -1.0)
+    pots = [RegularizedPotential(spec, shape, 0.5 * 0.8**i) for i in range(7)]
+    # 4, 2 and 1 lanes per stack, then lanes of 4 chunks each
+    for n_cells in (64, 96, 256, 1024):
+        stacked = transfer_fixed_cells(pots, 1.0, n_cells)
+        assert len(pots) * n_cells > limit and stacked.shape == (len(pots), 2, 2)
+        for pot, mat in zip(pots, stacked):
+            assert mat.tobytes() == transfer_fixed_cells(pot, 1.0, n_cells).tobytes()
+    assert max(stacked_cells) <= limit
 
 
 @pytest.mark.parametrize("chunk", [None, 2**12], ids=["default_chunk", "small_chunk"])
@@ -1101,7 +1130,6 @@ def test_sweep_stacks_at_most_a_chunk_of_cells(chunk, monkeypatch):
     eps_list = [0.5 * 0.8**i for i in range(40)]
     rows = convergence_sweep(PotentialSpec(3.0, -1.0), GAUSSIAN, eps_list, 1.0)
     assert all(row.error == "" for row in rows)
-    assert all(lanes * n <= limit or lanes == 1 for lanes, n in calls)
     assert max(stacked_cells) <= limit
     lanes_per_rung = {}
     for lanes, n in calls:

@@ -28,7 +28,7 @@ from singscat import (
 )
 from singscat.cli import main
 from singscat.core import PHASE_ULP_FRACTION
-from singscat.radial import _s_wave
+from singscat.radial import _principal_shift, _s_wave
 
 
 def _shell(m: float, c: float, a: float = 1.0) -> ShellPotentialSpec:
@@ -92,6 +92,13 @@ def test_phase_shift_on_principal_branch():
         assert -math.pi / 2 < res.delta0 <= math.pi / 2
         assert res.sigma0 <= 4 * math.pi / k * (1 + 1e-15)
         assert 0.0 <= res.sigma0
+
+
+def test_principal_shift_takes_the_upper_end_of_a_tie():
+    # math.remainder rounds -1/2 to the even 0 and keeps -pi/2, which the
+    # half-open branch (-pi/2, pi/2] moves up by pi
+    assert _principal_shift(-math.pi / 2) == math.pi / 2
+    assert _principal_shift(math.pi / 2) == math.pi / 2
 
 
 def test_cross_section_is_branch_independent():

@@ -188,6 +188,13 @@ def test_repulsive_delta_has_no_bound_state():
     assert bound_states(Mat2.identity()).kind == "empty"
 
 
+def test_double_root_at_kappa_zero_is_no_bound_state():
+    # a = 1, b = c = 0: the quadratic kappa^2 = 0, whose Citardauq q is 0
+    spectrum = bound_states(Mat2(1.0, 1.0, 0.0, -1.0))
+    assert spectrum.kind == "empty"
+    assert spectrum.kappas == ()
+
+
 def test_degenerate_junction_binds_a_continuum():
     spectrum = bound_states(Mat2(-1.0, 0.0, 0.0, 1.0))
     assert spectrum.kind == "continuum_degenerate"

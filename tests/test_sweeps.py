@@ -552,6 +552,11 @@ def test_table_writer_equals_csv_document_and_canonical_json(table):
     assert _first_difference(json_text, canonical_json(doc) + "\n") is None
 
 
+def test_canonical_json_refuses_values_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        canonical_json({"row": [1.0, object()]})
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_float_spells_specials_and_round_trips_at_17_digits(x):
