@@ -197,12 +197,17 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
         return [args.kmin]
     if args.kscale != "lin":
         ratio = args.kmax / args.kmin
-        grid = [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
+        if ratio < math.inf:
+            grid = [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
+        else:  # the ratio overflows, not the points: step in logs
+            lo, hi = math.log(args.kmin), math.log(args.kmax)
+            grid = [math.exp(hi - (hi - lo) * j / (steps - 1)) for j in range(steps)]
+            grid.reverse()  # down from hi: exp(lo + (hi - lo)) may overflow
     else:
         span = args.kmax - args.kmin
         grid = [args.kmin + span * i / (steps - 1) for i in range(steps)]
-    # both formulas can land an ulp off kmax at the last point
-    grid[-1] = args.kmax
+    # the log step can land an ulp off kmin, and every formula off kmax
+    grid[0], grid[-1] = args.kmin, args.kmax
     if not all(map(math.isfinite, grid)):
         raise UsageError("the energy grid overflows; narrow --kmin/--kmax")
     return grid

@@ -30,7 +30,6 @@ from .errors import (
     SingscatError,
     TransferOverflow,
 )
-from .sweep import sweep_map
 
 # Cell refinement of the transfer integrator: start, hard cap, and the
 # relative tolerance that the stop tests of every ladder apply, the
@@ -431,9 +430,10 @@ def _transfers(pots: list, k: float) -> list:
 
     One loop doubles n from N_CELLS_START.  Each pass makes one
     transfer_fixed_cells call over every lane still refining, which
-    bounds its own stacks, and sends each lane's ladder its iterate.  A
-    lane leaves when its ladder raises NoConvergence, when its eps^-m or
-    its entries overflow, or when its ladder returns.  The ladder returns
+    bounds its own stacks, and sends each lane's finite iterate to its
+    ladder.  A lane leaves when its ladder raises NoConvergence, when its
+    eps^-m or its entries overflow, or when its ladder returns; each error
+    is stored as the lane's outcome, none is raised.  The ladder returns
     finite entries only, but the exact transfer is unimodular, so a
     determinant further than _DET_TOL from 1 means the entries have
     outgrown their digits, and TransferOverflow refuses them.
@@ -458,12 +458,12 @@ def _transfers(pots: list, k: float) -> list:
         stack = transfer_fixed_cells([pots[lane] for lane in lanes], k, n)
         for lane, entries in zip(lanes, stack.reshape(-1, 4).tolist()):
             try:
-                if not all(map(math.isfinite, entries)):
-                    raise TransferOverflow(
-                        f"transfer entries left the representable range at {n} cells"
-                    )
-                ladders[lane].send(entries)
-                continue
+                if all(map(math.isfinite, entries)):
+                    ladders[lane].send(entries)
+                    continue
+                outcomes[lane] = TransferOverflow(
+                    f"transfer entries left the representable range at {n} cells"
+                )
             except StopIteration as stop:
                 result = Mat2(*stop.value[0])
                 det = result.det()
@@ -472,8 +472,6 @@ def _transfers(pots: list, k: float) -> list:
                         f"transfer determinant {det!r} is off 1 at {n} cells"
                     )
                 outcomes[lane] = result
-            except TransferOverflow as exc:
-                outcomes[lane] = exc
             except NoConvergence as exc:
                 exc.last_iterates = tuple(
                     None if it is None else np.reshape(it, (2, 2))
@@ -530,20 +528,36 @@ def numeric_transfer(
     return outcome
 
 
-def _stripped(transfer: Mat2, k: float, half_width: float, strip: list) -> Mat2:
-    """F transfer F for a finite k, F = F(k, -half_width).
+def _junctions(pots: list, k: float) -> list:
+    """effective_junction of each potential: its Mat2 or the error refusing it.
 
-    strip holds the entries of F as free_propagators(k, -half_width)
-    gives them, as nested lists.
+    In refusal order: check_phase per potential (its ValueError for a
+    non-finite k is raised), one numeric_transfer list call over the
+    potentials it passes, one free_propagators call for every strip
+    F(k, -s eps), and per row F T F, or TransferOverflow if that overflows.
     """
-    try:
-        (c, s), (dc, ds) = strip
-        f = Mat2(c, s, dc, ds)
-        return f @ transfer @ f
-    except ValueError as exc:  # k is finite, so Mat2 refused an overflowed entry
-        raise TransferOverflow(
-            f"stripping free flight over {half_width} overflows at k = {k}"
-        ) from exc
+    refusals = []
+    for pot in pots:
+        try:
+            refusals.append(check_phase(k, pot.half_width))  # None: it holds
+        except PrecisionLoss as exc:
+            refusals.append(exc)
+    kept = [pot for pot, refusal in zip(pots, refusals) if refusal is None]
+    transfers = iter(numeric_transfer(kept, k))
+    strips = free_propagators(k, [-pot.half_width for pot in pots]).tolist()
+    outcomes = []
+    for pot, refusal, ((c, s), (dc, ds)) in zip(pots, refusals, strips):
+        outcome = refusal or next(transfers)
+        if not isinstance(outcome, SingscatError):
+            try:
+                f = Mat2(c, s, dc, ds)
+                outcome = f @ outcome @ f
+            except ValueError:  # k is finite, so Mat2 refused an overflowed entry
+                outcome = TransferOverflow(
+                    f"stripping free flight over {pot.half_width} overflows at k = {k}"
+                )
+        outcomes.append(outcome)
+    return outcomes
 
 
 def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
@@ -555,14 +569,17 @@ def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
         M_eps = F(k, -s eps) T F(k, -s eps)
 
     For regimes with a junction matrix, M_eps converges to it as
-    eps -> 0.  Raises ValueError for a non-finite k, PrecisionLoss when
-    the phase sqrt(k) s eps over the half support is rounding noise
-    (core.check_phase), and TransferOverflow when the strips or the
-    product leave the representable range.
+    eps -> 0.  The one-row call of _junctions, which gives
+    convergence_sweep its rows.  Raises ValueError for a non-finite k,
+    PrecisionLoss when the phase sqrt(k) s eps over the half support is
+    rounding noise (core.check_phase), then numeric_transfer's errors, and
+    TransferOverflow when the strips or the product leave the
+    representable range.
     """
-    check_phase(k, pot.half_width)
-    strip = free_propagators(k, -pot.half_width).tolist()
-    return _stripped(numeric_transfer(pot, k), k, pot.half_width, strip)
+    (outcome,) = _junctions([pot], k)
+    if isinstance(outcome, SingscatError):
+        raise outcome
+    return outcome
 
 
 class ConvergenceRow(
@@ -590,11 +607,9 @@ def convergence_sweep(
     """Effective junction per eps, never aborting on per-row failures.
 
     eps_list must be strictly decreasing and positive.  Rows that
-    overflow or fail to converge come back flagged with nan entries.
-    Each row equals effective_junction of its own potential: its phase is
-    checked first, then one list call to numeric_transfer refines the
-    transfers of every row still standing together, and one
-    free_propagators call gives every row's strips, applied per row.
+    overflow, lose their phase or fail to converge come back with matrix
+    None, nan numbers and the error's tag.  One _junctions call gives
+    every row; effective_junction is its one-row call.
     """
     eps_values = [float(e) for e in eps_list]
     if not eps_values:
@@ -605,39 +620,14 @@ def convergence_sweep(
     if eps_values[-1] <= 0.0:
         raise ValueError("eps values must be positive")
     pots = [RegularizedPotential(p, shape, eps) for eps in eps_values]
-
-    def phase_error(pot: RegularizedPotential) -> PrecisionLoss | None:
-        try:
-            check_phase(k, pot.half_width)
-        except PrecisionLoss as exc:
-            return exc
-        return None
-
-    refused = [phase_error(pot) for pot in pots]
-    kept = [pot for pot, error in zip(pots, refused) if error is None]
-    transfers = iter(numeric_transfer(kept, k))
-    outcomes = [error or next(transfers) for error in refused]
-    strips = free_propagators(k, [-pot.half_width for pot in pots]).tolist()
-
-    def one(item: tuple) -> ConvergenceRow:
-        pot, transfer, strip = item
-        if isinstance(transfer, SingscatError):
-            raise transfer  # sweep_map flags the row with its tag
-        m_eps = _stripped(transfer, k, pot.half_width, strip)
-        deviation = (
-            m_eps.max_abs_diff(reference) if reference is not None else math.nan
-        )
-        return ConvergenceRow(
-            eps=pot.eps,
-            matrix=m_eps,
-            deviation=deviation,
-            det_err=abs(m_eps.det() - 1.0),
-        )
-
-    def failed(item: tuple, tag: str) -> ConvergenceRow:
-        return ConvergenceRow(item[0].eps, None, math.nan, math.nan, tag)
-
-    return sweep_map(one, list(zip(pots, outcomes, strips)), failed)
+    rows = []
+    for eps, m_eps in zip(eps_values, _junctions(pots, k)):
+        if isinstance(m_eps, SingscatError):
+            rows.append(ConvergenceRow(eps, None, math.nan, math.nan, m_eps.tag))
+            continue
+        deviation = math.nan if reference is None else m_eps.max_abs_diff(reference)
+        rows.append(ConvergenceRow(eps, m_eps, deviation, abs(m_eps.det() - 1.0)))
+    return rows
 
 
 def _order_fit(points: list) -> tuple[float, float]:

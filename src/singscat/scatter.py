@@ -204,11 +204,11 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tupl
         mods = np.hypot(amps.real, amps.imag)
         code[(code == 0) & ~(mods < _AMPLITUDE_MAX).all(axis=0)] = 3
         mods[:, code == 3] = math.nan
-    # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
-    rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
-    det_j = junction.det()
-    rr_a, tt_a = np.array(rr), np.array(tt)
-    flux = (tt_a + det_j * rr_a - det_j) / np.maximum(1.0, np.maximum(rr_a, tt_a))
+        # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
+        rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
+        det_j = junction.det()
+        rr_a, tt_a = np.array(rr), np.array(tt)
+        flux = (tt_a + det_j * rr_a - det_j) / np.maximum(1.0, np.maximum(rr_a, tt_a))
     return code.tolist(), zip(repeat(""), *amps.tolist(), rr, tt, flux.tolist())
 
 

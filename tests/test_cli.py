@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from singscat.cli import MAX_KSTEPS, _fail, build_parser, main
+from singscat.cli import MAX_KSTEPS, _fail, _k_grid, build_parser, main
 from singscat.errors import BracketError
 from singscat.mollifier import MAX_LEVEL
 from singscat.serialize import canonical_json
@@ -643,7 +643,8 @@ def test_ksteps_past_the_bound_is_refused(capsys):
         ("--k", "nan"),
         ("--kmin", "1", "--kmax", "inf", "--ksteps", "3"),
         ("--kmin", "nan", "--kmax", "1", "--ksteps", "3"),
-        ("--kmin", "1e-300", "--kmax", "1e300", "--ksteps", "3"),
+        # span * i overflows in the linear grid formula
+        ("--kmin", "1", "--kmax", "1e308", "--ksteps", "4", "--kscale", "lin"),
     ],
 )
 def test_non_finite_energies_are_refused(capsys, energy):
@@ -773,6 +774,37 @@ def test_sweeps_start_and_end_exactly_on_kmin_and_kmax(capsys, command, kmin, km
     assert code == 0
     ks = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert [ks[0], ks[-1]] == [float(kmin), float(kmax)]
+
+
+@pytest.mark.parametrize("command", [("scatter",), ("radial", "--a", "1")])
+@pytest.mark.parametrize(
+    "kmin, kmax", [("1e-200", "1e200"), ("1e-300", "1e300"), ("5e-324", "1.7e308")]
+)
+def test_log_sweeps_whose_ratio_overflows_are_computed(capsys, command, kmin, kmax):
+    # kmax / kmin is past the float range, but no point of the grid is
+    code, out, _ = run(
+        capsys, *command, "--m", "1", "--c", "-1",
+        "--kmin", kmin, "--kmax", kmax, "--ksteps", "3", "--format", "csv",
+    )
+    assert code == 0
+    ks = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert ks == [float(kmin), pytest.approx(math.sqrt(float(kmin) * float(kmax))),
+                  float(kmax)]
+
+
+def test_log_grids_over_the_whole_float_range_are_finite_and_rising():
+    top = 1.7976931348623157e308
+    for kmin in (5e-324, 1e-320, 2.2250738585072014e-308, 1e-200, 0.5):
+        for kmax in (1e200, 1.7e308, math.nextafter(top, 0.0), top):
+            if kmax / kmin < math.inf:
+                continue
+            for steps in (2, 3, 7, 1000, MAX_KSTEPS):
+                args = argparse.Namespace(
+                    k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=None
+                )
+                grid = _k_grid(args)
+                assert len(grid) == steps and (grid[0], grid[-1]) == (kmin, kmax)
+                assert all(0.0 < a <= b < math.inf for a, b in zip(grid, grid[1:]))
 
 
 def test_resonance_level_past_the_bound_is_refused(capsys):

@@ -548,6 +548,37 @@ def test_level_lost_under_cell_refinement_is_a_bracket_error(monkeypatch):
     with pytest.raises(BracketError, match="bracket lost under cell refinement"):
         resonant_search(TOP_HAT, 1)
 
+
+def test_scan_without_enough_sign_changes_is_a_bracket_error(monkeypatch):
+    # every shot gives w'(s) = 1, so the scan walks down to c_lo unbracketed
+    shots = []
+
+    def rising(wave_of, h, n_cells):
+        shots.append(n_cells)
+        return np.array([[[1.0, 0.0], [1.0, 1.0]]])
+
+    monkeypatch.setattr(mollifier_mod, "_cells_product", rising)
+    c_lo = -4.0 * (3.0 * math.pi) ** 2
+    with pytest.raises(BracketError, match=f"only 0 sign changes above {c_lo}, needed 1"):
+        resonant_search(TOP_HAT, 1)
+    assert set(shots) == {2048}  # the scan's cells; no rung was refined
+
+
+def test_brent_gives_up_after_its_step_cap():
+    # a sign step at 0: each step at most halves the bracket, and halving
+    # [-1, 2] down to the 1e-30 absolute tolerance takes more than 100 steps
+    shots = []
+
+    def step(x: float) -> float:
+        shots.append(x)
+        return 1.0 if x > 0.0 else -1.0
+
+    with pytest.raises(NoConvergence, match="did not converge in 100 steps"):
+        mollifier_mod._brent(step, -1.0, 2.0, -1.0, 1.0)
+    assert len(shots) == mollifier_mod._BRENT_MAXITER == 100
+    assert abs(shots[-1]) < 1e-29
+
+
 def _rk_transfer(pot: RegularizedPotential, k: float) -> np.ndarray:
     """Oracle: both fundamental solutions across the support by DOP853.
 

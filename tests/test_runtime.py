@@ -215,6 +215,41 @@ def test_no_module_imports_typing():
     assert importers == []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """"line name" for each name imported under tree that the module neither
+    reads nor lists in its __all__; __future__ imports are not names."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    unused.append(f"{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used_or_exported():
+    unused = [
+        f"{path.name}:{entry}"
+        for path in sorted((ROOT / "src" / "singscat").glob("*.py"))
+        for entry in _unused_imports(_parse(path.stem))
+    ]
+    assert unused == []
+    # the check flags a leftover, as an import of sweep_map that the lab's
+    # rows no longer call would be
+    tree = _parse("mollifier")
+    tree.body += ast.parse("from .sweep import sweep_map").body
+    assert _unused_imports(tree) == [
+        f"{line} sweep_map" for line in _imports_of("sweep", tree)
+    ]
+
+
 def test_cli_and_transmission_curve_import_no_numpy():
     # scatter._amplitude_rows alone picks the amplitude kernel, from
     # whether numpy is already loaded
