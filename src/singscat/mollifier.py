@@ -37,6 +37,13 @@ from .errors import (
 N_CELLS_START = 64
 N_CELLS_CAP = 2**22
 TOL_REL = 1e-10
+# The resonance ladder's first rung, on which the bracket scan shoots: at
+# MAX_LEVEL's deepest scan point a cell spans at most 0.67 rad of phase
+# sqrt(|c|) phi h (the gauss), so each oscillation spans nine cells or more.
+LEVEL_CELLS_START = 2048
+# Its cap: levels 1-32 of all four shapes stop at 16,384 cells or fewer,
+# 8x below it.
+LEVEL_CELLS_CAP = 2**17
 # Cells per chunk of the ordered product; bounds its working memory.
 _CHUNK_CELLS = 2**16
 
@@ -778,18 +785,18 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     whether the limiting junction is +identity or -identity.  For the
     top-hat shape the levels are exactly -(n pi)^2.
 
-    A scan at 2048 cells walks down from c = 0 in steps of pi^2 / 8 over
-    the window (-4 ((n + 2) pi)^2, 0) and brackets the level.  The root is
-    found in that bracket from the scan's own shots, then refined on the
-    same ladder as numeric_transfer (_ladder, up to 2^20 cells, stop tests
-    to TOL_REL relative to |root|), which is sent each rung's root
-    directly, with the shape's error_exponents at m = 2.  Each later rung
-    brackets its root within pi^2 / 64 of the previous one, and a bracket
-    without a sign change is refused.  The top hat, exact per
-    cell, stops on agreeing roots; smooth shapes on agreeing tableau
-    entries.  The parity is the sign of w(s) in the shot that the final
-    rung took at its Brent root, next to the returned level, which may
-    be a tableau extrapolant that no rung shot.
+    A scan at LEVEL_CELLS_START cells walks down from c = 0 in steps of
+    pi^2 / 8 over the window (-4 ((n + 2) pi)^2, 0) and brackets the
+    level.  The root is found in that bracket from the scan's own shots,
+    then refined on the same ladder as numeric_transfer (_ladder, up to
+    LEVEL_CELLS_CAP cells, stop tests to TOL_REL relative to |root|),
+    which is sent each rung's root directly, with the shape's
+    error_exponents at m = 2.  Each later rung brackets its root within
+    pi^2 / 64 of the previous one, and a bracket without a sign change is
+    refused.  The top hat, exact per cell, stops on agreeing roots; smooth
+    shapes on agreeing tableau entries.  The parity is the sign of w(s) in
+    the shot that the final rung took at its Brent root, next to the
+    returned level, which may be a tableau extrapolant that no rung shot.
 
     Raises
     ------
@@ -822,7 +829,8 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
 
         return shot, taken
 
-    ladder = _ladder(2048, 2**20, 0.0, shape.error_exponents(2.0))
+    exponents = shape.error_exponents(2.0)
+    ladder = _ladder(LEVEL_CELLS_START, LEVEL_CELLS_CAP, 0.0, exponents)
     # the scan shoots on the first rung's cells, which then solves in its bracket
     shot, taken = shooter(next(ladder))
     # Walk down from c_hi counting sign changes; the n-th one brackets c_n.

@@ -7,7 +7,7 @@ in JSON (CSV spells them nan/inf, since CSV is never re-parsed into
 floats by the tools here).
 
 canonical_json and csv_document write any document a value at a time;
-table_document writes the tables of the CLI's sweeps a column at a time,
+table_document writes the tables of the CLI's sweeps a row at a time,
 to the same bytes.
 """
 
@@ -15,14 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-
-# %.17g spells the non-finite floats this way; JSON writes them as null.
-_JSON_NULLS = {"nan": "null", "inf": "null", "-inf": "null"}
-
-# Rows rendered per pass of table_document.
-_CHUNK = 512
 
 
 def fmt_float(x: float) -> str:
@@ -34,21 +27,27 @@ def fmt_float(x: float) -> str:
     return "%.17g" % (x + 0.0)
 
 
-def _ser(value: object, out: list[str]) -> None:
+def _json_scalar(value: object) -> str:
+    """The JSON text of None, a bool, an int, a float or a str.
+
+    A float is spelled inline as fmt_float spells it, so that a table
+    cell costs one call; nan, inf and -inf are null.
+    """
+    if isinstance(value, float):
+        return "%.17g" % (value + 0.0) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return _quote(value)
     if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, float):
-        if math.isfinite(value):
-            out.append(fmt_float(value))
-        else:
-            out.append("null")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, (list, tuple)):
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return repr(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _ser(value: object, out: list[str]) -> None:
+    if isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
             if i:
@@ -65,7 +64,7 @@ def _ser(value: object, out: list[str]) -> None:
             _ser(value[key], out)
         out.append("}")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append(_json_scalar(value))
 
 
 def canonical_json(doc: object) -> str:
@@ -76,9 +75,9 @@ def canonical_json(doc: object) -> str:
 
 
 def _csv_cell(cell: object) -> str:
-    """One CSV cell: floats through fmt_float, ints through repr, else str."""
+    """One CSV cell: floats spelled as fmt_float does, ints by repr, else str."""
     if isinstance(cell, float):
-        return fmt_float(cell)
+        return "%.17g" % (cell + 0.0)
     if isinstance(cell, int):
         return repr(cell)
     return str(cell)
@@ -91,22 +90,6 @@ def csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def _column_text(column: Sequence[object], fmt: str) -> list[str]:
-    """The cells of one table column as text, a whole column per call.
-
-    A column of floats goes through fmt_float's "%.17g" on x + 0.0, mapped
-    over the whole column.  Any other column is written cell by cell as
-    csv_document or canonical_json would write it.
-    """
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        text = list(map("%.17g".__mod__, map((0.0).__radd__, column)))
-        return list(map(_JSON_NULLS.get, text, text)) if fmt == "json" else text
-    if kinds == {str}:
-        return list(map(_quote, column)) if fmt == "json" else list(column)
-    return list(map(canonical_json if fmt == "json" else _csv_cell, column))
-
-
 def table_document(
     fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str
 ) -> str:
@@ -114,28 +97,23 @@ def table_document(
 
     Byte for byte what csv_document(fields, rows) writes for "csv", and
     canonical_json({"rows": [dict(zip(fields, row)) ...]}) plus a newline
-    for "json".  Cells are rendered a column of _CHUNK rows at a time and
-    joined by one row template, with the JSON keys encoded and sorted
-    once.  The document is joined once, so a long table holds about one
-    document's worth of text at a time.
+    for "json".  Rows are rendered one at a time, a JSON row through one
+    template with its keys encoded and sorted once.  The document is
+    joined once, so a long table holds about two documents' worth of text
+    at its peak: the rows and the joined text.
     """
-    if fmt == "json":
-        order = sorted(range(len(fields)), key=fields.__getitem__)
-        keys = [_quote(fields[i]).replace("%", "%%") + ":%s" for i in order]
-        # every row opens with its separator; the first one's is cut below
-        template = ",{" + ",".join(keys) + "}"
-        parts = ['{"rows":[']
-    else:
-        order = range(len(fields))
-        template = ",".join(["%s"] * len(fields)) + "\n"
-        parts = [",".join(fields) + "\n"]
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK)):
-        columns = list(zip(*chunk))
-        text = [_column_text(columns[i], fmt) for i in order]
-        parts += map(template.__mod__, zip(*text))
-    if fmt == "json":
-        if len(parts) > 1:
-            parts[1] = parts[1][1:]
-        parts.append("]}\n")
+    if fmt == "csv":
+        lines = [",".join(fields)]
+        lines += (",".join(map(_csv_cell, row)) for row in rows)
+        lines.append("")  # the document ends with a newline
+        return "\n".join(lines)
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    keys = [_quote(fields[i]).replace("%", "%%") + ":%s" for i in order]
+    # every row opens with its separator; the first one's is cut below
+    template = ",{" + ",".join(keys) + "}"
+    parts = ['{"rows":[']
+    parts += (template % tuple([_json_scalar(row[i]) for i in order]) for row in rows)
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]
+    parts.append("]}\n")
     return "".join(parts)

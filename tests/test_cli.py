@@ -643,8 +643,7 @@ def test_ksteps_past_the_bound_is_refused(capsys):
         ("--k", "nan"),
         ("--kmin", "1", "--kmax", "inf", "--ksteps", "3"),
         ("--kmin", "nan", "--kmax", "1", "--ksteps", "3"),
-        # span * i overflows in the linear grid formula
-        ("--kmin", "1", "--kmax", "1e308", "--ksteps", "4", "--kscale", "lin"),
+        ("--kmin", "1", "--kmax", "nan", "--ksteps", "3"),
     ],
 )
 def test_non_finite_energies_are_refused(capsys, energy):
@@ -790,6 +789,27 @@ def test_log_sweeps_whose_ratio_overflows_are_computed(capsys, command, kmin, km
     ks = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert ks == [float(kmin), pytest.approx(math.sqrt(float(kmin) * float(kmax))),
                   float(kmax)]
+
+
+@pytest.mark.parametrize("command", [("scatter",), ("radial", "--a", "1")])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # span * i overflows in the linear formula, not span * (i / (steps - 1))
+        ("--kmin", "1", "--kmax", "1e308", "--ksteps", "4", "--kscale", "lin"),
+        # ratio 1 + 2^-52: kmin * ratio ** x rounds to inf past x = 1/2
+        ("--kmin", "1.7976931348623155e308", "--kmax", "1.7976931348623157e308",
+         "--ksteps", "1000"),
+    ],
+)
+def test_grids_of_finite_points_next_to_the_float_max_are_swept(capsys, command, grid):
+    code, out, _ = run(
+        capsys, *command, "--m", "1", "--c", "-1", *grid, "--format", "csv"
+    )
+    assert code == 0
+    ks = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(ks) == int(grid[grid.index("--ksteps") + 1])
+    assert all(0.0 < a <= b < math.inf for a, b in zip(ks, ks[1:]))
 
 
 def test_log_grids_over_the_whole_float_range_are_finite_and_rising():

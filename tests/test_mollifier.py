@@ -529,7 +529,7 @@ def test_brent_returns_an_endpoint_where_the_function_is_zero():
 
 def test_level_that_never_settles_reports_its_last_two_roots(monkeypatch):
     monkeypatch.setattr(mollifier_mod, "TOL_REL", -1.0)
-    with pytest.raises(NoConvergence, match="within 1048576 cells") as exc_info:
+    with pytest.raises(NoConvergence, match="within 131072 cells") as exc_info:
         resonant_search(TOP_HAT, 1)
     roots = exc_info.value.last_iterates
     assert len(roots) == 2 and all(type(root) is float for root in roots)

@@ -250,6 +250,49 @@ def test_every_import_is_used_or_exported():
     ]
 
 
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """"module name" for each module-level _name function or class that no
+    code under trees reads, looks up as an attribute or imports, outside
+    its own body; names in docstrings do not count, and dunders are
+    Python's to call."""
+    used = [
+        (top, {
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        })
+        for tree in trees.values()
+        for top in tree.body
+    ]
+    return [
+        f"{module} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for top, names in used if top is not node)
+    ]
+
+
+def test_every_private_function_is_used():
+    trees = {
+        path.stem: _parse(path.stem)
+        for path in sorted((ROOT / "src" / "singscat").glob("*.py"))
+    }
+    assert _unreferenced_privates(trees) == []
+    # the check flags a leftover, as the column writer that table_document
+    # no longer calls would be, though a docstring still names it
+    trees["serialize"].body += ast.parse(
+        "def _column_text(column, fmt):\n"
+        "    return [_column_text(cell, fmt) for cell in column]\n"
+    ).body
+    trees["cli"].body += ast.parse('"""see serialize._column_text"""').body
+    assert _unreferenced_privates(trees) == ["serialize _column_text"]
+
+
 def test_cli_and_transmission_curve_import_no_numpy():
     # scatter._amplitude_rows alone picks the amplitude kernel, from
     # whether numpy is already loaded
