@@ -199,8 +199,9 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
         ratio = args.kmax / args.kmin
         if ratio < math.inf:
             grid = [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
-            # next to the float max a point can round past it, to inf
-            grid = [k if k < math.inf else args.kmax for k in grid]
+            # with kmin a few ulps below kmax a point can round past kmax,
+            # and next to the float max even to inf
+            grid = [k if k <= args.kmax else args.kmax for k in grid]
         else:  # the ratio overflows, not the points: step in logs
             lo, hi = math.log(args.kmin), math.log(args.kmax)
             grid = [math.exp(hi - (hi - lo) * j / (steps - 1)) for j in range(steps)]

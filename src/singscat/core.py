@@ -132,11 +132,17 @@ class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):
 
 
 class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a")):
-    """Spherical shell carrying a point potential at radius a > 0."""
+    """Spherical shell carrying a point potential at radius a > 0.
+
+    base must be a PotentialSpec; anything else raises ValueError.
+    """
 
     __slots__ = ()
 
     def __new__(cls, base: PotentialSpec, a: float):
+        # only an immutable record lets s_wave_solve key its junction by identity
+        if not isinstance(base, PotentialSpec):
+            raise ValueError(f"shell base must be a PotentialSpec, got {type(base).__name__}")
         if not (math.isfinite(a) and a > 0.0):
             raise ValueError(f"shell radius must be positive, got {a}")
         return tuple.__new__(cls, (base, a))

@@ -127,7 +127,12 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
         if the regime is indeterminate and choice is None.
     PrecisionLoss
         if m = 2 and c is too large to match resonant levels.
+    ValueError
+        if choice is neither None nor an IvChoice, or is given outside
+        the indeterminate regime.
     """
+    if choice is not None and not isinstance(choice, IvChoice):
+        raise ValueError(f"choice must be an IvChoice or None, got {type(choice).__name__}")
     regime = classify_regime(p)
     if regime is _INDETERMINATE:
         if choice is None:

@@ -91,6 +91,14 @@ def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
     return delta0, sigma0, interior, alpha, beta
 
 
+# (base, choice, junction) of s_wave_solve's last derivation.  It is keyed
+# by identity: equal records can differ in bits (c = 0.0 and -0.0), and the
+# records are immutable, so the same objects always give the same junction.
+# One tuple, read and replaced as a unit, so threads see a consistent triple;
+# the list is changed in place, never rebound, as perfbench's tracer checks.
+_LAST = [(None, None, None)]
+
+
 def s_wave_solve(
     shell: ShellPotentialSpec, k: float, choice: IvChoice | None = None
 ) -> RadialResult:
@@ -101,11 +109,17 @@ def s_wave_solve(
     PrecisionLoss when sqrt(k) a is too large for its phase to carry
     meaningful digits (core.check_phase), TransferOverflow when k is so
     small that sigma0 is not finite, and ValueError for an infinite k.
+    Calls in a row with the same shell.base and choice objects derive the
+    junction once; junction_matrix's errors are raised on every call.
     """
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
     base, a = shell
-    delta0, sigma0, interior, alpha, beta = _s_wave(junction_matrix(base, choice), a, k)
+    last_base, last_choice, junction = _LAST[0]
+    if base is not last_base or choice is not last_choice:
+        junction = junction_matrix(base, choice)
+        _LAST[0] = (base, choice, junction)
+    delta0, sigma0, interior, alpha, beta = _s_wave(junction, a, k)
     return tuple.__new__(RadialResult, (k, a, delta0, sigma0, interior, (alpha, beta)))
 
 

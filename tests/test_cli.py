@@ -10,9 +10,12 @@ import argparse
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singscat.cli import MAX_KSTEPS, _fail, _k_grid, build_parser, main
 from singscat.errors import BracketError
@@ -800,6 +803,9 @@ def test_log_sweeps_whose_ratio_overflows_are_computed(capsys, command, kmin, km
         # ratio 1 + 2^-52: kmin * ratio ** x rounds to inf past x = 1/2
         ("--kmin", "1.7976931348623155e308", "--kmax", "1.7976931348623157e308",
          "--ksteps", "1000"),
+        # kmin * ratio ** x rounds an ulp or two past kmax at interior points
+        ("--kmin", "1.7742673154863374e308", "--kmax", "1.7742673154863384e308",
+         "--ksteps", "50"),
     ],
 )
 def test_grids_of_finite_points_next_to_the_float_max_are_swept(capsys, command, grid):
@@ -825,6 +831,26 @@ def test_log_grids_over_the_whole_float_range_are_finite_and_rising():
                 grid = _k_grid(args)
                 assert len(grid) == steps and (grid[0], grid[-1]) == (kmin, kmax)
                 assert all(0.0 < a <= b < math.inf for a, b in zip(grid, grid[1:]))
+
+
+def _ulps_below(x: float, n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", struct.unpack("<q", struct.pack("<d", x))[0] - n))[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.floats(1e307, 1.7976931348623157e308), st.floats(1e-300, 1e300)),
+    st.one_of(st.integers(0, 4096), st.floats(5e-324, 1.0)),
+    st.integers(2, 2000),
+)
+def test_log_grids_rise_within_their_ends(kmax, below, steps):
+    # below is kmin's distance from kmax in ulps, or kmin / kmax; a few
+    # thousand ulps apart, kmin * ratio ** x can round past kmax
+    kmin = _ulps_below(kmax, below) if isinstance(below, int) else max(5e-324, kmax * below)
+    args = argparse.Namespace(k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=None)
+    grid = _k_grid(args)
+    assert len(grid) == steps and (grid[0], grid[-1]) == (kmin, kmax)
+    assert all(kmin <= a <= b <= kmax for a, b in zip(grid, grid[1:]))
 
 
 def test_resonance_level_past_the_bound_is_refused(capsys):

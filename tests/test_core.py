@@ -202,6 +202,11 @@ def test_shell_spec_needs_positive_radius():
         ShellPotentialSpec(base, 0.0)
     with pytest.raises(ValueError):
         ShellPotentialSpec(base, -1.0)
+    # a base that is not the immutable record is refused, even when it unpacks
+    with pytest.raises(ValueError, match="PotentialSpec"):
+        ShellPotentialSpec((1.0, -2.0), 1.0)
+    with pytest.raises(ValueError, match="PotentialSpec"):
+        ShellPotentialSpec([1.0, -2.0], 1.0)
 
 
 def test_piecewise_solution_invariant():

@@ -144,6 +144,10 @@ def test_choice_validation():
         IvChoice(2, 1.0)
     with pytest.raises(ValueError):
         IvChoice(1, math.nan)
+    # a choice that is not an IvChoice is refused in every regime
+    for p in (PotentialSpec(3.0, -1.0), PotentialSpec(1.0, -2.0)):
+        with pytest.raises(ValueError, match="IvChoice"):
+            junction_matrix(p, (1, 0.5))
 
 
 def test_resonant_couplings_listing():

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+
+import singscat.radial as radial_mod
 
 from singscat import (
     COSINE_BUMP,
@@ -293,3 +299,110 @@ def test_signed_zero_couplings_keep_their_own_junctions():
                 own = _s_wave(Mat2(1.0, 0.0, m21, 1.0), 1.25, k)
                 got = [*result[2:5], *result.exterior_coeffs]
                 assert list(map(float.hex, got)) == list(map(float.hex, own))
+
+
+def test_a_shell_derives_its_junction_once_per_run_of_calls(monkeypatch):
+    calls = []
+
+    def counting(base, choice=None):
+        calls.append(base)
+        return junction_matrix(base, choice)
+
+    monkeypatch.setattr(radial_mod, "junction_matrix", counting)
+    shell = _shell(1.0, -2.0)
+    for i in range(1000):
+        s_wave_solve(shell, 0.01 * (i + 1))
+    assert calls == [shell.base]
+    calls.clear()
+    a, b = _shell(1.0, -2.0), _shell(1.0, -2.0)
+    for shell in (a, b, a):
+        for k in (0.5, 1.0, 2.0):
+            s_wave_solve(shell, k)
+    assert calls == [a.base, b.base, a.base]
+
+
+def test_a_refused_shell_raises_on_every_call_and_keeps_the_slot():
+    s_wave_solve(_shell(1.0, -2.0), 1.0)
+    kept = radial_mod._LAST[0]
+    undefined = _shell(2.0, 1.0)
+    for k in (0.5, 1.0, 2.0):
+        with pytest.raises(UndefinedRegime):
+            s_wave_solve(undefined, k)
+        assert radial_mod._LAST[0] is kept
+
+
+# shells over the five junction classes, with equal but distinct records
+_DELTA = PotentialSpec(1.0, -2.0)
+_INDETERMINATE = PotentialSpec(3.0, -1.0)
+_POOL = [
+    (ShellPotentialSpec(PotentialSpec(0.5, 3.0), 1.3), None),
+    (ShellPotentialSpec(_DELTA, 1.3), None),
+    (ShellPotentialSpec(_DELTA, 0.7), None),
+    (ShellPotentialSpec(PotentialSpec(1, -2.0), 1.3), None),
+    (ShellPotentialSpec(PotentialSpec(1.0, 0.0), 1.3), None),
+    (ShellPotentialSpec(PotentialSpec(1.0, -0.0), 1.3), None),
+    (ShellPotentialSpec(PotentialSpec(2.0, 1.0), 1.3), None),
+    (ShellPotentialSpec(PotentialSpec(2.0, -(math.pi**2)), 1.3), None),
+    (ShellPotentialSpec(PotentialSpec(2.0, -((2 * math.pi) ** 2)), 1.3), None),
+    (ShellPotentialSpec(_INDETERMINATE, 1.3), IvChoice(1, 0.0)),
+    (ShellPotentialSpec(_INDETERMINATE, 1.3), IvChoice(1, -0.0)),
+    (ShellPotentialSpec(_INDETERMINATE, 1.3), IvChoice(1.0, -0.0)),
+    (ShellPotentialSpec(_INDETERMINATE, 1.3), IvChoice(-1, 0.5)),
+]
+
+
+def _own_answer(shell: ShellPotentialSpec, k: float, choice: IvChoice | None):
+    """s_wave_solve's fields by float.hex from a junction derived afresh."""
+    try:
+        junction = junction_matrix(shell.base, choice)
+    except UndefinedRegime as exc:
+        return type(exc)
+    return list(map(float.hex, [k, shell.a, *_s_wave(junction, shell.a, k)]))
+
+
+def _answer(shell: ShellPotentialSpec, k: float, choice: IvChoice | None):
+    try:
+        res = s_wave_solve(shell, k, choice)
+    except UndefinedRegime as exc:
+        return type(exc)
+    return list(map(float.hex, [*res[:5], *res.exterior_coeffs]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(_POOL) - 1), st.floats(1e-3, 1e3)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_alternating_shells_each_get_their_own_junction(calls):
+    for index, k in calls:
+        shell, choice = _POOL[index]
+        assert _answer(shell, k, choice) == _own_answer(shell, k, choice)
+
+
+def test_threads_alternating_shells_each_get_their_own_junction():
+    ks = [0.25 * (i + 1) for i in range(40)]
+    expected = {i: [_own_answer(s, k, ch) for k in ks] for i, (s, ch) in enumerate(_POOL)}
+    wrong = []
+
+    def worker(offset: int) -> None:
+        for r in range(30):
+            i = (offset + r) % len(_POOL)
+            shell, choice = _POOL[i]
+            if [_answer(shell, k, choice) for k in ks] != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
