@@ -5,67 +5,36 @@ one, scattering amplitudes and bound states built on them, the s-wave
 reduction for singular shells, and a mollifier lab that verifies the
 closed forms numerically and certifies the divergent regimes.
 
-Importing the package loads no numpy: the closed forms need none.  The
-mollifier lab's names are loaded with singscat.mollifier, and numpy with
-it, the first time one of them is looked up.
+Every public name loads its module on first use: importing the package
+loads no submodule, and __getattr__ (PEP 562) imports the module that
+defines a name the first time the name is looked up, then caches it in
+the package namespace.  Only the mollifier lab's names load numpy.
 """
-
-from .core import (
-    Mat2,
-    PiecewiseSolution,
-    PotentialSpec,
-    ShellPotentialSpec,
-    free_propagators,
-    free_transfer,
-)
-from .errors import (
-    BracketError,
-    ChainOrderError,
-    InsufficientData,
-    InvalidExponent,
-    MissingChoice,
-    NoConvergence,
-    NonPositiveEnergy,
-    NoScatteringState,
-    PrecisionLoss,
-    SingscatError,
-    TransferOverflow,
-    UndefinedRegime,
-)
-from .junction import (
-    RESONANCE_TOL,
-    IvChoice,
-    Regime,
-    RegimeKind,
-    classify_regime,
-    junction_matrix,
-    resonant_couplings,
-)
-from .radial import (
-    RadialResult,
-    radial_wavefunction,
-    s_wave_solve,
-)
-from .scatter import (
-    BoundSpectrum,
-    ScatteringResult,
-    SweepRow,
-    bound_states,
-    compose_chain,
-    evaluate_solution,
-    scattering_amplitudes,
-    transmission_curve,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
+    # core: the 2x2 matrix, point and shell potentials, free flight
     "Mat2",
     "PotentialSpec",
     "ShellPotentialSpec",
     "PiecewiseSolution",
     "free_propagators",
     "free_transfer",
+    # errors: the exceptions, each with the tag the CLI prints
+    "SingscatError",
+    "InvalidExponent",
+    "UndefinedRegime",
+    "MissingChoice",
+    "NonPositiveEnergy",
+    "NoScatteringState",
+    "ChainOrderError",
+    "NoConvergence",
+    "TransferOverflow",
+    "PrecisionLoss",
+    "BracketError",
+    "InsufficientData",
+    # junction: regimes of (m, c) and their junction matrices
     "Regime",
     "RegimeKind",
     "IvChoice",
@@ -73,6 +42,11 @@ __all__ = [
     "junction_matrix",
     "resonant_couplings",
     "RESONANCE_TOL",
+    # radial: the s-wave of a spherical shell
+    "RadialResult",
+    "s_wave_solve",
+    "radial_wavefunction",
+    # scatter: amplitudes, sweeps, chains and bound states
     "ScatteringResult",
     "SweepRow",
     "BoundSpectrum",
@@ -81,9 +55,7 @@ __all__ = [
     "bound_states",
     "compose_chain",
     "evaluate_solution",
-    "RadialResult",
-    "s_wave_solve",
-    "radial_wavefunction",
+    # mollifier: the lab, which loads numpy
     "MollifierShape",
     "RegularizedPotential",
     "ConvergenceRow",
@@ -98,30 +70,23 @@ __all__ = [
     "estimate_order",
     "certify_convergence",
     "resonant_search",
-    "SingscatError",
-    "InvalidExponent",
-    "UndefinedRegime",
-    "MissingChoice",
-    "NonPositiveEnergy",
-    "NoScatteringState",
-    "ChainOrderError",
-    "NoConvergence",
-    "TransferOverflow",
-    "PrecisionLoss",
-    "BracketError",
-    "InsufficientData",
 ]
 
+# The modules that define the names of __all__, searched in this order.
+_MODULES = ("core", "errors", "junction", "radial", "scatter", "mollifier")
 
-# The names of __all__ not bound above are the mollifier lab's, looked up
-# through __getattr__ (PEP 562), which caches each in globals().
+
 def __getattr__(name: str):
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import mollifier
+    from importlib import import_module
 
-    value = globals()[name] = getattr(mollifier, name)
-    return value
+    if name in _MODULES:  # importing a submodule binds it in the package
+        return import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for module in map(__getattr__, _MODULES):
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

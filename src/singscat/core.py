@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from numbers import Real
 
 from .errors import InvalidExponent, PrecisionLoss
 
@@ -124,9 +125,13 @@ class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):
     __slots__ = ()
 
     def __new__(cls, m: float, c: float):
-        if not (math.isfinite(m) and m > 0.0):
+        # refuse what is not a real number, such as a mutable 0-d array; the
+        # exact-type tests keep isinstance off the common path
+        real = type(m) is float or type(m) is int or isinstance(m, Real)
+        if not (real and math.isfinite(m) and m > 0.0):
             raise InvalidExponent(f"exponent must be positive and finite, got {m}")
-        if not math.isfinite(c):
+        real = type(c) is float or type(c) is int or isinstance(c, Real)
+        if not (real and math.isfinite(c)):
             raise ValueError(f"coupling must be finite, got {c}")
         return tuple.__new__(cls, (m, c))
 
@@ -143,7 +148,8 @@ class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a
         # only an immutable record lets s_wave_solve key its junction by identity
         if not isinstance(base, PotentialSpec):
             raise ValueError(f"shell base must be a PotentialSpec, got {type(base).__name__}")
-        if not (math.isfinite(a) and a > 0.0):
+        real = type(a) is float or type(a) is int or isinstance(a, Real)
+        if not (real and math.isfinite(a) and a > 0.0):
             raise ValueError(f"shell radius must be positive, got {a}")
         return tuple.__new__(cls, (base, a))
 

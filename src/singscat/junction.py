@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from numbers import Real
 
 from .core import CheckedRecord, Mat2, PotentialSpec
 from .errors import MissingChoice, PrecisionLoss, UndefinedRegime
@@ -60,9 +61,11 @@ class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: float):
-        if a not in (1, -1):
+        # as in PotentialSpec, what is not a real number is refused
+        if not (type(a) is int or isinstance(a, Real)) or a not in (1, -1):
             raise ValueError(f"a must be +1 or -1, got {a}")
-        if not math.isfinite(b):
+        real = type(b) is float or type(b) is int or isinstance(b, Real)
+        if not (real and math.isfinite(b)):
             raise ValueError(f"b must be finite, got {b}")
         return tuple.__new__(cls, (a, b))
 

@@ -137,11 +137,11 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
 
     error is "" for a good energy; a failing one gives the tag of its
     exception (SingscatError.tag) and nan for the numbers.  Raises
-    ValueError at the call if any energy is infinite.  The one choice of
-    amplitude kernel: once numpy is loaded, the array kernel takes the
-    energies _BLOCK at a time as the rows are consumed, and
-    scattering_amplitudes names the errors it flags; otherwise it takes
-    each energy, and numpy stays unloaded.  The bits are the same.
+    ValueError at the call if any energy is infinite.  The energies go
+    _BLOCK at a time as the rows are consumed, to the one choice of kernel:
+    once numpy is loaded, the array kernel, and scattering_amplitudes names
+    the errors it flags; otherwise scattering_amplitudes for each energy,
+    and numpy stays unloaded.  The bits are the same.
     """
     if math.inf in ks:
         raise ValueError("scattering needs a finite k, got inf")
@@ -155,10 +155,10 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
         return sweep_map(row, ks, lambda k, tag: (tag, nan, nan, *[math.nan] * 3))
 
     np = sys.modules.get("numpy")
-    if np is None:
-        return iter(scalar_rows(ks))
 
     def block_rows(block: list[float]) -> Iterator[tuple]:
+        if np is None:
+            return scalar_rows(block)
         codes, rows = _amplitude_block(junction, np.array(block, dtype=float))
         reasons = set(codes) - {0}
         if not reasons:

@@ -183,3 +183,32 @@ def test_parameterless_regimes_equal_their_built_records(spec, kind):
     regime = classify_regime(spec)
     assert type(regime) is Regime and regime == Regime(kind)
     assert regime.kind is kind and regime.n is None and regime.reason is None
+
+
+def test_records_refuse_numbers_that_are_not_real():
+    # A 0-d array passes math.isfinite but can change after the record is
+    # built.  With m = np.array(1.0) in a shell's base, s_wave_solve(shell,
+    # 1.0) and then m[()] = 0.5 left s_wave_solve's identity-keyed junction
+    # stale: delta0 read the m = 1 answer 1.5068..., where a fresh shell
+    # gives 0.0.  So every number field refuses what is not numbers.Real,
+    # with the error its own check raises.
+    np = pytest.importorskip("numpy")
+    m = np.array(1.0)
+    with pytest.raises(InvalidExponent):
+        ShellPotentialSpec(PotentialSpec(m, -2.0), 1.0)
+    refused = [
+        (lambda x: PotentialSpec(x, -2.0), InvalidExponent),
+        (lambda x: PotentialSpec(1.0, x), ValueError),
+        (lambda x: ShellPotentialSpec(_SPEC, x), ValueError),
+        (lambda x: IvChoice(x, 0.5), ValueError),
+        (lambda x: IvChoice(-1, x), ValueError),
+    ]
+    for build, error in refused:
+        for value in (np.array(1.0), np.array(-1), complex(1.0, 0.0), "1.0"):
+            with pytest.raises(error):
+                build(value)
+    # numpy's scalar types are registered as real numbers, and kept as given
+    spec = PotentialSpec(np.float64(1.0), np.int64(-2))
+    assert type(spec.m) is np.float64 and type(spec.c) is np.int64
+    assert IvChoice(np.int64(-1), np.float32(0.5)) == (-1, 0.5)
+    assert ShellPotentialSpec(spec, np.float64(1.5)).a == 1.5

@@ -48,23 +48,43 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_import_loads_no_scipy():
-    proc = _python("-c", "import sys, singscat; print('scipy' in sys.modules)")
+# Imports the package and reports which singscat modules that loaded.  Then
+# looks up through the package every public name of the closed-form modules
+# and reports how many there were and whether scipy, dataclasses or numpy
+# was loaded along the way.
+_IMPORT_AND_RESOLVE = """
+import sys, singscat
+print(sorted(m for m in sys.modules if m.startswith("singscat")))
+modules = [getattr(singscat, m) for m in ("core", "errors", "junction", "radial", "scatter")]
+names = [n for n in singscat.__all__ if any(hasattr(m, n) for m in modules)]
+for name in names:
+    getattr(singscat, name)
+print(len(names), *(m in sys.modules for m in ("scipy", "dataclasses", "numpy")))
+"""
+
+
+def _import_and_resolve() -> dict:
+    proc = _python("-c", _IMPORT_AND_RESOLVE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    bare, report = proc.stdout.splitlines()
+    # a bare import loads no submodule, and 36 names resolve
+    assert bare == "['singscat']"
+    count, *loaded = report.split()
+    assert count == "36"
+    return dict(zip(("scipy", "dataclasses", "numpy"), loaded))
+
+
+def test_import_loads_no_scipy():
+    assert _import_and_resolve()["scipy"] == "False"
 
 
 def test_import_loads_no_dataclasses():
     # the records are tuples; dataclasses alone cost a third of the import
-    proc = _python("-c", "import sys, singscat; print('dataclasses' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _import_and_resolve()["dataclasses"] == "False"
 
 
 def test_import_loads_no_numpy():
-    proc = _python("-c", "import sys, singscat; print('numpy' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _import_and_resolve()["numpy"] == "False"
 
 
 def test_lazy_loader_refuses_unknown_names():

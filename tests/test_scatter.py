@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from singscat import scatter
 from singscat import (
     BoundSpectrum,
     ChainOrderError,
@@ -135,6 +138,16 @@ def test_transmission_past_the_float_range_is_an_overflow():
     rows = transmission_curve(j, [1e300, 1e20])  # the array kernel
     assert [row.error for row in rows] == ["overflow", ""]
     assert abs(rows[1].result.transmit_prob - 4e40) <= 1e-12 * 4e40
+    # D is finite and not degenerate, but t = 1.67e308 + 7.29e307j, and
+    # abs(t) raises OverflowError in the scalar formula
+    j = Mat2(-5.532654093160611e307, -7.957364066986751e306, 1.4972526463916677e306,
+             3.5613294100088293e307)
+    k = 0.7468622743963478
+    with pytest.raises(TransferOverflow):
+        scattering_amplitudes(j, k)
+    assert [row.error for row in transmission_curve(j, [k])] == ["overflow"]
+    with mock.patch.dict(sys.modules, {"numpy": None}):  # the scalar kernel
+        assert [row[0] for row in scatter._amplitude_rows(j, [k])] == ["overflow"]
 
 
 def test_energy_must_be_positive():
