@@ -34,7 +34,7 @@ from .errors import (
     UndefinedRegime,
 )
 from .junction import IvChoice, RegimeKind, classify_regime, junction_matrix
-from .radial import _s_wave
+from .radial import s_wave_solve
 from .scatter import bound_states as solve_bound_states
 from .scatter import _amplitude_rows, scattering_amplitudes
 from .serialize import canonical_json, table_document
@@ -48,6 +48,10 @@ EXIT_NUMERIC = 4
 # Largest --ksteps grid; a sweep this long takes 1.2-1.8 s end to end for
 # scatter and 0.6-0.9 s for radial, in CSV or JSON, on a 2-vCPU VM.
 MAX_KSTEPS = 100_000
+
+# Longest --eps list; an eps row that runs to mollifier.N_CELLS_CAP takes
+# 0.74-1.19 s in process on a 2-vCPU VM, so 64 such rows take 47-77 s.
+MAX_EPS = 64
 
 SCATTER_FIELDS = ["k", "re_r", "im_r", "re_t", "im_t", "R", "T", "flux_residual"]
 RADIAL_FIELDS = ["k", "a", "delta0", "sigma0"]
@@ -279,21 +283,22 @@ def cmd_bound(args: argparse.Namespace) -> str:
 
 def cmd_radial(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    a = ShellPotentialSpec(p, args.a).a
-    # regime errors surface before grid errors; _k_grid makes every k > 0
-    junction = junction_matrix(p, _resolve_choice(args))
+    shell = ShellPotentialSpec(p, args.a)
+    choice = _resolve_choice(args)
+    # regime errors exit 3 before grid errors; in sweep_map they would be rows
+    junction_matrix(p, choice)
     grid = _k_grid(args)
 
     def solve(k: float) -> list:
-        delta0, sigma0, *_ = _s_wave(junction, a, k)
-        return [k, a, delta0, sigma0]
+        # RADIAL_FIELDS are the first four fields of a RadialResult
+        return list(s_wave_solve(shell, k, choice)[:4])
 
     if grid is None:
         return _emit(RADIAL_FIELDS, [solve(args.k)], args.format, sweep=False)
     rows = sweep_map(
         lambda k: solve(k) + [""],
         grid,
-        lambda k, tag: [k, a, math.nan, math.nan, tag],
+        lambda k, tag: [k, shell.a, math.nan, math.nan, tag],
     )
     return _emit(RADIAL_FIELDS + ["error"], rows, args.format, sweep=True)
 
@@ -307,6 +312,8 @@ def cmd_mollify(args: argparse.Namespace) -> str:
         eps_list = [float(part) for part in args.eps.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --eps list: {args.eps!r}") from exc
+    if len(eps_list) > MAX_EPS:
+        raise UsageError(f"--eps takes at most {MAX_EPS} widths, got {len(eps_list)}")
     choice = _resolve_choice(args)
     reference = None
     if args.reference == "junction":

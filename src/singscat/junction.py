@@ -27,8 +27,14 @@ from .errors import MissingChoice, PrecisionLoss, UndefinedRegime
 # Absolute tolerance for deciding m == 1 and m == 2.
 EXPONENT_TOL = 1e-12
 
-# Relative tolerance on sqrt(-c)/pi when matching resonant levels.
-RESONANCE_TOL = 1e-9
+# Relative tolerance on nu = sqrt(-c)/pi when matching resonant levels: 8
+# units of u = 2^-53.  A level spelled -(n*pi)**2, -(n*n*pi*pi) or
+# -(n**2*pi**2) rounds at most three times before the square root, which
+# halves those errors, and nu rounds in sqrt and in the division; the float
+# pi cancels between the two.  So |nu - n| / n <= (3/2 + 2) u, and 8 u
+# matches every such spelling with room to spare while a coupling off a
+# level by more than rounding stays unmatched.
+RESONANCE_TOL = 2.0**-50
 
 
 class RegimeKind(str, Enum):
@@ -77,7 +83,7 @@ def classify_regime(p: PotentialSpec) -> Regime:
     EXPONENT_TOL.  Resonance matching at m = 2 is relative: with
     nu = sqrt(-c)/pi, level n = round(nu) matches iff
     |nu - n| <= RESONANCE_TOL * max(1, nu).  Once that window reaches half
-    the level spacing (nu >= 5e8, c <= about -2.47e18) every coupling
+    the level spacing (nu >= 2^49, c <= about -3.13e30) every coupling
     would match a level, so PrecisionLoss is raised instead.
     """
     m, c = p

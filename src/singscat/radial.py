@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core import Mat2, ShellPotentialSpec, check_phase, free_propagators
+from .core import ShellPotentialSpec, check_phase, free_propagators
 from .errors import NonPositiveEnergy, TransferOverflow
 from .junction import IvChoice, junction_matrix
 
@@ -51,46 +51,6 @@ def _principal_shift(raw: float) -> float:
     return shift
 
 
-def _s_wave(junction: Mat2, a: float, k: float) -> tuple[float, ...]:
-    """The shell problem at one energy k > 0, for its junction matrix.
-
-    Returns (delta0, sigma0, interior_amplitude, alpha, beta), with
-    (alpha, beta) the exterior coefficients.  The one per-energy path of
-    s_wave_solve and the CLI's radial sweep; callers check k > 0.  It
-    stays scalar: math.hypot is CPython's own, not the C library's hypot
-    that numpy calls, np.arctan2 differs from math.atan2 in the last bit
-    on some inputs, and numpy has no IEEE remainder.
-    Raises PrecisionLoss as core.check_phase does, TransferOverflow when
-    4 pi / k overflows (k below about 7e-308) and sigma0 is not finite,
-    and ValueError for an infinite k.
-    """
-    check_phase(k, a)
-    q = math.sqrt(k)
-    u_a = math.sin(q * a)
-    du_a = q * math.cos(q * a)
-    j11, j12, j21, j22 = junction
-    alpha, beta = j11 * u_a + j12 * du_a, j21 * u_a + j22 * du_a
-    # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
-    interior = 1.0 / math.hypot(alpha, beta / q)
-    alpha, beta = alpha * interior, beta * interior
-    if j12 == 0.0 and j21 == 0.0 and abs(j11) == 1.0 and j11 == j22:
-        # junction is +-identity: the exterior wave is the interior free wave
-        # up to overall sign, so the shift is zero exactly, not via atan2
-        delta0 = 0.0
-    else:
-        raw = math.atan2(q * alpha, beta) - q * a
-        delta0 = _principal_shift(raw)
-        if abs(delta0) < 1e-6 * abs(raw) and beta != 0.0:
-            # raw lies near a multiple of pi (atan2 near pi for beta < 0),
-            # and reducing it cancels the digits of a small delta0; atan
-            # gives the same phase mod pi without that cancellation
-            delta0 = _principal_shift(math.atan(q * alpha / beta) - q * a)
-    sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
-    if not math.isfinite(sigma0):
-        raise TransferOverflow(f"4 pi / k overflows at k = {k!r}: sigma0 is not finite")
-    return delta0, sigma0, interior, alpha, beta
-
-
 # (base, choice, junction) of s_wave_solve's last derivation.  It is keyed
 # by identity: equal records can differ in bits (c = 0.0 and -0.0), and the
 # records are immutable, so the same objects always give the same junction.
@@ -119,7 +79,33 @@ def s_wave_solve(
     if base is not last_base or choice is not last_choice:
         junction = junction_matrix(base, choice)
         _LAST[0] = (base, choice, junction)
-    delta0, sigma0, interior, alpha, beta = _s_wave(junction, a, k)
+    # Scalar on purpose: math.hypot is CPython's own, not the C library's
+    # hypot that numpy calls, np.arctan2 differs from math.atan2 in the last
+    # bit on some inputs, and numpy has no IEEE remainder.
+    check_phase(k, a)
+    q = math.sqrt(k)
+    u_a = math.sin(q * a)
+    du_a = q * math.cos(q * a)
+    j11, j12, j21, j22 = junction
+    alpha, beta = j11 * u_a + j12 * du_a, j21 * u_a + j22 * du_a
+    # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
+    interior = 1.0 / math.hypot(alpha, beta / q)
+    alpha, beta = alpha * interior, beta * interior
+    if j12 == 0.0 and j21 == 0.0 and abs(j11) == 1.0 and j11 == j22:
+        # junction is +-identity: the exterior wave is the interior free wave
+        # up to overall sign, so the shift is zero exactly, not via atan2
+        delta0 = 0.0
+    else:
+        raw = math.atan2(q * alpha, beta) - q * a
+        delta0 = _principal_shift(raw)
+        if abs(delta0) < 1e-6 * abs(raw) and beta != 0.0:
+            # raw lies near a multiple of pi (atan2 near pi for beta < 0),
+            # and reducing it cancels the digits of a small delta0; atan
+            # gives the same phase mod pi without that cancellation
+            delta0 = _principal_shift(math.atan(q * alpha / beta) - q * a)
+    sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
+    if not math.isfinite(sigma0):
+        raise TransferOverflow(f"4 pi / k overflows at k = {k!r}: sigma0 is not finite")
     return tuple.__new__(RadialResult, (k, a, delta0, sigma0, interior, (alpha, beta)))
 
 

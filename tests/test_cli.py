@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singscat.cli import MAX_KSTEPS, _fail, _k_grid, build_parser, main
+from singscat.cli import MAX_EPS, MAX_KSTEPS, _fail, _k_grid, build_parser, main
 from singscat.errors import BracketError
 from singscat.mollifier import MAX_LEVEL
 from singscat.serialize import canonical_json
@@ -577,13 +577,15 @@ def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
 
 def test_m2_couplings_past_the_matching_window_exit_four(capsys):
     # RESONANCE_TOL * sqrt(-c) / pi reaches half the level spacing at
-    # c = -(5e8 pi)^2, about -2.47e18; past it every coupling matches a level
-    code, out, _ = run(capsys, "junction", "--m", "2", "--c", "-1e20")
+    # c = -(2^49 pi)^2, about -3.13e30; past it every coupling matches a level
+    code, out, _ = run(capsys, "junction", "--m", "2", "--c", "-1e31")
     assert code == 4
     doc = json.loads(out)
     assert doc["error"] == "precision_loss"
-    assert "-1e+20" in doc["message"]
-    assert run(capsys, "junction", "--m", "2", "--c", "-1e16")[0] == 3
+    assert "-1e+31" in doc["message"]
+    # -1e18 is 0.18 from a level in nu, which a window relative to nu matched
+    for coupling in ("-1e16", "-1e18", "-1e20"):
+        assert run(capsys, "junction", "--m", "2", "--c", coupling)[0] == 3
     level = repr(-((1000 * math.pi) ** 2))
     code, out, _ = run(capsys, "junction", "--m", "2", "--c", level)
     assert code == 0
@@ -637,6 +639,24 @@ def test_ksteps_past_the_bound_is_refused(capsys):
         doc = json.loads(out)
         assert doc["error"] == "invalid_argument"
         assert str(MAX_KSTEPS) in doc["message"]
+
+
+def test_eps_lists_past_the_bound_are_refused_before_any_row(capsys, monkeypatch):
+    import singscat.mollifier as mollifier
+
+    argv = ("mollify", "--m", "1", "--c", "-1", "--shape", "tophat", "--k", "1")
+    widths = [repr(0.5 * 0.9**i) for i in range(MAX_EPS + 1)]
+    code, out, _ = run(capsys, *argv, "--eps", ",".join(widths[:MAX_EPS]))
+    assert code == 0
+    assert len(out.splitlines()) == 1 + MAX_EPS
+    calls = []
+    monkeypatch.setattr(mollifier, "convergence_sweep", lambda *a, **kw: calls.append(a))
+    code, out, _ = run(capsys, *argv, "--eps", ",".join(widths))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "invalid_argument"
+    assert str(MAX_EPS) in doc["message"]
+    assert calls == []
 
 
 @pytest.mark.parametrize(

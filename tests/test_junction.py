@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singscat import (
     RESONANCE_TOL,
@@ -88,12 +90,27 @@ def test_resonance_tolerance_window():
     outside = shifted(10.0 * RESONANCE_TOL * n)
     assert classify_regime(PotentialSpec(2.0, inside)).kind is RegimeKind.RESONANT_SQUARE
     assert classify_regime(PotentialSpec(2.0, outside)).kind is RegimeKind.UNDEFINED
-    # the window RESONANCE_TOL * nu is 0.032 at c = -1e16; at c = -1e20 it
-    # is 3.2, past half the level spacing, and is refused
+    # pi^2 to 15 digits is 2 units of 2^-53 off level 1, to 14 digits 20
+    near, off = PotentialSpec(2.0, -9.86960440108936), PotentialSpec(2.0, -9.8696044010894)
+    assert classify_regime(near) == Regime(RegimeKind.RESONANT_SQUARE, n=1)
+    assert classify_regime(off).kind is RegimeKind.UNDEFINED
+    # the window RESONANCE_TOL * nu is 2.8e-8 at c = -1e16; at c = -1e31 it
+    # is 0.89, past half the level spacing, and is refused
     assert classify_regime(PotentialSpec(2.0, -1e16)).kind is RegimeKind.UNDEFINED
     for call in (classify_regime, junction_matrix):
-        with pytest.raises(PrecisionLoss, match="-1e\\+20"):
-            call(PotentialSpec(2.0, -1e20))
+        with pytest.raises(PrecisionLoss, match="-1e\\+31"):
+            call(PotentialSpec(2.0, -1e31))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(0, 5000), st.integers(0, 2**48)))
+@example(1000)
+def test_every_spelling_of_a_level_is_resonant(n):
+    # -(n pi)^2 as a caller may write it, and its repr round trip; up to
+    # nu = 2^48, half the nu where matching is refused
+    level = -((n * math.pi) ** 2)
+    for c in (level, -(n * n * math.pi * math.pi), -(n**2 * math.pi**2), float(repr(level))):
+        assert classify_regime(PotentialSpec(2.0, c)) == Regime(RegimeKind.RESONANT_SQUARE, n=n)
 
 
 def test_square_exponent_off_resonance_is_undefined():

@@ -18,7 +18,6 @@ import singscat.radial as radial_mod
 from singscat import (
     COSINE_BUMP,
     IvChoice,
-    Mat2,
     MissingChoice,
     NonPositiveEnergy,
     PotentialSpec,
@@ -34,7 +33,7 @@ from singscat import (
 )
 from singscat.cli import main
 from singscat.core import PHASE_ULP_FRACTION
-from singscat.radial import _principal_shift, _s_wave
+from singscat.radial import _principal_shift
 
 
 def _shell(m: float, c: float, a: float = 1.0) -> ShellPotentialSpec:
@@ -291,14 +290,13 @@ def test_signed_zero_couplings_keep_their_own_junctions():
         for p, choice, m21 in cases:
             got = junction_matrix(p, choice).m21
             assert math.copysign(1.0, got) == math.copysign(1.0, m21)
+    shells = [(ShellPotentialSpec(p, 1.25), choice) for p, choice, _ in cases]
+    ks = (0.5, 2.0, 30.0)
+    # each expected answer from fresh copies, so the slot never helps it
+    expected = [[_own_answer(shell, k, choice) for k in ks] for shell, choice in shells]
     for _ in range(3):
-        for p, choice, m21 in cases:
-            shell = ShellPotentialSpec(p, 1.25)
-            for k in (0.5, 2.0, 30.0):
-                result = s_wave_solve(shell, k, choice)
-                own = _s_wave(Mat2(1.0, 0.0, m21, 1.0), 1.25, k)
-                got = [*result[2:5], *result.exterior_coeffs]
-                assert list(map(float.hex, got)) == list(map(float.hex, own))
+        for (shell, choice), own in zip(shells, expected):
+            assert [_answer(shell, k, choice) for k in ks] == own
 
 
 def test_a_shell_derives_its_junction_once_per_run_of_calls(monkeypatch):
@@ -351,21 +349,19 @@ _POOL = [
 ]
 
 
-def _own_answer(shell: ShellPotentialSpec, k: float, choice: IvChoice | None):
-    """s_wave_solve's fields by float.hex from a junction derived afresh."""
-    try:
-        junction = junction_matrix(shell.base, choice)
-    except UndefinedRegime as exc:
-        return type(exc)
-    return list(map(float.hex, [k, shell.a, *_s_wave(junction, shell.a, k)]))
-
-
 def _answer(shell: ShellPotentialSpec, k: float, choice: IvChoice | None):
+    """s_wave_solve's fields by float.hex, or the type of its regime error."""
     try:
         res = s_wave_solve(shell, k, choice)
     except UndefinedRegime as exc:
         return type(exc)
     return list(map(float.hex, [*res[:5], *res.exterior_coeffs]))
+
+
+def _own_answer(shell: ShellPotentialSpec, k: float, choice: IvChoice | None):
+    """_answer on fresh copies of the records, so the junction is derived afresh."""
+    fresh = ShellPotentialSpec(PotentialSpec(*shell.base), shell.a)
+    return _answer(fresh, k, None if choice is None else IvChoice(*choice))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -377,9 +373,10 @@ def _answer(shell: ShellPotentialSpec, k: float, choice: IvChoice | None):
     )
 )
 def test_alternating_shells_each_get_their_own_junction(calls):
-    for index, k in calls:
-        shell, choice = _POOL[index]
-        assert _answer(shell, k, choice) == _own_answer(shell, k, choice)
+    sequence = [(*_POOL[index], k) for index, k in calls]
+    expected = [_own_answer(shell, k, choice) for shell, choice, k in sequence]
+    for (shell, choice, k), own in zip(sequence, expected):
+        assert _answer(shell, k, choice) == own
 
 
 def test_threads_alternating_shells_each_get_their_own_junction():

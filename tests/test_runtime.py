@@ -313,6 +313,30 @@ def test_every_private_function_is_used():
     assert _unreferenced_privates(trees) == ["serialize _column_text"]
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """"module.name" for each _name imported from a sibling module."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_cli_imports_no_private_name_but_the_amplitude_rows():
+    # cli reaches the library through public names.  The one exception is
+    # scatter._amplitude_rows: it streams the sweep's rows lazily, where
+    # transmission_curve would hold every row in a list
+    allowed = {"scatter._amplitude_rows"}
+    tree = _parse("cli")
+    assert set(_private_imports(tree)) <= allowed
+    # the check flags a leftover, as the radial kernel that cmd_radial
+    # called before s_wave_solve served its rows would be
+    tree.body += ast.parse("from .radial import _s_wave").body
+    assert set(_private_imports(tree)) - allowed == {"radial._s_wave"}
+
+
 def test_cli_and_transmission_curve_import_no_numpy():
     # scatter._amplitude_rows alone picks the amplitude kernel, from
     # whether numpy is already loaded

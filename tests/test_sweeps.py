@@ -488,18 +488,43 @@ def test_failed_sweep_rows_carry_no_numbers(capsys):
         }
 
 
+# (argv, shell, choice, error column) of radial sweeps: all rows clean, and
+# a first row that overflows and a last that loses its phase
+_RADIAL_SWEEPS = [
+    (
+        ["--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0.5",
+         "--a", "1.3", "--kmin", "1e-6", "--kmax", "1e6", "--ksteps", "41"],
+        ShellPotentialSpec(PotentialSpec(3.0, -1.0), 1.3),
+        IvChoice(-1, 0.5),
+        [""] * 41,
+    ),
+    (
+        ["--m", "1", "--c", "-2", "--a", "1e5",
+         "--kmin", "1e-310", "--kmax", "1e20", "--ksteps", "5"],
+        ShellPotentialSpec(PotentialSpec(1.0, -2.0), 1e5),
+        None,
+        ["overflow", "", "", "", "precision_loss"],
+    ),
+]
+
+
 def test_radial_sweep_rows_equal_single_energy_solves(capsys):
-    argv = ["radial", "--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0.5",
-            "--a", "1.3", "--kmin", "1e-6", "--kmax", "1e6", "--ksteps", "41"]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    shell = ShellPotentialSpec(PotentialSpec(3.0, -1.0), 1.3)
-    for line in lines:
-        k, a, delta0, sigma0, error = line.split(",")
-        res = s_wave_solve(shell, float(k), IvChoice(-1, 0.5))
-        assert [a, delta0, sigma0, error] == [
-            fmt_float(res.a), fmt_float(res.delta0), fmt_float(res.sigma0), ""
-        ]
+    # a flagged row carries the tag of the error s_wave_solve raises at its k
+    for argv, shell, choice, tags in _RADIAL_SWEEPS:
+        assert main(["radial", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.rpartition(",")[2] for line in lines] == tags
+        for line in lines:
+            k, a, delta0, sigma0, error = line.split(",")
+            try:
+                res = s_wave_solve(shell, float(k), choice)
+            except SingscatError as exc:
+                expected = [fmt_float(shell.a), "nan", "nan", exc.tag]
+            else:
+                expected = [
+                    fmt_float(res.a), fmt_float(res.delta0), fmt_float(res.sigma0), ""
+                ]
+            assert [a, delta0, sigma0, error] == expected
 
 
 special_floats = st.one_of(
