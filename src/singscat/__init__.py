@@ -40,7 +40,6 @@ __all__ = [
     "IvChoice",
     "classify_regime",
     "junction_matrix",
-    "resonant_couplings",
     "RESONANCE_TOL",
     # radial: the s-wave of a spherical shell
     "RadialResult",

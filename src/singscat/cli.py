@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_choice(args: argparse.Namespace) -> IvChoice | None:
+def _resolve_choice(p: PotentialSpec, args: argparse.Namespace) -> IvChoice | None:
     """The case IV choice of the flags; they are refused in any other regime."""
-    regime = classify_regime(PotentialSpec(args.m, args.c))
+    regime = classify_regime(p)
     given = [
         flag
         for flag, value in (("--iv-a", args.iv_a), ("--iv-b", args.iv_b))
@@ -226,7 +226,7 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
 def cmd_junction(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
     regime = classify_regime(p)
-    matrix = junction_matrix(p, _resolve_choice(args))
+    matrix = junction_matrix(p, _resolve_choice(p, args))
     doc = {
         "regime": regime.kind.value,
         "n": regime.n,
@@ -252,7 +252,7 @@ def _emit(fields: list[str], rows: Iterable, fmt: str | None, sweep: bool) -> st
 
 def cmd_scatter(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(args))
+    matrix = junction_matrix(p, _resolve_choice(p, args))
     grid = _k_grid(args)
     if grid is None:
         k, r, t, rr, tt, _, flux = scattering_amplitudes(matrix, args.k)
@@ -267,7 +267,7 @@ def cmd_scatter(args: argparse.Namespace) -> str:
 
 def cmd_bound(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(args))
+    matrix = junction_matrix(p, _resolve_choice(p, args))
     spectrum = solve_bound_states(matrix)
     if spectrum.kind == "discrete":
         doc = {
@@ -284,7 +284,7 @@ def cmd_bound(args: argparse.Namespace) -> str:
 def cmd_radial(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
     shell = ShellPotentialSpec(p, args.a)
-    choice = _resolve_choice(args)
+    choice = _resolve_choice(p, args)
     # regime errors exit 3 before grid errors; in sweep_map they would be rows
     junction_matrix(p, choice)
     grid = _k_grid(args)
@@ -314,7 +314,7 @@ def cmd_mollify(args: argparse.Namespace) -> str:
         raise UsageError(f"bad --eps list: {args.eps!r}") from exc
     if len(eps_list) > MAX_EPS:
         raise UsageError(f"--eps takes at most {MAX_EPS} widths, got {len(eps_list)}")
-    choice = _resolve_choice(args)
+    choice = _resolve_choice(p, args)
     reference = None
     if args.reference == "junction":
         try:

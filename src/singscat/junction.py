@@ -55,12 +55,6 @@ class Regime(namedtuple("Regime", "kind n reason", defaults=(None, None))):
     __slots__ = ()
 
 
-# The parameterless regimes, built once; junction_matrix tests them by identity.
-_NO_EFFECT = Regime(RegimeKind.NO_EFFECT)
-_STANDARD_DELTA = Regime(RegimeKind.STANDARD_DELTA)
-_INDETERMINATE = Regime(RegimeKind.INDETERMINATE)
-
-
 class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
     """Caller-supplied resolution (a, b) of the doubly indeterminate case."""
 
@@ -84,11 +78,14 @@ def classify_regime(p: PotentialSpec) -> Regime:
     nu = sqrt(-c)/pi, level n = round(nu) matches iff
     |nu - n| <= RESONANCE_TOL * max(1, nu).  Once that window reaches half
     the level spacing (nu >= 2^49, c <= about -3.13e30) every coupling
-    would match a level, so PrecisionLoss is raised instead.
+    would match a level, so PrecisionLoss is raised instead.  A p that is
+    not a PotentialSpec raises ValueError.
     """
+    if not isinstance(p, PotentialSpec):
+        raise ValueError(f"p must be a PotentialSpec, got {type(p).__name__}")
     m, c = p
     if abs(m - 1.0) <= EXPONENT_TOL:
-        return _STANDARD_DELTA
+        return Regime(RegimeKind.STANDARD_DELTA)
     if abs(m - 2.0) <= EXPONENT_TOL:
         if c > 0.0:
             return Regime(
@@ -108,14 +105,14 @@ def classify_regime(p: PotentialSpec) -> Regime:
             reason="m = 2 coupling is not a resonant level -(n*pi)^2",
         )
     if m < 1.0:
-        return _NO_EFFECT
+        return Regime(RegimeKind.NO_EFFECT)
     if m < 2.0:
         return Regime(
             RegimeKind.UNDEFINED, reason="exponents in the open band (1, 2)"
         )
     # m > 2 from here on
     if c < 0.0:
-        return _INDETERMINATE
+        return Regime(RegimeKind.INDETERMINATE)
     return Regime(
         RegimeKind.UNDEFINED, reason="m > 2 with non-negative coupling"
     )
@@ -137,13 +134,14 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
     PrecisionLoss
         if m = 2 and c is too large to match resonant levels.
     ValueError
-        if choice is neither None nor an IvChoice, or is given outside
-        the indeterminate regime.
+        if p is not a PotentialSpec, or choice is neither None nor an
+        IvChoice, or is given outside the indeterminate regime.
     """
     if choice is not None and not isinstance(choice, IvChoice):
         raise ValueError(f"choice must be an IvChoice or None, got {type(choice).__name__}")
     regime = classify_regime(p)
-    if regime is _INDETERMINATE:
+    kind = regime.kind
+    if kind is RegimeKind.INDETERMINATE:
         if choice is None:
             raise MissingChoice(
                 "m > 2 with c < 0 is doubly indeterminate, supply (a, b)"
@@ -151,22 +149,11 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
         return Mat2(float(choice.a), 0.0, choice.b, 1.0)
     if choice is not None:
         raise ValueError("choice is only meaningful for the indeterminate regime")
-    if regime is _STANDARD_DELTA:
+    if kind is RegimeKind.STANDARD_DELTA:
         return Mat2(1.0, 0.0, p.c, 1.0)
-    if regime is _NO_EFFECT:
+    if kind is RegimeKind.NO_EFFECT:
         return Mat2.identity()
-    if regime.kind is RegimeKind.RESONANT_SQUARE:
+    if kind is RegimeKind.RESONANT_SQUARE:
         sign = -1.0 if regime.n % 2 else 1.0
         return Mat2(sign, 0.0, 0.0, sign)
-    raise UndefinedRegime(regime.reason or "no junction exists")
-
-
-def resonant_couplings(n_max: int) -> list[tuple[int, float]]:
-    """Couplings c_n = -(n*pi)^2, n = 0 .. n_max, that admit a junction at m = 2.
-
-    Raises ValueError unless n_max is a non-negative integer or integral float.
-    """
-    if not (0 <= n_max < math.inf and n_max == int(n_max)):
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
-    # + 0.0 keeps the n = 0 entry at plain zero instead of -0.0
-    return [(n, -((n * math.pi) ** 2) + 0.0) for n in range(int(n_max) + 1)]
+    raise UndefinedRegime(regime.reason)

@@ -21,7 +21,6 @@ from singscat import (
     UndefinedRegime,
     classify_regime,
     junction_matrix,
-    resonant_couplings,
 )
 from singscat.junction import EXPONENT_TOL
 
@@ -104,6 +103,7 @@ def test_resonance_tolerance_window():
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.integers(0, 5000), st.integers(0, 2**48)))
+@example(0)
 @example(1000)
 def test_every_spelling_of_a_level_is_resonant(n):
     # -(n pi)^2 as a caller may write it, and its repr round trip; up to
@@ -165,47 +165,6 @@ def test_choice_validation():
     for p in (PotentialSpec(3.0, -1.0), PotentialSpec(1.0, -2.0)):
         with pytest.raises(ValueError, match="IvChoice"):
             junction_matrix(p, (1, 0.5))
-
-
-def test_resonant_couplings_listing():
-    table = resonant_couplings(4)
-    assert [n for n, _ in table] == [0, 1, 2, 3, 4]
-    for n, c in table:
-        assert c == -((n * math.pi) ** 2)
-        regime = classify_regime(PotentialSpec(2.0, c))
-        assert regime.kind is RegimeKind.RESONANT_SQUARE
-        assert regime.n == n
-    couplings = [c for _, c in table]
-    assert couplings == sorted(couplings, reverse=True)
-    assert resonant_couplings(0) == [(0, 0.0)]
-    with pytest.raises(ValueError):
-        resonant_couplings(-1)
-
-
-@pytest.mark.parametrize(
-    "n_max, expected",
-    [
-        (2, [0, 1, 2]),
-        (2.0, [0, 1, 2]),
-        (2.5, ValueError),
-        (-1, ValueError),
-        (-1.0, ValueError),
-        (math.nan, ValueError),
-        (math.inf, ValueError),
-        (-math.inf, ValueError),
-    ],
-)
-def test_resonant_couplings_takes_integral_values_as_resonant_search_does(
-    n_max, expected
-):
-    if expected is ValueError:
-        with pytest.raises(ValueError, match="non-negative integer"):
-            resonant_couplings(n_max)
-    else:
-        table = resonant_couplings(n_max)
-        assert [n for n, _ in table] == expected
-        assert all(type(n) is int for n, _ in table)
-        assert table == resonant_couplings(int(n_max))
 
 
 def test_undefined_regime_reports_reason():

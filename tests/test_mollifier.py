@@ -132,6 +132,22 @@ def test_tophat_single_square_well_oracle():
         assert approx.max_abs_diff(exact) < 1e-12
 
 
+@pytest.mark.parametrize("c", [-2e16, -1e18])
+def test_tophat_rows_past_pi_per_cell_at_the_cap_converge_to_the_exact_transfer(c):
+    # At the cell cap the phase per cell sqrt(max(k - U)) h is 10.7 and 75
+    # rad here, past the pi where a cell of a smooth shape is resolved; a
+    # top hat is constant in each cell, so its cells are exact and the row
+    # converges all the same.  An early refusal on the phase alone would
+    # refuse these correct rows.
+    k, eps = 1.0, 0.1
+    pot = RegularizedPotential(PotentialSpec(1.0, c), TOP_HAT, eps)
+    assert math.sqrt(k - c / eps) * eps / mollifier_mod.N_CELLS_CAP > math.pi
+    exact = free_transfer(k - c / eps, eps)
+    got = numeric_transfer(pot, k)
+    assert got.max_abs_diff(exact) <= 1e-13 * max(map(abs, exact))
+    assert abs(got.det() - 1.0) <= 1e-13
+
+
 def test_numeric_transfer_of_zero_coupling_is_free():
     for shape in SHAPES.values():
         pot = RegularizedPotential(PotentialSpec(1.0, 0.0), shape, 0.25)

@@ -31,6 +31,7 @@ from singscat import (
     ShellPotentialSpec,
     SweepRow,
     classify_regime,
+    junction_matrix,
     s_wave_solve,
     scattering_amplitudes,
     transmission_curve,
@@ -212,3 +213,16 @@ def test_records_refuse_numbers_that_are_not_real():
     assert type(spec.m) is np.float64 and type(spec.c) is np.int64
     assert IvChoice(np.int64(-1), np.float32(0.5)) == (-1, 0.5)
     assert ShellPotentialSpec(spec, np.float64(1.5)).a == 1.5
+
+
+def test_regime_functions_refuse_a_plain_tuple():
+    # A plain (m, c) tuple once passed: classify_regime((1.0, -2.0)) gave a
+    # standard delta, junction_matrix((0.5, 2)) the identity, and
+    # junction_matrix((1, 2)) an AttributeError on p.c.  Like a shell's
+    # base, the spec must be the record, or ValueError is raised.
+    for p in ((1.0, -2.0), (0.5, 2), (1, 2), [1.0, -2.0]):
+        for call in (classify_regime, junction_matrix):
+            with pytest.raises(ValueError, match="must be a PotentialSpec"):
+                call(p)
+        with pytest.raises(ValueError, match="must be a PotentialSpec"):
+            s_wave_solve((p, 1.5), 2.0)
