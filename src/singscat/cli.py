@@ -8,8 +8,12 @@ eps table as CSV; these three take --format to pick either.
 Exit codes: 0 success, 2 bad arguments, 3 no junction / no scattering
 state, 4 numerical failure.
 
-Only mollify and resonance import numpy, with the mollifier; junction,
-bound, scatter, radial and every usage error run without it.
+Each command imports the modules it runs when it runs.  Loading this
+module loads core, errors, junction and serialize, all that junction and
+the parser's usage errors need; scatter and bound add scatter (and the
+sweep module it uses), radial adds radial and sweep, and mollify and
+resonance add the mollifier and, with it, numpy.  No command loads the
+json package.
 """
 
 from __future__ import annotations
@@ -33,12 +37,8 @@ from .errors import (
     TransferOverflow,
     UndefinedRegime,
 )
-from .junction import IvChoice, RegimeKind, classify_regime, junction_matrix
-from .radial import s_wave_solve
-from .scatter import bound_states as solve_bound_states
-from .scatter import _amplitude_rows, scattering_amplitudes
+from .junction import IvChoice, Regime, RegimeKind, classify_regime, junction_matrix
 from .serialize import canonical_json, table_document
-from .sweep import sweep_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,8 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_choice(p: PotentialSpec, args: argparse.Namespace) -> IvChoice | None:
-    """The case IV choice of the flags; they are refused in any other regime."""
+def _resolve_choice(
+    p: PotentialSpec, args: argparse.Namespace
+) -> tuple[Regime, IvChoice | None]:
+    """The regime of p and the case IV choice of the flags, which are
+    refused in any other regime."""
     regime = classify_regime(p)
     given = [
         flag
@@ -174,7 +177,7 @@ def _resolve_choice(p: PotentialSpec, args: argparse.Namespace) -> IvChoice | No
         raise UsageError(f"only m > 2 with c < 0 (indeterminate) takes {flags}")
     if len(given) == 1:
         raise UsageError("the indeterminate regime needs both --iv-a and --iv-b")
-    return IvChoice(args.iv_a, args.iv_b) if given else None
+    return regime, (IvChoice(args.iv_a, args.iv_b) if given else None)
 
 
 def _k_grid(args: argparse.Namespace) -> list[float] | None:
@@ -225,8 +228,8 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
 
 def cmd_junction(args: argparse.Namespace) -> str:
     p = PotentialSpec(args.m, args.c)
-    regime = classify_regime(p)
-    matrix = junction_matrix(p, _resolve_choice(p, args))
+    regime, choice = _resolve_choice(p, args)
+    matrix = junction_matrix(p, choice)
     doc = {
         "regime": regime.kind.value,
         "n": regime.n,
@@ -251,8 +254,11 @@ def _emit(fields: list[str], rows: Iterable, fmt: str | None, sweep: bool) -> st
 
 
 def cmd_scatter(args: argparse.Namespace) -> str:
+    from .scatter import _amplitude_rows, scattering_amplitudes
+
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(p, args))
+    _, choice = _resolve_choice(p, args)
+    matrix = junction_matrix(p, choice)
     grid = _k_grid(args)
     if grid is None:
         k, r, t, rr, tt, _, flux = scattering_amplitudes(matrix, args.k)
@@ -266,9 +272,12 @@ def cmd_scatter(args: argparse.Namespace) -> str:
 
 
 def cmd_bound(args: argparse.Namespace) -> str:
+    from .scatter import bound_states
+
     p = PotentialSpec(args.m, args.c)
-    matrix = junction_matrix(p, _resolve_choice(p, args))
-    spectrum = solve_bound_states(matrix)
+    _, choice = _resolve_choice(p, args)
+    matrix = junction_matrix(p, choice)
+    spectrum = bound_states(matrix)
     if spectrum.kind == "discrete":
         doc = {
             "spectrum": [
@@ -282,9 +291,12 @@ def cmd_bound(args: argparse.Namespace) -> str:
 
 
 def cmd_radial(args: argparse.Namespace) -> str:
+    from .radial import s_wave_solve
+    from .sweep import sweep_map
+
     p = PotentialSpec(args.m, args.c)
     shell = ShellPotentialSpec(p, args.a)
-    choice = _resolve_choice(p, args)
+    _, choice = _resolve_choice(p, args)
     # regime errors exit 3 before grid errors; in sweep_map they would be rows
     junction_matrix(p, choice)
     grid = _k_grid(args)
@@ -314,7 +326,7 @@ def cmd_mollify(args: argparse.Namespace) -> str:
         raise UsageError(f"bad --eps list: {args.eps!r}") from exc
     if len(eps_list) > MAX_EPS:
         raise UsageError(f"--eps takes at most {MAX_EPS} widths, got {len(eps_list)}")
-    choice = _resolve_choice(p, args)
+    _, choice = _resolve_choice(p, args)
     reference = None
     if args.reference == "junction":
         try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -218,11 +219,18 @@ SHAPES = {shape.name: shape for shape in (TOP_HAT, TRIANGLE, COSINE_BUMP, GAUSSI
 class RegularizedPotential(
     CheckedRecord, namedtuple("RegularizedPotential", "spec shape eps")
 ):
-    """Mollified point potential U(x) = c * eps^-m * phi(x/eps)^m."""
+    """Mollified point potential U(x) = c * eps^-m * phi(x/eps)^m.
+
+    A shape that is not a MollifierShape, or an eps that is not positive
+    and finite, raises ValueError.
+    """
 
     __slots__ = ()
 
     def __new__(cls, spec: PotentialSpec, shape: MollifierShape, eps: float):
+        if not isinstance(shape, MollifierShape):
+            name = type(shape).__name__
+            raise ValueError(f"shape must be a MollifierShape, got {name}")
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"eps must be positive, got {eps}")
         return tuple.__new__(cls, (spec, shape, eps))
@@ -804,15 +812,18 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     Raises
     ------
     ValueError
-        if n is not an integer in 1..MAX_LEVEL.
+        if shape is not a MollifierShape, or n is not an integer (a bool
+        is not) in 1..MAX_LEVEL.
     BracketError
         if the scan does not isolate the requested level, or a later
         rung's bracket holds no sign change.
     NoConvergence
         if cell refinement cannot pin the level to TOL_REL.
     """
-    if not (1 <= n <= MAX_LEVEL and n == int(n)):
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= MAX_LEVEL:
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
+    if not isinstance(shape, MollifierShape):
+        raise ValueError(f"shape must be a MollifierShape, got {type(shape).__name__}")
     c_lo, c_hi = -4.0 * ((n + 2) * math.pi) ** 2, -1e-12
     step = math.pi**2 / 8.0
 

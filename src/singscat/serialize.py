@@ -9,13 +9,18 @@ floats by the tools here).
 canonical_json and csv_document write any document a value at a time;
 table_document writes the tables of the CLI's sweeps a row at a time,
 to the same bytes.
+
+_quote, the JSON spelling of a string, is encode_basestring_ascii of
+CPython's C module _json: the very function json.encoder re-exports, so
+strings are written as json.dumps writes them without a process
+importing the json package.
 """
 
 from __future__ import annotations
 
 import math
+from _json import encode_basestring_ascii as _quote
 from collections.abc import Iterable, Sequence
-from json.encoder import encode_basestring_ascii as _quote
 
 
 def fmt_float(x: float) -> str:

@@ -534,6 +534,24 @@ def test_resonant_search_bracket_and_argument_errors():
         mollifier_mod._brent(math.cos, 0.0, 1.0, 1.0, math.cos(1.0))
 
 
+def test_the_lab_refuses_a_shape_name_and_a_level_that_is_not_an_integer():
+    # a shape's name is not a shape: the parent failed with AttributeError,
+    # or built a potential that failed only when it was evaluated
+    spec = PotentialSpec(1.0, -1.0)
+    for call in (
+        lambda: resonant_search("gauss", 1),
+        lambda: convergence_sweep(spec, "gauss", [0.1], 1.0),
+        lambda: RegularizedPotential(spec, "gauss", 0.1),
+    ):
+        with pytest.raises(ValueError, match="must be a MollifierShape, got str"):
+            call()
+    # True and 1.0 equal 1, and were taken for level 1
+    for n in (True, 1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match="level index"):
+            resonant_search(TOP_HAT, n)
+    assert resonant_search(TOP_HAT, np.int64(1)) == resonant_search(TOP_HAT, 1)
+
+
 def test_brent_returns_an_endpoint_where_the_function_is_zero():
     def never(c):
         raise AssertionError("no shot is needed at a root endpoint")

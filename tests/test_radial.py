@@ -26,7 +26,7 @@ from singscat import (
     ShellPotentialSpec,
     TransferOverflow,
     UndefinedRegime,
-    free_transfer,
+    free_propagators,
     junction_matrix,
     radial_wavefunction,
     s_wave_solve,
@@ -189,11 +189,12 @@ def test_reduction_agrees_with_direct_radial_integration():
     n_cells = 48000
     h = (r1 - r0) / n_cells
     grid = [r0 + i * h for i in range(n_cells + 1)]
+    mids = np.array(grid[:-1]) + h / 2
+    steps = free_propagators(k - pot(mids - a), h).tolist()
     us = [(u0, du0)]
-    for i in range(n_cells):
-        mid = grid[i] + h / 2
-        step = free_transfer(k - shell_u(mid), h)
-        us.append(step.apply(us[-1]))
+    for (m11, m12), (m21, m22) in steps:
+        u, du = us[-1]
+        us.append((m11 * u + m12 * du, m21 * u + m22 * du))
 
     def rhs(r, y):
         big_r, d_big_r = y

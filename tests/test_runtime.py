@@ -1,9 +1,11 @@
 """The runtime: numpy alone (no process loads scipy), numpy only on the
-array paths, no typing, and every name the benchmark probes looks up."""
+array paths, no typing or json, only the modules a command runs, and every
+name the benchmark probes looks up."""
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import os
 import re
@@ -17,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Runs `python -m singscat <argv>` in-process, then reports on stderr
 # whether any scipy module, whether numpy and whether dataclasses were
-# loaded along the way.
+# loaded along the way, and on a last line which singscat modules were.
 _RUN_AND_REPORT = """
 import runpy, sys
 sys.argv = ["singscat", *sys.argv[1:]]
@@ -30,6 +32,7 @@ else:
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 numpy, dataclasses = ("numpy" in sys.modules), ("dataclasses" in sys.modules)
 print(f"exit={code} scipy={loaded} numpy={numpy} dataclasses={dataclasses}", file=sys.stderr)
+print(sorted(m for m in sys.modules if m.startswith("singscat.")), file=sys.stderr)
 """
 
 
@@ -107,37 +110,64 @@ def test_lazy_loader_refuses_unknown_names():
 
 _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "json")
 
+# What loading cli loads, which is all that junction and a usage error of
+# argparse need; the other commands import their own modules when they run.
+_CLI = ("cli", "core", "errors", "junction", "serialize")
+_SCATTER = (*_CLI, "scatter", "sweep")
+_RADIAL = (*_CLI, "radial", "sweep")
 
-# No process loads scipy or dataclasses.  Only resonance, among these,
-# loads numpy: the others are the closed-form ops of the benchmark's
-# one-process-per-op cycle, those that exit 3 by design among them, a
-# scatter sweep and a usage error.
-@pytest.mark.parametrize(
-    "argv, code, numpy",
-    [
-        (("junction", "--m", "1", "--c", "-2"), 0, False),
-        (("resonance", "--shape", "gauss", "--n", "1"), 0, True),
-        (("junction", "--m", "1.5", "--c", "1"), 3, False),
-        (("bound", "--m", "1", "--c", "-2"), 0, False),
-        (("scatter", "--m", "1", "--c", "-1", "--k", "2.5"), 0, False),
-        (("scatter", "--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0",
-          "--k", "2.5"), 3, False),
-        (("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"), 0, False),
-        (("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP), 0, False),
-        (("scatter", "--m", "1", "--c", "-1", *_SWEEP), 0, False),
-        (("scatter", "--m", "1", "--c", "-1"), 2, False),
-    ],
-    ids=[
-        "junction", "resonance", "junction_undefined", "bound", "scatter_k",
-        "scatter_k_no_state", "radial_k", "radial_sweep", "scatter_sweep",
-        "usage_error",
-    ],
-)
-def test_cli_process_loads_no_scipy(argv, code, numpy):
+# The closed-form ops of the benchmark's one-process-per-op cycle, those
+# that exit 3 by design among them, a scatter sweep, a usage error and
+# resonance: (id, argv, exit code, numpy loaded, singscat modules loaded).
+_CLI_RUNS = [
+    ("junction", ("junction", "--m", "1", "--c", "-2"), 0, False, _CLI),
+    ("resonance", ("resonance", "--shape", "gauss", "--n", "1"), 0, True,
+     (*_CLI, "mollifier")),
+    ("junction_undefined", ("junction", "--m", "1.5", "--c", "1"), 3, False, _CLI),
+    ("bound", ("bound", "--m", "1", "--c", "-2"), 0, False, _SCATTER),
+    ("scatter_k", ("scatter", "--m", "1", "--c", "-1", "--k", "2.5"), 0, False,
+     _SCATTER),
+    ("scatter_k_no_state", ("scatter", "--m", "3", "--c", "-1", "--iv-a", "-1",
+     "--iv-b", "0", "--k", "2.5"), 3, False, _SCATTER),
+    ("radial_k", ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"), 0,
+     False, _RADIAL),
+    ("radial_sweep", ("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP), 0,
+     False, _RADIAL),
+    ("scatter_sweep", ("scatter", "--m", "1", "--c", "-1", *_SWEEP), 0, False,
+     _SCATTER),
+    # no energy: refused by cmd_scatter, after it imported scatter
+    ("usage_error", ("scatter", "--m", "1", "--c", "-1"), 2, False, _SCATTER),
+]
+_CLI_IDS = [run[0] for run in _CLI_RUNS]
+
+
+@functools.cache
+def _cli_process_report(argv: tuple) -> tuple[str, str]:
+    """The two report lines of _RUN_AND_REPORT, one process per argv."""
     proc = _python("-c", _RUN_AND_REPORT, *argv)
     assert proc.returncode == 0, proc.stderr
-    report = proc.stderr.strip().splitlines()[-1]
-    assert report == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
+    libraries, modules = proc.stderr.strip().splitlines()[-2:]
+    return libraries, modules
+
+
+# No process loads scipy or dataclasses.  Only resonance, among these,
+# loads numpy.
+@pytest.mark.parametrize(
+    "argv, code, numpy", [run[1:4] for run in _CLI_RUNS], ids=_CLI_IDS
+)
+def test_cli_process_loads_no_scipy(argv, code, numpy):
+    libraries, _ = _cli_process_report(argv)
+    assert libraries == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
+
+
+# junction loads no scatter, radial or sweep, radial no scatter, and
+# resonance none of the three.
+@pytest.mark.parametrize(
+    "argv, modules", [(run[1], run[4]) for run in _CLI_RUNS], ids=_CLI_IDS
+)
+def test_cli_process_loads_only_the_modules_of_its_command(argv, modules):
+    _, loaded = _cli_process_report(argv)
+    assert loaded == repr(sorted(f"singscat.{name}" for name in modules))
 
 
 # Runs `python -m singscat <argv>` in-process, then reports on stderr the
@@ -331,10 +361,11 @@ def test_cli_imports_no_private_name_but_the_amplitude_rows():
     # transmission_curve would hold every row in a list
     allowed = {"scatter._amplitude_rows"}
     tree = _parse("cli")
-    assert set(_private_imports(tree)) <= allowed
+    # cmd_scatter imports it in its body, where the check looks too
+    assert set(_private_imports(tree)) == allowed
     # the check flags a leftover, as the radial kernel that cmd_radial
     # called before s_wave_solve served its rows would be
-    tree.body += ast.parse("from .radial import _s_wave").body
+    tree.body += ast.parse("def cmd_radial():\n    from .radial import _s_wave").body
     assert set(_private_imports(tree)) - allowed == {"radial._s_wave"}
 
 
@@ -350,32 +381,51 @@ def test_cli_and_transmission_curve_import_no_numpy():
     assert _imports_of("numpy", curve) == []
 
 
-# -S keeps the site hook, which may import typing itself, out of the child;
-# the report after the import and after each run says whether typing is loaded.
-_TYPING_AFTER_RUNS = """
+# -S keeps the site hook, which may import typing or json itself, out of
+# the child; the report after the import and after each run says whether
+# the module is loaded.
+_LOADED_AFTER_RUNS = """
 import sys
 from singscat import cli
-report = ["typing" in sys.modules]
-for argv in %r:
+report = [%(module)r in sys.modules]
+for argv in %(runs)r:
     cli.main(list(argv))
-    report.append("typing" in sys.modules)
+    report.append(%(module)r in sys.modules)
 print(report, file=sys.stderr)
 """
 
+_CLOSED_FORM_RUNS = [
+    ("junction", "--m", "1", "--c", "-2"),
+    ("bound", "--m", "1", "--c", "-2"),
+    ("scatter", "--m", "1", "--c", "-1", "--k", "2.5"),
+    ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"),
+    ("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP),
+    ("scatter", "--m", "1", "--c", "-1", *_SWEEP),
+    ("scatter", "--m", "1", "--c", "-1"),  # a usage error: no energy
+]
+
+
+def _loaded_after_closed_form_runs(module: str) -> str:
+    script = _LOADED_AFTER_RUNS % {"module": module, "runs": _CLOSED_FORM_RUNS}
+    proc = _python("-S", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.strip().splitlines()[-1]
+
 
 def test_closed_form_cli_runs_load_no_typing():
-    runs = [
-        ("junction", "--m", "1", "--c", "-2"),
-        ("bound", "--m", "1", "--c", "-2"),
-        ("scatter", "--m", "1", "--c", "-1", "--k", "2.5"),
-        ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"),
-        ("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP),
-        ("scatter", "--m", "1", "--c", "-1", *_SWEEP),
-        ("scatter", "--m", "1", "--c", "-1"),  # a usage error: no energy
-    ]
-    proc = _python("-S", "-c", _TYPING_AFTER_RUNS % (runs,))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == repr([False] * (1 + len(runs)))
+    expected = repr([False] * (1 + len(_CLOSED_FORM_RUNS)))
+    assert _loaded_after_closed_form_runs("typing") == expected
+
+
+def test_closed_form_cli_runs_load_no_json():
+    # strings are quoted by json.encoder's own C function, taken from _json
+    import json.encoder
+
+    from singscat import serialize
+
+    assert serialize._quote is json.encoder.encode_basestring_ascii
+    expected = repr([False] * (1 + len(_CLOSED_FORM_RUNS)))
+    assert _loaded_after_closed_form_runs("json") == expected
 
 
 def test_every_public_name_resolves_and_is_listed():
