@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -107,9 +107,9 @@ class MollifierShape(
     """Unit-mass even bump phi supported on [-half_support, half_support].
 
     The profile is vectorized over numpy arrays and returns 0 outside the
-    support.  Construction refuses a half_support that is not positive and
-    finite, then checks the mass to 1e-10 with a composite 16-node
-    Gauss-Legendre rule on 64 equal panels of [-half_support,
+    support.  Construction refuses a half_support that is not a positive
+    and finite real number, then checks the mass to 1e-10 with a composite
+    16-node Gauss-Legendre rule on 64 equal panels of [-half_support,
     half_support], and evenness on 17 probe points; each failure raises
     ValueError.  A profile with kinks inside the support should have them
     on panel edges, as the triangle's at y = 0 is.
@@ -119,9 +119,10 @@ class MollifierShape(
     h^(1 + alpha m) term into the midpoint error of phi^m, which the
     refinement ladder cancels (error_exponents).  Construction checks it
     against the log-log slope of the profile at 1e-3 s and 1e-4 s from
-    the edge, to 1e-2, and raises ValueError on a mismatch.  None, the
-    default, declares no edge term: the profile jumps on a cell edge, as
-    the top hat does, or is negligible at its cut, as the gauss is.
+    the edge, to 1e-2, and raises ValueError on a mismatch or an order
+    that is not a positive real number.  None, the default, declares no
+    edge term: the profile jumps on a cell edge, as the top hat does, or
+    is negligible at its cut, as the gauss is.
     The repr leaves the profile out.
     """
 
@@ -130,7 +131,9 @@ class MollifierShape(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         name, s, profile, edge_order = self
-        if not (math.isfinite(s) and s > 0.0):
+        # the exact-type test keeps isinstance off the common path
+        real = type(s) is float or isinstance(s, Real)
+        if not (real and math.isfinite(s) and s > 0.0):
             raise ValueError(
                 f"shape {name} half support must be positive and finite, got {s!r}"
             )
@@ -155,9 +158,10 @@ class MollifierShape(
 
     def _check_edge_order(self):
         alpha = self.edge_order
-        if not (math.isfinite(alpha) and alpha > 0.0):
+        real = type(alpha) is float or isinstance(alpha, Real)
+        if not (real and math.isfinite(alpha) and alpha > 0.0):
             raise ValueError(
-                f"shape {self.name} edge order must be positive, got {alpha}"
+                f"shape {self.name} edge order must be positive, got {alpha!r}"
             )
         s = self.half_support
         dists = s * np.asarray(_EDGE_PROBES)
@@ -183,7 +187,10 @@ class MollifierShape(
         return sorted(powers)[:_TABLEAU_DEPTH]
 
     def __call__(self, y) -> np.ndarray:
-        return self.profile(np.asarray(y, dtype=float))
+        # a profile that masks out its support with np.where may overflow
+        # or take cos(inf) in the branch the mask drops
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.profile(np.asarray(y, dtype=float))
 
 
 def _tophat(y: np.ndarray) -> np.ndarray:
@@ -191,7 +198,8 @@ def _tophat(y: np.ndarray) -> np.ndarray:
 
 
 def _triangle(y: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - np.abs(y))
+    # fmax, unlike maximum, gives 0 at nan, as the other shapes do
+    return np.fmax(0.0, 1.0 - np.abs(y))
 
 
 def _cosine_bump(y: np.ndarray) -> np.ndarray:
@@ -221,18 +229,22 @@ class RegularizedPotential(
 ):
     """Mollified point potential U(x) = c * eps^-m * phi(x/eps)^m.
 
-    A shape that is not a MollifierShape, or an eps that is not positive
-    and finite, raises ValueError.
+    A spec that is not a PotentialSpec, a shape that is not a
+    MollifierShape, or an eps that is not a positive and finite real
+    number raises ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, spec: PotentialSpec, shape: MollifierShape, eps: float):
+        if not isinstance(spec, PotentialSpec):
+            raise ValueError(f"spec must be a PotentialSpec, got {type(spec).__name__}")
         if not isinstance(shape, MollifierShape):
             name = type(shape).__name__
             raise ValueError(f"shape must be a MollifierShape, got {name}")
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"eps must be positive, got {eps}")
+        real = type(eps) is float or isinstance(eps, Real)
+        if not (real and math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be positive, got {eps!r}")
         return tuple.__new__(cls, (spec, shape, eps))
 
     @property
@@ -255,7 +267,9 @@ class RegularizedPotential(
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.scale * self.shape(x / self.eps) ** self.spec.m
+        # x / eps may overflow where the shape then gives 0
+        with np.errstate(over="ignore"):
+            return self.scale * self.shape(x / self.eps) ** self.spec.m
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -277,9 +291,17 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _spec_and_shape(pots: list) -> tuple[PotentialSpec, MollifierShape]:
-    """The spec and the shape every potential of a list shares."""
+    """The spec and the shape every potential of a list shares.
+
+    Raises ValueError for an empty list, a potential that is not a
+    RegularizedPotential, or two that differ in spec or shape.
+    """
     if not pots:
         raise ValueError("no potentials to stack")
+    for pot in pots:
+        if not isinstance(pot, RegularizedPotential):
+            name = type(pot).__name__
+            raise ValueError(f"potentials must be RegularizedPotentials, got {name}")
     spec, shape = pots[0].spec, pots[0].shape
     for pot in pots:
         if pot.spec != spec or pot.shape != shape:
@@ -391,15 +413,15 @@ def _ladder(n: int, cap: int, floor: float, exponents: Sequence[float]):
 
     The ladder yields the cell count of its next midpoint-rule iterate,
     starting at n, and is then sent that iterate, a list of floats: the
-    entries of a transfer, or one root.  _transfers drives one ladder per
-    lane in a single loop over the cell counts, and resonant_search its
-    own.  The error of the iterates is taken to expand in the powers h^p
-    of exponents, ascending.  The symmetric midpoint cell product gives
-    even powers h^2, h^4, ... for a smooth profile; a profile vanishing
-    like d^alpha at its edge adds h^(1 + alpha m), by the generalized
-    Euler-Maclaurin expansion for algebraic endpoint behaviour (Navot,
-    J. Math. Phys. 40 (1961) 271; Lyness and Ninham, Math. Comp. 21
-    (1967) 162).  Row i of the tableau
+    entries of a transfer, or one root.  numeric_transfer drives one
+    ladder per lane in a single loop over the cell counts, and
+    resonant_search its own.  The error of the iterates is taken to
+    expand in the powers h^p of exponents, ascending.  The symmetric
+    midpoint cell product gives even powers h^2, h^4, ... for a smooth
+    profile; a profile vanishing like d^alpha at its edge adds
+    h^(1 + alpha m), by the generalized Euler-Maclaurin expansion for
+    algebraic endpoint behaviour (Navot, J. Math. Phys. 40 (1961) 271;
+    Lyness and Ninham, Math. Comp. 21 (1967) 162).  Row i of the tableau
     holds the iterate T_i at n 2^i cells and its extrapolants
 
         R[i][0] = T_i,
@@ -443,64 +465,6 @@ def _ladder(n: int, cap: int, floor: float, exponents: Sequence[float]):
         n *= 2
 
 
-def _transfers(pots: list, k: float) -> list:
-    """numeric_transfer of each potential: its Mat2 or the error refusing it.
-
-    One loop doubles n from N_CELLS_START.  Each pass makes one
-    transfer_fixed_cells call over every lane still refining, which
-    bounds its own stacks, and sends each lane's finite iterate to its
-    ladder.  A lane leaves when its ladder raises NoConvergence, when its
-    eps^-m or its entries overflow, or when its ladder returns; each error
-    is stored as the lane's outcome, none is raised.  The ladder returns
-    finite entries only, but the exact transfer is unimodular, so a
-    determinant further than _DET_TOL from 1 means the entries have
-    outgrown their digits, and TransferOverflow refuses them.
-    """
-    if not pots:
-        return []
-    spec, shape = _spec_and_shape(pots)
-    exponents = shape.error_exponents(spec.m)
-    outcomes: list = [None] * len(pots)
-    ladders = {}  # lane -> its ladder, for the lanes still refining
-    for lane, pot in enumerate(pots):
-        try:
-            pot.scale
-        except TransferOverflow as exc:
-            outcomes[lane] = exc
-            continue
-        ladders[lane] = _ladder(N_CELLS_START, N_CELLS_CAP, 1.0, exponents)
-        next(ladders[lane])
-    n = N_CELLS_START
-    while ladders:
-        lanes = list(ladders)
-        stack = transfer_fixed_cells([pots[lane] for lane in lanes], k, n)
-        for lane, entries in zip(lanes, stack.reshape(-1, 4).tolist()):
-            try:
-                if all(map(math.isfinite, entries)):
-                    ladders[lane].send(entries)
-                    continue
-                outcomes[lane] = TransferOverflow(
-                    f"transfer entries left the representable range at {n} cells"
-                )
-            except StopIteration as stop:
-                result = Mat2(*stop.value[0])
-                det = result.det()
-                if not abs(det - 1.0) <= _DET_TOL:
-                    result = TransferOverflow(
-                        f"transfer determinant {det!r} is off 1 at {n} cells"
-                    )
-                outcomes[lane] = result
-            except NoConvergence as exc:
-                exc.last_iterates = tuple(
-                    None if it is None else np.reshape(it, (2, 2))
-                    for it in exc.last_iterates
-                )
-                outcomes[lane] = exc
-            del ladders[lane]
-        n *= 2
-    return outcomes
-
-
 def numeric_transfer(
     pot: RegularizedPotential | Sequence[RegularizedPotential], k: float
 ) -> Mat2 | list:
@@ -523,12 +487,13 @@ def numeric_transfer(
     a lane leaves the stack when its stop test holds or it fails.  The
     list form returns, for each potential, its Mat2 or the SingscatError
     that refused it; either equals what the one-potential call returns or
-    raises, bit for bit.
+    raises, bit for bit, since that call runs the same loop on one lane.
 
     Raises
     ------
     ValueError
-        if k is not finite, in either form.
+        if k is not finite, in either form, or a lane is not a
+        RegularizedPotential.
     TransferOverflow
         if eps^-m or hyperbolic growth leaves the representable range, or the
         result's determinant is off 1 by more than 1e-6.
@@ -538,12 +503,58 @@ def numeric_transfer(
     """
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
-    if not isinstance(pot, RegularizedPotential):
-        return _transfers(list(pot), k)
-    (outcome,) = _transfers([pot], k)
-    if isinstance(outcome, SingscatError):
-        raise outcome
-    return outcome
+    one = isinstance(pot, RegularizedPotential)
+    pots = [pot] if one else list(pot)
+    if not pots:
+        return []
+    spec, shape = _spec_and_shape(pots)
+    exponents = shape.error_exponents(spec.m)
+    outcomes: list = [None] * len(pots)
+    ladders = {}  # lane -> its ladder, for the lanes still refining
+    for lane, p in enumerate(pots):
+        try:
+            p.scale
+        except TransferOverflow as exc:
+            outcomes[lane] = exc
+            continue
+        ladders[lane] = _ladder(N_CELLS_START, N_CELLS_CAP, 1.0, exponents)
+        next(ladders[lane])
+    n = N_CELLS_START
+    while ladders:
+        lanes = list(ladders)
+        stack = transfer_fixed_cells([pots[lane] for lane in lanes], k, n)
+        for lane, entries in zip(lanes, stack.reshape(-1, 4).tolist()):
+            try:
+                if all(map(math.isfinite, entries)):
+                    ladders[lane].send(entries)
+                    continue
+                outcomes[lane] = TransferOverflow(
+                    f"transfer entries left the representable range at {n} cells"
+                )
+            except StopIteration as stop:
+                result = Mat2(*stop.value[0])
+                det = result.det()
+                # the ladder returns finite entries only, but the exact
+                # transfer is unimodular: a determinant off 1 means the
+                # entries have outgrown their digits
+                if not abs(det - 1.0) <= _DET_TOL:
+                    result = TransferOverflow(
+                        f"transfer determinant {det!r} is off 1 at {n} cells"
+                    )
+                outcomes[lane] = result
+            except NoConvergence as exc:
+                exc.last_iterates = tuple(
+                    None if it is None else np.reshape(it, (2, 2))
+                    for it in exc.last_iterates
+                )
+                outcomes[lane] = exc
+            del ladders[lane]
+        n *= 2
+    if not one:
+        return outcomes
+    if isinstance(outcomes[0], SingscatError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def _junctions(pots: list, k: float) -> list:
@@ -588,12 +599,15 @@ def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
 
     For regimes with a junction matrix, M_eps converges to it as
     eps -> 0.  The one-row call of _junctions, which gives
-    convergence_sweep its rows.  Raises ValueError for a non-finite k,
-    PrecisionLoss when the phase sqrt(k) s eps over the half support is
+    convergence_sweep its rows.  Raises ValueError for a pot that is not
+    a RegularizedPotential or a non-finite k, PrecisionLoss when the phase sqrt(k) s eps over the half support is
     rounding noise (core.check_phase), then numeric_transfer's errors, and
     TransferOverflow when the strips or the product leave the
     representable range.
     """
+    if not isinstance(pot, RegularizedPotential):
+        name = type(pot).__name__
+        raise ValueError(f"pot must be a RegularizedPotential, got {name}")
     (outcome,) = _junctions([pot], k)
     if isinstance(outcome, SingscatError):
         raise outcome

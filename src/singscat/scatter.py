@@ -99,8 +99,11 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     NoScatteringState if the matching system is inconsistent (D = 0), as
     for the junction diag(-1, 1): each part of D is within _DEGENERACY_TOL
     of its own terms, or |D| overflows.  Raises TransferOverflow when |r|
-    or |t| reaches _AMPLITUDE_MAX.
+    or |t| reaches _AMPLITUDE_MAX, and ValueError for a junction that is
+    not a Mat2.
     """
+    if not isinstance(junction, Mat2):
+        raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
     kf = float(k)
     if kf == math.inf:
         raise ValueError("scattering needs a finite k, got inf")
@@ -238,8 +241,10 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
 
     Output order matches input order; a failing energy yields a flagged
     row instead of aborting the sweep.  Raises ValueError if any energy
-    is infinite.
+    is infinite or the junction is not a Mat2.
     """
+    if not isinstance(junction, Mat2):
+        raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
     ks = list(k_grid)
     det_j = junction.det()
     new = tuple.__new__
@@ -262,8 +267,11 @@ def bound_states(junction: Mat2) -> BoundSpectrum:
     -kappa^2.  If the equation vanishes identically every kappa matches
     and the spectrum is reported as continuum degenerate (the junction
     diag(-1, 1) does this).  Raises TransferOverflow when a bound state's
-    energy -kappa^2 leaves the float range (kappa above about 1.3e154).
+    energy -kappa^2 leaves the float range (kappa above about 1.3e154),
+    and ValueError for a junction that is not a Mat2.
     """
+    if not isinstance(junction, Mat2):
+        raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
     a = junction.m12
     b = junction.m11 + junction.m22
     c = junction.m21

@@ -7,10 +7,14 @@ documents; everything else is exit codes, headers, and round trips.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import random
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
@@ -898,6 +902,109 @@ def test_single_points_have_no_error_column_and_sweeps_do(capsys):
     assert [row["error"] for row in rows] == ["", "", ""]
     _, out, _ = run(capsys, "scatter", "--m", "1", "--c", "-1", "--k", "2")
     assert "error" not in json.loads(out)
+
+
+# ------------------------------------------------------------------- fuzz
+
+# each pool is (plain values, odd values); a value is odd one time in ten
+_FLOATS = (
+    ["1", "-1", "2", "-2", "0.5", "-0.5", "1.5", "3", "4", "1e-3", "0", "-0",
+     "1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308",
+     "5e-324", "-5e-324"],
+    ["1e400", "nan", "-nan", "inf", "-inf", "x", ""],
+)
+# the pools of the options that are not plain floats; the lab runs the top
+# hat only, on widths of 1e-3 or more, and levels up to 1, to stay cheap
+_VALUES = {
+    "--m": (
+        ["1", "2", "0.5", "1.5", "3", "4", "1e-3", "1e308", "5e-324"],
+        ["0", "-1", "nan", "x"],
+    ),
+    "--a": (["1", "0.5", "3", "1e-3", "1e308", "5e-324"], ["0", "-1", "inf", "nan", "x"]),
+    "--iv-a": (["1", "-1"], ["0", "2", "x", ""]),
+    "--format": (["json", "csv"], ["xml", ""]),
+    "--kscale": (["log", "lin"], ["exp", ""]),
+    "--ksteps": (["1", "2", "7"], ["0", "-1", str(MAX_KSTEPS + 1), "1e3", "x", ""]),
+    "--reference": (["junction", "none"], ["oracle"]),
+    "--shape": (["tophat"], ["sphere", ""]),
+    "--eps": (
+        ["0.1", "0.1,0.01", "0.1,0.01,0.001", "0.01,0.1", "0.1,0.1", "0.1,,0.01", "1e308"],
+        ["-0.1", "0", "nan", "inf", "x", "", ","],
+    ),
+    "--n": (["1", "-1", "0", "33"], ["x", ""]),
+}
+# options drawn together: the case IV pair, and the three shapes of a k grid
+_GROUPS = {
+    "--iv-a": [[], [], [], [], ["--iv-a", "--iv-b"], ["--iv-a"], ["--iv-b"]],
+    "--kmin": [
+        ["--k"], ["--kmin", "--kmax"], ["--kmin", "--kmax", "--ksteps", "--kscale"],
+        ["--k", "--kmin", "--kmax"], ["--kmin"], ["--k", "--ksteps"], [],
+    ],
+}
+
+
+def _fuzzed_options() -> dict[str, dict[str, bool]]:
+    """{option: required} per subcommand; --out would write files, and -h
+    and --help exit through SystemExit."""
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            action.option_strings[-1]: action.required
+            for action in parser._actions
+            if not {"--help", "--out"} & set(action.option_strings)
+        }
+        for name, parser in subparsers.choices.items()
+    }
+
+
+_FUZZED = _fuzzed_options()
+
+
+def _argv(rng) -> list[str]:
+    """A subcommand and its options, each with a value from its pool.
+
+    A required option is left out one time in ten, any other comes one
+    time in three, and a group of _GROUPS comes in one of its forms.  One
+    time in ten a stray token follows.  rng is a random.Random that
+    hypothesis seeds: its draws are uniform, where hypothesis's own lean to
+    the ends of each range.
+    """
+    command = rng.choice(sorted(_FUZZED))
+    options = _FUZZED[command]
+    groups = [forms for option, forms in _GROUPS.items() if option in options]
+    grouped = {option for forms in groups for form in forms for option in form}
+    chosen = [option for forms in groups for option in rng.choice(forms)]
+    for option, required in options.items():
+        if option not in grouped and rng.random() < (0.9 if required else 1 / 3):
+            chosen.append(option)
+    argv = [command]
+    for option in chosen:
+        plain, odd = _VALUES.get(option, _FLOATS)
+        argv += [option, rng.choice(odd if rng.random() < 0.1 else plain)]
+    if rng.random() < 0.1:
+        argv.append(rng.choice(["--bogus", "-1", "x", "--k"]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1).map(lambda seed: _argv(random.Random(seed))))
+def test_fuzzed_command_lines_exit_with_a_known_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code:
+        text = out.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n"), argv
+        assert "error" in json.loads(text), argv
+    else:
+        assert out.getvalue(), argv
 
 
 # ------------------------------------------------------------------- docs

@@ -550,6 +550,33 @@ def test_the_lab_refuses_a_shape_name_and_a_level_that_is_not_an_integer():
         with pytest.raises(ValueError, match="level index"):
             resonant_search(TOP_HAT, n)
     assert resonant_search(TOP_HAT, np.int64(1)) == resonant_search(TOP_HAT, 1)
+    # the parent failed these with AttributeError or TypeError, or stored a
+    # mutable 0-d array as eps
+    profile = TOP_HAT.profile
+    for call, message in (
+        (lambda: RegularizedPotential((1.0, -1.0), TOP_HAT, 0.1), "PotentialSpec, got tuple"),
+        (lambda: convergence_sweep((1.0, -1.0), TOP_HAT, [0.1], 1.0), "PotentialSpec, got tuple"),
+        (lambda: RegularizedPotential(spec, TOP_HAT, np.array(0.1)), "eps must be positive"),
+        (lambda: RegularizedPotential(spec, TOP_HAT, "0.1"), "eps must be positive"),
+        (lambda: MollifierShape("x", "1", profile), "half support"),
+        (lambda: MollifierShape("x", 0.5, profile, edge_order="1"), "edge order"),
+        (lambda: numeric_transfer("x", 1.0), "RegularizedPotentials, got str"),
+        (lambda: numeric_transfer([None], 1.0), "RegularizedPotentials, got NoneType"),
+        (lambda: transfer_fixed_cells("x", 1.0, 64), "RegularizedPotentials, got str"),
+        (lambda: effective_junction("x", 1.0), "RegularizedPotential, got str"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("y", [1e200, -1e200, 1e308, -1e308, math.inf, -math.inf, math.nan])
+def test_shapes_and_potentials_are_zero_far_out_without_warning(y):
+    # the suite turns warnings into errors: the parent's gauss overflowed
+    # in y * y, the cosine in pi * y and cos(inf), the potential in x / eps,
+    # and the triangle gave nan at nan
+    for shape in SHAPES.values():
+        assert shape(y) == 0.0
+    assert RegularizedPotential(PotentialSpec(2.0, -1.0), GAUSSIAN, 1e-3)(y) == 0.0
 
 
 def test_brent_returns_an_endpoint_where_the_function_is_zero():

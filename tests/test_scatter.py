@@ -164,6 +164,18 @@ def test_infinite_energy_is_refused():
         scattering_amplitudes(j, math.inf)
 
 
+def test_a_junction_that_is_not_a_mat2_is_refused():
+    # the parent failed these with AttributeError on the tuple or None
+    entries = (1.0, 0.0, -1.0, 1.0)
+    for call, got in (
+        (lambda: scattering_amplitudes(entries, 1.0), "tuple"),
+        (lambda: transmission_curve(entries, [1.0]), "tuple"),
+        (lambda: bound_states(None), "NoneType"),
+    ):
+        with pytest.raises(ValueError, match=f"junction must be a Mat2, got {got}"):
+            call()
+
+
 def test_transmission_curve_keeps_order_and_flags_failures():
     j = Mat2(-1.0, 0.0, 0.0, 1.0)
     rows = transmission_curve(j, [0.5, 1.0, 2.0])
