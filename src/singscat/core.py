@@ -228,6 +228,16 @@ def free_transfer(k: float, h: float) -> Mat2:
     return Mat2(c, s, dc, ds)
 
 
+def _check_energy_type(kind: type) -> None:
+    """Refuse an energy of type kind that is a bool or not a numbers.Real.
+
+    The per-energy functions call it only for a k that is not a float, so
+    a float energy costs one type test.  Raises ValueError.
+    """
+    if kind is bool or not issubclass(kind, Real):
+        raise ValueError(f"k must be a real number, got {kind.__name__}")
+
+
 def check_phase(k: float, x: float) -> None:
     """Refuse an energy whose phase sqrt(k) x is rounding noise.
 

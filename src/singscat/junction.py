@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from math import pi, sqrt
 from numbers import Real
 
 from .core import CheckedRecord, Mat2, PotentialSpec
@@ -55,6 +56,16 @@ class Regime(namedtuple("Regime", "kind n reason", defaults=(None, None))):
     __slots__ = ()
 
 
+# The kinds as module names: on Python 3.11 a RegimeKind.X lookup takes the
+# enum metaclass's slow attribute path, about ten times a module name's.
+_NO_EFFECT = RegimeKind.NO_EFFECT
+_STANDARD_DELTA = RegimeKind.STANDARD_DELTA
+_RESONANT_SQUARE = RegimeKind.RESONANT_SQUARE
+_INDETERMINATE = RegimeKind.INDETERMINATE
+_UNDEFINED = RegimeKind.UNDEFINED
+_new = tuple.__new__
+
+
 class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
     """Caller-supplied resolution (a, b) of the doubly indeterminate case."""
 
@@ -85,13 +96,11 @@ def classify_regime(p: PotentialSpec) -> Regime:
         raise ValueError(f"p must be a PotentialSpec, got {type(p).__name__}")
     m, c = p
     if abs(m - 1.0) <= EXPONENT_TOL:
-        return Regime(RegimeKind.STANDARD_DELTA)
+        return _new(Regime, (_STANDARD_DELTA, None, None))
     if abs(m - 2.0) <= EXPONENT_TOL:
         if c > 0.0:
-            return Regime(
-                RegimeKind.UNDEFINED, reason="m = 2 with positive coupling"
-            )
-        nu = math.sqrt(-c) / math.pi
+            return _new(Regime, (_UNDEFINED, None, "m = 2 with positive coupling"))
+        nu = sqrt(-c) / pi
         window = RESONANCE_TOL * max(1.0, nu)
         if window >= 0.5:
             raise PrecisionLoss(
@@ -99,23 +108,19 @@ def classify_regime(p: PotentialSpec) -> Regime:
             )
         n = round(nu)
         if abs(nu - n) <= window:
-            return Regime(RegimeKind.RESONANT_SQUARE, n=n)
-        return Regime(
-            RegimeKind.UNDEFINED,
-            reason="m = 2 coupling is not a resonant level -(n*pi)^2",
+            return _new(Regime, (_RESONANT_SQUARE, n, None))
+        return _new(
+            Regime,
+            (_UNDEFINED, None, "m = 2 coupling is not a resonant level -(n*pi)^2"),
         )
     if m < 1.0:
-        return Regime(RegimeKind.NO_EFFECT)
+        return _new(Regime, (_NO_EFFECT, None, None))
     if m < 2.0:
-        return Regime(
-            RegimeKind.UNDEFINED, reason="exponents in the open band (1, 2)"
-        )
+        return _new(Regime, (_UNDEFINED, None, "exponents in the open band (1, 2)"))
     # m > 2 from here on
     if c < 0.0:
-        return Regime(RegimeKind.INDETERMINATE)
-    return Regime(
-        RegimeKind.UNDEFINED, reason="m > 2 with non-negative coupling"
-    )
+        return _new(Regime, (_INDETERMINATE, None, None))
+    return _new(Regime, (_UNDEFINED, None, "m > 2 with non-negative coupling"))
 
 
 def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
@@ -139,9 +144,8 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
     """
     if choice is not None and not isinstance(choice, IvChoice):
         raise ValueError(f"choice must be an IvChoice or None, got {type(choice).__name__}")
-    regime = classify_regime(p)
-    kind = regime.kind
-    if kind is RegimeKind.INDETERMINATE:
+    kind, n, reason = classify_regime(p)
+    if kind is _INDETERMINATE:
         if choice is None:
             raise MissingChoice(
                 "m > 2 with c < 0 is doubly indeterminate, supply (a, b)"
@@ -149,11 +153,11 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
         return Mat2(float(choice.a), 0.0, choice.b, 1.0)
     if choice is not None:
         raise ValueError("choice is only meaningful for the indeterminate regime")
-    if kind is RegimeKind.STANDARD_DELTA:
+    if kind is _STANDARD_DELTA:
         return Mat2(1.0, 0.0, p.c, 1.0)
-    if kind is RegimeKind.NO_EFFECT:
+    if kind is _NO_EFFECT:
         return Mat2.identity()
-    if kind is RegimeKind.RESONANT_SQUARE:
-        sign = -1.0 if regime.n % 2 else 1.0
+    if kind is _RESONANT_SQUARE:
+        sign = -1.0 if n % 2 else 1.0
         return Mat2(sign, 0.0, 0.0, sign)
-    raise UndefinedRegime(regime.reason)
+    raise UndefinedRegime(reason)

@@ -290,6 +290,21 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
+def _lanes(pot) -> tuple[bool, list]:
+    """Whether pot is one RegularizedPotential, and the list of its lanes.
+
+    Raises ValueError for a pot that is neither a RegularizedPotential nor
+    an iterable; _spec_and_shape checks the lanes of an iterable.
+    """
+    if isinstance(pot, RegularizedPotential):
+        return True, [pot]
+    try:
+        return False, list(pot)
+    except TypeError:
+        name = type(pot).__name__
+        raise ValueError(f"potentials must be RegularizedPotentials, got {name}") from None
+
+
 def _spec_and_shape(pots: list) -> tuple[PotentialSpec, MollifierShape]:
     """The spec and the shape every potential of a list shares.
 
@@ -387,8 +402,7 @@ def transfer_fixed_cells(
     """
     if not (isinstance(n_cells, int) and n_cells > 0):
         raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
-    one = isinstance(pot, RegularizedPotential)
-    pots = [pot] if one else list(pot)
+    one, pots = _lanes(pot)
     spec, shape = _spec_and_shape(pots)
     per = max(1, _CHUNK_CELLS // n_cells)
     stacks = []
@@ -503,8 +517,7 @@ def numeric_transfer(
     """
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
-    one = isinstance(pot, RegularizedPotential)
-    pots = [pot] if one else list(pot)
+    one, pots = _lanes(pot)
     if not pots:
         return []
     spec, shape = _spec_and_shape(pots)
@@ -688,6 +701,15 @@ def _order_fit(points: list) -> tuple[float, float]:
     return slope, 1.0 - ss_res / ss_tot if ss_tot else 1.0
 
 
+def _clean_rows(rows: Sequence[ConvergenceRow]) -> list[ConvergenceRow]:
+    """The rows whose error is "", each checked to be a ConvergenceRow."""
+    rows = list(rows)
+    for row in rows:
+        if not isinstance(row, ConvergenceRow):
+            raise ValueError(f"rows must be ConvergenceRows, got {type(row).__name__}")
+    return [row for row in rows if row.error == ""]
+
+
 def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
     """Least-squares slope of log(deviation) against log(eps), with r^2.
 
@@ -695,9 +717,10 @@ def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
     rate.  The fit is closed form in Python floats, so its bits do not
     depend on the BLAS kernel.  Needs at least three clean rows with
     finite positive deviations, at two or more distinct eps
-    (InsufficientData otherwise).
+    (InsufficientData otherwise), and ValueError for a row that is not a
+    ConvergenceRow.
     """
-    points = [(row.eps, row.deviation) for row in rows if row.error == ""]
+    points = [(row.eps, row.deviation) for row in _clean_rows(rows)]
     return _order_fit([(eps, dev) for eps, dev in points if 0.0 < dev < math.inf])
 
 
@@ -712,9 +735,10 @@ def certify_convergence(rows: Sequence[ConvergenceRow]) -> tuple[str, float, flo
     non-convergent when the fitted slope is <= -0.2, or when deviations
     within some decade of eps spread by more than 5x while the fit
     explains little (r^2 < 0.5).  Returns (verdict, slope, r2); data the
-    fit refuses yields ("unknown", nan, nan).
+    fit refuses yields ("unknown", nan, nan).  Raises ValueError for a row
+    that is not a ConvergenceRow.
     """
-    clean = [row for row in rows if row.error == "" and row.matrix is not None]
+    clean = [row for row in _clean_rows(rows) if row.matrix is not None]
     points = [(r.eps, r.deviation) for r in clean if 0.0 < r.deviation < math.inf]
     if len(points) < 3:
         gaps = (

@@ -16,10 +16,16 @@ shift follows from
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
+from math import atan, atan2, cos, hypot, isfinite, pi, remainder, sin, sqrt
 
-from .core import ShellPotentialSpec, check_phase, free_propagators
+from .core import (
+    _PHASE_LIMIT,
+    ShellPotentialSpec,
+    _check_energy_type,
+    check_phase,
+    free_propagators,
+)
 from .errors import NonPositiveEnergy, TransferOverflow
 from .junction import IvChoice, junction_matrix
 
@@ -43,20 +49,31 @@ class RadialResult(
     __slots__ = ()
 
 
+# The per-energy path reads math's functions and these constants as module
+# names, so a call looks nothing up on math; both products scale pi by a
+# power of two, exactly.
+_MINUS_HALF_PI = -0.5 * pi
+_FOUR_PI = 4.0 * pi
+_new = tuple.__new__
+
+
 def _principal_shift(raw: float) -> float:
     """Reduce a phase mod pi into (-pi/2, pi/2]."""
-    shift = math.remainder(raw, math.pi)
-    if shift <= -0.5 * math.pi:
-        shift += math.pi
+    shift = remainder(raw, pi)
+    if shift <= _MINUS_HALF_PI:
+        shift += pi
     return shift
 
 
-# (base, choice, junction) of s_wave_solve's last derivation.  It is keyed
-# by identity: equal records can differ in bits (c = 0.0 and -0.0), and the
-# records are immutable, so the same objects always give the same junction.
-# One tuple, read and replaced as a unit, so threads see a consistent triple;
-# the list is changed in place, never rebound, as perfbench's tracer checks.
-_LAST = [(None, None, None)]
+# (shell, choice, a, j11, j12, j21, j22, identity) of s_wave_solve's last
+# derivation: the shell's radius, its junction's entries, and whether that
+# junction is +-identity.  It is keyed by identity: equal records can differ
+# in bits (c = 0.0 and -0.0), and the records are immutable, so the same
+# objects always give the same junction.  Only a checked shell enters it.
+# One tuple, read and replaced as a unit, so threads see a consistent slot;
+# the list is changed in place, never rebound.  It starts keyed by an
+# object no caller has, so that even a None shell misses.
+_LAST = [(object(),) * 8]
 
 
 def s_wave_solve(
@@ -66,47 +83,56 @@ def s_wave_solve(
 
     sigma0 = (4 pi / k) sin^2(delta0), bounded by 4 pi / k; the result
     carries the coefficients radial_wavefunction samples u(r) from.  Raises
-    PrecisionLoss when sqrt(k) a is too large for its phase to carry
-    meaningful digits (core.check_phase), TransferOverflow when k is so
-    small that sigma0 is not finite, and ValueError for an infinite k.
-    Calls in a row with the same shell.base and choice objects derive the
-    junction once; junction_matrix's errors are raised on every call.
+    ValueError for an energy that is a bool or not a real number, an
+    infinite k, or a shell that is not a ShellPotentialSpec; PrecisionLoss
+    when sqrt(k) a is too large for its phase to carry meaningful digits
+    (core.check_phase); and TransferOverflow when k is so small that
+    sigma0 is not finite.  Calls in a row with the same shell and choice
+    objects derive the junction once; junction_matrix's errors are raised
+    on every call.
     """
+    if type(k) is not float:
+        _check_energy_type(type(k))
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
-    base, a = shell
-    last_base, last_choice, junction = _LAST[0]
-    if base is not last_base or choice is not last_choice:
-        junction = junction_matrix(base, choice)
-        _LAST[0] = (base, choice, junction)
+    last_shell, last_choice, a, j11, j12, j21, j22, identity = _LAST[0]
+    if shell is not last_shell or choice is not last_choice:
+        if not isinstance(shell, ShellPotentialSpec):
+            name = type(shell).__name__
+            raise ValueError(f"shell must be a ShellPotentialSpec, got {name}")
+        base, a = shell
+        j11, j12, j21, j22 = junction_matrix(base, choice)
+        identity = j12 == 0.0 and j21 == 0.0 and abs(j11) == 1.0 and j11 == j22
+        _LAST[0] = (shell, choice, a, j11, j12, j21, j22, identity)
     # Scalar on purpose: math.hypot is CPython's own, not the C library's
     # hypot that numpy calls, np.arctan2 differs from math.atan2 in the last
     # bit on some inputs, and numpy has no IEEE remainder.
-    check_phase(k, a)
-    q = math.sqrt(k)
-    u_a = math.sin(q * a)
-    du_a = q * math.cos(q * a)
-    j11, j12, j21, j22 = junction
+    q = sqrt(k)
+    qa = q * a
+    if qa >= _PHASE_LIMIT:  # also k = inf; check_phase raises either error
+        check_phase(k, a)
+    u_a = sin(qa)
+    du_a = q * cos(qa)
     alpha, beta = j11 * u_a + j12 * du_a, j21 * u_a + j22 * du_a
     # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
-    interior = 1.0 / math.hypot(alpha, beta / q)
+    interior = 1.0 / hypot(alpha, beta / q)
     alpha, beta = alpha * interior, beta * interior
-    if j12 == 0.0 and j21 == 0.0 and abs(j11) == 1.0 and j11 == j22:
-        # junction is +-identity: the exterior wave is the interior free wave
-        # up to overall sign, so the shift is zero exactly, not via atan2
+    if identity:
+        # the exterior wave is the interior free wave up to overall sign, so
+        # the shift is zero exactly, not via atan2
         delta0 = 0.0
     else:
-        raw = math.atan2(q * alpha, beta) - q * a
+        raw = atan2(q * alpha, beta) - qa
         delta0 = _principal_shift(raw)
         if abs(delta0) < 1e-6 * abs(raw) and beta != 0.0:
             # raw lies near a multiple of pi (atan2 near pi for beta < 0),
             # and reducing it cancels the digits of a small delta0; atan
             # gives the same phase mod pi without that cancellation
-            delta0 = _principal_shift(math.atan(q * alpha / beta) - q * a)
-    sigma0 = (4.0 * math.pi / k) * math.sin(delta0) ** 2
-    if not math.isfinite(sigma0):
+            delta0 = _principal_shift(atan(q * alpha / beta) - qa)
+    sigma0 = (_FOUR_PI / k) * sin(delta0) ** 2
+    if not isfinite(sigma0):
         raise TransferOverflow(f"4 pi / k overflows at k = {k!r}: sigma0 is not finite")
-    return tuple.__new__(RadialResult, (k, a, delta0, sigma0, interior, (alpha, beta)))
+    return _new(RadialResult, (k, a, delta0, sigma0, interior, (alpha, beta)))
 
 
 def radial_wavefunction(
@@ -117,19 +143,22 @@ def radial_wavefunction(
     Inside the shell u = interior_amplitude * sqrt(k) S(k, r), outside
     u = alpha C(k, r - a) + beta S(k, r - a), both from one
     free_propagators call.  R = u/r stays finite at the origin because S
-    switches to its series there.  Raises ValueError for a non-finite
-    energy or a radius that is not a positive finite number, and
-    PrecisionLoss when sqrt(k) r at the largest radius (or the shell's)
-    is too large for its phase to carry meaningful digits.
+    switches to its series there.  Raises ValueError for a solution that
+    is not a RadialResult, a non-finite energy or a radius that is not a
+    positive finite number, and PrecisionLoss when sqrt(k) r at the
+    largest radius (or the shell's) is too large for its phase to carry
+    meaningful digits.
     """
+    if not isinstance(solution, RadialResult):
+        raise ValueError(f"solution must be a RadialResult, got {type(solution).__name__}")
     k = solution.k
     rs = list(rs)
     for r in rs:
-        if not (r > 0.0 and math.isfinite(r)):
+        if not (r > 0.0 and isfinite(r)):
             raise ValueError(f"radii must be positive and finite, got {r}")
     a = solution.a
     check_phase(k, max([a, *rs]))
-    q = math.sqrt(k)
+    q = sqrt(k)
     lead = solution.interior_amplitude * q
     alpha, beta = solution.exterior_coeffs
     props = free_propagators(k, [r if r < a else r - a for r in rs]).tolist()

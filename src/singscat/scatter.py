@@ -12,7 +12,14 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 
-from .core import TYPE_CHECKING, Mat2, PiecewiseSolution, check_phase, free_propagators
+from .core import (
+    TYPE_CHECKING,
+    Mat2,
+    PiecewiseSolution,
+    _check_energy_type,
+    check_phase,
+    free_propagators,
+)
 from .errors import (
     ChainOrderError,
     NonPositiveEnergy,
@@ -100,10 +107,12 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     for the junction diag(-1, 1): each part of D is within _DEGENERACY_TOL
     of its own terms, or |D| overflows.  Raises TransferOverflow when |r|
     or |t| reaches _AMPLITUDE_MAX, and ValueError for a junction that is
-    not a Mat2.
+    not a Mat2 or an energy that is a bool or not a real number.
     """
     if not isinstance(junction, Mat2):
         raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
+    if type(k) is not float:
+        _check_energy_type(type(k))
     kf = float(k)
     if kf == math.inf:
         raise ValueError("scattering needs a finite k, got inf")
@@ -241,11 +250,15 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
 
     Output order matches input order; a failing energy yields a flagged
     row instead of aborting the sweep.  Raises ValueError if any energy
-    is infinite or the junction is not a Mat2.
+    is infinite, a bool or not a real number, or the junction is not a
+    Mat2.  The energies' types are checked in one C-level pass,
+    set(map(type, ks)), which a float grid leaves as {float}.
     """
     if not isinstance(junction, Mat2):
         raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
     ks = list(k_grid)
+    for kind in set(map(type, ks)) - {float}:
+        _check_energy_type(kind)
     det_j = junction.det()
     new = tuple.__new__
     return [
@@ -313,12 +326,16 @@ def compose_chain(
 
         total = J_N F(k, x_N - x_{N-1}) ... J_2 F(k, x_2 - x_1) J_1
 
-    The gap propagators come from one free_propagators call; the product
-    is then folded left to right in plain floats and checked once.
+    The gap propagators come from one free_propagators call, read back as
+    one flat list; the product is then folded left to right in plain
+    floats and checked once.
 
     Raises TransferOverflow when the running product leaves the
-    representable range, naming the x of the first junction where it did.
+    representable range, naming the x of the first junction where it did,
+    and ValueError for a k that is not finite, a bool or not a real number.
     """
+    if type(k) is not float:
+        _check_energy_type(type(k))
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     xs = [x for x, _ in chain]
@@ -327,44 +344,42 @@ def compose_chain(
             raise ChainOrderError(
                 f"positions must increase strictly, got {prev_x} then {x}"
             )
-    gaps = free_propagators(k, [b - a for a, b in zip(xs, xs[1:])])
+    widths = [b - a for a, b in zip(xs, xs[1:])]
     # nothing propagates before the first junction; identity @ identity
     # is exactly the identity, so this step changes no bit
-    gaps = [Mat2.identity()] + gaps.reshape(-1, 4).tolist()
-    total = _fold(Mat2.identity(), gaps, chain)
+    entries = iter([1.0, 0.0, 0.0, 1.0, *free_propagators(k, widths).ravel().tolist()])
+    gaps = list(zip(entries, entries, entries, entries))
+    junctions = [j for _, j in chain]
+    total = _fold(Mat2.identity(), gaps, junctions)
     if not all(map(math.isfinite, total)):
         # A non-finite entry never leaves its column (every later entry of
         # that column adds a multiple of it), so the total is non-finite
         # exactly when some step made it so; walk again to find that step.
         total = Mat2.identity()
-        for gap, step in zip(gaps, chain):
-            total = _fold(total, [gap], [step])
+        for gap, (x, junction) in zip(gaps, chain):
+            total = _fold(total, [gap], [junction])
             if not all(map(math.isfinite, total)):
                 raise TransferOverflow(
-                    f"chain transfer left the representable range at x = {step[0]}"
+                    f"chain transfer left the representable range at x = {x}"
                 )
     return Mat2(*total)
 
 
-def _fold(total: tuple, gaps: Sequence[tuple], chain: Sequence[tuple]) -> tuple:
+def _fold(total: tuple, gaps: Sequence[tuple], junctions: Sequence[tuple]) -> tuple:
     """total, then gap and junction per step: J_i @ (G_i @ total), row major.
 
-    Each product is term for term Mat2.__matmul__, in four local floats.
+    Each product is term for term Mat2.__matmul__, in local floats.
     """
     t11, t12, t21, t22 = total
-    for (g11, g12, g21, g22), (_, (j11, j12, j21, j22)) in zip(gaps, chain):
-        t11, t12, t21, t22 = (
-            g11 * t11 + g12 * t21,
-            g11 * t12 + g12 * t22,
-            g21 * t11 + g22 * t21,
-            g21 * t12 + g22 * t22,
-        )
-        t11, t12, t21, t22 = (
-            j11 * t11 + j12 * t21,
-            j11 * t12 + j12 * t22,
-            j21 * t11 + j22 * t21,
-            j21 * t12 + j22 * t22,
-        )
+    for (g11, g12, g21, g22), (j11, j12, j21, j22) in zip(gaps, junctions):
+        u11 = g11 * t11 + g12 * t21
+        u12 = g11 * t12 + g12 * t22
+        u21 = g21 * t11 + g22 * t21
+        u22 = g21 * t12 + g22 * t22
+        t11 = j11 * u11 + j12 * u21
+        t12 = j11 * u12 + j12 * u22
+        t21 = j21 * u11 + j22 * u21
+        t22 = j21 * u12 + j22 * u22
     return t11, t12, t21, t22
 
 
@@ -376,11 +391,15 @@ def evaluate_solution(
     Points left of the origin use the left branch, points right of it the
     right branch.  x = 0 produces two consecutive samples, the left limit
     first, since the junction may jump there.  Raises ValueError for a
-    non-finite energy or sample point, PrecisionLoss when k > 0 and
-    sqrt(k) |x| at the farthest point is too large for its phase to carry
-    meaningful digits (core.check_phase), and TransferOverflow when a
-    growing branch (k < 0) leaves the representable range.
+    solution that is not a PiecewiseSolution or a non-finite energy or
+    sample point, PrecisionLoss when k > 0 and sqrt(k) |x| at the
+    farthest point is too large for its phase to carry meaningful digits
+    (core.check_phase), and TransferOverflow when a growing branch
+    (k < 0) leaves the representable range.
     """
+    if not isinstance(solution, PiecewiseSolution):
+        name = type(solution).__name__
+        raise ValueError(f"solution must be a PiecewiseSolution, got {name}")
     k, left, right = solution.k, solution.left_coeffs, solution.right_coeffs
     xs = list(xs)
     if not all(math.isfinite(x) for x in xs):

@@ -564,6 +564,11 @@ def test_the_lab_refuses_a_shape_name_and_a_level_that_is_not_an_integer():
         (lambda: numeric_transfer([None], 1.0), "RegularizedPotentials, got NoneType"),
         (lambda: transfer_fixed_cells("x", 1.0, 64), "RegularizedPotentials, got str"),
         (lambda: effective_junction("x", 1.0), "RegularizedPotential, got str"),
+        # and these with TypeError from list(pot) or AttributeError on a row
+        (lambda: numeric_transfer(None, 1.0), "RegularizedPotentials, got NoneType"),
+        (lambda: transfer_fixed_cells(5, 1.0, 64), "RegularizedPotentials, got int"),
+        (lambda: estimate_order([1]), "ConvergenceRows, got int"),
+        (lambda: certify_convergence([None]), "ConvergenceRows, got NoneType"),
     ):
         with pytest.raises(ValueError, match=message):
             call()

@@ -132,6 +132,24 @@ def test_energy_validation():
         s_wave_solve(_shell(1.0, -2.0), -2.0)
 
 
+def test_an_energy_that_is_not_real_and_a_shell_that_is_not_a_record_are_refused():
+    # The parent raised TypeError for "1" and returned k = True for True; a
+    # plain (base, a) tuple skipped the shell's checks, so a radius of -1
+    # gave a result and a nan radius an overflow message
+    shell = _shell(1.0, -2.0)
+    for k, got in (("1", "str"), (True, "bool"), (None, "NoneType"), (1j, "complex")):
+        with pytest.raises(ValueError, match=f"k must be a real number, got {got}"):
+            s_wave_solve(shell, k)
+    base = PotentialSpec(1.0, -1.0)
+    for bad in ((base, -1.0), (base, math.nan), [base, 1.0], None):
+        with pytest.raises(ValueError, match="must be a ShellPotentialSpec"):
+            s_wave_solve(bad, 1.0)
+    # ints and numpy's scalars are real numbers, and kept as given
+    for k in (2, np.int64(2), np.float64(2.0)):
+        res = s_wave_solve(shell, k)
+        assert res.k is k and res.delta0 == s_wave_solve(shell, 2.0).delta0
+
+
 def test_wavefunction_continuity_across_delta_shell():
     k, a, c = 1.7, 1.0, -2.0
     sol = s_wave_solve(_shell(1.0, c, a), k)
@@ -219,6 +237,9 @@ def test_wavefunction_rejects_nonpositive_radius():
         radial_wavefunction(sol, [-1.0])
     with pytest.raises(ValueError):
         radial_wavefunction(sol, [math.inf])
+    # the parent failed this with AttributeError
+    with pytest.raises(ValueError, match="must be a RadialResult, got NoneType"):
+        radial_wavefunction(None, [1.0])
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf])

@@ -219,10 +219,13 @@ def test_regime_functions_refuse_a_plain_tuple():
     # A plain (m, c) tuple once passed: classify_regime((1.0, -2.0)) gave a
     # standard delta, junction_matrix((0.5, 2)) the identity, and
     # junction_matrix((1, 2)) an AttributeError on p.c.  Like a shell's
-    # base, the spec must be the record, or ValueError is raised.
+    # base, the spec must be the record, or ValueError is raised; a plain
+    # (base, a) tuple is refused as a shell before its base is read.
     for p in ((1.0, -2.0), (0.5, 2), (1, 2), [1.0, -2.0]):
         for call in (classify_regime, junction_matrix):
             with pytest.raises(ValueError, match="must be a PotentialSpec"):
                 call(p)
         with pytest.raises(ValueError, match="must be a PotentialSpec"):
+            ShellPotentialSpec(p, 1.5)
+        with pytest.raises(ValueError, match="must be a ShellPotentialSpec, got tuple"):
             s_wave_solve((p, 1.5), 2.0)

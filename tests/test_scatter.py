@@ -176,6 +176,26 @@ def test_a_junction_that_is_not_a_mat2_is_refused():
             call()
 
 
+def test_an_energy_that_is_not_a_real_number_is_refused():
+    # The parent stored the string "1" as the k of a result and of a curve
+    # row, and compose_chain raised TypeError for it
+    j = junction_matrix(PotentialSpec(1.0, -1.0))
+    chain = [(0.0, j), (1.0, j)]
+    for k, got in (("1", "str"), (True, "bool"), (None, "NoneType")):
+        for call in (
+            lambda: scattering_amplitudes(j, k),
+            lambda: transmission_curve(j, [0.5, k, 2.0]),
+            lambda: compose_chain(chain, k),
+        ):
+            with pytest.raises(ValueError, match=f"k must be a real number, got {got}"):
+                call()
+    # ints and numpy's scalars are real numbers
+    for k in (2, np.int64(2), np.float64(2.0)):
+        assert scattering_amplitudes(j, k).k is k
+        assert transmission_curve(j, [k])[0].result.t == scattering_amplitudes(j, 2.0).t
+        assert compose_chain(chain, k) == compose_chain(chain, 2.0)
+
+
 def test_transmission_curve_keeps_order_and_flags_failures():
     j = Mat2(-1.0, 0.0, 0.0, 1.0)
     rows = transmission_curve(j, [0.5, 1.0, 2.0])
@@ -387,6 +407,9 @@ def test_evaluate_solution_refuses_non_finite_points():
     sol = PiecewiseSolution(0.0, (1.0, 0.0), Mat2.identity())
     with pytest.raises(ValueError):
         evaluate_solution(sol, [0.5, math.inf])
+    # the parent failed this with AttributeError
+    with pytest.raises(ValueError, match="must be a PiecewiseSolution, got NoneType"):
+        evaluate_solution(None, [1.0])
 
 
 def test_evaluate_solution_refuses_phases_past_their_rounding():

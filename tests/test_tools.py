@@ -47,3 +47,28 @@ def test_size_prints_one_json_line_without_loading_numpy():
     reading = json.loads(out[0])
     assert list(reading) == ["src_lines", "parameters", "public_names", "cli_slots"]
     assert all(type(value) is int and value > 0 for value in reading.values())
+
+
+def test_bench_pairs_summary_counts_medians_quartiles_and_pairs_won():
+    bench = _load("bench_pairs")
+    before = [0.30, 0.34, 0.31, 0.33, 0.32]
+    after = [0.27, 0.29, 0.32, 0.28, 0.26]
+    pairs = [
+        {"parent": {"op": a, "rate": 1.0 / a}, "change": {"op": b, "rate": 1.0 / b}}
+        for a, b in zip(before, after)
+    ]
+    summary = bench.summarize(pairs, {"op": "lower", "rate": "higher"})
+    op = summary["op"]
+    assert op["parent"] == {"q1": 0.31, "median": 0.32, "q3": 0.33}
+    assert op["change"] == {"q1": 0.27, "median": 0.28, "q3": 0.29}
+    assert op["pairs_won"] == 4 and op["pairs"] == 5 and op["better"] == "lower"
+    assert abs(op["change_pct"] - 100.0 * (0.28 - 0.32) / 0.32) < 1e-12
+    # a higher-is-better metric wins the same pairs here
+    assert summary["rate"]["pairs_won"] == 4
+    assert summary["rate"]["parent"]["median"] == 1.0 / 0.32
+    # the inclusive quartiles interpolate between order statistics
+    assert bench.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert bench.quartiles([5.0]) == (5.0, 5.0, 5.0)
+    # a tie is not a win
+    tie = [{"parent": {"op": 1.0}, "change": {"op": 1.0}}]
+    assert bench.summarize(tie, {"op": "lower"})["op"]["pairs_won"] == 0
