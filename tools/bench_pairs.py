@@ -1,13 +1,13 @@
 """Run the benchmark on a parent commit and on this checkout, in alternating pairs.
 
-    python tools/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json \\
-        [--pairs 10] [--seed 101] [--seconds 24] [--workload NAME ...]
+    python tools/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json [--seed 101]
 
 The parent is cloned from this repository into a temporary directory (a
 local clone, no network), checked out at --parent and removed afterwards.
 The change is this checkout's working tree, uncommitted edits included.
-For each workload, pair i runs `python3 perfbench/run.py --workload W
---seed <seed + i> --seconds S --trace 0` once in each tree, the parent
+For each workload of BENCHMARK.json, pair i of PAIRS runs `python3
+perfbench/run.py --workload W --seed <seed + i> --seconds S --trace 0`
+once in each tree, S being BENCHMARK.json's run_seconds, the parent
 first in even pairs and the change first in odd ones, and keeps the last
 stdout line of each run: its end-to-end metrics and failed count.  Each
 side also keeps the provenance line run.py prints first, whose src_sha256
@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -111,20 +112,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--workload", action="append", help="default: every workload")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
-    workloads = args.workload or [entry["name"] for entry in spec["workloads"]]
+    seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     doc = {
         "parent": {"rev": args.parent, "sha": parent_sha},
         "change": {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
@@ -133,9 +131,9 @@ def main() -> int:
         git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(parent))
         git("checkout", "--quiet", parent_sha, cwd=parent)
         doc["size"] = {"parent": size_reading(parent), "change": size_reading(ROOT)}
-        for workload in workloads:
+        for workload in (entry["name"] for entry in spec["workloads"]):
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed + i
                 order = [("parent", parent), ("change", ROOT)]
                 if i % 2:
@@ -143,7 +141,7 @@ def main() -> int:
                 pair = {"seed": seed, "first": order[0][0]}
                 for side, tree in order:
                     pair[side], doc[side]["provenance"] = run_bench(
-                        tree, workload, seed, args.seconds
+                        tree, workload, seed, seconds
                     )
                     print(f"{workload} seed {seed} {side}: {json.dumps(pair[side])}", flush=True)
                 pairs.append(pair)
