@@ -20,13 +20,17 @@ __slots__ = ().  Where fields are checked, __new__ checks them, and
 CheckedRecord routes _make and _replace through __new__.  A checked
 record is built only through its own __new__; the unchecked records of
 the per-energy paths are built with tuple.__new__(Record, fields).
+
+Every module's boundary rule lives here too: a number is what _real
+accepts, and _check_type refuses a value of the wrong type.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from numbers import Real
+from math import isfinite
+from numbers import Integral, Real
 
 from .errors import InvalidExponent, PrecisionLoss
 
@@ -50,6 +54,34 @@ PHASE_ULP_FRACTION = 1e-6
 _PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
+def _real(x) -> bool:
+    """Whether x is a numbers.Real but not a bool; a 0-d array, which can
+    change after a record keeps it, is not.  Exact types go first."""
+    kind = type(x)
+    return kind is float or kind is int or (kind is not bool and isinstance(x, Real))
+
+
+def _integer(x) -> bool:
+    """Whether x is an integer: a real number that is a numbers.Integral."""
+    return type(x) is int or (_real(x) and isinstance(x, Integral))
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """ValueError "{what} must be a {kind}, got {type}" unless value is a kind;
+    kind float means a real number (_real), as a float annotation admits an int."""
+    if not (_real(value) if kind is float else isinstance(value, kind)):
+        name = "real number" if kind is float else kind.__name__
+        raise ValueError(f"{what} must be a {name}, got {type(value).__name__}")
+
+
+def _check_energy(k) -> None:
+    """Refuse an energy k that is not a finite real number: ValueError."""
+    if type(k) is not float:
+        _check_type(k, float, "k")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+
+
 class CheckedRecord:
     """Mixin of a tuple record whose __new__ checks its fields.
 
@@ -65,17 +97,15 @@ class CheckedRecord:
 
 
 class Mat2(CheckedRecord, namedtuple("Mat2", "m11 m12 m21 m22")):
-    """Real 2x2 matrix acting on (psi, psi') state vectors."""
+    """Real 2x2 matrix acting on (psi, psi') state vectors, of finite real entries."""
 
     __slots__ = ()
 
     def __new__(cls, m11: float, m12: float, m21: float, m22: float):
-        if not (
-            math.isfinite(m11)
-            and math.isfinite(m12)
-            and math.isfinite(m21)
-            and math.isfinite(m22)
-        ):
+        if not (type(m11) is type(m12) is type(m21) is type(m22) is float):
+            for entry in (m11, m12, m21, m22):
+                _check_type(entry, float, "matrix entry")
+        if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)):
             raise ValueError("matrix entries must be finite")
         return tuple.__new__(cls, (m11, m12, m21, m22))
 
@@ -125,13 +155,9 @@ class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):
     __slots__ = ()
 
     def __new__(cls, m: float, c: float):
-        # refuse what is not a real number, such as a mutable 0-d array; the
-        # exact-type tests keep isinstance off the common path
-        real = type(m) is float or type(m) is int or isinstance(m, Real)
-        if not (real and math.isfinite(m) and m > 0.0):
+        if not (_real(m) and math.isfinite(m) and m > 0.0):
             raise InvalidExponent(f"exponent must be positive and finite, got {m}")
-        real = type(c) is float or type(c) is int or isinstance(c, Real)
-        if not (real and math.isfinite(c)):
+        if not (_real(c) and math.isfinite(c)):
             raise ValueError(f"coupling must be finite, got {c}")
         return tuple.__new__(cls, (m, c))
 
@@ -146,10 +172,8 @@ class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a
 
     def __new__(cls, base: PotentialSpec, a: float):
         # only an immutable record lets s_wave_solve key its junction by identity
-        if not isinstance(base, PotentialSpec):
-            raise ValueError(f"shell base must be a PotentialSpec, got {type(base).__name__}")
-        real = type(a) is float or type(a) is int or isinstance(a, Real)
-        if not (real and math.isfinite(a) and a > 0.0):
+        _check_type(base, PotentialSpec, "shell base")
+        if not (_real(a) and math.isfinite(a) and a > 0.0):
             raise ValueError(f"shell radius must be positive, got {a}")
         return tuple.__new__(cls, (base, a))
 
@@ -220,33 +244,22 @@ def free_transfer(k: float, h: float) -> Mat2:
     The scalar form of free_propagators, entry for entry.  Unit
     determinant for every (k, h); h may be negative (backward
     propagation), and free_transfer(k, -h) inverts free_transfer(k, h).
-    Raises ValueError for a non-finite k or when an entry overflows.
+    Raises ValueError for a k that is not a finite real number or when an
+    entry overflows.
     """
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
+    _check_energy(k)
     (c, s), (dc, ds) = free_propagators(k, h).tolist()
     return Mat2(c, s, dc, ds)
-
-
-def _check_energy_type(kind: type) -> None:
-    """Refuse an energy of type kind that is a bool or not a numbers.Real.
-
-    The per-energy functions call it only for a k that is not a float, so
-    a float energy costs one type test.  Raises ValueError.
-    """
-    if kind is bool or not issubclass(kind, Real):
-        raise ValueError(f"k must be a real number, got {kind.__name__}")
 
 
 def check_phase(k: float, x: float) -> None:
     """Refuse an energy whose phase sqrt(k) x is rounding noise.
 
     x >= 0 is the largest distance the phase is taken over.  Raises
-    ValueError for a non-finite k, and PrecisionLoss when k > 0 and one
-    ulp of sqrt(k) x exceeds PHASE_ULP_FRACTION pi.
+    ValueError for a k that is not a finite real number, and PrecisionLoss
+    when k > 0 and one ulp of sqrt(k) x exceeds PHASE_ULP_FRACTION pi.
     """
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
+    _check_energy(k)
     if k > 0.0 and math.sqrt(k) * x >= _PHASE_LIMIT:
         raise PrecisionLoss(
             f"phase sqrt(k) x = {math.sqrt(k) * x!r} has an ulp above "

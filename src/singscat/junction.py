@@ -20,9 +20,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 from math import pi, sqrt
-from numbers import Real
 
-from .core import CheckedRecord, Mat2, PotentialSpec
+from .core import CheckedRecord, Mat2, PotentialSpec, _check_type, _real
 from .errors import MissingChoice, PrecisionLoss, UndefinedRegime
 
 # Absolute tolerance for deciding m == 1 and m == 2.
@@ -72,11 +71,9 @@ class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: float):
-        # as in PotentialSpec, what is not a real number is refused
-        if not (type(a) is int or isinstance(a, Real)) or a not in (1, -1):
+        if not (_real(a) and a in (1, -1)):
             raise ValueError(f"a must be +1 or -1, got {a}")
-        real = type(b) is float or type(b) is int or isinstance(b, Real)
-        if not (real and math.isfinite(b)):
+        if not (_real(b) and math.isfinite(b)):
             raise ValueError(f"b must be finite, got {b}")
         return tuple.__new__(cls, (a, b))
 
@@ -92,8 +89,7 @@ def classify_regime(p: PotentialSpec) -> Regime:
     would match a level, so PrecisionLoss is raised instead.  A p that is
     not a PotentialSpec raises ValueError.
     """
-    if not isinstance(p, PotentialSpec):
-        raise ValueError(f"p must be a PotentialSpec, got {type(p).__name__}")
+    _check_type(p, PotentialSpec, "p")
     m, c = p
     if abs(m - 1.0) <= EXPONENT_TOL:
         return _new(Regime, (_STANDARD_DELTA, None, None))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -20,6 +19,10 @@ from .core import (
     CheckedRecord,
     Mat2,
     PotentialSpec,
+    _check_energy,
+    _check_type,
+    _integer,
+    _real,
     check_phase,
     free_propagators,
 )
@@ -131,9 +134,7 @@ class MollifierShape(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         name, s, profile, edge_order = self
-        # the exact-type test keeps isinstance off the common path
-        real = type(s) is float or isinstance(s, Real)
-        if not (real and math.isfinite(s) and s > 0.0):
+        if not (_real(s) and math.isfinite(s) and s > 0.0):
             raise ValueError(
                 f"shape {name} half support must be positive and finite, got {s!r}"
             )
@@ -158,8 +159,7 @@ class MollifierShape(
 
     def _check_edge_order(self):
         alpha = self.edge_order
-        real = type(alpha) is float or isinstance(alpha, Real)
-        if not (real and math.isfinite(alpha) and alpha > 0.0):
+        if not (_real(alpha) and math.isfinite(alpha) and alpha > 0.0):
             raise ValueError(
                 f"shape {self.name} edge order must be positive, got {alpha!r}"
             )
@@ -237,13 +237,9 @@ class RegularizedPotential(
     __slots__ = ()
 
     def __new__(cls, spec: PotentialSpec, shape: MollifierShape, eps: float):
-        if not isinstance(spec, PotentialSpec):
-            raise ValueError(f"spec must be a PotentialSpec, got {type(spec).__name__}")
-        if not isinstance(shape, MollifierShape):
-            name = type(shape).__name__
-            raise ValueError(f"shape must be a MollifierShape, got {name}")
-        real = type(eps) is float or isinstance(eps, Real)
-        if not (real and math.isfinite(eps) and eps > 0.0):
+        _check_type(spec, PotentialSpec, "spec")
+        _check_type(shape, MollifierShape, "shape")
+        if not (_real(eps) and math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"eps must be positive, got {eps!r}")
         return tuple.__new__(cls, (spec, shape, eps))
 
@@ -294,29 +290,28 @@ def _lanes(pot) -> tuple[bool, list]:
     """Whether pot is one RegularizedPotential, and the list of its lanes.
 
     Raises ValueError for a pot that is neither a RegularizedPotential nor
-    an iterable; _spec_and_shape checks the lanes of an iterable.
+    an iterable of them.
     """
     if isinstance(pot, RegularizedPotential):
         return True, [pot]
     try:
-        return False, list(pot)
+        pots = list(pot)
     except TypeError:
-        name = type(pot).__name__
-        raise ValueError(f"potentials must be RegularizedPotentials, got {name}") from None
+        pots = [pot]
+    for p in pots:
+        if not isinstance(p, RegularizedPotential):
+            name = type(p).__name__
+            raise ValueError(f"potentials must be RegularizedPotentials, got {name}")
+    return False, pots
 
 
 def _spec_and_shape(pots: list) -> tuple[PotentialSpec, MollifierShape]:
-    """The spec and the shape every potential of a list shares.
+    """The spec and the shape every potential of a list of lanes shares.
 
-    Raises ValueError for an empty list, a potential that is not a
-    RegularizedPotential, or two that differ in spec or shape.
+    Raises ValueError for an empty list or two that differ in spec or shape.
     """
     if not pots:
         raise ValueError("no potentials to stack")
-    for pot in pots:
-        if not isinstance(pot, RegularizedPotential):
-            name = type(pot).__name__
-            raise ValueError(f"potentials must be RegularizedPotentials, got {name}")
     spec, shape = pots[0].spec, pots[0].shape
     for pot in pots:
         if pot.spec != spec or pot.shape != shape:
@@ -397,10 +392,12 @@ def transfer_fixed_cells(
     _CHUNK_CELLS cells (a lane longer than that goes alone), and the
     result is an array of shape (lanes, 2, 2) whose entries equal, bit
     for bit, those of each lane's own call.  Raises TransferOverflow when
-    some lane's eps^-m overflows, and ValueError for an n_cells that is
-    not a positive int.
+    some lane's eps^-m overflows, and ValueError for a k that is not a
+    real number or an n_cells that is not a positive integer.
     """
-    if not (isinstance(n_cells, int) and n_cells > 0):
+    if type(k) is not float:
+        _check_type(k, float, "k")
+    if not (_integer(n_cells) and n_cells > 0):
         raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
     one, pots = _lanes(pot)
     spec, shape = _spec_and_shape(pots)
@@ -506,8 +503,8 @@ def numeric_transfer(
     Raises
     ------
     ValueError
-        if k is not finite, in either form, or a lane is not a
-        RegularizedPotential.
+        if k is not a finite real number, in either form, or a lane is not
+        a RegularizedPotential.
     TransferOverflow
         if eps^-m or hyperbolic growth leaves the representable range, or the
         result's determinant is off 1 by more than 1e-6.
@@ -515,8 +512,7 @@ def numeric_transfer(
         if the cap is reached first (the last two iterates ride along on
         the exception).
     """
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
+    _check_energy(k)
     one, pots = _lanes(pot)
     if not pots:
         return []
@@ -613,14 +609,13 @@ def effective_junction(pot: RegularizedPotential, k: float) -> Mat2:
     For regimes with a junction matrix, M_eps converges to it as
     eps -> 0.  The one-row call of _junctions, which gives
     convergence_sweep its rows.  Raises ValueError for a pot that is not
-    a RegularizedPotential or a non-finite k, PrecisionLoss when the phase sqrt(k) s eps over the half support is
+    a RegularizedPotential or a k that is not a finite real number,
+    PrecisionLoss when the phase sqrt(k) s eps over the half support is
     rounding noise (core.check_phase), then numeric_transfer's errors, and
     TransferOverflow when the strips or the product leave the
     representable range.
     """
-    if not isinstance(pot, RegularizedPotential):
-        name = type(pot).__name__
-        raise ValueError(f"pot must be a RegularizedPotential, got {name}")
+    _check_type(pot, RegularizedPotential, "pot")
     (outcome,) = _junctions([pot], k)
     if isinstance(outcome, SingscatError):
         raise outcome
@@ -651,12 +646,15 @@ def convergence_sweep(
 ) -> list[ConvergenceRow]:
     """Effective junction per eps, never aborting on per-row failures.
 
-    eps_list must be strictly decreasing and positive.  Rows that
-    overflow, lose their phase or fail to converge come back with matrix
-    None, nan numbers and the error's tag.  One _junctions call gives
-    every row; effective_junction is its one-row call.
+    eps_list must hold real numbers, strictly decreasing and positive.
+    Rows that overflow, lose their phase or fail to converge come back
+    with matrix None, nan numbers and the error's tag.  One _junctions
+    call gives every row; effective_junction is its one-row call.
     """
-    eps_values = [float(e) for e in eps_list]
+    eps_values = list(eps_list)
+    for eps in eps_values:
+        _check_type(eps, float, "eps")
+    eps_values = list(map(float, eps_values))
     if not eps_values:
         raise ValueError("eps_list must not be empty")
     for earlier, later in zip(eps_values, eps_values[1:]):
@@ -858,10 +856,9 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     NoConvergence
         if cell refinement cannot pin the level to TOL_REL.
     """
-    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= MAX_LEVEL:
+    if not (_integer(n) and 1 <= n <= MAX_LEVEL):
         raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
-    if not isinstance(shape, MollifierShape):
-        raise ValueError(f"shape must be a MollifierShape, got {type(shape).__name__}")
+    _check_type(shape, MollifierShape, "shape")
     c_lo, c_hi = -4.0 * ((n + 2) * math.pi) ** 2, -1e-12
     step = math.pi**2 / 8.0
 

@@ -22,7 +22,8 @@ from math import atan, atan2, cos, hypot, isfinite, pi, remainder, sin, sqrt
 from .core import (
     _PHASE_LIMIT,
     ShellPotentialSpec,
-    _check_energy_type,
+    _check_type,
+    _real,
     check_phase,
     free_propagators,
 )
@@ -65,15 +66,16 @@ def _principal_shift(raw: float) -> float:
     return shift
 
 
-# (shell, choice, a, j11, j12, j21, j22, identity) of s_wave_solve's last
-# derivation: the shell's radius, its junction's entries, and whether that
-# junction is +-identity.  It is keyed by identity: equal records can differ
-# in bits (c = 0.0 and -0.0), and the records are immutable, so the same
-# objects always give the same junction.  Only a checked shell enters it.
+# (shell, choice, a, j11, j21, j22, identity) of s_wave_solve's last
+# derivation: the shell's radius, its junction's entries but J12, which
+# junction_matrix always gives as +0.0, and whether that junction is
+# +-identity.  It is keyed by identity: equal records can differ in bits
+# (c = 0.0 and -0.0), and the records are immutable, so the same objects
+# always give the same junction.  Only a checked shell enters it.
 # One tuple, read and replaced as a unit, so threads see a consistent slot;
 # the list is changed in place, never rebound.  It starts keyed by an
 # object no caller has, so that even a None shell misses.
-_LAST = [(object(),) * 8]
+_LAST = [(object(),) * 7]
 
 
 def s_wave_solve(
@@ -92,18 +94,16 @@ def s_wave_solve(
     on every call.
     """
     if type(k) is not float:
-        _check_energy_type(type(k))
+        _check_type(k, float, "k")
     if not (k > 0.0):
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
-    last_shell, last_choice, a, j11, j12, j21, j22, identity = _LAST[0]
+    last_shell, last_choice, a, j11, j21, j22, identity = _LAST[0]
     if shell is not last_shell or choice is not last_choice:
-        if not isinstance(shell, ShellPotentialSpec):
-            name = type(shell).__name__
-            raise ValueError(f"shell must be a ShellPotentialSpec, got {name}")
+        _check_type(shell, ShellPotentialSpec, "shell")
         base, a = shell
-        j11, j12, j21, j22 = junction_matrix(base, choice)
-        identity = j12 == 0.0 and j21 == 0.0 and abs(j11) == 1.0 and j11 == j22
-        _LAST[0] = (shell, choice, a, j11, j12, j21, j22, identity)
+        j11, _, j21, j22 = junction_matrix(base, choice)
+        identity = j21 == 0.0 and abs(j11) == 1.0 and j11 == j22
+        _LAST[0] = (shell, choice, a, j11, j21, j22, identity)
     # Scalar on purpose: math.hypot is CPython's own, not the C library's
     # hypot that numpy calls, np.arctan2 differs from math.atan2 in the last
     # bit on some inputs, and numpy has no IEEE remainder.
@@ -113,7 +113,10 @@ def s_wave_solve(
         check_phase(k, a)
     u_a = sin(qa)
     du_a = q * cos(qa)
-    alpha, beta = j11 * u_a + j12 * du_a, j21 * u_a + j22 * du_a
+    # junction_matrix gives J12 = +0.0, so J12 u'(a) is -0.0 where u'(a) < 0
+    # and +0.0 elsewhere; u(a) = sin(q a) is 0 only at q a = 0, where
+    # u'(a) = q > 0.  So + 0.0 keeps the bits, J11 u(a) = -0.0 at J11 = -1 too.
+    alpha, beta = j11 * u_a + 0.0, j21 * u_a + j22 * du_a
     # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
     interior = 1.0 / hypot(alpha, beta / q)
     alpha, beta = alpha * interior, beta * interior
@@ -149,12 +152,11 @@ def radial_wavefunction(
     largest radius (or the shell's) is too large for its phase to carry
     meaningful digits.
     """
-    if not isinstance(solution, RadialResult):
-        raise ValueError(f"solution must be a RadialResult, got {type(solution).__name__}")
+    _check_type(solution, RadialResult, "solution")
     k = solution.k
     rs = list(rs)
     for r in rs:
-        if not (r > 0.0 and isfinite(r)):
+        if not (_real(r) and r > 0.0 and isfinite(r)):
             raise ValueError(f"radii must be positive and finite, got {r}")
     a = solution.a
     check_phase(k, max([a, *rs]))

@@ -16,7 +16,9 @@ from .core import (
     TYPE_CHECKING,
     Mat2,
     PiecewiseSolution,
-    _check_energy_type,
+    _check_energy,
+    _check_type,
+    _real,
     check_phase,
     free_propagators,
 )
@@ -109,10 +111,9 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     or |t| reaches _AMPLITUDE_MAX, and ValueError for a junction that is
     not a Mat2 or an energy that is a bool or not a real number.
     """
-    if not isinstance(junction, Mat2):
-        raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
+    _check_type(junction, Mat2, "junction")
     if type(k) is not float:
-        _check_energy_type(type(k))
+        _check_type(k, float, "k")
     kf = float(k)
     if kf == math.inf:
         raise ValueError("scattering needs a finite k, got inf")
@@ -254,11 +255,11 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     Mat2.  The energies' types are checked in one C-level pass,
     set(map(type, ks)), which a float grid leaves as {float}.
     """
-    if not isinstance(junction, Mat2):
-        raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
+    _check_type(junction, Mat2, "junction")
     ks = list(k_grid)
-    for kind in set(map(type, ks)) - {float}:
-        _check_energy_type(kind)
+    if set(map(type, ks)) - {float}:
+        for k in ks:
+            _check_type(k, float, "k")
     det_j = junction.det()
     new = tuple.__new__
     return [
@@ -283,8 +284,7 @@ def bound_states(junction: Mat2) -> BoundSpectrum:
     energy -kappa^2 leaves the float range (kappa above about 1.3e154),
     and ValueError for a junction that is not a Mat2.
     """
-    if not isinstance(junction, Mat2):
-        raise ValueError(f"junction must be a Mat2, got {type(junction).__name__}")
+    _check_type(junction, Mat2, "junction")
     a = junction.m12
     b = junction.m11 + junction.m22
     c = junction.m21
@@ -332,13 +332,12 @@ def compose_chain(
 
     Raises TransferOverflow when the running product leaves the
     representable range, naming the x of the first junction where it did,
-    and ValueError for a k that is not finite, a bool or not a real number.
+    and ValueError for a k that is not a finite real number or a chain
+    that is not an iterable of (position, Mat2) pairs, each position a
+    real number.
     """
-    if type(k) is not float:
-        _check_energy_type(type(k))
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    xs = [x for x, _ in chain]
+    _check_energy(k)
+    xs, junctions = _links(chain)
     for prev_x, x in zip(xs, xs[1:]):
         if not x > prev_x:
             raise ChainOrderError(
@@ -349,20 +348,40 @@ def compose_chain(
     # is exactly the identity, so this step changes no bit
     entries = iter([1.0, 0.0, 0.0, 1.0, *free_propagators(k, widths).ravel().tolist()])
     gaps = list(zip(entries, entries, entries, entries))
-    junctions = [j for _, j in chain]
     total = _fold(Mat2.identity(), gaps, junctions)
     if not all(map(math.isfinite, total)):
         # A non-finite entry never leaves its column (every later entry of
         # that column adds a multiple of it), so the total is non-finite
         # exactly when some step made it so; walk again to find that step.
         total = Mat2.identity()
-        for gap, (x, junction) in zip(gaps, chain):
+        for gap, x, junction in zip(gaps, xs, junctions):
             total = _fold(total, [gap], [junction])
             if not all(map(math.isfinite, total)):
                 raise TransferOverflow(
                     f"chain transfer left the representable range at x = {x}"
                 )
     return Mat2(*total)
+
+
+def _links(chain) -> tuple[list, list]:
+    """The positions and the junctions of a chain, checked in one pass.
+
+    Raises ValueError unless chain is an iterable of (position, junction)
+    pairs, each position a real number and each junction a Mat2.  A float
+    position passes on its exact type, without the call to _real.
+    """
+    xs, junctions = [], []
+    try:
+        for x, junction in chain:
+            if not ((type(x) is float or _real(x)) and isinstance(junction, Mat2)):
+                break
+            xs.append(x)
+            junctions.append(junction)
+        else:
+            return xs, junctions
+    except (TypeError, ValueError):  # chain not iterable, or a link not a pair
+        pass
+    raise ValueError("chain must list (position, Mat2) pairs with real positions")
 
 
 def _fold(total: tuple, gaps: Sequence[tuple], junctions: Sequence[tuple]) -> tuple:
@@ -397,12 +416,10 @@ def evaluate_solution(
     (core.check_phase), and TransferOverflow when a growing branch
     (k < 0) leaves the representable range.
     """
-    if not isinstance(solution, PiecewiseSolution):
-        name = type(solution).__name__
-        raise ValueError(f"solution must be a PiecewiseSolution, got {name}")
+    _check_type(solution, PiecewiseSolution, "solution")
     k, left, right = solution.k, solution.left_coeffs, solution.right_coeffs
     xs = list(xs)
-    if not all(math.isfinite(x) for x in xs):
+    if not all(_real(x) and math.isfinite(x) for x in xs):
         raise ValueError("sample points must be finite")
     check_phase(k, max(map(abs, xs), default=0.0))
     props = free_propagators(k, xs).tolist()

@@ -5,7 +5,8 @@ Each pin is the float.hex of an output (an int entry by its repr), so a
 signed zero or a last bit that moves fails it.  The s-wave pins cover the
 five junction classes with the sign flip diag(-1, 1), the +-identity
 shortcut (no effect, even and odd resonant levels), the atan fallback of
-1 + c a < 0 at small k, and the largest energy below the 2^34 phase edge;
+1 + c a < 0 at small k, the largest energy below the 2^34 phase edge and
+a phase sqrt(k) a that rounds to zero;
 the junction pins cover every regime with signed-zero couplings.
 """
 
@@ -274,6 +275,28 @@ def test_the_largest_energy_below_the_phase_edge_is_pinned():
     assert _fields(s_wave_solve(shell, k)) == EDGE[1]
     with pytest.raises(PrecisionLoss):
         s_wave_solve(shell, math.nextafter(k, math.inf))
+
+
+# (m, c, IvChoice fields or None): delta0, sigma0, interior_amplitude, alpha, beta
+# of a shell at a = 5e-324 and k = 0.25, where q a = 0.5 * 5e-324 rounds to
+# 0.0.  So u(a) = sin(q a) = 0.0 and J11 u(a) = -0.0 for J11 = -1: alpha and
+# delta0 are +0.0 only because the +0.0 of J12 u'(a) is added to it.
+ZERO_PHASE_PINS = [
+    ((2.0, -(PI**2), None),
+        ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0', '-0x1.0000000000000p-1')),
+    ((3.0, -1.0, (-1, 0.5)),
+        ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1')),
+]
+
+
+@pytest.mark.parametrize(
+    "mc_choice, fields", ZERO_PHASE_PINS, ids=["odd_level", "sign_flip_b"]
+)
+def test_a_phase_that_rounds_to_zero_keeps_positive_zeros(mc_choice, fields):
+    p, iv = _spec(*mc_choice)
+    shell = ShellPotentialSpec(p, 5e-324)
+    assert 0.5 * shell.a == 0.0
+    assert _fields(s_wave_solve(shell, 0.25, iv)) == fields
 
 
 @pytest.mark.parametrize("mc, choice, kind, n, entries", JUNCTION_PINS, ids=str)

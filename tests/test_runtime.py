@@ -266,6 +266,24 @@ def test_no_module_imports_typing():
     assert importers == []
 
 
+def test_only_core_tells_what_a_number_is():
+    # core's _real and _integer are the one number test: no other module
+    # imports numbers or asks isinstance(..., Real or Integral)
+    found = []
+    for path in sorted((ROOT / "src" / "singscat").glob("*.py")):
+        tree = _parse(path.stem)
+        found += [f"{path.name}:{line} import" for line in _imports_of("numbers", tree)]
+        found += [
+            f"{path.name}:{node.lineno} isinstance"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "isinstance"
+            and re.search(r"\b(Real|Integral)\b", ast.unparse(node.args[-1]))
+        ]
+    assert [place for place in found if not place.startswith("core.py:")] == []
+    assert any(place.startswith("core.py:") for place in found)
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """"line name" for each name imported under tree that the module neither
     reads nor lists in its __all__; __future__ imports are not names."""

@@ -72,3 +72,29 @@ def test_bench_pairs_summary_counts_medians_quartiles_and_pairs_won():
     # a tie is not a win
     tie = [{"parent": {"op": 1.0}, "change": {"op": 1.0}}]
     assert bench.summarize(tie, {"op": "lower"})["op"]["pairs_won"] == 0
+
+
+def test_bench_pairs_records_the_machine_once_with_every_key(monkeypatch):
+    bench = _load("bench_pairs")
+    fake = {
+        "numpy_cpu": {"FMA3": True, "AVX2": True, "AVX512F": False},
+        "numpy_simd_found": ["X86_V3"],
+        "openblas_core": "Haswell",
+        "bytecode_writing": False,
+    }
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(argv[1:])
+        out = json.dumps(fake) if argv[2] == bench._MACHINE_PROBE else ""
+        return subprocess.CompletedProcess(argv, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    machine = bench.machine()
+    assert list(machine) == [*fake, "startup_s"]
+    assert {key: machine[key] for key in fake} == fake
+    assert list(machine["startup_s"]) == ["python_S_pass", "python_pass", "import_singscat_cli"]
+    assert all(type(best) is float and best >= 0.0 for best in machine["startup_s"].values())
+    # the probe once, then each start-up process best of nine
+    assert calls[0] == ["-c", bench._MACHINE_PROBE]
+    assert calls[1:] == [args for args in bench.STARTUP.values() for _ in range(9)]

@@ -18,22 +18,69 @@ metric the parent's and the change's median and quartiles, the change in
 percent of the medians, and how many pairs the change won (strictly
 better in the metric's direction from BENCHMARK.json).  It also holds
 tools/size.py's reading of each tree, or null where a tree has no such
-script.
+script, and under "machine" what every run shared, recorded once per
+run by machine(): numpy's CPU flags and SIMD targets, the OpenBLAS core,
+whether bytecode writing is on, and start-up floors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+
+# Prints, as one JSON line, numpy's FMA3, AVX2 and AVX512F flags, the SIMD
+# targets numpy dispatches to on this CPU, the core that numpy's OpenBLAS
+# chose (read from its shared library, null where none is found) and
+# whether this interpreter writes bytecode.
+_MACHINE_PROBE = r"""
+import ctypes, json, sys
+import numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+def openblas_core():
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+print(json.dumps({
+    "numpy_cpu": {f: bool(__cpu_features__.get(f)) for f in ("FMA3", "AVX2", "AVX512F")},
+    "numpy_simd_found": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+    "openblas_core": openblas_core(),
+    "bytecode_writing": not sys.dont_write_bytecode,
+}))
+"""
+
+# Start-up floors: interpreter arguments, each timed as a whole process.
+STARTUP = {
+    "python_S_pass": ["-S", "-c", "pass"],
+    "python_pass": ["-c", "pass"],
+    "import_singscat_cli": ["-c", "import singscat.cli"],
+}
+STARTUP_REPEATS = 9
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -98,6 +145,33 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dic
     return row, provenance
 
 
+def machine() -> dict:
+    """The _MACHINE_PROBE fields, plus "startup_s": the best of
+    STARTUP_REPEATS wall times of each STARTUP process, in seconds.  Both
+    run this interpreter with this checkout's src/ on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+
+    def run(args: list[str]) -> str:
+        return subprocess.run(
+            [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+
+    doc = json.loads(run(["-c", _MACHINE_PROBE]).strip().splitlines()[-1])
+    doc["startup_s"] = {}
+    for name, args in STARTUP.items():
+        times = []
+        for _ in range(STARTUP_REPEATS):
+            start = time.perf_counter()
+            run(args)
+            times.append(time.perf_counter() - start)
+        doc["startup_s"][name] = min(times)
+    return doc
+
+
 def size_reading(tree: Path) -> dict | None:
     script = tree / "tools" / "size.py"
     if not script.is_file():
@@ -123,6 +197,7 @@ def main() -> int:
         "parent": {"rev": args.parent, "sha": parent_sha},
         "change": {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
         "seconds": seconds,
+        "machine": machine(),
         "workloads": {},
     }
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
