@@ -286,14 +286,15 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def _lanes(pot) -> tuple[bool, list]:
-    """Whether pot is one RegularizedPotential, and the list of its lanes.
+def _stack(pot) -> tuple[bool, list, PotentialSpec | None, MollifierShape | None]:
+    """Whether pot is one RegularizedPotential, its lanes, and their spec and shape.
 
-    Raises ValueError for a pot that is neither a RegularizedPotential nor
-    an iterable of them.
+    An empty list of lanes has no spec and no shape (None, None).  Raises
+    ValueError for a pot that is neither a RegularizedPotential nor an
+    iterable of them, or lanes that differ in spec or shape.
     """
     if isinstance(pot, RegularizedPotential):
-        return True, [pot]
+        return True, [pot], pot.spec, pot.shape
     try:
         pots = list(pot)
     except TypeError:
@@ -302,21 +303,13 @@ def _lanes(pot) -> tuple[bool, list]:
         if not isinstance(p, RegularizedPotential):
             name = type(p).__name__
             raise ValueError(f"potentials must be RegularizedPotentials, got {name}")
-    return False, pots
-
-
-def _spec_and_shape(pots: list) -> tuple[PotentialSpec, MollifierShape]:
-    """The spec and the shape every potential of a list of lanes shares.
-
-    Raises ValueError for an empty list or two that differ in spec or shape.
-    """
     if not pots:
-        raise ValueError("no potentials to stack")
+        return False, pots, None, None
     spec, shape = pots[0].spec, pots[0].shape
-    for pot in pots:
-        if pot.spec != spec or pot.shape != shape:
+    for p in pots:
+        if p.spec != spec or p.shape != shape:
             raise ValueError("stacked potentials must share one spec and one shape")
-    return spec, shape
+    return False, pots, spec, shape
 
 
 def _run_product(cell: np.ndarray, n: int) -> np.ndarray:
@@ -393,14 +386,15 @@ def transfer_fixed_cells(
     result is an array of shape (lanes, 2, 2) whose entries equal, bit
     for bit, those of each lane's own call.  Raises TransferOverflow when
     some lane's eps^-m overflows, and ValueError for a k that is not a
-    real number or an n_cells that is not a positive integer.
+    finite real number, an n_cells that is not a positive integer, or an
+    empty list.
     """
-    if type(k) is not float:
-        _check_type(k, float, "k")
+    _check_energy(k)
     if not (_integer(n_cells) and n_cells > 0):
         raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
-    one, pots = _lanes(pot)
-    spec, shape = _spec_and_shape(pots)
+    one, pots, spec, shape = _stack(pot)
+    if not pots:
+        raise ValueError("no potentials to stack")
     per = max(1, _CHUNK_CELLS // n_cells)
     stacks = []
     for lo in range(0, len(pots), per):
@@ -513,10 +507,9 @@ def numeric_transfer(
         the exception).
     """
     _check_energy(k)
-    one, pots = _lanes(pot)
+    one, pots, spec, shape = _stack(pot)
     if not pots:
         return []
-    spec, shape = _spec_and_shape(pots)
     exponents = shape.error_exponents(spec.m)
     outcomes: list = [None] * len(pots)
     ladders = {}  # lane -> its ladder, for the lanes still refining

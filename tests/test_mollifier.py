@@ -321,6 +321,15 @@ def test_numeric_transfer_refuses_a_non_finite_k_in_both_forms(k):
             numeric_transfer(arg, k)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_transfer_fixed_cells_refuses_a_non_finite_k_in_both_forms(k):
+    # it used to return a matrix of nan entries, where numeric_transfer refused
+    pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 0.1)
+    for arg in (pot, [pot, pot]):
+        with pytest.raises(ValueError, match="k must be finite"):
+            transfer_fixed_cells(arg, k, 64)
+
+
 @pytest.mark.parametrize("n_cells", [0, -3, 1.5, 64.0])
 def test_transfer_fixed_cells_refuses_a_cell_count_that_is_not_positive(n_cells):
     pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, 0.1)
