@@ -244,10 +244,12 @@ def free_transfer(k: float, h: float) -> Mat2:
     The scalar form of free_propagators, entry for entry.  Unit
     determinant for every (k, h); h may be negative (backward
     propagation), and free_transfer(k, -h) inverts free_transfer(k, h).
-    Raises ValueError for a k that is not a finite real number or when an
-    entry overflows.
+    Raises ValueError for a k that is not a finite real number, an h that
+    is not a real number, or when an entry overflows.
     """
     _check_energy(k)
+    if type(h) is not float:
+        _check_type(h, float, "h")
     (c, s), (dc, ds) = free_propagators(k, h).tolist()
     return Mat2(c, s, dc, ds)
 

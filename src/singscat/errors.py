@@ -13,8 +13,8 @@ class SingscatError(Exception):
     tag = "error"
 
 
-class InvalidExponent(SingscatError):
-    """The potential exponent m is not a positive finite number."""
+class InvalidExponent(SingscatError, ValueError):
+    """The potential exponent m is not a positive finite real number; a ValueError."""
     tag = "invalid_exponent"
 
 

@@ -111,11 +111,11 @@ class MollifierShape(
 
     The profile is vectorized over numpy arrays and returns 0 outside the
     support.  Construction refuses a half_support that is not a positive
-    and finite real number, then checks the mass to 1e-10 with a composite
-    16-node Gauss-Legendre rule on 64 equal panels of [-half_support,
-    half_support], and evenness on 17 probe points; each failure raises
-    ValueError.  A profile with kinks inside the support should have them
-    on panel edges, as the triangle's at y = 0 is.
+    and finite real number and a profile that is not callable, then checks
+    the mass to 1e-10 with a composite 16-node Gauss-Legendre rule on 64
+    equal panels of [-half_support, half_support], and evenness on 17
+    probe points; each failure raises ValueError.  Kinks of a profile inside
+    the support belong on panel edges, as the triangle's at y = 0 is.
 
     edge_order, when given, is the order alpha at which the profile
     vanishes at the edge of its support, phi(s - d) ~ d^alpha; it puts an
@@ -138,14 +138,17 @@ class MollifierShape(
             raise ValueError(
                 f"shape {name} half support must be positive and finite, got {s!r}"
             )
+        _check_type(profile, Callable, f"shape {name} profile")
         half_panel = s / _MASS_PANELS
-        centres = -s + (2.0 * np.arange(_MASS_PANELS) + 1.0) * half_panel
-        nodes = centres[:, None] + half_panel * _MASS_NODES
-        mass = half_panel * float(np.sum(profile(nodes) @ _MASS_WEIGHTS))
+        # above s = 9e307 the outer centres overflow; the mass check refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            centres = -s + (2.0 * np.arange(_MASS_PANELS) + 1.0) * half_panel
+            nodes = centres[:, None] + half_panel * _MASS_NODES
+        mass = half_panel * float(np.sum(self(nodes) @ _MASS_WEIGHTS))
         if not abs(mass - 1.0) <= 1e-10:
             raise ValueError(f"shape {name} has mass {mass!r}, expected 1")
         probe = np.linspace(0.0, s, 17)
-        if not np.max(np.abs(profile(probe) - profile(-probe))) <= 1e-12:
+        if not np.max(np.abs(self(probe) - self(-probe))) <= 1e-12:
             raise ValueError(f"shape {name} is not even")
         if edge_order is not None:
             self._check_edge_order()
@@ -639,11 +642,13 @@ def convergence_sweep(
 ) -> list[ConvergenceRow]:
     """Effective junction per eps, never aborting on per-row failures.
 
-    eps_list must hold real numbers, strictly decreasing and positive.
-    Rows that overflow, lose their phase or fail to converge come back
-    with matrix None, nan numbers and the error's tag.  One _junctions
-    call gives every row; effective_junction is its one-row call.
+    eps_list must hold real numbers, strictly decreasing and positive, and
+    a reference must be a Mat2.  Rows that overflow, lose their phase or
+    fail to converge come back with matrix None, nan numbers and the
+    error's tag.  One _junctions call gives every row.
     """
+    if reference is not None:
+        _check_type(reference, Mat2, "reference")
     eps_values = list(eps_list)
     for eps in eps_values:
         _check_type(eps, float, "eps")

@@ -70,6 +70,7 @@ _NUMBERS = {
     ),
     "s_wave_solve.k": (lambda x: s_wave_solve(_SHELL, x), 1.0, ValueError),
     "free_transfer.k": (lambda x: free_transfer(x, 1.0), 1.0, ValueError),
+    "free_transfer.h": (lambda x: free_transfer(1.0, x), 1.0, ValueError),
     "check_phase.k": (lambda x: check_phase(x, 1.0), 1.0, ValueError),
     "numeric_transfer.k": (lambda x: numeric_transfer(_POT, x), 1.0, ValueError),
     "numeric_transfer.k.list": (lambda x: numeric_transfer([_POT], x), 1.0, ValueError),
@@ -101,8 +102,9 @@ _NUMBERS = {
     ),
 }
 
-# None is a real number: a bool is refused though it is a numbers.Real, a
-# 0-d array though math.isfinite takes it, and a str though numpy parses it.
+# None of these is a real number: a bool is refused though it is a
+# numbers.Real, a 0-d array though math.isfinite takes it, and a str though
+# numpy parses it.
 _NOT_NUMBERS = [True, "1", np.array(1.0), 1j, None]
 
 
@@ -115,3 +117,11 @@ def test_every_number_refuses_what_is_not_a_real_number(number):
             continue  # None declares no edge term
         with pytest.raises(error):
             call(value)
+
+
+def test_every_exponent_refusal_is_a_value_error():
+    # InvalidExponent keeps its tag and its class, and meets the rule too
+    for m in (True, "1", np.array(1.0), 1j, None, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError) as refusal:
+            PotentialSpec(m, -2.0)
+        assert type(refusal.value) is InvalidExponent

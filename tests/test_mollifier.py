@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -102,6 +103,27 @@ def test_shape_construction_refuses_non_finite_input(half_support, profile, mess
     # nan fails every comparison, so the checks must not read "> tol"
     with pytest.raises(ValueError, match=message):
         MollifierShape("x", half_support, profile)
+
+
+def test_shape_construction_refuses_a_profile_that_is_not_callable():
+    with pytest.raises(ValueError, match="shape x profile must be a Callable, got NoneType"):
+        MollifierShape("x", 0.5, None)
+
+
+@pytest.mark.parametrize("profile", [TOP_HAT.profile, GAUSSIAN.profile])
+@pytest.mark.parametrize("half_support", [1e200, 1e308, 1.7976931348623157e308])
+def test_shape_construction_refuses_a_huge_support_without_warning(half_support, profile):
+    # the suite turns warnings into errors: the parent's mass check overflowed
+    # in its outer panel centres past s = 9e307, and in the gauss's y * y
+    with pytest.raises(ValueError, match="mass"):
+        MollifierShape("x", half_support, profile)
+
+
+def test_convergence_sweep_refuses_a_reference_that_is_not_a_mat2():
+    spec = PotentialSpec(1.0, -1.0)
+    for reference in ("x", (1.0, 0.0, 0.0, 1.0), Mat2.identity().rows()):
+        with pytest.raises(ValueError, match="reference must be a Mat2"):
+            convergence_sweep(spec, TOP_HAT, [0.1], 1.0, reference=reference)
 
 
 def test_regularized_potential_values():
@@ -403,7 +425,6 @@ def _power_law_points(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_power_law_points())
 def test_order_fit_matches_a_50_digit_oracle(points):
-    mpmath = pytest.importorskip("mpmath")
     rows = [ConvergenceRow(eps, Mat2.identity(), dev, 0.0) for eps, dev in points]
     slope, r2 = estimate_order(rows)
     with mpmath.workdps(50):

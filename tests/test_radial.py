@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,7 +281,6 @@ def test_small_energy_phase_shift_keeps_its_digits(capsys):
     # 1 + c a < 0 puts atan2(q alpha, beta) next to pi, and reducing it
     # mod pi used to cancel every digit of a small delta0: k = 1e-300
     # gave delta0 = sigma0 = 0 instead of sigma0 = 4 pi (c a^2 / (1 + c a))^2
-    mpmath = pytest.importorskip("mpmath")
     shell = _shell(1.0, -2.0)
     with mpmath.workdps(60):
         for k in (1e-13, 1e-25, 1e-31, 1e-300):
