@@ -14,6 +14,11 @@ the parser's usage errors need; scatter and bound add scatter (and the
 sweep module it uses), radial adds radial and sweep, and mollify and
 resonance add the mollifier and, with it, numpy.  No command loads the
 json package.
+
+Each command yields its document's text: a sweep a block of rows at a
+time, as table_blocks renders them, so that a long table is never held
+whole.  main writes each block as it comes, to stdout or to a temporary
+file beside --out that replaces it once the last block is written.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ import argparse
 import math
 import os
 import re
+import stat
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .core import PotentialSpec, ShellPotentialSpec
 from .errors import (
@@ -38,7 +45,7 @@ from .errors import (
     UndefinedRegime,
 )
 from .junction import IvChoice, Regime, RegimeKind, classify_regime, junction_matrix
-from .serialize import canonical_json, table_document
+from .serialize import canonical_json, table_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -226,7 +233,7 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
     return grid
 
 
-def cmd_junction(args: argparse.Namespace) -> str:
+def cmd_junction(args: argparse.Namespace) -> Iterator[str]:
     p = PotentialSpec(args.m, args.c)
     regime, choice = _resolve_choice(p, args)
     matrix = junction_matrix(p, choice)
@@ -236,10 +243,12 @@ def cmd_junction(args: argparse.Namespace) -> str:
         "junction": matrix.rows(),
         "det": matrix.det(),
     }
-    return canonical_json(doc) + "\n"
+    yield canonical_json(doc) + "\n"
 
 
-def _emit(fields: list[str], rows: Iterable, fmt: str | None, sweep: bool) -> str:
+def _emit(
+    fields: list[str], rows: Iterable, fmt: str | None, sweep: bool
+) -> Iterable[str]:
     """The one rows -> document path of every tabular subcommand.
 
     A single point (sweep False, one row) is a JSON object by default, or
@@ -247,13 +256,13 @@ def _emit(fields: list[str], rows: Iterable, fmt: str | None, sweep: bool) -> st
     JSON {"rows": [...]}.
     """
     if fmt == "csv" or (fmt is None and sweep):
-        return table_document(fields, rows, "csv")
+        return table_blocks(fields, rows, "csv")
     if sweep:
-        return table_document(fields, rows, "json")
-    return canonical_json(dict(zip(fields, next(iter(rows))))) + "\n"
+        return table_blocks(fields, rows, "json")
+    return [canonical_json(dict(zip(fields, next(iter(rows))))) + "\n"]
 
 
-def cmd_scatter(args: argparse.Namespace) -> str:
+def cmd_scatter(args: argparse.Namespace) -> Iterator[str]:
     from .scatter import _amplitude_rows, scattering_amplitudes
 
     p = PotentialSpec(args.m, args.c)
@@ -263,15 +272,16 @@ def cmd_scatter(args: argparse.Namespace) -> str:
     if grid is None:
         k, r, t, rr, tt, _, flux = scattering_amplitudes(matrix, args.k)
         row = (k, r.real, r.imag, t.real, t.imag, rr, tt, flux)
-        return _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
+        yield from _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
+        return
     rows = (
         (k, r.real, r.imag, t.real, t.imag, rr, tt, flux, error)
         for k, (error, r, t, rr, tt, flux) in zip(grid, _amplitude_rows(matrix, grid))
     )
-    return _emit(SCATTER_FIELDS + ["error"], rows, args.format, sweep=True)
+    yield from _emit(SCATTER_FIELDS + ["error"], rows, args.format, sweep=True)
 
 
-def cmd_bound(args: argparse.Namespace) -> str:
+def cmd_bound(args: argparse.Namespace) -> Iterator[str]:
     from .scatter import bound_states
 
     p = PotentialSpec(args.m, args.c)
@@ -287,10 +297,10 @@ def cmd_bound(args: argparse.Namespace) -> str:
         }
     else:
         doc = {"spectrum": spectrum.kind}
-    return canonical_json(doc) + "\n"
+    yield canonical_json(doc) + "\n"
 
 
-def cmd_radial(args: argparse.Namespace) -> str:
+def cmd_radial(args: argparse.Namespace) -> Iterator[str]:
     from .radial import s_wave_solve
     from .sweep import sweep_map
 
@@ -306,16 +316,17 @@ def cmd_radial(args: argparse.Namespace) -> str:
         return list(s_wave_solve(shell, k, choice)[:4])
 
     if grid is None:
-        return _emit(RADIAL_FIELDS, [solve(args.k)], args.format, sweep=False)
+        yield from _emit(RADIAL_FIELDS, [solve(args.k)], args.format, sweep=False)
+        return
     rows = sweep_map(
         lambda k: solve(k) + [""],
         grid,
         lambda k, tag: [k, shell.a, math.nan, math.nan, tag],
     )
-    return _emit(RADIAL_FIELDS + ["error"], rows, args.format, sweep=True)
+    yield from _emit(RADIAL_FIELDS + ["error"], rows, args.format, sweep=True)
 
 
-def cmd_mollify(args: argparse.Namespace) -> str:
+def cmd_mollify(args: argparse.Namespace) -> Iterator[str]:
     from .mollifier import SHAPES, certify_convergence, convergence_sweep
 
     p = PotentialSpec(args.m, args.c)
@@ -352,15 +363,15 @@ def cmd_mollify(args: argparse.Namespace) -> str:
         if all(row.error == PrecisionLoss.tag for row in rows):
             raise PrecisionLoss("every eps value lost its phase to rounding")
         raise NoConvergence("no eps value produced a transfer matrix")
-    return _emit(MOLLIFY_FIELDS, cells, args.format, sweep=True)
+    yield from _emit(MOLLIFY_FIELDS, cells, args.format, sweep=True)
 
 
-def cmd_resonance(args: argparse.Namespace) -> str:
+def cmd_resonance(args: argparse.Namespace) -> Iterator[str]:
     from .mollifier import SHAPES, resonant_search
 
     level, parity = resonant_search(SHAPES[args.shape], args.n)
     doc = {"n": args.n, "c_n": level, "parity": parity}
-    return canonical_json(doc) + "\n"
+    yield canonical_json(doc) + "\n"
 
 
 _COMMANDS = {
@@ -390,22 +401,60 @@ def _fail(exc: Exception) -> int:
     return code
 
 
+def _write_out(path: str, blocks: Iterable[str]) -> None:
+    """Write the blocks to the file at path.
+
+    The text goes to a temporary file in the directory of path (or of the
+    file a symlink at path names), which replaces that file once the last
+    block is written: a run that fails leaves no file, and no half-written
+    one.  An existing file keeps its mode, and a read-only one is refused
+    as open(path, "w") refuses it.  A path that is not a regular file,
+    such as /dev/null or a pipe, is written in place.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(blocks)
+        return
+    if mode is not None:
+        os.close(os.open(target, os.O_WRONLY))
+    temp = os.path.join(os.path.dirname(target), f".singscat-{os.getpid()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(blocks)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text = _COMMANDS[args.command](args)
+        blocks = _COMMANDS[args.command](args)
+        # every refusal, those of the first block's rows too, comes before
+        # the first byte is written
+        blocks = chain([next(blocks)], blocks)
+        if args.out:
+            try:
+                _write_out(args.out, blocks)
+            except OSError as exc:  # spelled as if open(args.out, "w") failed
+                named = OSError(exc.errno, exc.strerror, args.out)
+                raise UsageError(f"cannot write --out file: {named}") from exc
+        else:
+            for text in blocks:
+                sys.stdout.write(text)
     except SystemExit as exc:  # only --help exits, after printing its text
         return exc.code
     except (SingscatError, ValueError) as exc:
         return _fail(exc)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            return _fail(UsageError(f"cannot write --out file: {exc}"))
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

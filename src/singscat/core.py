@@ -74,6 +74,30 @@ def _check_type(value, kind: type, what: str) -> None:
         raise ValueError(f"{what} must be a {name}, got {type(value).__name__}")
 
 
+def _as_list(items, what: str) -> list:
+    """list(items), or ValueError "{what} must be a sequence, got {type}"
+    when items cannot be iterated, as None, a number or a 0-d array."""
+    try:
+        items = iter(items)
+    except TypeError:
+        raise ValueError(
+            f"{what} must be a sequence, got {type(items).__name__}"
+        ) from None
+    return list(items)
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float array, or ValueError "{what} must hold real numbers,
+    got {dtype}" for a dtype other than float or int: bool, str, object or
+    complex.  Floats and ints convert as np.asarray(values, dtype=float)."""
+    import numpy as np
+
+    array = np.asarray(values)
+    if array.dtype.kind not in "fiu":
+        raise ValueError(f"{what} must hold real numbers, got {array.dtype}")
+    return np.asarray(array, dtype=float)
+
+
 def _check_energy(k) -> None:
     """Refuse an energy k that is not a finite real number: ValueError."""
     if type(k) is not float:
@@ -195,15 +219,15 @@ def free_propagators(k, h) -> np.ndarray:
     For |k| h^2 < SERIES_WINDOW the sine solution switches to its power
     series, which keeps S continuous in k across 0.  Extreme hyperbolic
     arguments overflow to inf and non-finite inputs give nan entries,
-    without raising; callers inspect finiteness.  Each branch (cos/sin or
-    cosh/sinh, series or closed-form sine) is evaluated only when some
-    entry takes it, as np.count_nonzero of its mask shows; a mixed mask
-    merges both with np.where.
+    without raising; callers inspect finiteness.  Inputs of a dtype other
+    than float or int, such as bool, str, object or complex, raise
+    ValueError.  Each branch (cos/sin or cosh/sinh, series or closed-form
+    sine) is evaluated only when some entry takes it, as np.count_nonzero
+    of its mask shows; a mixed mask merges both with np.where.
     """
     import numpy as np
 
-    k = np.asarray(k, dtype=float)
-    h = np.asarray(h, dtype=float)
+    k, h = _real_array(k, "k"), _real_array(h, "h")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = np.sqrt(np.abs(k))
         wh = w * h
@@ -258,10 +282,13 @@ def check_phase(k: float, x: float) -> None:
     """Refuse an energy whose phase sqrt(k) x is rounding noise.
 
     x >= 0 is the largest distance the phase is taken over.  Raises
-    ValueError for a k that is not a finite real number, and PrecisionLoss
-    when k > 0 and one ulp of sqrt(k) x exceeds PHASE_ULP_FRACTION pi.
+    ValueError for a k that is not a finite real number or an x that is
+    not a real number, and PrecisionLoss when k > 0 and one ulp of
+    sqrt(k) x exceeds PHASE_ULP_FRACTION pi.
     """
     _check_energy(k)
+    if type(x) is not float:
+        _check_type(x, float, "x")
     if k > 0.0 and math.sqrt(k) * x >= _PHASE_LIMIT:
         raise PrecisionLoss(
             f"phase sqrt(k) x = {math.sqrt(k) * x!r} has an ulp above "

@@ -19,10 +19,12 @@ from .core import (
     CheckedRecord,
     Mat2,
     PotentialSpec,
+    _as_list,
     _check_energy,
     _check_type,
     _integer,
     _real,
+    _real_array,
     check_phase,
     free_propagators,
 )
@@ -190,10 +192,11 @@ class MollifierShape(
         return sorted(powers)[:_TABLEAU_DEPTH]
 
     def __call__(self, y) -> np.ndarray:
+        y = _real_array(y, "y")
         # a profile that masks out its support with np.where may overflow
         # or take cos(inf) in the branch the mask drops
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.profile(np.asarray(y, dtype=float))
+            return self.profile(y)
 
 
 def _tophat(y: np.ndarray) -> np.ndarray:
@@ -265,7 +268,7 @@ class RegularizedPotential(
             raise TransferOverflow(f"eps^-m overflows at eps = {self.eps!r}") from None
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _real_array(x, "x")
         # x / eps may overflow where the shape then gives 0
         with np.errstate(over="ignore"):
             return self.scale * self.shape(x / self.eps) ** self.spec.m
@@ -642,14 +645,14 @@ def convergence_sweep(
 ) -> list[ConvergenceRow]:
     """Effective junction per eps, never aborting on per-row failures.
 
-    eps_list must hold real numbers, strictly decreasing and positive, and
-    a reference must be a Mat2.  Rows that overflow, lose their phase or
-    fail to converge come back with matrix None, nan numbers and the
-    error's tag.  One _junctions call gives every row.
+    eps_list must be a sequence of real numbers, strictly decreasing and
+    positive, and a reference must be a Mat2.  Rows that overflow, lose
+    their phase or fail to converge come back with matrix None, nan
+    numbers and the error's tag.  One _junctions call gives every row.
     """
     if reference is not None:
         _check_type(reference, Mat2, "reference")
-    eps_values = list(eps_list)
+    eps_values = _as_list(eps_list, "eps_list")
     for eps in eps_values:
         _check_type(eps, float, "eps")
     eps_values = list(map(float, eps_values))
@@ -699,7 +702,7 @@ def _order_fit(points: list) -> tuple[float, float]:
 
 def _clean_rows(rows: Sequence[ConvergenceRow]) -> list[ConvergenceRow]:
     """The rows whose error is "", each checked to be a ConvergenceRow."""
-    rows = list(rows)
+    rows = _as_list(rows, "rows")
     for row in rows:
         if not isinstance(row, ConvergenceRow):
             raise ValueError(f"rows must be ConvergenceRows, got {type(row).__name__}")
@@ -713,8 +716,8 @@ def estimate_order(rows: Sequence[ConvergenceRow]) -> tuple[float, float]:
     rate.  The fit is closed form in Python floats, so its bits do not
     depend on the BLAS kernel.  Needs at least three clean rows with
     finite positive deviations, at two or more distinct eps
-    (InsufficientData otherwise), and ValueError for a row that is not a
-    ConvergenceRow.
+    (InsufficientData otherwise), and ValueError for rows that are not a
+    sequence or a row that is not a ConvergenceRow.
     """
     points = [(row.eps, row.deviation) for row in _clean_rows(rows)]
     return _order_fit([(eps, dev) for eps, dev in points if 0.0 < dev < math.inf])
@@ -731,8 +734,8 @@ def certify_convergence(rows: Sequence[ConvergenceRow]) -> tuple[str, float, flo
     non-convergent when the fitted slope is <= -0.2, or when deviations
     within some decade of eps spread by more than 5x while the fit
     explains little (r^2 < 0.5).  Returns (verdict, slope, r2); data the
-    fit refuses yields ("unknown", nan, nan).  Raises ValueError for a row
-    that is not a ConvergenceRow.
+    fit refuses yields ("unknown", nan, nan).  Raises ValueError for rows
+    that are not a sequence or a row that is not a ConvergenceRow.
     """
     clean = [row for row in _clean_rows(rows) if row.matrix is not None]
     points = [(r.eps, r.deviation) for r in clean if 0.0 < r.deviation < math.inf]

@@ -22,6 +22,7 @@ from math import atan, atan2, cos, hypot, isfinite, pi, remainder, sin, sqrt
 from .core import (
     _PHASE_LIMIT,
     ShellPotentialSpec,
+    _as_list,
     _check_type,
     _real,
     check_phase,
@@ -147,14 +148,14 @@ def radial_wavefunction(
     u = alpha C(k, r - a) + beta S(k, r - a), both from one
     free_propagators call.  R = u/r stays finite at the origin because S
     switches to its series there.  Raises ValueError for a solution that
-    is not a RadialResult, a non-finite energy or a radius that is not a
-    positive finite number, and PrecisionLoss when sqrt(k) r at the
-    largest radius (or the shell's) is too large for its phase to carry
-    meaningful digits.
+    is not a RadialResult, rs that are not a sequence, a non-finite energy
+    or a radius that is not a positive finite number, and PrecisionLoss
+    when sqrt(k) r at the largest radius (or the shell's) is too large for
+    its phase to carry meaningful digits.
     """
     _check_type(solution, RadialResult, "solution")
     k = solution.k
-    rs = list(rs)
+    rs = _as_list(rs, "rs")
     for r in rs:
         if not (_real(r) and r > 0.0 and isfinite(r)):
             raise ValueError(f"radii must be positive and finite, got {r}")

@@ -16,6 +16,7 @@ from .core import (
     TYPE_CHECKING,
     Mat2,
     PiecewiseSolution,
+    _as_list,
     _check_energy,
     _check_type,
     _real,
@@ -163,7 +164,7 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
         _, r, t, rr, tt, _, flux = scattering_amplitudes(junction, k)
         return "", r, t, rr, tt, flux
 
-    def scalar_rows(ks: list[float]) -> list[tuple]:
+    def scalar_rows(ks: list[float]) -> Iterator[tuple]:
         nan = complex(math.nan, math.nan)
         return sweep_map(row, ks, lambda k, tag: (tag, nan, nan, *[math.nan] * 3))
 
@@ -177,7 +178,7 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
         if not reasons:
             return rows
         # one row per reason: the scalar formula's error at its first energy
-        failed = {c: scalar_rows([block[codes.index(c)]])[0] for c in reasons}
+        failed = {c: next(scalar_rows([block[codes.index(c)]])) for c in reasons}
         return (failed[code] if code else kept for code, kept in zip(codes, rows))
 
     blocks = (ks[lo : lo + _BLOCK] for lo in range(0, len(ks), _BLOCK))
@@ -250,13 +251,13 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     """scattering_amplitudes over a grid, errors flagged per row.
 
     Output order matches input order; a failing energy yields a flagged
-    row instead of aborting the sweep.  Raises ValueError if any energy
-    is infinite, a bool or not a real number, or the junction is not a
-    Mat2.  The energies' types are checked in one C-level pass,
-    set(map(type, ks)), which a float grid leaves as {float}.
+    row instead of aborting the sweep.  Raises ValueError if k_grid is not
+    a sequence, any energy is infinite, a bool or not a real number, or
+    the junction is not a Mat2.  The energies' types are checked in one
+    C-level pass, set(map(type, ks)), which a float grid leaves as {float}.
     """
     _check_type(junction, Mat2, "junction")
-    ks = list(k_grid)
+    ks = _as_list(k_grid, "k_grid")
     if set(map(type, ks)) - {float}:
         for k in ks:
             _check_type(k, float, "k")
@@ -410,15 +411,15 @@ def evaluate_solution(
     Points left of the origin use the left branch, points right of it the
     right branch.  x = 0 produces two consecutive samples, the left limit
     first, since the junction may jump there.  Raises ValueError for a
-    solution that is not a PiecewiseSolution or a non-finite energy or
-    sample point, PrecisionLoss when k > 0 and sqrt(k) |x| at the
-    farthest point is too large for its phase to carry meaningful digits
-    (core.check_phase), and TransferOverflow when a growing branch
-    (k < 0) leaves the representable range.
+    solution that is not a PiecewiseSolution, xs that are not a sequence,
+    or a non-finite energy or sample point, PrecisionLoss when k > 0 and
+    sqrt(k) |x| at the farthest point is too large for its phase to carry
+    meaningful digits (core.check_phase), and TransferOverflow when a
+    growing branch (k < 0) leaves the representable range.
     """
     _check_type(solution, PiecewiseSolution, "solution")
     k, left, right = solution.k, solution.left_coeffs, solution.right_coeffs
-    xs = list(xs)
+    xs = _as_list(xs, "xs")
     if not all(_real(x) and math.isfinite(x) for x in xs):
         raise ValueError("sample points must be finite")
     check_phase(k, max(map(abs, xs), default=0.0))

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import SingscatError
 
 
-def sweep_map(fn: Callable, items: Sequence, failed: Callable) -> list:
-    """Map fn over items serially; results come back in input order.
+def sweep_map(fn: Callable, items: Iterable, failed: Callable) -> Iterator:
+    """Map fn over items serially and lazily; results come in input order.
 
     An item whose fn raises a SingscatError yields failed(item, tag), with
-    the error's tag, instead of aborting the sweep.
+    the error's tag, instead of aborting the sweep.  Each item is mapped
+    as its result is taken, so a sweep holds no more rows than its
+    consumer keeps.
     """
-    out = []
     for item in items:
         try:
-            out.append(fn(item))
+            yield fn(item)
         except SingscatError as exc:
-            out.append(failed(item, exc.tag))
-    return out
+            yield failed(item, exc.tag)

@@ -4,12 +4,16 @@ call raises ValueError, never TypeError, and never takes it as given."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+import singscat
 from singscat import (
     TOP_HAT,
     TRIANGLE,
+    ConvergenceRow,
     InvalidExponent,
     IvChoice,
     Mat2,
@@ -31,7 +35,7 @@ from singscat import (
     scattering_amplitudes,
     transmission_curve,
 )
-from singscat.core import check_phase
+from singscat.core import check_phase, free_propagators
 from singscat.mollifier import transfer_fixed_cells
 
 _SPEC = PotentialSpec(1.0, -2.0)
@@ -125,3 +129,149 @@ def test_every_exponent_refusal_is_a_value_error():
         with pytest.raises(ValueError) as refusal:
             PotentialSpec(m, -2.0)
         assert type(refusal.value) is InvalidExponent
+
+
+# Values of the wrong type, or of no use, for any argument: the refusals of
+# the property below and of the named regressions after it.
+_ODD = [None, "1", True, 1j, np.array(1.0), [1.0], (1.0,), object()]
+
+_ROWS = [
+    ConvergenceRow(eps, _JUNCTION, 1e-3 * eps, 0.0) for eps in (0.1, 0.05, 0.025)
+]
+
+# Every callable of __all__ with valid arguments, optional ones included.
+_CALLS = {
+    "Mat2": (1.0, 0.0, 0.0, 1.0),
+    "PotentialSpec": (1.0, -2.0),
+    "ShellPotentialSpec": (_SPEC, 1.0),
+    "PiecewiseSolution": (1.0, (1.0, 0.0), _JUNCTION),
+    "free_propagators": (1.0, 0.5),
+    "free_transfer": (1.0, 0.5),
+    "SingscatError": ("message",),
+    "InvalidExponent": ("message",),
+    "UndefinedRegime": ("reason",),
+    "MissingChoice": ("message",),
+    "NonPositiveEnergy": ("message",),
+    "NoScatteringState": ("message",),
+    "ChainOrderError": ("message",),
+    "NoConvergence": ("message", None),
+    "TransferOverflow": ("message",),
+    "PrecisionLoss": ("message",),
+    "BracketError": ("message",),
+    "InsufficientData": ("message",),
+    "Regime": (singscat.RegimeKind.STANDARD_DELTA, None, None),
+    "RegimeKind": ("standard_delta",),
+    "IvChoice": (1, 0.5),
+    "classify_regime": (_SPEC,),
+    "junction_matrix": (_SPEC, None),
+    "RadialResult": (1.0, 1.0, 0.5, 1.0, 1.0, (1.0, 0.0)),
+    "s_wave_solve": (_SHELL, 1.0, None),
+    "radial_wavefunction": (s_wave_solve(_SHELL, 1.0), [0.5, 1.5]),
+    "ScatteringResult": (1.0, 0j, 1 + 0j, 0.0, 1.0, 1.0, 0.0),
+    "SweepRow": (1.0, None, ""),
+    "BoundSpectrum": ("none", ()),
+    "scattering_amplitudes": (_JUNCTION, 1.0),
+    "transmission_curve": (_JUNCTION, [1.0, 2.0]),
+    "bound_states": (_JUNCTION,),
+    "compose_chain": ([(0.0, _JUNCTION)], 1.0),
+    "evaluate_solution": (PiecewiseSolution(1.0, (1.0, 0.0), _JUNCTION), [-0.5, 0.5]),
+    "MollifierShape": ("x", 1.0, TRIANGLE.profile, 1.0),
+    "RegularizedPotential": (_SPEC, TOP_HAT, 0.1),
+    "ConvergenceRow": (0.1, _JUNCTION, 0.0, 0.0, ""),
+    "TOP_HAT": (0.25,),
+    "TRIANGLE": (0.25,),
+    "COSINE_BUMP": (0.25,),
+    "GAUSSIAN": (0.25,),
+    "numeric_transfer": (_POT, 1.0),
+    "effective_junction": (_POT, 1.0),
+    "convergence_sweep": (_SPEC, TOP_HAT, [0.1, 0.05], 1.0, None),
+    "estimate_order": (_ROWS,),
+    "certify_convergence": (_ROWS,),
+    "resonant_search": (TOP_HAT, 1),
+}
+
+
+def test_every_public_callable_has_valid_arguments_listed():
+    # a new public name joins the property below by joining _CALLS
+    callables = {name for name in singscat.__all__ if callable(getattr(singscat, name))}
+    assert callables == set(_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_odd_arguments_raise_only_the_rule_s_errors_and_never_warn(name):
+    # each argument in turn takes each odd value, the others stay valid; a
+    # call may take the value, or refuse it with a SingscatError or a
+    # ValueError, never a TypeError or another error, and never warns
+    call, valid = getattr(singscat, name), _CALLS[name]
+    call(*valid)
+    for place in range(len(valid)):
+        for value in _ODD:
+            args = valid[:place] + (value,) + valid[place + 1 :]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    call(*args)
+                except (singscat.SingscatError, ValueError):
+                    pass
+            assert caught == [], (name, place, value)
+
+
+def test_check_phase_refuses_an_x_that_is_not_a_real_number():
+    check_phase(1.0, 1.0)
+    check_phase(1.0, 2)
+    for x in (None, "1", 1j, [1.0], object(), True, np.array(1.0)):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            check_phase(1.0, x)
+
+
+def test_free_propagators_refuse_inputs_that_are_not_real_numbers():
+    for value in (None, "1", True, 1j, object(), [1.0, None], np.array([1.0 + 0j])):
+        for args in ((value, 0.5), (1.0, value)):
+            with pytest.raises(ValueError, match="must hold real numbers"):
+                free_propagators(*args)
+    # floats and ints take the one path they took, to the bit
+    ints = free_propagators(np.arange(-3, 4), 2)
+    floats = free_propagators(np.arange(-3.0, 4.0), 2.0)
+    assert ints.tobytes() == floats.tobytes()
+
+
+# sequence arguments that cannot be iterated: not a sequence, ValueError
+_NOT_SEQUENCES = [None, True, 1.0, 1j, np.array(1.0), object()]
+_KINDS = ["None", "bool", "float", "complex", "0-d_array", "object"]
+
+
+@pytest.mark.parametrize("items", _NOT_SEQUENCES, ids=_KINDS)
+def test_transmission_curve_refuses_a_k_grid_that_is_not_a_sequence(items):
+    with pytest.raises(ValueError, match="k_grid must be a sequence"):
+        transmission_curve(_JUNCTION, items)
+
+
+@pytest.mark.parametrize("items", _NOT_SEQUENCES, ids=_KINDS)
+def test_evaluate_solution_refuses_xs_that_are_not_a_sequence(items):
+    solution = PiecewiseSolution(1.0, (1.0, 0.0), _JUNCTION)
+    with pytest.raises(ValueError, match="xs must be a sequence"):
+        evaluate_solution(solution, items)
+
+
+@pytest.mark.parametrize("items", _NOT_SEQUENCES, ids=_KINDS)
+def test_radial_wavefunction_refuses_rs_that_are_not_a_sequence(items):
+    with pytest.raises(ValueError, match="rs must be a sequence"):
+        radial_wavefunction(s_wave_solve(_SHELL, 1.0), items)
+
+
+@pytest.mark.parametrize("items", _NOT_SEQUENCES, ids=_KINDS)
+def test_convergence_sweep_refuses_an_eps_list_that_is_not_a_sequence(items):
+    with pytest.raises(ValueError, match="eps_list must be a sequence"):
+        convergence_sweep(_SPEC, TOP_HAT, items, 1.0)
+
+
+@pytest.mark.parametrize("items", _NOT_SEQUENCES, ids=_KINDS)
+def test_estimate_order_refuses_rows_that_are_not_a_sequence(items):
+    with pytest.raises(ValueError, match="rows must be a sequence"):
+        singscat.estimate_order(items)
+
+
+@pytest.mark.parametrize("items", _NOT_SEQUENCES, ids=_KINDS)
+def test_certify_convergence_refuses_rows_that_are_not_a_sequence(items):
+    with pytest.raises(ValueError, match="rows must be a sequence"):
+        singscat.certify_convergence(items)

@@ -14,6 +14,7 @@ import math
 import random
 import re
 import struct
+import sys
 import warnings
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singscat.cli import MAX_EPS, MAX_KSTEPS, _fail, _k_grid, build_parser, main
-from singscat.errors import BracketError
+from singscat.errors import BracketError, TransferOverflow
 from singscat.mollifier import MAX_LEVEL
-from singscat.serialize import canonical_json
+from singscat.serialize import _TABLE_BLOCK, canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -577,6 +578,94 @@ def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert doc["error"] == "invalid_argument"
     assert "result.json" in doc["message"]
     assert not target.exists()
+
+
+_SWEEP_ARGV = (
+    "scatter", "--m", "1", "--c", "-1", "--kmin", "1e-3", "--kmax", "1e3",
+    "--ksteps", "700", "--format", "json",
+)
+
+
+def test_out_replaces_its_file_only_when_the_run_succeeds(capsys, tmp_path):
+    target = tmp_path / "result.json"
+    target.write_text("old", encoding="utf-8")
+    target.chmod(0o640)
+    # refused before any row: the file is left as it was
+    code, out, _ = run(capsys, *_SWEEP_ARGV[:3], "--out", str(target))
+    assert code == 2 and json.loads(out)["error"] == "invalid_argument"
+    assert target.read_text(encoding="utf-8") == "old"
+    code, out, _ = run(capsys, *_SWEEP_ARGV, "--out", str(target))
+    assert (code, out) == (0, "")
+    assert run(capsys, *_SWEEP_ARGV)[1] == target.read_text(encoding="utf-8")
+    # the file keeps its mode, and no temporary file is left beside it
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert [path.name for path in tmp_path.iterdir()] == ["result.json"]
+
+
+def test_out_through_a_symlink_writes_the_file_it_names(capsys, tmp_path):
+    target, link = tmp_path / "result.json", tmp_path / "link.json"
+    target.write_text("old", encoding="utf-8")
+    link.symlink_to(target)
+    code, out, _ = run(capsys, "junction", "--m", "1", "--c", "-2", "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == golden_text("junction_delta.json")
+
+
+def test_out_onto_a_directory_is_refused_and_names_the_path(capsys, tmp_path):
+    target = tmp_path / "result.json"
+    target.mkdir()
+    code, out, _ = run(capsys, *_SWEEP_ARGV, "--out", str(target))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc == {
+        "error": "invalid_argument",
+        "message": f"cannot write --out file: [Errno 21] Is a directory: {str(target)!r}",
+    }
+    assert target.is_dir() and [path.name for path in tmp_path.iterdir()] == ["result.json"]
+
+
+def test_a_sweep_failing_after_its_first_block_leaves_no_out_file(capsys, tmp_path, monkeypatch):
+    # rows past the first block cannot raise; were one to, its error
+    # document is printed and --out is left as it was
+    import singscat.scatter as scatter
+
+    def failing_rows(matrix, grid):
+        yield from [("", 0j, 1 + 0j, 0.0, 1.0, 0.0)] * (2 * _TABLE_BLOCK)
+        raise TransferOverflow("late failure")
+
+    monkeypatch.setattr(scatter, "_amplitude_rows", failing_rows)
+    target = tmp_path / "result.json"
+    code, out, _ = run(capsys, *_SWEEP_ARGV, "--out", str(target))
+    assert code == 4
+    assert json.loads(out) == {"error": "overflow", "message": "late failure"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweeps_are_written_a_block_at_a_time(capsys, monkeypatch):
+    # the first block is written before the rows after it are computed
+    import singscat.scatter as scatter
+
+    rows_taken, writes = [], []
+    amplitude_rows = scatter._amplitude_rows
+
+    def counted_rows(matrix, grid):
+        for row in amplitude_rows(matrix, grid):
+            rows_taken.append(row)
+            yield row
+
+    class Stdout:
+        def write(self, text):
+            writes.append((len(rows_taken), text))
+
+    monkeypatch.setattr(scatter, "_amplitude_rows", counted_rows)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(list(_SWEEP_ARGV)) == 0
+    monkeypatch.undo()
+    assert [taken for taken, _ in writes] == [
+        min(700, n * _TABLE_BLOCK) for n in range(1, 700 // _TABLE_BLOCK + 2)
+    ] + [700]
+    assert "".join(text for _, text in writes) == run(capsys, *_SWEEP_ARGV)[1]
 
 
 def test_m2_couplings_past_the_matching_window_exit_four(capsys):

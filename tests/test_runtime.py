@@ -430,6 +430,50 @@ def _loaded_after_closed_form_runs(module: str) -> str:
     return proc.stderr.strip().splitlines()[-1]
 
 
+# Runs cli.main on argv with stdout discarded, then reports on stderr the
+# exit code, the peak RSS of the process in kB and whether numpy loaded.
+# VmHWM starts afresh at exec, where ru_maxrss keeps the parent's peak.
+_PEAK_AFTER_RUN = """
+import sys
+from singscat import cli
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+sys.stdout = Discard()
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    (peak,) = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+print(code, peak, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmHWM in /proc (Linux)"
+)
+def test_longest_json_sweeps_peak_within_10_mb_of_junction():
+    # a sweep's text is written a block at a time, never held whole: at
+    # 100,000 steps only the grid and one block grow with the table
+    grid = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "100000", "--format", "json")
+    peaks = {}
+    for name, argv in [
+        ("junction", ("junction", "--m", "1", "--c", "-2")),
+        ("scatter", ("scatter", "--m", "1", "--c", "-1", *grid)),
+        ("radial", ("radial", "--m", "1", "--c", "-2", "--a", "1", *grid)),
+    ]:
+        proc = _python("-c", _PEAK_AFTER_RUN, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, peak, numpy = proc.stderr.split()
+        assert (code, numpy) == ("0", "False")
+        peaks[name] = int(peak) / 1024
+    assert peaks["scatter"] - peaks["junction"] <= 10.0, peaks
+    assert peaks["radial"] - peaks["junction"] <= 10.0, peaks
+
+
 def test_closed_form_cli_runs_load_no_typing():
     expected = repr([False] * (1 + len(_CLOSED_FORM_RUNS)))
     assert _loaded_after_closed_form_runs("typing") == expected

@@ -37,7 +37,13 @@ from singscat import (
 )
 from singscat import scatter
 from singscat.cli import main
-from singscat.serialize import canonical_json, csv_document, fmt_float, table_document
+from singscat.serialize import (
+    _TABLE_BLOCK,
+    canonical_json,
+    csv_document,
+    fmt_float,
+    table_blocks,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -550,8 +556,9 @@ def tables(draw):
                           min_size=len(fields), max_size=len(fields)))
     row = st.tuples(*[cells_by_kind[kind] for kind in kinds]).map(list)
     drawn = draw(st.lists(row, max_size=12))
-    # past the writer's chunk of rows, repeat the drawn rows
-    n = draw(st.sampled_from([len(drawn), 511, 512, 513, 1100])) if drawn else 0
+    # at and past the edges of the writer's blocks, repeat the drawn rows
+    edges = [b * _TABLE_BLOCK + d for b in (1, 2) for d in (-1, 0, 1)]
+    n = draw(st.sampled_from([len(drawn), *edges, 1100])) if drawn else 0
     return fields, [drawn[i % len(drawn)] for i in range(n)]
 
 
@@ -570,12 +577,17 @@ def _first_difference(got: str, want: str) -> tuple | None:
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(tables())
+# one column of one kind, on both sides of a block edge: a block's cells
+# are a flat tuple for every width, one included
+@example((["k"], [[-0.0], [1.5]] * _TABLE_BLOCK))
+@example((["error"], [[""], ["overflow"]] * (_TABLE_BLOCK + 1)))
+@example((["k", "%s"], [[0.5, "%d"]] * 3))
 def test_table_writer_equals_csv_document_and_canonical_json(table):
     fields, rows = table
-    csv_text = table_document(fields, rows, "csv")
+    csv_text = "".join(table_blocks(fields, rows, "csv"))
     assert _first_difference(csv_text, csv_document(fields, rows)) is None
     doc = {"rows": [dict(zip(fields, row)) for row in rows]}
-    json_text = table_document(fields, iter(rows), "json")
+    json_text = "".join(table_blocks(fields, iter(rows), "json"))
     assert _first_difference(json_text, canonical_json(doc) + "\n") is None
 
 
