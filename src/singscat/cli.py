@@ -209,27 +209,30 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
         raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {steps}")
     if steps == 1:
         return [args.kmin]
+    kmin, kmax, n = args.kmin, args.kmax, steps - 1
     if args.kscale != "lin":
-        ratio = args.kmax / args.kmin
+        ratio = kmax / kmin
         if ratio < math.inf:
-            grid = [args.kmin * ratio ** (i / (steps - 1)) for i in range(steps)]
             # with kmin a few ulps below kmax a point can round past kmax,
-            # and next to the float max even to inf
-            grid = [k if k <= args.kmax else args.kmax for k in grid]
+            # and next to the float max even to inf: such a point is kmax
+            grid = [
+                k if (k := kmin * ratio ** (i / n)) <= kmax else kmax
+                for i in range(steps)
+            ]
         else:  # the ratio overflows, not the points: step in logs
-            lo, hi = math.log(args.kmin), math.log(args.kmax)
-            grid = [math.exp(hi - (hi - lo) * j / (steps - 1)) for j in range(steps)]
+            lo, hi = math.log(kmin), math.log(kmax)
+            grid = [math.exp(hi - (hi - lo) * j / n) for j in range(steps)]
             grid.reverse()  # down from hi: exp(lo + (hi - lo)) may overflow
     else:
-        span, n = args.kmax - args.kmin, steps - 1
+        span = kmax - kmin
         # span * (i / n) only where span * i overflows: the two round
         # differently, and span * i / n keeps the bits of every other grid
         grid = [
-            args.kmin + (span * i / n if span * i < math.inf else span * (i / n))
+            kmin + (span * i / n if span * i < math.inf else span * (i / n))
             for i in range(steps)
         ]
     # the log step can land an ulp off kmin, and every formula off kmax
-    grid[0], grid[-1] = args.kmin, args.kmax
+    grid[0], grid[-1] = kmin, kmax
     return grid
 
 

@@ -17,7 +17,7 @@ shift follows from
 from __future__ import annotations
 
 from collections import namedtuple
-from math import atan, atan2, cos, hypot, isfinite, pi, remainder, sin, sqrt
+from math import atan, atan2, cos, hypot, inf, isfinite, pi, remainder, sin, sqrt
 
 from .core import (
     _PHASE_LIMIT,
@@ -97,6 +97,8 @@ def s_wave_solve(
     if type(k) is not float:
         _check_type(k, float, "k")
     if not (k > 0.0):
+        if k == -inf:  # k = inf is refused at the phase edge below
+            raise ValueError(f"k must be finite, got {k}")
         raise NonPositiveEnergy(f"s-wave scattering needs k > 0, got {k}")
     last_shell, last_choice, a, j11, j21, j22, identity = _LAST[0]
     if shell is not last_shell or choice is not last_choice:

@@ -105,7 +105,7 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     operations into arrays.  The float operands are spelled complex(x, 0.0),
     as CPython 3.11 promotes them in a mixed float/complex operation, so
     the signed zeros do not depend on the Python version.  Raises
-    NonPositiveEnergy if k <= 0 (or nan), ValueError if k is infinite, and
+    NonPositiveEnergy if -inf < k <= 0 (or nan), ValueError if k is infinite, and
     NoScatteringState if the matching system is inconsistent (D = 0), as
     for the junction diag(-1, 1): each part of D is within _DEGENERACY_TOL
     of its own terms, or |D| overflows.  Raises TransferOverflow when |r|
@@ -116,9 +116,9 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     if type(k) is not float:
         _check_type(k, float, "k")
     kf = float(k)
-    if kf == math.inf:
-        raise ValueError("scattering needs a finite k, got inf")
-    if not kf > 0.0:
+    if not 0.0 < kf < math.inf:
+        if math.isinf(kf):
+            raise ValueError(f"scattering needs a finite k, got {kf}")
         raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
     q = math.sqrt(kf)
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
@@ -157,8 +157,9 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
     the errors it flags; otherwise scattering_amplitudes for each energy,
     and numpy stays unloaded.  The bits are the same.
     """
-    if math.inf in ks:
-        raise ValueError("scattering needs a finite k, got inf")
+    # one pass: a finite sum rules out both infinities (and nan)
+    if not math.isfinite(sum(ks, 0.0)) and (math.inf in ks or -math.inf in ks):
+        raise ValueError("scattering needs a finite k, got an infinite one")
 
     def row(k: float) -> tuple:
         _, r, t, rr, tt, _, flux = scattering_amplitudes(junction, k)

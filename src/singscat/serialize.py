@@ -8,7 +8,8 @@ floats by the tools here).
 
 canonical_json and csv_document write any document a value at a time,
 and stay the reference; table_blocks writes the tables of the CLI's
-sweeps a block of rows at a time, to the same bytes.
+sweeps to the same bytes, a block of rows per %, each column in one
+spelling: "%.17g", as strs, or cell by cell by the reference's writers.
 
 _quote, the JSON spelling of a string, is encode_basestring_ascii of
 CPython's C module _json: the very function json.encoder re-exports, so
@@ -109,10 +110,10 @@ def table_blocks(
 
     Joined, the blocks are byte for byte what csv_document(fields, rows)
     writes for "csv", and canonical_json({"rows": [dict(zip(fields, row))
-    ...]}) plus a newline for "json".  Rows are taken _TABLE_BLOCK at a
-    time, and each block's text is yielded as soon as it is rendered: the
-    first holds the header or the document's opening, the last is the
-    document's end.
+    ...]}) plus a newline for "json".  Each block of _TABLE_BLOCK rows is
+    yielded as soon as it is rendered, the first after the header or the
+    document's opening, then the document's end; a row of another width
+    than the fields raises ValueError.
     """
     width = len(fields)
     if fmt == "csv":
@@ -137,39 +138,31 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
     """The rows of a block, rendered by one % of their row template repeated.
 
     frame is a row's text around its cells, with "%s" where they go.  A
-    float column is spelled "%.17g", after one x + 0.0 pass if it holds a
-    zero so that -0 prints as 0; a str column as it is in CSV and through
-    _quote in JSON.  A block with a column of another kind, a JSON float
-    column that is not all finite, or a row of another width than the
-    fields, takes the per-cell path of _csv_cell and _json_scalar.
+    column of exact floats (all finite, in JSON) is spelled "%.17g", after
+    one x + 0.0 pass if it holds a zero so that -0 prints as 0; one of
+    exact strs goes in as it is in CSV and through _quote in JSON; any
+    other column is spelled cell by cell by _csv_cell or _json_scalar.
     """
-    width, n = len(order), len(block)
+    width = len(order)
+    if set(map(len, block)) != {width}:
+        raise ValueError(f"every table row must hold {width} cells, one per field")
     flat = list(chain.from_iterable(block))
-    if len(flat) == n * width:
-        cells: list = [None] * len(flat)
-        spelling = []
-        for place, field in enumerate(order):
-            column = flat[field::width]
-            kinds = set(map(type, column))
-            # a nan or an inf makes the sum non-finite; a sum that overflows
-            # only sends a finite block to the per-cell path
-            if kinds == {float} and (fmt == "csv" or math.isfinite(sum(column))):
-                if 0.0 in column:
-                    column = [x + 0.0 for x in column]
-                spelling.append("%.17g")
-            elif kinds == {str}:
-                if fmt != "csv":
-                    column = list(map(_quote, column))
-                spelling.append("%s")
-            else:
-                break
-            cells[place::width] = column
+    cells: list = [None] * len(flat)
+    spelling = []
+    for place, field in enumerate(order):
+        column = flat[field::width]
+        kinds = set(map(type, column))
+        # nan and inf make the sum non-finite, and so, harmlessly, may overflow
+        if kinds == {float} and (fmt == "csv" or math.isfinite(sum(column))):
+            if 0.0 in column:
+                column = [x + 0.0 for x in column]
+            spelling.append("%.17g")
         else:
-            cell_text = ",".join(map(str.__add__, keys, spelling))
-            return (frame % cell_text) * n % tuple(cells)
-    if fmt == "csv":
-        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in block)
-    template = frame % ",".join(key + "%s" for key in keys)
-    return "".join(
-        template % tuple([_json_scalar(row[i]) for i in order]) for row in block
-    )
+            if kinds != {str}:
+                column = list(map(_csv_cell if fmt == "csv" else _json_scalar, column))
+            elif fmt != "csv":
+                column = list(map(_quote, column))
+            spelling.append("%s")
+        cells[place::width] = column
+    cell_text = ",".join(map(str.__add__, keys, spelling))
+    return (frame % cell_text) * len(block) % tuple(cells)

@@ -133,6 +133,15 @@ def test_energy_validation():
         s_wave_solve(_shell(1.0, -2.0), -2.0)
 
 
+def test_s_wave_solve_refuses_minus_inf_as_inf():
+    # the parent raised NonPositiveEnergy for -inf; nan keeps it
+    for k in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="k must be finite"):
+            s_wave_solve(_shell(1.0, -2.0), k)
+    with pytest.raises(NonPositiveEnergy):
+        s_wave_solve(_shell(1.0, -2.0), math.nan)
+
+
 def test_an_energy_that_is_not_real_and_a_shell_that_is_not_a_record_are_refused():
     # The parent raised TypeError for "1" and returned k = True for True; a
     # plain (base, a) tuple skipped the shell's checks, so a radius of -1

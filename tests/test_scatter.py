@@ -164,6 +164,25 @@ def test_infinite_energy_is_refused():
         scattering_amplitudes(j, math.inf)
 
 
+def test_scattering_amplitudes_refuses_minus_inf_as_inf():
+    # the parent raised NonPositiveEnergy for -inf; nan keeps it
+    j = junction_matrix(PotentialSpec(1.0, -1.0))
+    with pytest.raises(ValueError, match="finite k, got -inf"):
+        scattering_amplitudes(j, -math.inf)
+    with pytest.raises(NonPositiveEnergy):
+        scattering_amplitudes(j, math.nan)
+
+
+def test_transmission_curve_refuses_minus_inf_as_inf():
+    # the parent gave -inf a non_positive_energy row; nan keeps it
+    j = junction_matrix(PotentialSpec(1.0, -1.0))
+    for grid in ([-math.inf], [0.5, -1.0, -math.inf], [math.inf, 2.0]):
+        with pytest.raises(ValueError, match="finite k"):
+            transmission_curve(j, grid)
+    rows = transmission_curve(j, [0.5, math.nan, 1e308, 1e308])
+    assert [row.error for row in rows] == ["", "non_positive_energy", "", ""]
+
+
 def test_a_junction_that_is_not_a_mat2_is_refused():
     # the parent failed these with AttributeError on the tuple or None
     entries = (1.0, 0.0, -1.0, 1.0)

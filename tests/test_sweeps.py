@@ -582,6 +582,13 @@ def _first_difference(got: str, want: str) -> tuple | None:
 @example((["k"], [[-0.0], [1.5]] * _TABLE_BLOCK))
 @example((["error"], [[""], ["overflow"]] * (_TABLE_BLOCK + 1)))
 @example((["k", "%s"], [[0.5, "%d"]] * 3))
+# mixed blocks, each column spelled on its own: a nan in the second block of
+# a float column beside finite float and str columns, a None in a float
+# column, and a column of bools
+@example((["k", "t", "error"], [[0.5 * i, -0.0, ""] for i in range(_TABLE_BLOCK)]
+          + [[math.nan, 0.25, "no_scattering_state"]]))
+@example((["k", "t"], [[1.5, 0.25], [None, -0.0], [2.0, 1e300]]))
+@example((["k", "bound"], [[0.5, True], [-0.0, False]] * 3))
 def test_table_writer_equals_csv_document_and_canonical_json(table):
     fields, rows = table
     csv_text = "".join(table_blocks(fields, rows, "csv"))
@@ -589,6 +596,14 @@ def test_table_writer_equals_csv_document_and_canonical_json(table):
     doc = {"rows": [dict(zip(fields, row)) for row in rows]}
     json_text = "".join(table_blocks(fields, iter(rows), "json"))
     assert _first_difference(json_text, canonical_json(doc) + "\n") is None
+
+
+def test_table_writer_refuses_a_row_of_another_width_than_the_fields():
+    # rows of widths 1 and 3 hold as many cells as two rows of 2
+    for rows in ([[1.0, 2.0], [1.0]], [[1.0], [1.0, 2.0, 3.0]]):
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="must hold 2 cells, one per field"):
+                "".join(table_blocks(["a", "b"], rows, fmt))
 
 
 def test_canonical_json_refuses_values_it_cannot_serialize():

@@ -34,6 +34,31 @@ def test_size_counts_every_kind_of_parameter(tmp_path):
     assert _load("size").count_parameters(fixture.read_text(encoding="utf-8")) == 12
 
 
+def test_size_counts_code_lines_apart_from_blanks_comments_and_docstrings():
+    lines = [
+        '"""Module docstring,',
+        "",
+        'over three lines."""',
+        "",
+        "# a comment alone",
+        "import math  # code before a comment",  # 1
+        "",
+        "def f(x):",  # 2
+        '    """One-line docstring."""',
+        "    text = '''a string,",  # 3
+        "    not a docstring'''",  # 4
+        "        # an indented comment",
+        "    return (x +",  # 5
+        "            1)",  # 6
+        "class C:",  # 7
+        "    '''Class docstring",
+        "    over two lines.'''",
+        "    def g(self): '''doc after code'''",  # 8
+    ]
+    source = "\n".join(lines) + "\n"
+    assert _load("size").count_code_lines(source) == 8
+
+
 def test_size_prints_one_json_line_without_loading_numpy():
     script = (
         "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__'); "
@@ -45,8 +70,11 @@ def test_size_prints_one_json_line_without_loading_numpy():
     ).stdout.splitlines()
     assert out[1] == "False"
     reading = json.loads(out[0])
-    assert list(reading) == ["src_lines", "parameters", "public_names", "cli_slots"]
+    assert list(reading) == [
+        "src_lines", "code_lines", "parameters", "public_names", "cli_slots"
+    ]
     assert all(type(value) is int and value > 0 for value in reading.values())
+    assert reading["code_lines"] < reading["src_lines"]
 
 
 def test_bench_pairs_summary_counts_medians_quartiles_and_pairs_won():

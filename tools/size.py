@@ -5,6 +5,8 @@
 takes no options and reads the source tree next to it:
 
 - src_lines: the lines of src/singscat/*.py, as wc -l counts them
+- code_lines: those of them that hold code, not blank, comment-only or
+  part of a docstring, so that a cut shows whether it falls in code
 - parameters: the parameters of every def and lambda there, counting
   positional-only, positional and keyword-only ones, *args and **kwargs
 - public_names: len(singscat.__all__)
@@ -19,11 +21,44 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import sys
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# tokens that hold no code: comments and the layout around lines
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER,
+}
+
+
+def count_code_lines(source: str) -> int:
+    """Lines of a module's source with a token that is neither a comment,
+    layout nor a docstring: a line of a string that is not a docstring
+    counts, and so does a line with code before its comment."""
+    docstrings = {
+        (body[0].lineno, body[0].col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        and (body := node.body)
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    }
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in _NOT_CODE or (
+            token.type == tokenize.STRING and token.start in docstrings
+        ):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
 
 
 def count_parameters(source: str) -> int:
@@ -59,6 +94,7 @@ def main() -> None:
     texts = [path.read_bytes() for path in sorted((SRC / "singscat").glob("*.py"))]
     reading = {
         "src_lines": sum(text.count(b"\n") for text in texts),
+        "code_lines": sum(count_code_lines(text.decode("utf-8")) for text in texts),
         "parameters": sum(count_parameters(text) for text in texts),
         "public_names": len(singscat.__all__),
         "cli_slots": cli_slots(build_parser()),
