@@ -55,15 +55,23 @@ _PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
 def _real(x) -> bool:
-    """Whether x is a numbers.Real but not a bool; a 0-d array, which can
-    change after a record keeps it, is not.  Exact types go first."""
+    """Whether x is a numbers.Real, not a bool, that a float holds (10**400 is
+    not); a 0-d array, which can change after a record keeps it, is not."""
     kind = type(x)
-    return kind is float or kind is int or (kind is not bool and isinstance(x, Real))
+    if kind is float:
+        return True
+    if kind is not int and (kind is bool or not isinstance(x, Real)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _integer(x) -> bool:
     """Whether x is an integer: a real number that is a numbers.Integral."""
-    return type(x) is int or (_real(x) and isinstance(x, Integral))
+    return _real(x) and isinstance(x, Integral)
 
 
 def _check_type(value, kind: type, what: str) -> None:
@@ -71,6 +79,8 @@ def _check_type(value, kind: type, what: str) -> None:
     kind float means a real number (_real), as a float annotation admits an int."""
     if not (_real(value) if kind is float else isinstance(value, kind)):
         name = "real number" if kind is float else kind.__name__
+        if kind is float and type(value) is not bool and isinstance(value, Real):
+            name = "real number within the float range"
         raise ValueError(f"{what} must be a {name}, got {type(value).__name__}")
 
 

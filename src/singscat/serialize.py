@@ -9,7 +9,8 @@ floats by the tools here).
 canonical_json and csv_document write any document a value at a time,
 and stay the reference; table_blocks writes the tables of the CLI's
 sweeps to the same bytes, a block of rows per %, each column in one
-spelling: "%.17g", as strs, or cell by cell by the reference's writers.
+spelling: once, for one value repeated, else "%.17g", as strs, or cell by
+cell by the reference's writers.
 
 _quote, the JSON spelling of a string, is encode_basestring_ascii of
 CPython's C module _json: the very function json.encoder re-exports, so
@@ -138,6 +139,8 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
     """The rows of a block, rendered by one % of their row template repeated.
 
     frame is a row's text around its cells, with "%s" where they go.  A
+    column of one exact float or one exact str, repeated, is spelled once
+    by _csv_cell or _json_scalar, straight into the template.  Any other
     column of exact floats (all finite, in JSON) is spelled "%.17g", after
     one x + 0.0 pass if it holds a zero so that -0 prints as 0; one of
     exact strs goes in as it is in CSV and through _quote in JSON; any
@@ -146,12 +149,17 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
     width = len(order)
     if set(map(len, block)) != {width}:
         raise ValueError(f"every table row must hold {width} cells, one per field")
+    spell = _csv_cell if fmt == "csv" else _json_scalar
     flat = list(chain.from_iterable(block))
-    cells: list = [None] * len(flat)
+    columns = []
     spelling = []
-    for place, field in enumerate(order):
+    for field in order:
         column = flat[field::width]
         kinds = set(map(type, column))
+        # 1 == 1.0 == True spell differently, so only one exact kind folds
+        if (kinds == {float} or kinds == {str}) and column.count(column[0]) == len(column):
+            spelling.append(spell(column[0]).replace("%", "%%"))
+            continue
         # nan and inf make the sum non-finite, and so, harmlessly, may overflow
         if kinds == {float} and (fmt == "csv" or math.isfinite(sum(column))):
             if 0.0 in column:
@@ -159,10 +167,13 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
             spelling.append("%.17g")
         else:
             if kinds != {str}:
-                column = list(map(_csv_cell if fmt == "csv" else _json_scalar, column))
+                column = list(map(spell, column))
             elif fmt != "csv":
                 column = list(map(_quote, column))
             spelling.append("%s")
-        cells[place::width] = column
+        columns.append(column)
+    cells: list = [None] * (len(columns) * len(block))
+    for place, column in enumerate(columns):
+        cells[place :: len(columns)] = column
     cell_text = ",".join(map(str.__add__, keys, spelling))
     return (frame % cell_text) * len(block) % tuple(cells)

@@ -76,6 +76,7 @@ _NUMBERS = {
     "free_transfer.k": (lambda x: free_transfer(x, 1.0), 1.0, ValueError),
     "free_transfer.h": (lambda x: free_transfer(1.0, x), 1.0, ValueError),
     "check_phase.k": (lambda x: check_phase(x, 1.0), 1.0, ValueError),
+    "check_phase.x": (lambda x: check_phase(1.0, x), 1.0, ValueError),
     "numeric_transfer.k": (lambda x: numeric_transfer(_POT, x), 1.0, ValueError),
     "numeric_transfer.k.list": (lambda x: numeric_transfer([_POT], x), 1.0, ValueError),
     "transfer_fixed_cells.k": (
@@ -107,9 +108,9 @@ _NUMBERS = {
 }
 
 # None of these is a real number: a bool is refused though it is a
-# numbers.Real, a 0-d array though math.isfinite takes it, and a str though
-# numpy parses it.
-_NOT_NUMBERS = [True, "1", np.array(1.0), 1j, None]
+# numbers.Real, a 0-d array though math.isfinite takes it, a str though
+# numpy parses it, and an int no float holds though it is an int.
+_NOT_NUMBERS = [True, "1", np.array(1.0), 1j, None, 10**400]
 
 
 @pytest.mark.parametrize("number", sorted(_NUMBERS))
@@ -133,7 +134,7 @@ def test_every_exponent_refusal_is_a_value_error():
 
 # Values of the wrong type, or of no use, for any argument: the refusals of
 # the property below and of the named regressions after it.
-_ODD = [None, "1", True, 1j, np.array(1.0), [1.0], (1.0,), object()]
+_ODD = [None, "1", True, 1j, np.array(1.0), [1.0], (1.0,), object(), 10**400]
 
 _ROWS = [
     ConvergenceRow(eps, _JUNCTION, 1e-3 * eps, 0.0) for eps in (0.1, 0.05, 0.025)
@@ -219,7 +220,7 @@ def test_odd_arguments_raise_only_the_rule_s_errors_and_never_warn(name):
 def test_check_phase_refuses_an_x_that_is_not_a_real_number():
     check_phase(1.0, 1.0)
     check_phase(1.0, 2)
-    for x in (None, "1", 1j, [1.0], object(), True, np.array(1.0)):
+    for x in (None, "1", 1j, [1.0], object(), True, np.array(1.0), 10**400):
         with pytest.raises(ValueError, match="x must be a real number"):
             check_phase(1.0, x)
 

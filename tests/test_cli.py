@@ -11,9 +11,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import re
 import struct
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -119,6 +121,21 @@ def test_runs_are_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_main_keeps_one_parser_that_a_refusal_or_help_leaves_as_it_was(capsys):
+    sweep = ("scatter", "--m", "1", "--c", "-1", "--kmin", "0.1", "--kmax", "10",
+             "--ksteps", "7", "--format", "json")
+    first = run(capsys, *sweep)
+    assert run(capsys, "scatter", "--m", "1")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, *sweep) == first
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    fresh = subprocess.run([sys.executable, "-m", "singscat", *sweep],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
 
 
 # ------------------------------------------------------------- exit codes

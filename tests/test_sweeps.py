@@ -589,6 +589,15 @@ def _first_difference(got: str, want: str) -> tuple | None:
           + [[math.nan, 0.25, "no_scattering_state"]]))
 @example((["k", "t"], [[1.5, 0.25], [None, -0.0], [2.0, 1e300]]))
 @example((["k", "bound"], [[0.5, True], [-0.0, False]] * 3))
+# one-value columns, spelled once: 0.0 beside -0.0, one nan object, inf, a
+# str holding % and " and non-ASCII, a one-row table; 1, 1.0 and True are
+# equal yet spelled apart; a constant that changes in the second block
+@example((["r"], [[0.0], [-0.0], [0.0]]))
+@example((["t", "T"], [[math.nan, math.inf]] * 3))
+@example((["error"], [['50% "naïve" ±']] * 3))
+@example((["k", "a", "%s", "error"], [[0.5, -0.0, "%d", ""]]))
+@example((["n"], [[1], [1.0], [True]]))
+@example((["k", "a"], [[0.5, 1.0]] * _TABLE_BLOCK + [[0.5, 2.0]]))
 def test_table_writer_equals_csv_document_and_canonical_json(table):
     fields, rows = table
     csv_text = "".join(table_blocks(fields, rows, "csv"))

@@ -85,7 +85,9 @@ def test_bench_pairs_summary_counts_medians_quartiles_and_pairs_won():
         {"parent": {"op": a, "rate": 1.0 / a}, "change": {"op": b, "rate": 1.0 / b}}
         for a, b in zip(before, after)
     ]
-    summary = bench.summarize(pairs, {"op": "lower", "rate": "higher"})
+    summary = bench.summarize(
+        pairs, {"op": "lower", "rate": "higher"}, {"op": 0.25, "rate": 0.24}
+    )
     op = summary["op"]
     assert op["parent"] == {"q1": 0.31, "median": 0.32, "q3": 0.33}
     assert op["change"] == {"q1": 0.27, "median": 0.28, "q3": 0.29}
@@ -99,7 +101,36 @@ def test_bench_pairs_summary_counts_medians_quartiles_and_pairs_won():
     assert bench.quartiles([5.0]) == (5.0, 5.0, 5.0)
     # a tie is not a win
     tie = [{"parent": {"op": 1.0}, "change": {"op": 1.0}}]
-    assert bench.summarize(tie, {"op": "lower"})["op"]["pairs_won"] == 0
+    assert bench.summarize(tie, {"op": "lower"}, {"op": 0.25})["op"]["pairs_won"] == 0
+
+
+def _verdicts(bench, before, after, better, bound):
+    pairs = [{"parent": {"m": a}, "change": {"m": b}} for a, b in zip(before, after)]
+    entry = bench.summarize(pairs, {"m": better}, {"m": bound})["m"]
+    return entry["gain_met"], entry["within_bound"]
+
+
+def test_bench_pairs_verdicts_follow_the_pairs_rule_and_the_bound():
+    bench = _load("bench_pairs")
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # q3 - q1 = 0.175
+    # 10 of 10 pairs won, medians 0.5 apart: a gain, in either direction
+    assert _verdicts(bench, parent, [x + 0.5 for x in parent], "higher", 0.1) == (True, True)
+    assert _verdicts(bench, parent, [x - 0.5 for x in parent], "lower", 0.1) == (True, True)
+    # 9 of 10 won is enough, 8 of 10 is not
+    nine = [x + 0.5 for x in parent[:9]] + [parent[9] - 0.5]
+    eight = [x + 0.5 for x in parent[:8]] + [x - 0.5 for x in parent[8:]]
+    assert _verdicts(bench, parent, nine, "higher", 0.1)[0] is True
+    assert _verdicts(bench, parent, eight, "higher", 0.1)[0] is False
+    # every pair won, but the medians 0.1 apart, inside the parent's spread
+    assert _verdicts(bench, parent, [x + 0.1 for x in parent], "higher", 0.1)[0] is False
+    # ties count for neither side
+    assert _verdicts(bench, parent, parent, "higher", 0.1) == (False, True)
+    # a 5 % loss is within a 0.1 bound and outside a 0.04 one, either way
+    worse_high, worse_low = [0.95 * x for x in parent], [1.05 * x for x in parent]
+    assert _verdicts(bench, parent, worse_high, "higher", 0.1) == (False, True)
+    assert _verdicts(bench, parent, worse_high, "higher", 0.04) == (False, False)
+    assert _verdicts(bench, parent, worse_low, "lower", 0.1) == (False, True)
+    assert _verdicts(bench, parent, worse_low, "lower", 0.04) == (False, False)
 
 
 def test_bench_pairs_records_the_machine_once_with_every_key(monkeypatch):

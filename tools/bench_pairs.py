@@ -15,8 +15,12 @@ identifies the source tree that ran.
 
 The output file holds, per workload, every pair's metrics, and per
 metric the parent's and the change's median and quartiles, the change in
-percent of the medians, and how many pairs the change won (strictly
-better in the metric's direction from BENCHMARK.json).  It also holds
+percent of the medians, how many pairs the change won (strictly better
+in the metric's direction from BENCHMARK.json), and two verdicts:
+gain_met, at least nine tenths of the pairs won and the medians apart by
+more than the parent's q3 - q1 in the better direction, and
+within_bound, the change's median no worse than the parent's by more
+than the metric's bound, a fraction of the parent's median.  It also holds
 tools/size.py's reading of each tree, or null where a tree has no such
 script, and under "machine" what every run shared, recorded once per
 run by machine(): numpy's CPU flags and SIMD targets, the OpenBLAS core,
@@ -98,21 +102,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, quartiles, percent change and pairs won.
+def summarize(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float]
+) -> dict:
+    """Per metric: medians, quartiles, percent change, pairs won and verdicts.
 
     pairs are {"parent": {metric: value}, "change": {metric: value}};
-    better maps each metric to "lower" or "higher".
+    better maps each metric to "lower" or "higher", and bounds to the
+    fraction of the parent's median by which it may worsen.
     """
     out = {}
     for name, direction in better.items():
         before = [pair["parent"][name] for pair in pairs]
         after = [pair["change"][name] for pair in pairs]
-        if direction == "lower":
-            won = sum(b < a for a, b in zip(before, after))
-        else:
-            won = sum(b > a for a, b in zip(before, after))
+        sign = -1.0 if direction == "lower" else 1.0
+        won = sum(sign * (b - a) > 0.0 for a, b in zip(before, after))
         (p1, pm, p3), (c1, cm, c3) = quartiles(before), quartiles(after)
+        gain = sign * (cm - pm)  # positive when the change's median is better
         out[name] = {
             "better": direction,
             "parent": {"q1": p1, "median": pm, "q3": p3},
@@ -120,6 +126,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_pct": 100.0 * (cm - pm) / pm if pm else None,
             "pairs_won": won,
             "pairs": len(pairs),
+            "gain_met": 10 * won >= 9 * len(pairs) and gain > p3 - p1,
+            "within_bound": -gain <= bounds[name] * abs(pm),
         }
     return out
 
@@ -191,6 +199,7 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    bounds = {entry["name"]: entry["bound"] for entry in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     doc = {
@@ -223,7 +232,7 @@ def main() -> int:
             doc["workloads"][workload] = {
                 "pairs": pairs,
                 "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
-                "summary": summarize(pairs, better),
+                "summary": summarize(pairs, better, bounds),
             }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
