@@ -5,8 +5,9 @@ radial, mollify, resonance.  Each takes only the options it reads.
 junction, bound and resonance always print one JSON document.  scatter
 and radial print a single point as JSON and a sweep as CSV, mollify its
 eps table as CSV; these three take --format to pick either.
-Exit codes: 0 success, 2 bad arguments, 3 no junction / no scattering
-state, 4 numerical failure.
+Exit codes: 0 success, 2 bad arguments or output that cannot be written,
+3 no junction / no scattering state, 4 numerical failure or memory
+exhausted.
 
 Each command imports the modules it runs when it runs.  Loading this
 module loads core, errors, junction and serialize, all that junction and
@@ -24,6 +25,7 @@ file beside --out that replaces it once the last block is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -404,6 +406,8 @@ def _fail(exc: Exception) -> int:
         code, doc = EXIT_REGIME, {"error": exc.tag}
     elif isinstance(exc, numeric):
         code, doc = EXIT_NUMERIC, {"error": exc.tag, "message": str(exc)}
+    elif isinstance(exc, MemoryError):
+        code, doc = EXIT_NUMERIC, {"error": "out_of_memory"}
     else:
         code, doc = EXIT_USAGE, {"error": "invalid_argument", "message": str(exc)}
     sys.stdout.write(canonical_json(doc) + "\n")
@@ -462,13 +466,30 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
     except SystemExit as exc:  # only --help exits, after printing its text
         return exc.code
-    except (SingscatError, ValueError) as exc:
+    except (SingscatError, ValueError, MemoryError) as exc:
         return _fail(exc)
     return EXIT_OK
 
 
 def main_entry() -> None:
+    """The singscat command: main on sys.argv, then stdout flushed.
+
+    A failure to write stdout, a closed pipe or a full device, exits 2 with
+    the error document on stderr.  stdout's descriptor then points at
+    os.devnull, as the "Note on SIGPIPE" in the signal module's
+    documentation does, so that the flush at interpreter exit does not fail
+    again on what is still buffered.
+    """
     # OpenBLAS starts a thread per CPU when numpy loads, and the 2x2
     # products gain nothing from them; a value the caller set is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:  # from stdout: main turns --out's errors into documents
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        doc = {"error": "invalid_argument", "message": f"cannot write stdout: {exc}"}
+        with contextlib.suppress(OSError):  # stderr may share the closed pipe
+            sys.stderr.write(canonical_json(doc) + "\n")
+        code = EXIT_USAGE
+    raise SystemExit(code)

@@ -21,8 +21,9 @@ CheckedRecord routes _make and _replace through __new__.  A checked
 record is built only through its own __new__; the unchecked records of
 the per-energy paths are built with tuple.__new__(Record, fields).
 
-Every module's boundary rule lives here too: a number is what _real
-accepts, and _check_type refuses a value of the wrong type.
+Every module's boundary rule lives here too: _float turns a number into
+a Python float once, at entry, or refuses it, and _check_type refuses a
+value of the wrong type.
 """
 
 from __future__ import annotations
@@ -54,34 +55,34 @@ PHASE_ULP_FRACTION = 1e-6
 _PHASE_LIMIT = 2.0 ** (math.floor(math.log2(PHASE_ULP_FRACTION * math.pi)) + 53)
 
 
-def _real(x) -> bool:
-    """Whether x is a numbers.Real, not a bool, that a float holds (10**400 is
-    not); a 0-d array, which can change after a record keeps it, is not."""
-    kind = type(x)
-    if kind is float:
-        return True
-    if kind is not int and (kind is bool or not isinstance(x, Real)):
-        return False
+def _float(x, what: str) -> float:
+    """float(x) for a numbers.Real that is not a bool and that a float holds;
+    a 0-d array, which is not a numbers.Real, is refused too.  Otherwise
+    ValueError "{what} must be a real number, got {type}", or for an int
+    past the float range (10**400) "{what} must be a real number within the
+    float range, got int": a message names the type, never the value."""
+    if type(x) is float:
+        return x
+    if type(x) is bool or not isinstance(x, Real):
+        raise ValueError(f"{what} must be a real number, got {type(x).__name__}")
     try:
-        float(x)
+        return float(x)
     except OverflowError:
-        return False
-    return True
+        kind = type(x).__name__
+        raise ValueError(
+            f"{what} must be a real number within the float range, got {kind}"
+        ) from None
 
 
 def _integer(x) -> bool:
-    """Whether x is an integer: a real number that is a numbers.Integral."""
-    return _real(x) and isinstance(x, Integral)
+    """Whether x, a number _float takes, is a count: a numbers.Integral."""
+    return isinstance(x, Integral)
 
 
 def _check_type(value, kind: type, what: str) -> None:
-    """ValueError "{what} must be a {kind}, got {type}" unless value is a kind;
-    kind float means a real number (_real), as a float annotation admits an int."""
-    if not (_real(value) if kind is float else isinstance(value, kind)):
-        name = "real number" if kind is float else kind.__name__
-        if kind is float and type(value) is not bool and isinstance(value, Real):
-            name = "real number within the float range"
-        raise ValueError(f"{what} must be a {name}, got {type(value).__name__}")
+    """ValueError "{what} must be a {kind}, got {type}" unless value is a kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _as_list(items, what: str) -> list:
@@ -108,14 +109,6 @@ def _real_array(values, what: str) -> np.ndarray:
     return np.asarray(array, dtype=float)
 
 
-def _check_energy(k) -> None:
-    """Refuse an energy k that is not a finite real number: ValueError."""
-    if type(k) is not float:
-        _check_type(k, float, "k")
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-
-
 class CheckedRecord:
     """Mixin of a tuple record whose __new__ checks its fields.
 
@@ -131,14 +124,13 @@ class CheckedRecord:
 
 
 class Mat2(CheckedRecord, namedtuple("Mat2", "m11 m12 m21 m22")):
-    """Real 2x2 matrix acting on (psi, psi') state vectors, of finite real entries."""
+    """Real 2x2 matrix acting on (psi, psi') state vectors, of finite float entries."""
 
     __slots__ = ()
 
     def __new__(cls, m11: float, m12: float, m21: float, m22: float):
         if not (type(m11) is type(m12) is type(m21) is type(m22) is float):
-            for entry in (m11, m12, m21, m22):
-                _check_type(entry, float, "matrix entry")
+            m11, m12, m21, m22 = [_float(x, "matrix entry") for x in (m11, m12, m21, m22)]
         if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)):
             raise ValueError("matrix entries must be finite")
         return tuple.__new__(cls, (m11, m12, m21, m22))
@@ -183,15 +175,22 @@ _IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):
     """Point potential c * delta^m at the origin.
 
-    m is the power of the delta factor (m > 0), c the coupling strength.
+    m is the power of the delta factor (m > 0), c the coupling strength,
+    both kept as floats.
     """
 
     __slots__ = ()
 
     def __new__(cls, m: float, c: float):
-        if not (_real(m) and math.isfinite(m) and m > 0.0):
+        if not (type(m) is type(c) is float):
+            try:
+                m = _float(m, "exponent")
+            except ValueError as exc:
+                raise InvalidExponent(*exc.args) from None
+            c = _float(c, "coupling")
+        if not (isfinite(m) and m > 0.0):
             raise InvalidExponent(f"exponent must be positive and finite, got {m}")
-        if not (_real(c) and math.isfinite(c)):
+        if not isfinite(c):
             raise ValueError(f"coupling must be finite, got {c}")
         return tuple.__new__(cls, (m, c))
 
@@ -207,7 +206,8 @@ class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a
     def __new__(cls, base: PotentialSpec, a: float):
         # only an immutable record lets s_wave_solve key its junction by identity
         _check_type(base, PotentialSpec, "shell base")
-        if not (_real(a) and math.isfinite(a) and a > 0.0):
+        a = _float(a, "shell radius")
+        if not (isfinite(a) and a > 0.0):
             raise ValueError(f"shell radius must be positive, got {a}")
         return tuple.__new__(cls, (base, a))
 
@@ -281,10 +281,9 @@ def free_transfer(k: float, h: float) -> Mat2:
     Raises ValueError for a k that is not a finite real number, an h that
     is not a real number, or when an entry overflows.
     """
-    _check_energy(k)
-    if type(h) is not float:
-        _check_type(h, float, "h")
-    (c, s), (dc, ds) = free_propagators(k, h).tolist()
+    if not isfinite(k := _float(k, "k")):
+        raise ValueError(f"k must be finite, got {k}")
+    (c, s), (dc, ds) = free_propagators(k, _float(h, "h")).tolist()
     return Mat2(c, s, dc, ds)
 
 
@@ -296,9 +295,9 @@ def check_phase(k: float, x: float) -> None:
     not a real number, and PrecisionLoss when k > 0 and one ulp of
     sqrt(k) x exceeds PHASE_ULP_FRACTION pi.
     """
-    _check_energy(k)
-    if type(x) is not float:
-        _check_type(x, float, "x")
+    if not isfinite(k := _float(k, "k")):
+        raise ValueError(f"k must be finite, got {k}")
+    x = _float(x, "x")
     if k > 0.0 and math.sqrt(k) * x >= _PHASE_LIMIT:
         raise PrecisionLoss(
             f"phase sqrt(k) x = {math.sqrt(k) * x!r} has an ulp above "

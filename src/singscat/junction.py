@@ -21,7 +21,7 @@ from collections import namedtuple
 from enum import Enum
 from math import pi, sqrt
 
-from .core import CheckedRecord, Mat2, PotentialSpec, _check_type, _real
+from .core import CheckedRecord, Mat2, PotentialSpec, _check_type, _float
 from .errors import MissingChoice, PrecisionLoss, UndefinedRegime
 
 # Absolute tolerance for deciding m == 1 and m == 2.
@@ -66,14 +66,14 @@ _new = tuple.__new__
 
 
 class IvChoice(CheckedRecord, namedtuple("IvChoice", "a b")):
-    """Caller-supplied resolution (a, b) of the doubly indeterminate case."""
+    """Caller-supplied resolution (a, b) of the indeterminate case, as floats."""
 
     __slots__ = ()
 
-    def __new__(cls, a: int, b: float):
-        if not (_real(a) and a in (1, -1)):
+    def __new__(cls, a: float, b: float):
+        if (a := _float(a, "a")) not in (1.0, -1.0):
             raise ValueError(f"a must be +1 or -1, got {a}")
-        if not (_real(b) and math.isfinite(b)):
+        if not math.isfinite(b := _float(b, "b")):
             raise ValueError(f"b must be finite, got {b}")
         return tuple.__new__(cls, (a, b))
 
@@ -146,7 +146,7 @@ def junction_matrix(p: PotentialSpec, choice: IvChoice | None = None) -> Mat2:
             raise MissingChoice(
                 "m > 2 with c < 0 is doubly indeterminate, supply (a, b)"
             )
-        return Mat2(float(choice.a), 0.0, choice.b, 1.0)
+        return Mat2(choice.a, 0.0, choice.b, 1.0)
     if choice is not None:
         raise ValueError("choice is only meaningful for the indeterminate regime")
     if kind is _STANDARD_DELTA:

@@ -20,10 +20,9 @@ from .core import (
     Mat2,
     PotentialSpec,
     _as_list,
-    _check_energy,
     _check_type,
+    _float,
     _integer,
-    _real,
     _real_array,
     check_phase,
     free_propagators,
@@ -112,8 +111,10 @@ class MollifierShape(
     """Unit-mass even bump phi supported on [-half_support, half_support].
 
     The profile is vectorized over numpy arrays and returns 0 outside the
-    support.  Construction refuses a half_support that is not a positive
-    and finite real number and a profile that is not callable, then checks
+    support.  half_support and edge_order are kept as floats.
+    Construction refuses a half_support that is not a positive and finite
+    real number, an edge_order that is neither None nor a positive and
+    finite real number, and a profile that is not callable, then checks
     the mass to 1e-10 with a composite 16-node Gauss-Legendre rule on 64
     equal panels of [-half_support, half_support], and evenness on 17
     probe points; each failure raises ValueError.  Kinks of a profile inside
@@ -124,23 +125,29 @@ class MollifierShape(
     h^(1 + alpha m) term into the midpoint error of phi^m, which the
     refinement ladder cancels (error_exponents).  Construction checks it
     against the log-log slope of the profile at 1e-3 s and 1e-4 s from
-    the edge, to 1e-2, and raises ValueError on a mismatch or an order
-    that is not a positive real number.  None, the default, declares no
-    edge term: the profile jumps on a cell edge, as the top hat does, or
-    is negligible at its cut, as the gauss is.
+    the edge, to 1e-2, and raises ValueError on a mismatch.  None, the
+    default, declares no edge term: the profile jumps on a cell edge, as
+    the top hat does, or is negligible at its cut, as the gauss is.
     The repr leaves the profile out.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        name, s, profile, edge_order = self
-        if not (_real(s) and math.isfinite(s) and s > 0.0):
+        name, s, profile, edge_order = super().__new__(cls, *args, **kwargs)
+        s = _float(s, f"shape {name} half support")
+        if not (math.isfinite(s) and s > 0.0):
             raise ValueError(
                 f"shape {name} half support must be positive and finite, got {s!r}"
             )
+        if edge_order is not None:
+            edge_order = _float(edge_order, f"shape {name} edge order")
+            if not 0.0 < edge_order < math.inf:
+                raise ValueError(
+                    f"shape {name} edge order must be positive, got {edge_order!r}"
+                )
         _check_type(profile, Callable, f"shape {name} profile")
+        self = tuple.__new__(cls, (name, s, profile, edge_order))
         half_panel = s / _MASS_PANELS
         # above s = 9e307 the outer centres overflow; the mass check refuses
         with np.errstate(over="ignore", invalid="ignore"):
@@ -153,7 +160,16 @@ class MollifierShape(
         if not np.max(np.abs(self(probe) - self(-probe))) <= 1e-12:
             raise ValueError(f"shape {name} is not even")
         if edge_order is not None:
-            self._check_edge_order()
+            dists = s * np.asarray(_EDGE_PROBES)
+            far, near = profile(s - dists)
+            # a profile that is zero or negative there gives a nan or inf slope
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = float(np.log(far / near) / np.log(dists[0] / dists[1]))
+            if not abs(slope - edge_order) <= _EDGE_SLOPE_TOL:
+                raise ValueError(
+                    f"shape {name} vanishes at its edge with order {slope!r}, "
+                    f"declared {edge_order}"
+                )
         return self
 
     def __repr__(self) -> str:
@@ -161,24 +177,6 @@ class MollifierShape(
             f"{type(self).__name__}(name={self.name!r}, "
             f"half_support={self.half_support!r}, edge_order={self.edge_order!r})"
         )
-
-    def _check_edge_order(self):
-        alpha = self.edge_order
-        if not (_real(alpha) and math.isfinite(alpha) and alpha > 0.0):
-            raise ValueError(
-                f"shape {self.name} edge order must be positive, got {alpha!r}"
-            )
-        s = self.half_support
-        dists = s * np.asarray(_EDGE_PROBES)
-        far, near = self.profile(s - dists)
-        # a profile that is zero or negative there gives a nan or inf slope
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = float(np.log(far / near) / np.log(dists[0] / dists[1]))
-        if not abs(slope - alpha) <= _EDGE_SLOPE_TOL:
-            raise ValueError(
-                f"shape {self.name} vanishes at its edge with order {slope!r}, "
-                f"declared {alpha}"
-            )
 
     def error_exponents(self, m: float) -> list[float]:
         """Lowest powers of h in the midpoint error of phi^m, ascending.
@@ -245,7 +243,7 @@ class RegularizedPotential(
     def __new__(cls, spec: PotentialSpec, shape: MollifierShape, eps: float):
         _check_type(spec, PotentialSpec, "spec")
         _check_type(shape, MollifierShape, "shape")
-        if not (_real(eps) and math.isfinite(eps) and eps > 0.0):
+        if not 0.0 < (eps := _float(eps, "eps")) < math.inf:
             raise ValueError(f"eps must be positive, got {eps!r}")
         return tuple.__new__(cls, (spec, shape, eps))
 
@@ -395,7 +393,9 @@ def transfer_fixed_cells(
     finite real number, an n_cells that is not a positive integer, or an
     empty list.
     """
-    _check_energy(k)
+    if not math.isfinite(k := _float(k, "k")):
+        raise ValueError(f"k must be finite, got {k}")
+    _float(n_cells, "n_cells")  # a number, so its repr is short
     if not (_integer(n_cells) and n_cells > 0):
         raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
     one, pots, spec, shape = _stack(pot)
@@ -512,7 +512,8 @@ def numeric_transfer(
         if the cap is reached first (the last two iterates ride along on
         the exception).
     """
-    _check_energy(k)
+    if not math.isfinite(k := _float(k, "k")):
+        raise ValueError(f"k must be finite, got {k}")
     one, pots, spec, shape = _stack(pot)
     if not pots:
         return []
@@ -573,6 +574,7 @@ def _junctions(pots: list, k: float) -> list:
     potentials it passes, one free_propagators call for every strip
     F(k, -s eps), and per row F T F, or TransferOverflow if that overflows.
     """
+    k = _float(k, "k")
     refusals = []
     for pot in pots:
         try:
@@ -652,17 +654,12 @@ def convergence_sweep(
     """
     if reference is not None:
         _check_type(reference, Mat2, "reference")
-    eps_values = _as_list(eps_list, "eps_list")
-    for eps in eps_values:
-        _check_type(eps, float, "eps")
-    eps_values = list(map(float, eps_values))
+    eps_values = [_float(eps, "eps") for eps in _as_list(eps_list, "eps_list")]
     if not eps_values:
         raise ValueError("eps_list must not be empty")
     for earlier, later in zip(eps_values, eps_values[1:]):
         if not later < earlier:
             raise ValueError("eps_list must decrease strictly")
-    if eps_values[-1] <= 0.0:
-        raise ValueError("eps values must be positive")
     pots = [RegularizedPotential(p, shape, eps) for eps in eps_values]
     rows = []
     for eps, m_eps in zip(eps_values, _junctions(pots, k)):
@@ -857,8 +854,9 @@ def resonant_search(shape: MollifierShape, n: int) -> tuple[float, int]:
     NoConvergence
         if cell refinement cannot pin the level to TOL_REL.
     """
+    _float(n, "level index")  # a number, so its repr is short
     if not (_integer(n) and 1 <= n <= MAX_LEVEL):
-        raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n}")
+        raise ValueError(f"level index must be in 1..{MAX_LEVEL}, got {n!r}")
     _check_type(shape, MollifierShape, "shape")
     c_lo, c_hi = -4.0 * ((n + 2) * math.pi) ** 2, -1e-12
     step = math.pi**2 / 8.0

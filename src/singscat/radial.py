@@ -24,7 +24,7 @@ from .core import (
     ShellPotentialSpec,
     _as_list,
     _check_type,
-    _real,
+    _float,
     check_phase,
     free_propagators,
 )
@@ -95,7 +95,7 @@ def s_wave_solve(
     on every call.
     """
     if type(k) is not float:
-        _check_type(k, float, "k")
+        k = _float(k, "k")
     if not (k > 0.0):
         if k == -inf:  # k = inf is refused at the phase edge below
             raise ValueError(f"k must be finite, got {k}")
@@ -157,9 +157,9 @@ def radial_wavefunction(
     """
     _check_type(solution, RadialResult, "solution")
     k = solution.k
-    rs = _as_list(rs, "rs")
+    rs = [_float(r, "radius") for r in _as_list(rs, "rs")]
     for r in rs:
-        if not (_real(r) and r > 0.0 and isfinite(r)):
+        if not 0.0 < r < inf:
             raise ValueError(f"radii must be positive and finite, got {r}")
     a = solution.a
     check_phase(k, max([a, *rs]))

@@ -17,9 +17,8 @@ from .core import (
     Mat2,
     PiecewiseSolution,
     _as_list,
-    _check_energy,
     _check_type,
-    _real,
+    _float,
     check_phase,
     free_propagators,
 )
@@ -114,22 +113,21 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     """
     _check_type(junction, Mat2, "junction")
     if type(k) is not float:
-        _check_type(k, float, "k")
-    kf = float(k)
-    if not 0.0 < kf < math.inf:
-        if math.isinf(kf):
-            raise ValueError(f"scattering needs a finite k, got {kf}")
+        k = _float(k, "k")
+    if not 0.0 < k < math.inf:
+        if math.isinf(k):
+            raise ValueError(f"scattering needs a finite k, got {k}")
         raise NonPositiveEnergy(f"scattering needs k > 0, got {k}")
-    q = math.sqrt(kf)
+    q = math.sqrt(k)
     j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
-    d_re, d_im = kf * j12 - j21, q * (j11 + j22)
+    d_re, d_im = k * j12 - j21, q * (j11 + j22)
     if math.hypot(d_re, d_im) == math.inf or (
-        abs(d_re) <= _DEGENERACY_TOL * (kf * abs(j12) + abs(j21))
+        abs(d_re) <= _DEGENERACY_TOL * (k * abs(j12) + abs(j21))
         and abs(d_im) <= _DEGENERACY_TOL * (q * (abs(j11) + abs(j22)))
     ):
         raise NoScatteringState("plane-wave matching system is inconsistent")
     denom = complex(d_re, d_im)
-    r = complex(kf * j12 + j21, q * (j22 - j11)) / denom
+    r = complex(k * j12 + j21, q * (j22 - j11)) / denom
     one = complex(1.0, 0.0)
     t = complex(j11, 0.0) * (one + r) + (
         1j * complex(q, 0.0) * complex(j12, 0.0) * (one - r)
@@ -260,8 +258,7 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     _check_type(junction, Mat2, "junction")
     ks = _as_list(k_grid, "k_grid")
     if set(map(type, ks)) - {float}:
-        for k in ks:
-            _check_type(k, float, "k")
+        ks = [_float(k, "k") for k in ks]
     det_j = junction.det()
     new = tuple.__new__
     return [
@@ -336,9 +333,11 @@ def compose_chain(
     representable range, naming the x of the first junction where it did,
     and ValueError for a k that is not a finite real number or a chain
     that is not an iterable of (position, Mat2) pairs, each position a
-    real number.
+    real number.  Positions are taken as floats before their gaps are
+    subtracted, so int positions past 2^53 round first.
     """
-    _check_energy(k)
+    if not math.isfinite(k := _float(k, "k")):
+        raise ValueError(f"k must be finite, got {k}")
     xs, junctions = _links(chain)
     for prev_x, x in zip(xs, xs[1:]):
         if not x > prev_x:
@@ -369,15 +368,16 @@ def _links(chain) -> tuple[list, list]:
     """The positions and the junctions of a chain, checked in one pass.
 
     Raises ValueError unless chain is an iterable of (position, junction)
-    pairs, each position a real number and each junction a Mat2.  A float
-    position passes on its exact type, without the call to _real.
+    pairs, each position a real number and each junction a Mat2.  The
+    positions come back as floats; a float passes on its exact type,
+    without the call to _float.
     """
     xs, junctions = [], []
     try:
         for x, junction in chain:
-            if not ((type(x) is float or _real(x)) and isinstance(junction, Mat2)):
+            if not isinstance(junction, Mat2):
                 break
-            xs.append(x)
+            xs.append(x if type(x) is float else _float(x, "position"))
             junctions.append(junction)
         else:
             return xs, junctions
@@ -420,8 +420,8 @@ def evaluate_solution(
     """
     _check_type(solution, PiecewiseSolution, "solution")
     k, left, right = solution.k, solution.left_coeffs, solution.right_coeffs
-    xs = _as_list(xs, "xs")
-    if not all(_real(x) and math.isfinite(x) for x in xs):
+    xs = [_float(x, "sample point") for x in _as_list(xs, "xs")]
+    if not all(map(math.isfinite, xs)):
         raise ValueError("sample points must be finite")
     check_phase(k, max(map(abs, xs), default=0.0))
     props = free_propagators(k, xs).tolist()

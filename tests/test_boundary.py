@@ -11,6 +11,7 @@ import pytest
 
 import singscat
 from singscat import (
+    GAUSSIAN,
     TOP_HAT,
     TRIANGLE,
     ConvergenceRow,
@@ -22,6 +23,7 @@ from singscat import (
     PotentialSpec,
     RegularizedPotential,
     ShellPotentialSpec,
+    bound_states,
     compose_chain,
     convergence_sweep,
     effective_junction,
@@ -134,7 +136,10 @@ def test_every_exponent_refusal_is_a_value_error():
 
 # Values of the wrong type, or of no use, for any argument: the refusals of
 # the property below and of the named regressions after it.
-_ODD = [None, "1", True, 1j, np.array(1.0), [1.0], (1.0,), object(), 10**400]
+_ODD = [
+    None, "1", True, 1j, np.array(1.0), [1.0], (1.0,), object(), 10**400,
+    2**70, 10**5000, np.int64(3), np.float32(1.5),
+]
 
 _ROWS = [
     ConvergenceRow(eps, _JUNCTION, 1e-3 * eps, 0.0) for eps in (0.1, 0.05, 0.025)
@@ -276,3 +281,75 @@ def test_estimate_order_refuses_rows_that_are_not_a_sequence(items):
 def test_certify_convergence_refuses_rows_that_are_not_a_sequence(items):
     with pytest.raises(ValueError, match="rows must be a sequence"):
         singscat.certify_convergence(items)
+
+
+def _bits(values) -> list[str]:
+    """Each value's float.hex, or its repr where it is not a Python float."""
+    return [x.hex() if type(x) is float else repr(x) for x in values]
+
+
+# Single precision given for a number gives the answer of that number as a
+# Python float, bit for bit and in type: the parent kept np.float32 in the
+# records and let it into the arithmetic.
+
+
+def test_a_float32_shell_radius_gives_the_phase_shift_of_its_float():
+    # the parent's delta0 was 1.7e-6 (relative) off at k = 7
+    a = np.float32(1.3)
+    got = s_wave_solve(ShellPotentialSpec(_SPEC, a), 7.0)
+    want = s_wave_solve(ShellPotentialSpec(_SPEC, float(a)), 7.0)
+    assert _bits(got[:5]) == _bits(want[:5])
+
+
+def test_a_float32_coupling_gives_the_chain_of_its_float():
+    # the parent returned a Mat2 of np.float32 entries, 6.6e-8 off
+    def chain(c):
+        j = junction_matrix(PotentialSpec(1.0, c))
+        return compose_chain([(0.0, j), (0.5, j), (1.25, j)], 2.0)
+
+    c = np.float32(0.1)
+    assert _bits(chain(c)) == _bits(chain(float(c)))
+
+
+def test_a_float32_eps_gives_the_effective_junction_of_its_float():
+    # the parent moved M21 by 2.2e-8, where the lab's tolerance is 1e-10
+    def junction(eps):
+        pot = RegularizedPotential(PotentialSpec(1.0, -1.0), GAUSSIAN, eps)
+        return effective_junction(pot, 1.0)
+
+    eps = np.float32(0.01)
+    assert _bits(junction(eps)) == _bits(junction(float(eps)))
+
+
+def test_a_float32_coupling_gives_bound_states_of_its_float():
+    # the parent returned its kappa as np.float32(1.1)
+    c = np.float32(-2.2)
+    got = bound_states(junction_matrix(PotentialSpec(1.0, c))).kappas
+    assert _bits(got) == _bits(bound_states(junction_matrix(PotentialSpec(1.0, float(c)))).kappas)
+
+
+def test_ints_past_2_53_are_taken_as_their_floats():
+    # the parent refused both as "h must hold real numbers, got object"
+    assert _bits(free_transfer(1.0, 2**70)) == _bits(free_transfer(1.0, float(2**70)))
+    got = compose_chain([(0.0, _JUNCTION), (2**70, _JUNCTION)], 1.0)
+    want = compose_chain([(0.0, _JUNCTION), (float(2**70), _JUNCTION)], 1.0)
+    assert _bits(got) == _bits(want)
+
+
+# field name in the message: a record built with the number x there
+_FIELDS = {
+    "exponent": lambda x: PotentialSpec(x, -2.0),
+    "coupling": lambda x: PotentialSpec(1.0, x),
+    "shell radius": lambda x: ShellPotentialSpec(_SPEC, x),
+    "b": lambda x: IvChoice(-1, x),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+def test_an_int_past_the_float_range_is_refused_naming_its_field(field):
+    # the parent formatted the value into its message, and str() of a
+    # 5001-digit int raised Python's own digit-limit error instead
+    with pytest.raises(ValueError) as refusal:
+        _FIELDS[field](10**5000)
+    message = f"{field} must be a real number within the float range, got int"
+    assert str(refusal.value) == message

@@ -659,6 +659,60 @@ def test_a_sweep_failing_after_its_first_block_leaves_no_out_file(capsys, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def _singscat(*argv: str, **kwargs) -> subprocess.Popen:
+    """A singscat process on this checkout's src, stderr piped."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.Popen([sys.executable, "-m", "singscat", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+_LONG_SWEEP = ("scatter", "--m", "1", "--c", "-2", "--kmin", "0.1", "--kmax", "10",
+               "--ksteps", "10000")
+
+
+def test_a_stdout_pipe_closed_after_the_first_bytes_exits_two_without_a_traceback():
+    # the parent ended in BrokenPipeError, a traceback and exit 1
+    with _singscat(*_LONG_SWEEP, stdout=subprocess.PIPE) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=120)
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "invalid_argument", "message": "cannot write stdout: [Errno 32] Broken pipe"
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [_LONG_SWEEP, ("junction", "--m", "1.5", "--c", "1")],
+                         ids=["sweep", "refusal"])
+def test_stdout_on_a_full_device_exits_two_without_a_traceback(argv):
+    # the parent ended in OSError (ENOSPC), a traceback and exit 1, for a
+    # sweep's rows and for a refusal's document alike; the short document
+    # fails only at the flush
+    with open("/dev/full", "w") as full, _singscat(*argv, stdout=full) as child:
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=120)
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "invalid_argument",
+        "message": "cannot write stdout: [Errno 28] No space left on device",
+    }
+
+
+def test_memory_exhausted_exits_four_with_its_document(capsys, monkeypatch):
+    # the parent let MemoryError escape main, as _k_grid raised it for a
+    # 100,000-step sweep under ulimit -v 21000: a traceback and exit 1
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("singscat.cli._k_grid", exhausted)
+    code, out, err = run(capsys, *_SWEEP_ARGV)
+    assert (code, json.loads(out), err) == (4, {"error": "out_of_memory"}, "")
+
+
 def test_sweeps_are_written_a_block_at_a_time(capsys, monkeypatch):
     # the first block is written before the rows after it are computed
     import singscat.scatter as scatter

@@ -214,7 +214,7 @@ JUNCTION_PINS = [
     ((1.0, -0.0), None, 'standard_delta', None,
         ('0x1.0000000000000p+0', '0x0.0p+0', '-0x0.0p+0', '0x1.0000000000000p+0')),
     ((1, 2), None, 'standard_delta', None,
-        ('0x1.0000000000000p+0', '0x0.0p+0', '2', '0x1.0000000000000p+0')),
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+1', '0x1.0000000000000p+0')),
     ((2.0, -9.869604401089358), None, 'resonant_square', 1,
         ('-0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '-0x1.0000000000000p+0')),
     ((2.0, -39.47841760435743), None, 'resonant_square', 2,

@@ -586,8 +586,8 @@ def test_the_lab_refuses_a_shape_name_and_a_level_that_is_not_an_integer():
     for call, message in (
         (lambda: RegularizedPotential((1.0, -1.0), TOP_HAT, 0.1), "PotentialSpec, got tuple"),
         (lambda: convergence_sweep((1.0, -1.0), TOP_HAT, [0.1], 1.0), "PotentialSpec, got tuple"),
-        (lambda: RegularizedPotential(spec, TOP_HAT, np.array(0.1)), "eps must be positive"),
-        (lambda: RegularizedPotential(spec, TOP_HAT, "0.1"), "eps must be positive"),
+        (lambda: RegularizedPotential(spec, TOP_HAT, np.array(0.1)), "eps must be a real number, got ndarray"),
+        (lambda: RegularizedPotential(spec, TOP_HAT, "0.1"), "eps must be a real number, got str"),
         (lambda: MollifierShape("x", "1", profile), "half support"),
         (lambda: MollifierShape("x", 0.5, profile, edge_order="1"), "edge order"),
         (lambda: numeric_transfer("x", 1.0), "RegularizedPotentials, got str"),

@@ -208,11 +208,14 @@ def test_records_refuse_numbers_that_are_not_real():
         for value in (np.array(1.0), np.array(-1), complex(1.0, 0.0), "1.0"):
             with pytest.raises(error):
                 build(value)
-    # numpy's scalar types are registered as real numbers, and kept as given
+    # numpy's scalar types are registered as real numbers, and kept as
+    # Python floats
     spec = PotentialSpec(np.float64(1.0), np.int64(-2))
-    assert type(spec.m) is np.float64 and type(spec.c) is np.int64
-    assert IvChoice(np.int64(-1), np.float32(0.5)) == (-1, 0.5)
-    assert ShellPotentialSpec(spec, np.float64(1.5)).a == 1.5
+    assert type(spec.m) is type(spec.c) is float and spec == (1.0, -2.0)
+    choice = IvChoice(np.int64(-1), np.float32(0.5))
+    assert type(choice.a) is type(choice.b) is float and choice == (-1.0, 0.5)
+    shell = ShellPotentialSpec(spec, np.float64(1.5))
+    assert type(shell.a) is float and shell.a == 1.5
 
 
 def test_regime_functions_refuse_a_plain_tuple():

@@ -267,7 +267,7 @@ def test_no_module_imports_typing():
 
 
 def test_only_core_tells_what_a_number_is():
-    # core's _real and _integer are the one number test: no other module
+    # core's _float and _integer are the one number test: no other module
     # imports numbers or asks isinstance(..., Real or Integral)
     found = []
     for path in sorted((ROOT / "src" / "singscat").glob("*.py")):

@@ -208,9 +208,10 @@ def test_an_energy_that_is_not_a_real_number_is_refused():
         ):
             with pytest.raises(ValueError, match=f"k must be a real number, got {got}"):
                 call()
-    # ints and numpy's scalars are real numbers
+    # ints and numpy's scalars are real numbers, taken as Python floats
     for k in (2, np.int64(2), np.float64(2.0)):
-        assert scattering_amplitudes(j, k).k is k
+        result = scattering_amplitudes(j, k)
+        assert type(result.k) is float and result == scattering_amplitudes(j, 2.0)
         assert transmission_curve(j, [k])[0].result.t == scattering_amplitudes(j, 2.0).t
         assert compose_chain(chain, k) == compose_chain(chain, 2.0)
 

@@ -31,7 +31,9 @@ def test_size_counts_every_kind_of_parameter(tmp_path):
         "no_args = lambda: None\n",  # 0
         encoding="utf-8",
     )
-    assert _load("size").count_parameters(fixture.read_text(encoding="utf-8")) == 12
+    size, source = _load("size"), fixture.read_text(encoding="utf-8")
+    assert size.count_parameters(source) == 12
+    assert len(size.functions(source)) == 6  # four defs and two lambdas
 
 
 def test_size_counts_code_lines_apart_from_blanks_comments_and_docstrings():
@@ -71,7 +73,7 @@ def test_size_prints_one_json_line_without_loading_numpy():
     assert out[1] == "False"
     reading = json.loads(out[0])
     assert list(reading) == [
-        "src_lines", "code_lines", "parameters", "public_names", "cli_slots"
+        "src_lines", "code_lines", "functions", "parameters", "public_names", "cli_slots"
     ]
     assert all(type(value) is int and value > 0 for value in reading.values())
     assert reading["code_lines"] < reading["src_lines"]

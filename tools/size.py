@@ -7,6 +7,7 @@ takes no options and reads the source tree next to it:
 - src_lines: the lines of src/singscat/*.py, as wc -l counts them
 - code_lines: those of them that hold code, not blank, comment-only or
   part of a docstring, so that a cut shows whether it falls in code
+- functions: the defs and lambdas there, so that a removed helper shows
 - parameters: the parameters of every def and lambda there, counting
   positional-only, positional and keyword-only ones, *args and **kwargs
 - public_names: len(singscat.__all__)
@@ -61,14 +62,19 @@ def count_code_lines(source: str) -> int:
     return len(lines)
 
 
+def functions(source: str) -> list[ast.AST]:
+    """The def and lambda nodes of a module's source."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return [node for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)]
+
+
 def count_parameters(source: str) -> int:
     """Parameters of every def and lambda in a module's source."""
     total = 0
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            args = node.args
-            total += len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
-            total += (args.vararg is not None) + (args.kwarg is not None)
+    for node in functions(source):
+        args = node.args
+        total += len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+        total += (args.vararg is not None) + (args.kwarg is not None)
     return total
 
 
@@ -95,6 +101,7 @@ def main() -> None:
     reading = {
         "src_lines": sum(text.count(b"\n") for text in texts),
         "code_lines": sum(count_code_lines(text.decode("utf-8")) for text in texts),
+        "functions": sum(len(functions(text)) for text in texts),
         "parameters": sum(count_parameters(text) for text in texts),
         "public_names": len(singscat.__all__),
         "cli_slots": cli_slots(build_parser()),
