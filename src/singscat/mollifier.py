@@ -186,7 +186,7 @@ class MollifierShape(
         """
         powers = {2.0, 4.0, 6.0}
         if self.edge_order is not None:
-            powers.add(1.0 + self.edge_order * m)
+            powers.add(1.0 + self.edge_order * _float(m, "m"))
         return sorted(powers)[:_TABLEAU_DEPTH]
 
     def __call__(self, y) -> np.ndarray:

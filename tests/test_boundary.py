@@ -59,6 +59,9 @@ _NUMBERS = {
     "MollifierShape.edge_order": (
         lambda x: MollifierShape("x", 1.0, TRIANGLE.profile, edge_order=x), 1.0, ValueError
     ),
+    "MollifierShape.error_exponents.m": (
+        lambda x: TRIANGLE.error_exponents(x), 1.0, ValueError
+    ),
     "RegularizedPotential.eps": (
         lambda x: RegularizedPotential(_SPEC, TOP_HAT, x), 0.1, ValueError
     ),
