@@ -419,7 +419,7 @@ def evaluate_solution(
     growing branch (k < 0) leaves the representable range.
     """
     _check_type(solution, PiecewiseSolution, "solution")
-    k, left, right = solution.k, solution.left_coeffs, solution.right_coeffs
+    k, left, right = _float(solution.k, "k"), solution.left_coeffs, solution.right_coeffs
     xs = [_float(x, "sample point") for x in _as_list(xs, "xs")]
     if not all(map(math.isfinite, xs)):
         raise ValueError("sample points must be finite")

@@ -326,9 +326,21 @@ def test_a_float32_eps_gives_the_effective_junction_of_its_float():
 
 def test_a_float32_coupling_gives_bound_states_of_its_float():
     # the parent returned its kappa as np.float32(1.1)
+    def kappas(c):
+        return bound_states(junction_matrix(PotentialSpec(1.0, c))).kappas
+
     c = np.float32(-2.2)
-    got = bound_states(junction_matrix(PotentialSpec(1.0, c))).kappas
-    assert _bits(got) == _bits(bound_states(junction_matrix(PotentialSpec(1.0, float(c)))).kappas)
+    assert _bits(kappas(c)) == _bits(kappas(float(c)))
+
+
+def test_a_float32_energy_gives_the_samples_of_its_float():
+    # the parent computed psi' in single precision from the record's k
+    def samples(k):
+        solution = PiecewiseSolution(k, (1.0, 0.0), _JUNCTION)
+        return evaluate_solution(solution, [0.5, 2.0])
+
+    k = np.float32(1.3)
+    assert _bits(sum(samples(k), ())) == _bits(sum(samples(float(k)), ()))
 
 
 def test_ints_past_2_53_are_taken_as_their_floats():
