@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import math
 import os
 import re
@@ -478,7 +479,13 @@ def main_entry() -> None:
     the error document on stderr.  stdout's descriptor then points at
     os.devnull, as the "Note on SIGPIPE" in the signal module's
     documentation does, so that the flush at interpreter exit does not fail
-    again on what is still buffered.
+    again on what is still buffered.  Ctrl-C ends the process by SIGINT
+    under its default action, with no traceback: the shell sees status 130.
+
+    Every object the process made is frozen before the exit, so that the
+    collections of interpreter shutdown skip them.  atexit handlers, the
+    flushes of stdout and stderr and module teardown still run, as they
+    would not after os._exit.
     """
     # OpenBLAS starts a thread per CPU when numpy loads, and the 2x2
     # products gain nothing from them; a value the caller set is kept
@@ -492,4 +499,11 @@ def main_entry() -> None:
         with contextlib.suppress(OSError):  # stderr may share the closed pipe
             sys.stderr.write(canonical_json(doc) + "\n")
         code = EXIT_USAGE
+    except KeyboardInterrupt:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        code = 128 + signal.SIGINT  # the shell's status for it, should SIGINT be blocked
+    gc.freeze()
     raise SystemExit(code)

@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -130,12 +131,6 @@ def test_main_keeps_one_parser_that_a_refusal_or_help_leaves_as_it_was(capsys):
     assert run(capsys, "scatter", "--m", "1")[0] == 2
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, *sweep) == first
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
-    )}
-    fresh = subprocess.run([sys.executable, "-m", "singscat", *sweep],
-                           capture_output=True, text=True, env=env, timeout=120)
-    assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
 
 
 # ------------------------------------------------------------- exit codes
@@ -659,13 +654,73 @@ def test_a_sweep_failing_after_its_first_block_leaves_no_out_file(capsys, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-def _singscat(*argv: str, **kwargs) -> subprocess.Popen:
-    """A singscat process on this checkout's src, stderr piped."""
+def _python(*args: str, **kwargs) -> subprocess.Popen:
+    """A Python process on this checkout's src, stderr piped."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
     )}
-    return subprocess.Popen([sys.executable, "-m", "singscat", *argv], env=env,
-                            stderr=subprocess.PIPE, **kwargs)
+    return subprocess.Popen([sys.executable, *args], env=env, stderr=subprocess.PIPE,
+                            **kwargs)
+
+
+def _singscat(*argv: str, **kwargs) -> subprocess.Popen:
+    """A singscat process on this checkout's src, stderr piped."""
+    return _python("-m", "singscat", *argv, **kwargs)
+
+
+def _fresh(*argv: str) -> tuple[int, str, str]:
+    """run's (exit code, stdout, stderr), from a singscat process."""
+    with _singscat(*argv, stdout=subprocess.PIPE) as child:
+        out, err = child.communicate(timeout=120)
+    return child.returncode, out.decode(), err.decode()
+
+
+# A document of every subcommand, a sweep of each kind, and each refusal
+_PARITY = [
+    ("junction", "--m", "1", "--c", "-2"),
+    ("bound", "--m", "1", "--c", "-2"),
+    ("scatter", "--m", "1", "--c", "-1", "--k", "1"),
+    ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "1"),
+    ("scatter", "--m", "1", "--c", "-1", "--kmin", "0.1", "--kmax", "10",
+     "--ksteps", "200", "--format", "csv"),
+    ("scatter", "--m", "1", "--c", "-1", "--kmin", "0.1", "--kmax", "10",
+     "--ksteps", "7", "--format", "json"),
+    ("radial", "--m", "1", "--c", "-2", "--a", "1", "--kmin", "0.1", "--kmax", "10",
+     "--ksteps", "20", "--format", "json"),
+    ("mollify", "--m", "1", "--c", "-1", "--shape", "tophat",
+     "--eps", "1e-1,1e-2,1e-3", "--k", "1"),
+    ("resonance", "--shape", "tophat", "--n", "1"),
+    ("junction", "--m", "1.5", "--c", "1"),
+    ("scatter", "--m", "1"),
+]
+
+
+def test_a_fresh_process_gives_what_main_gives_in_process(capsys, tmp_path):
+    codes = set()
+    for argv in _PARITY:
+        want = run(capsys, *argv)
+        assert _fresh(*argv) == want, argv
+        codes.add(want[0])
+    assert codes == {0, 2, 3}
+    sweep = _PARITY[4]
+    want = run(capsys, *sweep, "--out", str(tmp_path / "main.csv"))
+    assert _fresh(*sweep, "--out", str(tmp_path / "fresh.csv")) == want == (0, "", "")
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_the_exit_freezes_every_object_and_still_runs_atexit_handlers():
+    # the parent froze nothing (False); os._exit would skip the handler
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "sys.argv[1:] = ['junction', '--m', '1', '--c', '-2']\n"
+        "from singscat.cli import main_entry\n"
+        "main_entry()\n"
+    )
+    with _python("-c", script, stdout=subprocess.PIPE) as child:
+        out, err = child.communicate(timeout=120)
+    assert child.returncode == 0 and err == b""
+    assert out.decode() == golden_text("junction_delta.json") + "True\n"
 
 
 _LONG_SWEEP = ("scatter", "--m", "1", "--c", "-2", "--kmin", "0.1", "--kmax", "10",
@@ -683,6 +738,23 @@ def test_a_stdout_pipe_closed_after_the_first_bytes_exits_two_without_a_tracebac
     assert json.loads(err) == {
         "error": "invalid_argument", "message": "cannot write stdout: [Errno 32] Broken pipe"
     }
+
+
+def test_ctrl_c_ends_by_sigint_without_a_traceback():
+    # the parent printed KeyboardInterrupt's traceback, then died by SIGINT.
+    # The child starts with SIGINT's default action, which Python turns into
+    # KeyboardInterrupt, even where this process ignores SIGINT.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        child = _singscat(*_LONG_SWEEP, stdout=subprocess.PIPE)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    with child:
+        assert len(child.stdout.read(100)) == 100
+        child.send_signal(signal.SIGINT)
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=120)
+    assert code == -signal.SIGINT and err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
