@@ -154,10 +154,11 @@ class Mat2(CheckedRecord, namedtuple("Mat2", "m11 m12 m21 m22")):
         )
 
     def apply(self, v: tuple[float, float]) -> tuple[float, float]:
-        """Matrix times state vector."""
+        """Matrix times state vector, whose entries are taken as floats."""
+        psi, dpsi = (_float(x, "state vector entry") for x in v)
         return (
-            self.m11 * v[0] + self.m12 * v[1],
-            self.m21 * v[0] + self.m22 * v[1],
+            self.m11 * psi + self.m12 * dpsi,
+            self.m21 * psi + self.m22 * dpsi,
         )
 
     def max_abs_diff(self, other: "Mat2") -> float:

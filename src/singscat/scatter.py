@@ -411,15 +411,19 @@ def evaluate_solution(
 
     Points left of the origin use the left branch, points right of it the
     right branch.  x = 0 produces two consecutive samples, the left limit
-    first, since the junction may jump there.  Raises ValueError for a
-    solution that is not a PiecewiseSolution, xs that are not a sequence,
-    or a non-finite energy or sample point, PrecisionLoss when k > 0 and
-    sqrt(k) |x| at the farthest point is too large for its phase to carry
-    meaningful digits (core.check_phase), and TransferOverflow when a
-    growing branch (k < 0) leaves the representable range.
+    first, since the junction may jump there.  The energy and the left
+    coefficients are taken as floats.  Raises ValueError for a solution
+    that is not a PiecewiseSolution, xs that are not a sequence, an energy
+    or coefficient that is not a real number, or a non-finite energy or
+    sample point, PrecisionLoss when k > 0 and sqrt(k) |x| at the farthest
+    point is too large for its phase to carry meaningful digits
+    (core.check_phase), and TransferOverflow when a growing branch (k < 0)
+    leaves the representable range.
     """
     _check_type(solution, PiecewiseSolution, "solution")
-    k, left, right = _float(solution.k, "k"), solution.left_coeffs, solution.right_coeffs
+    k = _float(solution.k, "k")
+    left = tuple(_float(x, "left coefficient") for x in solution.left_coeffs)
+    right = solution.junction.apply(left)
     xs = [_float(x, "sample point") for x in _as_list(xs, "xs")]
     if not all(map(math.isfinite, xs)):
         raise ValueError("sample points must be finite")

@@ -105,6 +105,13 @@ _NUMBERS = {
         1.0,
         ValueError,
     ),
+    "evaluate_solution.left_coeffs": (
+        lambda x: evaluate_solution(
+            PiecewiseSolution(1.0, (1.0, x), _JUNCTION), [-0.5, 0.5]
+        ),
+        0.0,
+        ValueError,
+    ),
     "radial_wavefunction.r": (
         lambda x: radial_wavefunction(s_wave_solve(_SHELL, 1.0), [0.5, x]),
         1.0,
@@ -341,6 +348,23 @@ def test_a_float32_energy_gives_the_samples_of_its_float():
 
     k = np.float32(1.3)
     assert _bits(sum(samples(k), ())) == _bits(sum(samples(float(k)), ()))
+
+
+def test_a_float32_coefficient_gives_the_samples_of_its_float():
+    # the parent computed psi and psi' in single precision from the record's
+    # left coefficients, and let a str coefficient raise TypeError
+    def samples(coeffs):
+        solution = PiecewiseSolution(1.3, coeffs, _JUNCTION)
+        return evaluate_solution(solution, [-0.5, 0.0, 2.0])
+
+    alpha = np.float32(1.1)
+    assert _bits(sum(samples((alpha, 0.0)), ())) == _bits(
+        sum(samples((float(alpha), 0.0)), ())
+    )
+    right = PiecewiseSolution(1.3, (alpha, 0.0), _JUNCTION).right_coeffs
+    assert _bits(right) == _bits(_JUNCTION.apply((float(alpha), 0.0)))
+    with pytest.raises(ValueError, match="left coefficient must be a real number, got str"):
+        samples((1.0, "0"))
 
 
 def test_ints_past_2_53_are_taken_as_their_floats():
