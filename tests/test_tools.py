@@ -154,7 +154,10 @@ def test_bench_pairs_records_the_machine_once_with_every_key(monkeypatch):
     machine = bench.machine()
     assert list(machine) == [*fake, "startup_s"]
     assert {key: machine[key] for key in fake} == fake
-    assert list(machine["startup_s"]) == ["python_S_pass", "python_pass", "import_singscat_cli"]
+    assert list(machine["startup_s"]) == [
+        "python_S_pass", "python_pass", "import_singscat_cli", "import_numpy",
+        "singscat_junction",
+    ]
     assert all(type(best) is float and best >= 0.0 for best in machine["startup_s"].values())
     # the probe once, then each start-up process best of nine
     assert calls[0] == ["-c", bench._MACHINE_PROBE]

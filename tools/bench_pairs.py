@@ -24,7 +24,9 @@ than the metric's bound, a fraction of the parent's median.  It also holds
 tools/size.py's reading of each tree, or null where a tree has no such
 script, and under "machine" what every run shared, recorded once per
 run by machine(): numpy's CPU flags and SIMD targets, the OpenBLAS core,
-whether bytecode writing is on, and start-up floors.
+whether bytecode writing is on, and start-up floors: the bare
+interpreter, importing singscat.cli and numpy, and a whole `singscat
+junction` process.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ STARTUP = {
     "python_S_pass": ["-S", "-c", "pass"],
     "python_pass": ["-c", "pass"],
     "import_singscat_cli": ["-c", "import singscat.cli"],
+    "import_numpy": ["-c", "import numpy"],
+    "singscat_junction": ["-m", "singscat", "junction", "--m", "1", "--c", "-2"],
 }
 STARTUP_REPEATS = 9
 
