@@ -323,17 +323,15 @@ def cmd_radial(args: argparse.Namespace) -> Iterator[str]:
     junction_matrix(p, choice)
     grid = _k_grid(args)
 
-    def solve(k: float) -> list:
-        # RADIAL_FIELDS are the first four fields of a RadialResult
-        return list(s_wave_solve(shell, k, choice)[:4])
-
+    # RADIAL_FIELDS are the first four fields of a RadialResult
     if grid is None:
-        yield from _emit(RADIAL_FIELDS, [solve(args.k)], args.format, sweep=False)
+        row = s_wave_solve(shell, args.k, choice)[:4]
+        yield from _emit(RADIAL_FIELDS, [row], args.format, sweep=False)
         return
     rows = sweep_map(
-        lambda k: solve(k) + [""],
+        lambda k: s_wave_solve(shell, k, choice)[:4] + ("",),
         grid,
-        lambda k, tag: [k, shell.a, math.nan, math.nan, tag],
+        lambda k, tag: (k, shell.a, math.nan, math.nan, tag),
     )
     yield from _emit(RADIAL_FIELDS + ["error"], rows, args.format, sweep=True)
 

@@ -129,7 +129,10 @@ def s_wave_solve(
         delta0 = 0.0
     else:
         raw = atan2(q * alpha, beta) - qa
-        delta0 = _principal_shift(raw)
+        # _principal_shift(raw), inline on the path every energy takes
+        delta0 = remainder(raw, pi)
+        if delta0 <= _MINUS_HALF_PI:
+            delta0 += pi
         if abs(delta0) < 1e-6 * abs(raw) and beta != 0.0:
             # raw lies near a multiple of pi (atan2 near pi for beta < 0),
             # and reducing it cancels the digits of a small delta0; atan

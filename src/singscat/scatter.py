@@ -149,11 +149,26 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
 
     error is "" for a good energy; a failing one gives the tag of its
     exception (SingscatError.tag) and nan for the numbers.  Raises
-    ValueError at the call if any energy is infinite.  The energies go
-    _BLOCK at a time as the rows are consumed, to the one choice of kernel:
-    once numpy is loaded, the array kernel, and scattering_amplitudes names
-    the errors it flags; otherwise scattering_amplitudes for each energy,
-    and numpy stays unloaded.  The bits are the same.
+    ValueError at the call if any energy is infinite.  The rows are those
+    of _amplitude_columns, a block at a time as they are consumed.
+    """
+    return chain.from_iterable(
+        zip(errors or repeat(""), *columns)
+        for _, errors, *columns in _amplitude_columns(junction, ks)
+    )
+
+
+def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
+    """Columns (ks, errors, r, t, reflect_prob, transmit_prob, flux_residual).
+
+    One tuple of columns per block of _BLOCK energies, made as it is
+    consumed; errors is None for a block where no energy fails, else the
+    block's error column, _amplitude_rows' first field.  Raises ValueError
+    at the call if any energy is infinite.  Each block goes to the one
+    choice of kernel: once numpy is loaded, the array kernel, and
+    scattering_amplitudes names the errors it flags; otherwise
+    scattering_amplitudes for each energy, and numpy stays unloaded.  The
+    bits are the same.
     """
     # one pass: a finite sum rules out both infinities (and nan)
     if not math.isfinite(sum(ks, 0.0)) and (math.inf in ks or -math.inf in ks):
@@ -169,27 +184,30 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
 
     np = sys.modules.get("numpy")
 
-    def block_rows(block: list[float]) -> Iterator[tuple]:
+    def block_columns(block: list[float]) -> tuple:
         if np is None:
-            return scalar_rows(block)
-        codes, rows = _amplitude_block(junction, np.array(block, dtype=float))
-        reasons = set(codes) - {0}
-        if not reasons:
-            return rows
-        # one row per reason: the scalar formula's error at its first energy
-        failed = {c: next(scalar_rows([block[codes.index(c)]])) for c in reasons}
-        return (failed[code] if code else kept for code, kept in zip(codes, rows))
+            errors, *columns = zip(*scalar_rows(block))
+            return (block, errors if any(errors) else None, *columns)
+        codes, columns = _amplitude_block(junction, np.array(block, dtype=float))
+        if codes is None:
+            return (block, None, *columns)
+        # one tag per reason: the scalar formula's error at its first energy
+        tags = [""] * 4
+        for code in set(codes) - {0}:
+            tags[code] = next(scalar_rows([block[codes.index(code)]]))[0]
+        return (block, list(map(tags.__getitem__, codes)), *columns)
 
     blocks = (ks[lo : lo + _BLOCK] for lo in range(0, len(ks), _BLOCK))
-    return chain.from_iterable(map(block_rows, blocks))
+    return map(block_columns, blocks)
 
 
-def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tuple]]:
-    """_amplitude_rows' rows for finite energies k, and a code per energy.
+def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list | None, tuple]:
+    """A code per energy, and the columns (r, t, reflect_prob,
+    transmit_prob, flux_residual) of _amplitude_rows for finite energies k.
 
     The code is 0 for a good energy, else why it fails: 1 for k <= 0 (or
-    nan), 2 for D = 0, 3 for |r| or |t| from _AMPLITUDE_MAX.  A failing
-    energy's row holds nan and error "".
+    nan), 2 for D = 0, 3 for |r| or |t| from _AMPLITUDE_MAX.  The codes are
+    None where every energy is good; a failing energy's columns hold nan.
     """
     import numpy as np
 
@@ -220,9 +238,10 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list, Iterator[tupl
         # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
         rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
         det_j = junction.det()
-        rr_a, tt_a = np.array(rr), np.array(tt)
+        rr_a, tt_a = (np.fromiter(col, float, k.size) for col in (rr, tt))
         flux = (tt_a + det_j * rr_a - det_j) / np.maximum(1.0, np.maximum(rr_a, tt_a))
-    return code.tolist(), zip(repeat(""), *amps.tolist(), rr, tt, flux.tolist())
+    codes = code.tolist() if code.any() else None
+    return codes, (*amps.tolist(), rr, tt, flux.tolist())
 
 
 def _c_quot(a_re, a_im, b_re, b_im):
@@ -261,12 +280,15 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
         ks = [_float(k, "k") for k in ks]
     det_j = junction.det()
     new = tuple.__new__
-    return [
-        new(SweepRow, (k, None, error))
-        if error
-        else new(SweepRow, (k, new(ScatteringResult, (k, r, t, rr, tt, det_j, flux)), ""))
-        for k, (error, r, t, rr, tt, flux) in zip(ks, _amplitude_rows(junction, ks))
-    ]
+    rows: list[SweepRow] = []
+    for block, errors, r, t, rr, tt, flux in _amplitude_columns(junction, ks):
+        results = map(
+            new, repeat(ScatteringResult), zip(block, r, t, rr, tt, repeat(det_j), flux)
+        )
+        if errors:  # a failing energy's row holds None and its tag
+            results = [None if error else res for res, error in zip(results, errors)]
+        rows += map(new, repeat(SweepRow), zip(block, results, errors or repeat("")))
+    return rows
 
 
 def bound_states(junction: Mat2) -> BoundSpectrum:
@@ -325,30 +347,42 @@ def compose_chain(
 
         total = J_N F(k, x_N - x_{N-1}) ... J_2 F(k, x_2 - x_1) J_1
 
-    The gap propagators come from one free_propagators call, read back as
-    one flat list; the product is then folded left to right in plain
-    floats and checked once.
+    The gaps are subtracted as one array, which the order check, the
+    phase check of the widest gap and one free_propagators call read; the
+    propagators come back as one row of four entries per gap, and the
+    product is then folded left to right in plain floats and checked once.
 
-    Raises TransferOverflow when the running product leaves the
-    representable range, naming the x of the first junction where it did,
-    and ValueError for a k that is not a finite real number or a chain
-    that is not an iterable of (position, Mat2) pairs, each position a
-    real number.  Positions are taken as floats before their gaps are
-    subtracted, so int positions past 2^53 round first.
+    Raises ChainOrderError naming the first pair of positions that do not
+    increase (a nan position never does), PrecisionLoss when k > 0 and
+    sqrt(k) times the widest gap is too large for its phase to carry
+    meaningful digits (core.check_phase), TransferOverflow when the
+    running product leaves the representable range, naming the x of the
+    first junction where it did, and ValueError for a k that is not a
+    finite real number or a chain that is not an iterable of (position,
+    Mat2) pairs, each position a real number.  Positions are taken as
+    floats before their gaps are subtracted, so int positions past 2^53
+    round first.
     """
     if not math.isfinite(k := _float(k, "k")):
         raise ValueError(f"k must be finite, got {k}")
     xs, junctions = _links(chain)
-    for prev_x, x in zip(xs, xs[1:]):
-        if not x > prev_x:
-            raise ChainOrderError(
-                f"positions must increase strictly, got {prev_x} then {x}"
-            )
-    widths = [b - a for a, b in zip(xs, xs[1:])]
+    import numpy as np
+
+    x = np.array(xs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - -1e308, inf - inf
+        widths = x[1:] - x[:-1]
+    # b - a > 0 exactly when b > a: two unequal floats never differ by 0,
+    # and a nan width (inf - inf, or a nan position) is not > 0
+    increasing = widths > 0.0
+    if not increasing.all():
+        i = int(increasing.argmin())
+        raise ChainOrderError(
+            f"positions must increase strictly, got {xs[i]} then {xs[i + 1]}"
+        )
+    check_phase(k, widths.max(initial=0.0))
     # nothing propagates before the first junction; identity @ identity
     # is exactly the identity, so this step changes no bit
-    entries = iter([1.0, 0.0, 0.0, 1.0, *free_propagators(k, widths).ravel().tolist()])
-    gaps = list(zip(entries, entries, entries, entries))
+    gaps = [(1.0, 0.0, 0.0, 1.0), *free_propagators(k, widths).reshape(-1, 4).tolist()]
     total = _fold(Mat2.identity(), gaps, junctions)
     if not all(map(math.isfinite, total)):
         # A non-finite entry never leaves its column (every later entry of

@@ -370,8 +370,10 @@ def test_a_float32_coefficient_gives_the_samples_of_its_float():
 def test_ints_past_2_53_are_taken_as_their_floats():
     # the parent refused both as "h must hold real numbers, got object"
     assert _bits(free_transfer(1.0, 2**70)) == _bits(free_transfer(1.0, float(2**70)))
-    got = compose_chain([(0.0, _JUNCTION), (2**70, _JUNCTION)], 1.0)
-    want = compose_chain([(0.0, _JUNCTION), (float(2**70), _JUNCTION)], 1.0)
+    # at k = 2^-80 the gap's phase sqrt(k) 2^70 = 2^30 is under the phase
+    # limit, which refuses the same gap at k = 1
+    got = compose_chain([(0.0, _JUNCTION), (2**70, _JUNCTION)], 2.0**-80)
+    want = compose_chain([(0.0, _JUNCTION), (float(2**70), _JUNCTION)], 2.0**-80)
     assert _bits(got) == _bits(want)
 
 

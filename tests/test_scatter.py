@@ -364,6 +364,57 @@ def test_chain_positions_must_increase():
     assert compose_chain([], k=1.0) == Mat2.identity()
 
 
+_ORDER_J = junction_matrix(PotentialSpec(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        # a nan past the first gap, and inf then inf (whose gap is nan),
+        # are what a min() over the gaps lets through
+        ([0.0, 1.0, math.nan, 3.0], "got 1.0 then nan"),
+        ([math.nan, 1.0], "got nan then 1.0"),
+        ([0.0, 0.5, 0.5], "got 0.5 then 0.5"),
+        ([0.0, math.inf, math.inf], "got inf then inf"),
+        ([-math.inf, -math.inf], "got -inf then -inf"),
+        ([0.0, 1.0, 2.0, 1.5], "got 2.0 then 1.5"),
+        # no gap, so nothing to order: the identity, or the one junction
+        ([], None),
+        ([0.4], None),
+        ([math.nan], None),
+        ([math.inf], None),
+    ],
+)
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_chain_order_edge_cases(positions, message, k):
+    chain = [(x, _ORDER_J) for x in positions]
+    if message is None:
+        want = _ORDER_J if positions else Mat2.identity()
+        assert tuple(map(float.hex, compose_chain(chain, k))) == tuple(map(float.hex, want))
+        return
+    with pytest.raises(ChainOrderError) as refusal:
+        compose_chain(chain, k)
+    assert str(refusal.value) == f"positions must increase strictly, {message}"
+
+
+def test_chain_refuses_a_gap_whose_phase_is_rounding_noise():
+    # the parent returned a matrix for a gap whose phase sqrt(k) x = 1e11
+    # evaluate_solution refuses, as it refuses the samples at that x
+    j = _ORDER_J
+    with pytest.raises(PrecisionLoss):
+        compose_chain([(0.0, j), (1e11, j)], 1.0)
+    with pytest.raises(PrecisionLoss):
+        evaluate_solution(PiecewiseSolution(1.0, (1.0, 0.0), j), [1e11])
+    # the widest gap is checked, at the phase limit 2^34 and not below it
+    limit = 2.0**34
+    with pytest.raises(PrecisionLoss):
+        compose_chain([(0.0, j), (1.0, j), (1.0 + 4.0 * limit, j)], 0.0625)
+    below = [(0.0, j), (limit / 2, j), (math.nextafter(1.5 * limit, 0.0), j)]
+    assert all(map(math.isfinite, compose_chain(below, 1.0)))
+    # where k <= 0 the phase is not taken
+    assert all(map(math.isfinite, compose_chain([(0.0, j), (1e11, j)], 0.0)))
+
+
 def test_chain_overflow_is_a_transfer_overflow():
     j = junction_matrix(PotentialSpec(1.0, -50.0))
     with pytest.raises(TransferOverflow):

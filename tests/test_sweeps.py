@@ -26,6 +26,7 @@ from singscat import (
     NonPositiveEnergy,
     NoScatteringState,
     PotentialSpec,
+    ScatteringResult,
     ShellPotentialSpec,
     SingscatError,
     SweepRow,
@@ -425,14 +426,45 @@ def long_grids(draw):
     return [drawn[i % len(drawn)] for i in range(n)]
 
 
+def _curve_text(rows) -> list[str]:
+    """Each curve row as text: its exact types, float.hex of every number."""
+    out = []
+    for row in rows:
+        assert type(row) is SweepRow
+        k, res, error = row
+        if res is None:
+            out.append(f"{k.hex()} None {error}")
+            continue
+        assert type(res) is ScatteringResult and error == ""
+        assert res.k is k and type(res.r) is type(res.t) is complex
+        out.append(" ".join(
+            [x.hex() for x in (k, res.r.real, res.r.imag, res.t.real, res.t.imag)]
+            + [x.hex() for x in res[3:]]
+        ))
+    return out
+
+
+# a block of clean energies, a block that fails at each one and a mixed one
+_BLOCK_KINDS = [1.5 + i / 7.0 for i in range(2048)] + [-1.0] * 2048 + [0.0, 2.5] * 52
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.just(Mat2(-1.0, 0.0, 0.0, 1.0)), junctions), long_grids())
 # det(J) = -inf: the flux of this row is nan, with no warning on either branch
 @example(Mat2(-0.6200729660532458, -1.9523545758220662, -1.7e308, 2.297875649834231), [3.0])
+@example(Mat2(0.3, -1.7, 2.2, 0.9), _BLOCK_KINDS)
+@example(Mat2(0.3, -1.7, 2.2, 0.9), _BLOCK_KINDS[:2047])
+@example(Mat2(0.3, -1.7, 2.2, 0.9), _BLOCK_KINDS[2048:4096])
+@example(Mat2(0.3, -1.7, 2.2, 0.9), _BLOCK_KINDS[2047:4096])
+@example(Mat2(-1.0, 0.0, 0.0, 1.0), _BLOCK_KINDS[:2049])
 def test_row_branches_with_and_without_numpy_agree_bit_for_bit(junction, grid):
     # diag(-1, 1) half the time: a block then mixes both reasons to fail
     kernel = _rows_text(scatter._amplitude_rows(junction, grid))
     assert kernel == _rows_text(_scalar_rows(junction, grid))
+    # transmission_curve's rows, from either kernel's columns
+    curve = _curve_text(transmission_curve(junction, grid))
+    with mock.patch.dict(sys.modules, {"numpy": None}):
+        assert curve == _curve_text(transmission_curve(junction, grid))
 
 
 def test_identity_junctions_scatter_at_the_smallest_energies(capsys):

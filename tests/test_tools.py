@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -162,3 +163,21 @@ def test_bench_pairs_records_the_machine_once_with_every_key(monkeypatch):
     # the probe once, then each start-up process best of nine
     assert calls[0] == ["-c", bench._MACHINE_PROBE]
     assert calls[1:] == [args for args in bench.STARTUP.values() for _ in range(9)]
+
+
+def test_replay_repeats_its_hash_and_tells_one_ulp_apart():
+    replay = _load("replay")
+    first, again = (list(replay.outputs("mollifier_lab", 1, cycles=1)) for _ in range(2))
+    sha, count = replay.digest(first)
+    assert (sha, count) == replay.digest(again) and count == len(first) == 22
+    # one ulp more in one entry of one lab product
+    rows, verdict = first[0]
+    m11, *rest = rows[0].matrix
+    bumped = type(rows[0].matrix)(math.nextafter(m11, math.inf), *rest)
+    first[0] = ([rows[0]._replace(matrix=bumped), *rows[1:]], verdict)
+    assert replay.digest(first)[0] != sha
+    # nestings of the same leaves hash apart
+    assert replay.tokens([(1.0,), 2.0], []) != replay.tokens([(1.0, 2.0)], [])
+    assert replay.tokens([0.1, 1j, "x", None], []) == [
+        "list[4]", "0x1.999999999999ap-4", "0x0.0p+0", "0x1.0000000000000p+0", "'x'", "None"
+    ]
