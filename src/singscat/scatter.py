@@ -159,16 +159,16 @@ def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
 
 
 def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
-    """Columns (ks, errors, r, t, reflect_prob, transmit_prob, flux_residual).
+    """Per block of _BLOCK energies: (block, errors, r, t, reflect_prob,
+    transmit_prob, flux_residual), the block's energies and its columns.
 
-    One tuple of columns per block of _BLOCK energies, made as it is
-    consumed; errors is None for a block where no energy fails, else the
-    block's error column, _amplitude_rows' first field.  Raises ValueError
-    at the call if any energy is infinite.  Each block goes to the one
-    choice of kernel: once numpy is loaded, the array kernel, and
-    scattering_amplitudes names the errors it flags; otherwise
-    scattering_amplitudes for each energy, and numpy stays unloaded.  The
-    bits are the same.
+    Each tuple is made as it is consumed.  errors is None for a block
+    where no energy fails, else the block's column of _amplitude_rows'
+    first field.  Raises ValueError at the call if any energy is
+    infinite.  Each block goes to the one choice of kernel: once numpy is
+    loaded, the array kernel, and scattering_amplitudes names the errors
+    it flags; otherwise scattering_amplitudes for each energy, and numpy
+    stays unloaded.  The bits are the same.
     """
     # one pass: a finite sum rules out both infinities (and nan)
     if not math.isfinite(sum(ks, 0.0)) and (math.inf in ks or -math.inf in ks):
@@ -191,10 +191,8 @@ def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
         codes, columns = _amplitude_block(junction, np.array(block, dtype=float))
         if codes is None:
             return (block, None, *columns)
-        # one tag per reason: the scalar formula's error at its first energy
-        tags = [""] * 4
-        for code in set(codes) - {0}:
-            tags[code] = next(scalar_rows([block[codes.index(code)]]))[0]
+        # one tag per code: the scalar formula's error at its first energy
+        tags = {c: next(scalar_rows([block[codes.index(c)]]))[0] for c in set(codes)}
         return (block, list(map(tags.__getitem__, codes)), *columns)
 
     blocks = (ks[lo : lo + _BLOCK] for lo in range(0, len(ks), _BLOCK))
