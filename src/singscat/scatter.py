@@ -191,8 +191,10 @@ def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
         codes, columns = _amplitude_block(junction, np.array(block, dtype=float))
         if codes is None:
             return (block, None, *columns)
-        # one tag per code: the scalar formula's error at its first energy
-        tags = {c: next(scalar_rows([block[codes.index(c)]]))[0] for c in set(codes)}
+        # one tag per failing code: the scalar formula's error at its first energy
+        tags = {0: ""}
+        for c in set(codes) - {0}:
+            tags[c] = next(scalar_rows([block[codes.index(c)]]))[0]
         return (block, list(map(tags.__getitem__, codes)), *columns)
 
     blocks = (ks[lo : lo + _BLOCK] for lo in range(0, len(ks), _BLOCK))
@@ -231,8 +233,10 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list | None, tuple]
         amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
         amps[:, code != 0] = complex(math.nan, math.nan)
         mods = np.hypot(amps.real, amps.imag)
-        code[(code == 0) & ~(mods < _AMPLITUDE_MAX).all(axis=0)] = 3
-        mods[:, code == 3] = math.nan
+        overflow = (code == 0) & ~(mods < _AMPLITUDE_MAX).all(axis=0)
+        code[overflow] = 3
+        amps[:, overflow] = complex(math.nan, math.nan)
+        mods[:, overflow] = math.nan
         # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
         rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
         det_j = junction.det()

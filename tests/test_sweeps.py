@@ -457,6 +457,13 @@ _BLOCK_KINDS = [1.5 + i / 7.0 for i in range(2048)] + [-1.0] * 2048 + [0.0, 2.5]
 @example(Mat2(0.3, -1.7, 2.2, 0.9), _BLOCK_KINDS[2048:4096])
 @example(Mat2(0.3, -1.7, 2.2, 0.9), _BLOCK_KINDS[2047:4096])
 @example(Mat2(-1.0, 0.0, 0.0, 1.0), _BLOCK_KINDS[:2049])
+# overflow rows: |t| past the float range, and t finite with abs(t) overflowing
+@example(Mat2(-1.0, 0.0, 1e-10, 1.0), [1e300, 1e20])
+@example(
+    Mat2(-5.532654093160611e307, -7.957364066986751e306, 1.4972526463916677e306,
+         3.5613294100088293e307),
+    [0.7468622743963478, 1.0],
+)
 def test_row_branches_with_and_without_numpy_agree_bit_for_bit(junction, grid):
     # diag(-1, 1) half the time: a block then mixes both reasons to fail
     kernel = _rows_text(scatter._amplitude_rows(junction, grid))
