@@ -284,11 +284,13 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     new = tuple.__new__
     rows: list[SweepRow] = []
     for block, errors, r, t, rr, tt, flux in _amplitude_columns(junction, ks):
-        results = map(
-            new, repeat(ScatteringResult), zip(block, r, t, rr, tt, repeat(det_j), flux)
-        )
-        if errors:  # a failing energy's row holds None and its tag
-            results = [None if error else res for res, error in zip(results, errors)]
+        fields = zip(block, r, t, rr, tt, repeat(det_j), flux)
+        if errors is None:
+            results = map(new, repeat(ScatteringResult), fields)
+        else:  # a failing energy's row holds None and its tag, and no record
+            results = [
+                None if error else new(ScatteringResult, f) for f, error in zip(fields, errors)
+            ]
         rows += map(new, repeat(SweepRow), zip(block, results, errors or repeat("")))
     return rows
 

@@ -139,12 +139,13 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
     """The rows of a block, rendered by one % of their row template repeated.
 
     frame is a row's text around its cells, with "%s" where they go.  A
-    column of one exact float or one exact str, repeated, is spelled once
-    by _csv_cell or _json_scalar, straight into the template.  Any other
-    column of exact floats (all finite, in JSON) is spelled "%.17g", after
-    one x + 0.0 pass if it holds a zero so that -0 prints as 0; one of
-    exact strs goes in as it is in CSV and through _quote in JSON; any
-    other column is spelled cell by cell by _csv_cell or _json_scalar.
+    column of one exact float or one exact str, repeated, or of nan floats
+    alone, is spelled once by _csv_cell or _json_scalar, straight into the
+    template.  Any other column of exact floats (all finite, in JSON) is
+    spelled "%.17g", after one x + 0.0 pass if it holds a zero so that -0
+    prints as 0; one of exact strs goes in as it is in CSV and through
+    _quote in JSON; any other column is spelled cell by cell by _csv_cell
+    or _json_scalar.
     """
     width = len(order)
     if set(map(len, block)) != {width}:
@@ -156,8 +157,13 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
     for field in order:
         column = flat[field::width]
         kinds = set(map(type, column))
-        # 1 == 1.0 == True spell differently, so only one exact kind folds
-        if (kinds == {float} or kinds == {str}) and column.count(column[0]) == len(column):
+        # 1 == 1.0 == True spell differently, so only one exact kind folds;
+        # distinct nan objects are unequal, so a float column of nans alone
+        # (no x == x) folds too
+        if (kinds == {float} or kinds == {str}) and (
+            column.count(column[0]) == len(column)
+            or (kinds == {float} and not any(map(float.__eq__, column, column)))
+        ):
             spelling.append(spell(column[0]).replace("%", "%%"))
             continue
         # nan and inf make the sum non-finite, and so, harmlessly, may overflow

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -286,11 +287,21 @@ def test_only_core_tells_what_a_number_is():
 
 def _unused_imports(tree: ast.Module) -> list[str]:
     """"line name" for each name imported under tree that the module neither
-    reads nor lists in its __all__; __future__ imports are not names."""
+    reads nor lists in its __all__; __future__ imports are not names.  The
+    names __all__ lists are the strs in its value and in the values of the
+    module-level names that its value reads."""
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
-            read |= set(ast.literal_eval(node.value))
+    assigned = {
+        ast.unparse(node.targets[0]): node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+    }
+    if "__all__" in assigned:
+        value = assigned["__all__"]
+        sources = [value] + [assigned[n.id] for n in ast.walk(value)
+                             if isinstance(n, ast.Name) and n.id in assigned]
+        read |= {node.value for source in sources for node in ast.walk(source)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     unused = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -490,17 +501,70 @@ def test_closed_form_cli_runs_load_no_json():
     assert _loaded_after_closed_form_runs("json") == expected
 
 
+def _top_level_bindings(module) -> set[str]:
+    """The names a module's own source binds at its top level: by def,
+    class or assignment, not by import."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
 def test_every_public_name_resolves_and_is_listed():
     import singscat
-    from singscat import mollifier
 
     assert [name for name in singscat.__all__ if not hasattr(singscat, name)] == []
     assert set(singscat.__all__) <= set(dir(singscat))
-    # a lazy name is the mollifier's own object, cached once looked up
-    assert singscat.numeric_transfer is mollifier.numeric_transfer
+    assert len(set(singscat.__all__)) == len(singscat.__all__) == len(singscat._OWNER)
+    # each name is its owner module's own object, and the owner is the
+    # module that defines it, not one that imports it and so loads more
+    wrong = []
+    for name, owner in singscat._OWNER.items():
+        module = importlib.import_module(f"singscat.{owner}")
+        value = getattr(singscat, name)
+        if value is not getattr(module, name) or name not in _top_level_bindings(module):
+            wrong.append((name, owner))
+        elif isinstance(value, (type, types.FunctionType)) and value.__module__ != module.__name__:
+            wrong.append((name, owner))
+    assert wrong == []
+    # a lazy name is cached once looked up
     assert "numeric_transfer" in vars(singscat)
     with pytest.raises(AttributeError, match="no_such_name"):
         singscat.no_such_name
+
+
+# Per public name: in a package imported afresh, which singscat modules
+# looking the name up loads.  Dropping every singscat module from
+# sys.modules before each lookup makes the import as fresh as a new process.
+_LOADED_BY_LOOKUP = """
+import sys
+for name in sys.argv[1:]:
+    for module in [m for m in sys.modules if m.split(".")[0] == "singscat"]:
+        del sys.modules[module]
+    import singscat
+    getattr(singscat, name)
+    print(name, *sorted(m for m in sys.modules if m.split(".")[0] == "singscat"))
+"""
+
+
+def test_a_lookup_loads_only_the_defining_module_and_its_imports():
+    lookups = ("convergence_sweep", "transmission_curve", "s_wave_solve")
+    proc = _python("-c", _LOADED_BY_LOOKUP, *lookups)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name: rest for name, *rest in map(str.split, proc.stdout.splitlines())}
+    package = ["singscat", "singscat.core", "singscat.errors"]
+    assert loaded == {
+        # the lab neither runs nor loads junction, radial, scatter or sweep
+        "convergence_sweep": [*package, "singscat.mollifier"],
+        "transmission_curve": [*package, "singscat.scatter", "singscat.sweep"],
+        "s_wave_solve": [*package, "singscat.junction", "singscat.radial"],
+    }
 
 
 def test_cli_shape_names_are_the_shape_registry():

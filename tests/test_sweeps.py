@@ -637,6 +637,11 @@ def _first_difference(got: str, want: str) -> tuple | None:
 @example((["k", "a", "%s", "error"], [[0.5, -0.0, "%d", ""]]))
 @example((["n"], [[1], [1.0], [True]]))
 @example((["k", "a"], [[0.5, 1.0]] * _TABLE_BLOCK + [[0.5, 2.0]]))
+# columns of distinct nan objects, of both signs, fold as one value; a float
+# column that opens with nans and then holds a number does not
+@example((["k", "r", "T", "t"],
+          [[0.5 * i, float("nan"), -float("nan"), 0.25 if i == 3 else float("nan")]
+           for i in range(_TABLE_BLOCK + 1)]))
 def test_table_writer_equals_csv_document_and_canonical_json(table):
     fields, rows = table
     csv_text = "".join(table_blocks(fields, rows, "csv"))

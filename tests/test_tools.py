@@ -157,7 +157,7 @@ def test_bench_pairs_records_the_machine_once_with_every_key(monkeypatch):
     assert {key: machine[key] for key in fake} == fake
     assert list(machine["startup_s"]) == [
         "python_S_pass", "python_pass", "import_singscat_cli", "import_numpy",
-        "singscat_junction",
+        "import_lab", "singscat_junction",
     ]
     assert all(type(best) is float and best >= 0.0 for best in machine["startup_s"].values())
     # the probe once, then each start-up process best of nine

@@ -25,8 +25,8 @@ tools/size.py's reading of each tree, or null where a tree has no such
 script, and under "machine" what every run shared, recorded once per
 run by machine(): numpy's CPU flags and SIMD targets, the OpenBLAS core,
 whether bytecode writing is on, and start-up floors: the bare
-interpreter, importing singscat.cli and numpy, and a whole `singscat
-junction` process.
+interpreter, importing singscat.cli and numpy, the mollifier lab's first
+lookup after numpy, and a whole `singscat junction` process.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ STARTUP = {
     "python_pass": ["-c", "pass"],
     "import_singscat_cli": ["-c", "import singscat.cli"],
     "import_numpy": ["-c", "import numpy"],
+    # the mollifier lab's import floor: numpy, and the modules its first name loads
+    "import_lab": ["-c", "import numpy, singscat; singscat.convergence_sweep"],
     "singscat_junction": ["-m", "singscat", "junction", "--m", "1", "--c", "-2"],
 }
 STARTUP_REPEATS = 9
