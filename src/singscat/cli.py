@@ -17,8 +17,8 @@ resonance add the mollifier and, with it, numpy.  No command loads the
 json package.
 
 Each command yields its document's text: a sweep a block of rows at a
-time, as table_blocks renders them, so that a long table is never held
-whole.  main writes each block as it comes, to stdout or to a temporary
+time, as table_blocks renders them from the sweep's columns, so that a
+long table is never held whole.  main writes each block as it comes, to stdout or to a temporary
 file beside --out that replaces it once the last block is written.
 """
 
@@ -33,7 +33,7 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from .core import PotentialSpec, ShellPotentialSpec
@@ -59,6 +59,9 @@ EXIT_NUMERIC = 4
 # Largest --ksteps grid; a sweep this long takes 1.2-1.8 s end to end for
 # scatter and 0.6-0.9 s for radial, in CSV or JSON, on a 2-vCPU VM.
 MAX_KSTEPS = 100_000
+
+# Energies per block of a radial sweep: one text block of the table writer.
+_RADIAL_BLOCK = 256
 
 # Longest --eps list; an eps row that runs to mollifier.N_CELLS_CAP takes
 # 0.74-1.19 s in process on a 2-vCPU VM, so 64 such rows take 47-77 s.
@@ -196,8 +199,68 @@ def _resolve_choice(
     return regime, (IvChoice(args.iv_a, args.iv_b) if given else None)
 
 
-def _k_grid(args: argparse.Namespace) -> list[float] | None:
-    """None for single-point mode, else the sweep grid."""
+class _Grid(Sequence):
+    """The points of a sweep grid, each computed when it is read.
+
+    Point i of steps is kmin * (kmax / kmin) ** (i / n) on a log scale,
+    with n = steps - 1 and a point that rounds past kmax taken as kmax;
+    exp(hi - (hi - lo) * (n - i) / n) of the logs lo, hi of kmin and kmax
+    where that ratio overflows; and kmin + span * i / n on a linear
+    scale.  Points 0 and n are kmin and kmax exactly.  A slice is computed
+    as one list, so a sweep that reads its grid a block at a time holds
+    one block of it.
+    """
+
+    def __init__(self, kmin: float, kmax: float, steps: int, log: bool):
+        self.kmin, self.kmax, self.steps, self.log = kmin, kmax, steps, log
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._points(range(self.steps)[index])
+        i = range(self.steps)[index]  # IndexError past the ends, as a list's
+        return self._points(range(i, i + 1))[0]
+
+    def __iter__(self) -> Iterator[float]:
+        # the sweeps slice the grid; a reader that walks it gets every point at once
+        return iter(self[:])
+
+    def _points(self, indices: range) -> list[float]:
+        kmin, kmax, last = self.kmin, self.kmax, self.steps - 1
+        n = last or 1  # one point is kmin alone, whatever the formula
+        if self.log:
+            ratio = kmax / kmin
+            if ratio < math.inf:
+                # with kmin a few ulps below kmax a point can round past kmax,
+                # and next to the float max even to inf: such a point is kmax
+                points = [
+                    k if (k := kmin * ratio ** (i / n)) <= kmax else kmax
+                    for i in indices
+                ]
+            else:  # the ratio overflows, not the points: step in logs
+                # down from hi: exp(lo + (hi - lo)) may overflow
+                lo, hi = math.log(kmin), math.log(kmax)
+                points = [math.exp(hi - (hi - lo) * (n - i) / n) for i in indices]
+        else:
+            span = kmax - kmin
+            # span * (i / n) only where span * i overflows: the two round
+            # differently, and span * i / n keeps the bits of every other grid
+            points = [
+                kmin + (span * i / n if span * i < math.inf else span * (i / n))
+                for i in indices
+            ]
+        # the log step can land an ulp off kmin, and every formula off kmax
+        if last in indices:
+            points[indices.index(last)] = kmax
+        if 0 in indices:
+            points[indices.index(0)] = kmin
+        return points
+
+
+def _k_grid(args: argparse.Namespace) -> Sequence[float] | None:
+    """None for single-point mode, else the sweep grid, a _Grid."""
     sweeping = args.kmin is not None or args.kmax is not None
     if args.k is not None and sweeping:
         raise UsageError("give either --k or a --kmin/--kmax sweep, not both")
@@ -216,33 +279,7 @@ def _k_grid(args: argparse.Namespace) -> list[float] | None:
     steps = 50 if args.ksteps is None else args.ksteps
     if not 1 <= steps <= MAX_KSTEPS:
         raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {steps}")
-    if steps == 1:
-        return [args.kmin]
-    kmin, kmax, n = args.kmin, args.kmax, steps - 1
-    if args.kscale != "lin":
-        ratio = kmax / kmin
-        if ratio < math.inf:
-            # with kmin a few ulps below kmax a point can round past kmax,
-            # and next to the float max even to inf: such a point is kmax
-            grid = [
-                k if (k := kmin * ratio ** (i / n)) <= kmax else kmax
-                for i in range(steps)
-            ]
-        else:  # the ratio overflows, not the points: step in logs
-            lo, hi = math.log(kmin), math.log(kmax)
-            grid = [math.exp(hi - (hi - lo) * j / n) for j in range(steps)]
-            grid.reverse()  # down from hi: exp(lo + (hi - lo)) may overflow
-    else:
-        span = kmax - kmin
-        # span * (i / n) only where span * i overflows: the two round
-        # differently, and span * i / n keeps the bits of every other grid
-        grid = [
-            kmin + (span * i / n if span * i < math.inf else span * (i / n))
-            for i in range(steps)
-        ]
-    # the log step can land an ulp off kmin, and every formula off kmax
-    grid[0], grid[-1] = kmin, kmax
-    return grid
+    return _Grid(args.kmin, args.kmax, steps, args.kscale != "lin")
 
 
 def cmd_junction(args: argparse.Namespace) -> Iterator[str]:
@@ -259,23 +296,25 @@ def cmd_junction(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _emit(
-    fields: list[str], rows: Iterable, fmt: str | None, sweep: bool
+    fields: list[str], blocks: Iterable[Sequence], fmt: str | None, sweep: bool
 ) -> Iterable[str]:
-    """The one rows -> document path of every tabular subcommand.
+    """The one columns -> document path of every tabular subcommand.
 
-    A single point (sweep False, one row) is a JSON object by default, or
-    a header plus one CSV row.  A sweep is a CSV table by default, or
-    JSON {"rows": [...]}.
+    blocks hold one column per field, as table_blocks takes them.  A
+    single point (sweep False, one block of one row) is a JSON object by
+    default, or a header plus one CSV row.  A sweep is a CSV table by
+    default, or JSON {"rows": [...]}.
     """
     if fmt == "csv" or (fmt is None and sweep):
-        return table_blocks(fields, rows, "csv")
+        return table_blocks(fields, blocks, "csv")
     if sweep:
-        return table_blocks(fields, rows, "json")
-    return [canonical_json(dict(zip(fields, next(iter(rows))))) + "\n"]
+        return table_blocks(fields, blocks, "json")
+    (columns,) = blocks
+    return [canonical_json(dict(zip(fields, next(zip(*columns))))) + "\n"]
 
 
 def cmd_scatter(args: argparse.Namespace) -> Iterator[str]:
-    from .scatter import _amplitude_rows, scattering_amplitudes
+    from .scatter import _amplitude_columns, scattering_amplitudes
 
     p = PotentialSpec(args.m, args.c)
     _, choice = _resolve_choice(p, args)
@@ -284,13 +323,16 @@ def cmd_scatter(args: argparse.Namespace) -> Iterator[str]:
     if grid is None:
         k, r, t, rr, tt, _, flux = scattering_amplitudes(matrix, args.k)
         row = (k, r.real, r.imag, t.real, t.imag, rr, tt, flux)
-        yield from _emit(SCATTER_FIELDS, [row], args.format, sweep=False)
+        yield from _emit(SCATTER_FIELDS, [list(zip(row))], args.format, sweep=False)
         return
-    rows = (
-        (k, r.real, r.imag, t.real, t.imag, rr, tt, flux, error)
-        for k, (error, r, t, rr, tt, flux) in zip(grid, _amplitude_rows(matrix, grid))
-    )
-    yield from _emit(SCATTER_FIELDS + ["error"], rows, args.format, sweep=True)
+
+    def columns(block: tuple) -> tuple:
+        ks, errors, r, t, rr, tt, flux = block
+        return (ks, [z.real for z in r], [z.imag for z in r], [z.real for z in t],
+                [z.imag for z in t], rr, tt, flux, errors or [""] * len(ks))
+
+    blocks = map(columns, _amplitude_columns(matrix, grid))
+    yield from _emit(SCATTER_FIELDS + ["error"], blocks, args.format, sweep=True)
 
 
 def cmd_bound(args: argparse.Namespace) -> Iterator[str]:
@@ -326,14 +368,20 @@ def cmd_radial(args: argparse.Namespace) -> Iterator[str]:
     # RADIAL_FIELDS are the first four fields of a RadialResult
     if grid is None:
         row = s_wave_solve(shell, args.k, choice)[:4]
-        yield from _emit(RADIAL_FIELDS, [row], args.format, sweep=False)
+        yield from _emit(RADIAL_FIELDS, [list(zip(row))], args.format, sweep=False)
         return
-    rows = sweep_map(
-        lambda k: s_wave_solve(shell, k, choice)[:4] + ("",),
-        grid,
-        lambda k, tag: (k, shell.a, math.nan, math.nan, tag),
-    )
-    yield from _emit(RADIAL_FIELDS + ["error"], rows, args.format, sweep=True)
+
+    def columns(ks: list[float]) -> list[tuple]:
+        rows = sweep_map(
+            lambda k: s_wave_solve(shell, k, choice)[:4] + ("",),
+            ks,
+            lambda k, tag: (k, shell.a, math.nan, math.nan, tag),
+        )
+        return list(zip(*rows))
+
+    cuts = range(0, len(grid), _RADIAL_BLOCK)
+    blocks = map(columns, (grid[i : i + _RADIAL_BLOCK] for i in cuts))
+    yield from _emit(RADIAL_FIELDS + ["error"], blocks, args.format, sweep=True)
 
 
 def cmd_mollify(args: argparse.Namespace) -> Iterator[str]:
@@ -373,7 +421,7 @@ def cmd_mollify(args: argparse.Namespace) -> Iterator[str]:
         if all(row.error == PrecisionLoss.tag for row in rows):
             raise PrecisionLoss("every eps value lost its phase to rounding")
         raise NoConvergence("no eps value produced a transfer matrix")
-    yield from _emit(MOLLIFY_FIELDS, cells, args.format, sweep=True)
+    yield from _emit(MOLLIFY_FIELDS, [list(zip(*cells))], args.format, sweep=True)
 
 
 def cmd_resonance(args: argparse.Namespace) -> Iterator[str]:

@@ -10,7 +10,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import chain, repeat
+from itertools import repeat
 
 from .core import (
     TYPE_CHECKING,
@@ -144,35 +144,20 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
     return ScatteringResult(k, r, t, rr, tt, det_j, flux)
 
 
-def _amplitude_rows(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
-    """Rows (error, r, t, reflect_prob, transmit_prob, flux_residual) of ks.
-
-    error is "" for a good energy; a failing one gives the tag of its
-    exception (SingscatError.tag) and nan for the numbers.  Raises
-    ValueError at the call if any energy is infinite.  The rows are those
-    of _amplitude_columns, a block at a time as they are consumed.
-    """
-    return chain.from_iterable(
-        zip(errors or repeat(""), *columns)
-        for _, errors, *columns in _amplitude_columns(junction, ks)
-    )
-
-
-def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
+def _amplitude_columns(junction: Mat2, ks: Sequence[float]) -> Iterator[tuple]:
     """Per block of _BLOCK energies: (block, errors, r, t, reflect_prob,
     transmit_prob, flux_residual), the block's energies and its columns.
 
-    Each tuple is made as it is consumed.  errors is None for a block
-    where no energy fails, else the block's column of _amplitude_rows'
-    first field.  Raises ValueError at the call if any energy is
-    infinite.  Each block goes to the one choice of kernel: once numpy is
-    loaded, the array kernel, and scattering_amplitudes names the errors
-    it flags; otherwise scattering_amplitudes for each energy, and numpy
-    stays unloaded.  The bits are the same.
+    Each block is sliced from ks, and its tuple made, as it is consumed.
+    errors is None for a block where no energy fails, else a tag per
+    energy: "" for a good one, the tag of its exception
+    (SingscatError.tag) for a failing one, whose numbers are nan.  A block
+    that holds an infinite energy raises ValueError.  Each block goes to
+    the one choice of kernel: once numpy is loaded, the array kernel, and
+    scattering_amplitudes names the errors it flags; otherwise
+    scattering_amplitudes for each energy, and numpy stays unloaded.  The
+    bits are the same.
     """
-    # one pass: a finite sum rules out both infinities (and nan)
-    if not math.isfinite(sum(ks, 0.0)) and (math.inf in ks or -math.inf in ks):
-        raise ValueError("scattering needs a finite k, got an infinite one")
 
     def row(k: float) -> tuple:
         _, r, t, rr, tt, _, flux = scattering_amplitudes(junction, k)
@@ -185,10 +170,13 @@ def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
     np = sys.modules.get("numpy")
 
     def block_columns(block: list[float]) -> tuple:
+        # one pass: a finite sum rules out both infinities (and nan)
+        if not math.isfinite(sum(block, 0.0)) and (math.inf in block or -math.inf in block):
+            raise ValueError("scattering needs a finite k, got an infinite one")
         if np is None:
             errors, *columns = zip(*scalar_rows(block))
             return (block, errors if any(errors) else None, *columns)
-        codes, columns = _amplitude_block(junction, np.array(block, dtype=float))
+        codes, columns = _amplitude_block(junction, np.fromiter(block, float, len(block)))
         if codes is None:
             return (block, None, *columns)
         # one tag per failing code: the scalar formula's error at its first energy
@@ -203,11 +191,13 @@ def _amplitude_columns(junction: Mat2, ks: list[float]) -> Iterator[tuple]:
 
 def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list | None, tuple]:
     """A code per energy, and the columns (r, t, reflect_prob,
-    transmit_prob, flux_residual) of _amplitude_rows for finite energies k.
+    transmit_prob, flux_residual) of _amplitude_columns for finite
+    energies k.
 
     The code is 0 for a good energy, else why it fails: 1 for k <= 0 (or
     nan), 2 for D = 0, 3 for |r| or |t| from _AMPLITUDE_MAX.  The codes are
     None where every energy is good; a failing energy's columns hold nan.
+    The nan fills run only for a block where some energy fails.
     """
     import numpy as np
 
@@ -231,14 +221,19 @@ def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list | None, tuple]
         amps = np.empty((2, k.size), dtype=complex)
         amps[0].real, amps[0].imag = r_re, r_im
         amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
-        amps[:, code != 0] = complex(math.nan, math.nan)
+        failing = code != 0
+        if failing.any():
+            amps[:, failing] = complex(math.nan, math.nan)
         mods = np.hypot(amps.real, amps.imag)
-        overflow = (code == 0) & ~(mods < _AMPLITUDE_MAX).all(axis=0)
-        code[overflow] = 3
-        amps[:, overflow] = complex(math.nan, math.nan)
-        mods[:, overflow] = math.nan
-        # abs(.) ** 2 stays Python's pow, which rounds differently from x * x
-        rr, tt = (list(map(pow, row.tolist(), repeat(2))) for row in mods)
+        fine = (mods < _AMPLITUDE_MAX).all(axis=0)
+        if not fine.all():  # a failing energy's nan modulus is not fine either
+            overflow = ~failing & ~fine
+            code[overflow] = 3
+            amps[:, overflow] = complex(math.nan, math.nan)
+            mods[:, overflow] = math.nan
+        # abs(.) ** 2 is libm's pow(x, 2.0), as is math.pow, and rounds
+        # differently from x * x
+        rr, tt = (list(map(math.pow, row.tolist(), repeat(2.0))) for row in mods)
         det_j = junction.det()
         rr_a, tt_a = (np.fromiter(col, float, k.size) for col in (rr, tt))
         flux = (tt_a + det_j * rr_a - det_j) / np.maximum(1.0, np.maximum(rr_a, tt_a))
@@ -353,8 +348,9 @@ def compose_chain(
 
     The gaps are subtracted as one array, which the order check, the
     phase check of the widest gap and one free_propagators call read; the
-    propagators come back as one row of four entries per gap, and the
-    product is then folded left to right in plain floats and checked once.
+    propagators come back as three lists, their entries C, S and -k S
+    (C is the (2,2) entry too), and the product is then folded left to
+    right in plain floats and checked once.
 
     Raises ChainOrderError naming the first pair of positions that do not
     increase (a nan position never does), PrecisionLoss when k > 0 and
@@ -384,17 +380,22 @@ def compose_chain(
             f"positions must increase strictly, got {xs[i]} then {xs[i + 1]}"
         )
     check_phase(k, widths.max(initial=0.0))
-    # nothing propagates before the first junction; identity @ identity
-    # is exactly the identity, so this step changes no bit
-    gaps = [(1.0, 0.0, 0.0, 1.0), *free_propagators(k, widths).reshape(-1, 4).tolist()]
-    total = _fold(Mat2.identity(), gaps, junctions)
+    # one gap per junction, as columns C, S and -k S: nothing propagates
+    # before the first junction, and identity @ identity is exactly the
+    # identity, so that step changes no bit
+    stack = np.empty((3, widths.size + 1))
+    stack[:, 0] = 1.0, 0.0, 0.0
+    stack[:, 1:] = free_propagators(k, widths).reshape(-1, 4)[:, :3].T
+    gaps = stack.tolist()
+    total = _fold(Mat2.identity(), *gaps, junctions)
     if not all(map(math.isfinite, total)):
         # A non-finite entry never leaves its column (every later entry of
         # that column adds a multiple of it), so the total is non-finite
         # exactly when some step made it so; walk again to find that step.
         total = Mat2.identity()
-        for gap, x, junction in zip(gaps, xs, junctions):
-            total = _fold(total, [gap], [junction])
+        for i, x in enumerate(xs):
+            step = [column[i : i + 1] for column in (*gaps, junctions)]
+            total = _fold(total, *step)
             if not all(map(math.isfinite, total)):
                 raise TransferOverflow(
                     f"chain transfer left the representable range at x = {x}"
@@ -424,17 +425,20 @@ def _links(chain) -> tuple[list, list]:
     raise ValueError("chain must list (position, Mat2) pairs with real positions")
 
 
-def _fold(total: tuple, gaps: Sequence[tuple], junctions: Sequence[tuple]) -> tuple:
+def _fold(
+    total: tuple, c: list, s: list, minus_ks: list, junctions: Sequence[tuple]
+) -> tuple:
     """total, then gap and junction per step: J_i @ (G_i @ total), row major.
 
-    Each product is term for term Mat2.__matmul__, in local floats.
+    G_i is [[c_i, s_i], [minus_ks_i, c_i]], a free propagator.  Each
+    product is term for term Mat2.__matmul__, in local floats.
     """
     t11, t12, t21, t22 = total
-    for (g11, g12, g21, g22), (j11, j12, j21, j22) in zip(gaps, junctions):
+    for g11, g12, g21, (j11, j12, j21, j22) in zip(c, s, minus_ks, junctions):
         u11 = g11 * t11 + g12 * t21
         u12 = g11 * t12 + g12 * t22
-        u21 = g21 * t11 + g22 * t21
-        u22 = g21 * t12 + g22 * t22
+        u21 = g21 * t11 + g11 * t21
+        u22 = g21 * t12 + g11 * t22
         t11 = j11 * u11 + j12 * u21
         t12 = j11 * u12 + j12 * u22
         t21 = j21 * u11 + j22 * u21

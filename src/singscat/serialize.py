@@ -8,9 +8,9 @@ floats by the tools here).
 
 canonical_json and csv_document write any document a value at a time,
 and stay the reference; table_blocks writes the tables of the CLI's
-sweeps to the same bytes, a block of rows per %, each column in one
-spelling: once, for one value repeated, else "%.17g", as strs, or cell by
-cell by the reference's writers.
+sweeps to the same bytes from their columns, a block of rows per %, each
+column in one spelling: once, for one value repeated, else "%.17g", as
+strs, or cell by cell by the reference's writers.
 
 _quote, the JSON spelling of a string, is encode_basestring_ascii of
 CPython's C module _json: the very function json.encoder re-exports, so
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from _json import encode_basestring_ascii as _quote
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice
 
 # Rows per block of table_blocks: one % of the repeated row template
 # renders a block.  A 5000-row scatter sweep through cli.main took 23-25 ms
@@ -105,16 +104,19 @@ def csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str
 
 
 def table_blocks(
-    fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str
+    fields: Sequence[str], blocks: Iterable[Sequence[Sequence[object]]], fmt: str
 ) -> Iterator[str]:
     """A table of one cell per distinct field and row, as CSV or JSON, in blocks.
 
-    Joined, the blocks are byte for byte what csv_document(fields, rows)
-    writes for "csv", and canonical_json({"rows": [dict(zip(fields, row))
-    ...]}) plus a newline for "json".  Each block of _TABLE_BLOCK rows is
-    yielded as soon as it is rendered, the first after the header or the
-    document's opening, then the document's end; a row of another width
-    than the fields raises ValueError.
+    Each of blocks holds one column per field, all of one length: a
+    sequence of that column's cells, row by row.  Joined, the text blocks
+    are byte for byte what csv_document(fields, rows) writes for "csv",
+    and canonical_json({"rows": [dict(zip(fields, row)) ...]}) plus a
+    newline for "json", rows being the blocks' rows in order.  Each
+    _TABLE_BLOCK rows of a block are yielded as soon as they are
+    rendered, the first after the header or the document's opening, then
+    the document's end; a block of another column count than the fields,
+    or of columns of unequal length, raises ValueError.
     """
     width = len(fields)
     if fmt == "csv":
@@ -126,17 +128,25 @@ def table_blocks(
         keys = [_quote(fields[i]).replace("%", "%%") + ":" for i in order]
         # every row opens with its separator; the first one's is cut
         frame, opening, closing, cut = ",{%s}", '{"rows":[', "]}\n", 1
-    rows = iter(rows)
-    for block in iter(lambda: list(islice(rows, _TABLE_BLOCK)), []):
-        text = _block_text(block, fmt, order, keys, frame)
-        if opening:
-            text, opening = opening + text[cut:], ""
-        yield text
+    for columns in blocks:
+        if len(columns) != width or len(set(map(len, columns))) != 1:
+            raise ValueError(
+                f"every table block must hold {width} columns of one length, one per field"
+            )
+        columns = [columns[i] for i in order]
+        for lo in range(0, len(columns[0]), _TABLE_BLOCK):
+            text = _block_text(
+                [column[lo : lo + _TABLE_BLOCK] for column in columns], fmt, keys, frame
+            )
+            if opening:
+                text, opening = opening + text[cut:], ""
+            yield text
+        del columns  # so that the next block is computed with this one gone
     yield opening + closing
 
 
-def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> str:
-    """The rows of a block, rendered by one % of their row template repeated.
+def _block_text(columns: list, fmt: str, keys: list[str], frame: str) -> str:
+    """The rows of columns, rendered by one % of their row template repeated.
 
     frame is a row's text around its cells, with "%s" where they go.  A
     column of one exact float or one exact str, repeated, or of nan floats
@@ -147,21 +157,17 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
     _quote in JSON; any other column is spelled cell by cell by _csv_cell
     or _json_scalar.
     """
-    width = len(order)
-    if set(map(len, block)) != {width}:
-        raise ValueError(f"every table row must hold {width} cells, one per field")
     spell = _csv_cell if fmt == "csv" else _json_scalar
-    flat = list(chain.from_iterable(block))
-    columns = []
+    rows = len(columns[0])
+    templated = []
     spelling = []
-    for field in order:
-        column = flat[field::width]
+    for column in columns:
         kinds = set(map(type, column))
         # 1 == 1.0 == True spell differently, so only one exact kind folds;
         # distinct nan objects are unequal, so a float column of nans alone
         # (no x == x) folds too
         if (kinds == {float} or kinds == {str}) and (
-            column.count(column[0]) == len(column)
+            column.count(column[0]) == rows
             or (kinds == {float} and not any(map(float.__eq__, column, column)))
         ):
             spelling.append(spell(column[0]).replace("%", "%%"))
@@ -177,9 +183,9 @@ def _block_text(block: list, fmt: str, order, keys: list[str], frame: str) -> st
             elif fmt != "csv":
                 column = list(map(_quote, column))
             spelling.append("%s")
-        columns.append(column)
-    cells: list = [None] * (len(columns) * len(block))
-    for place, column in enumerate(columns):
-        cells[place :: len(columns)] = column
+        templated.append(column)
+    cells: list = [None] * (len(templated) * rows)
+    for place, column in enumerate(templated):
+        cells[place :: len(templated)] = column
     cell_text = ",".join(map(str.__add__, keys, spelling))
-    return (frame % cell_text) * len(block) % tuple(cells)
+    return (frame % cell_text) * rows % tuple(cells)

@@ -642,11 +642,12 @@ def test_a_sweep_failing_after_its_first_block_leaves_no_out_file(capsys, tmp_pa
     # document is printed and --out is left as it was
     import singscat.scatter as scatter
 
-    def failing_rows(matrix, grid):
-        yield from [("", 0j, 1 + 0j, 0.0, 1.0, 0.0)] * (2 * _TABLE_BLOCK)
+    def failing_columns(matrix, grid):
+        n = 2 * _TABLE_BLOCK
+        yield grid[:n], None, [0j] * n, [1 + 0j] * n, [0.0] * n, [1.0] * n, [0.0] * n
         raise TransferOverflow("late failure")
 
-    monkeypatch.setattr(scatter, "_amplitude_rows", failing_rows)
+    monkeypatch.setattr(scatter, "_amplitude_columns", failing_columns)
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, *_SWEEP_ARGV, "--out", str(target))
     assert code == 4
@@ -786,29 +787,33 @@ def test_memory_exhausted_exits_four_with_its_document(capsys, monkeypatch):
 
 
 def test_sweeps_are_written_a_block_at_a_time(capsys, monkeypatch):
-    # the first block is written before the rows after it are computed
+    # each text block is written before the next kernel block is computed
     import singscat.scatter as scatter
 
-    rows_taken, writes = [], []
-    amplitude_rows = scatter._amplitude_rows
+    sizes = [scatter._BLOCK, scatter._BLOCK, 3 * _TABLE_BLOCK + 10]
+    argv = [*_SWEEP_ARGV]
+    argv[argv.index("--ksteps") + 1] = str(sum(sizes))
+    blocks_taken, writes = [], []
+    amplitude_columns = scatter._amplitude_columns
 
-    def counted_rows(matrix, grid):
-        for row in amplitude_rows(matrix, grid):
-            rows_taken.append(row)
-            yield row
+    def counted_columns(matrix, grid):
+        for block in amplitude_columns(matrix, grid):
+            blocks_taken.append(len(block[0]))
+            yield block
 
     class Stdout:
         def write(self, text):
-            writes.append((len(rows_taken), text))
+            writes.append((len(blocks_taken), text))
 
-    monkeypatch.setattr(scatter, "_amplitude_rows", counted_rows)
+    monkeypatch.setattr(scatter, "_amplitude_columns", counted_columns)
     monkeypatch.setattr(sys, "stdout", Stdout())
-    assert main(list(_SWEEP_ARGV)) == 0
+    assert main(argv) == 0
     monkeypatch.undo()
+    assert blocks_taken == sizes
     assert [taken for taken, _ in writes] == [
-        min(700, n * _TABLE_BLOCK) for n in range(1, 700 // _TABLE_BLOCK + 2)
-    ] + [700]
-    assert "".join(text for _, text in writes) == run(capsys, *_SWEEP_ARGV)[1]
+        n for n, size in enumerate(sizes, 1) for _ in range(-(-size // _TABLE_BLOCK))
+    ] + [len(sizes)]
+    assert "".join(text for _, text in writes) == run(capsys, *argv)[1]
 
 
 def test_m2_couplings_past_the_matching_window_exit_four(capsys):
@@ -1107,6 +1112,84 @@ def test_log_grids_rise_within_their_ends(kmax, below, steps):
     grid = _k_grid(args)
     assert len(grid) == steps and (grid[0], grid[-1]) == (kmin, kmax)
     assert all(kmin <= a <= b <= kmax for a, b in zip(grid, grid[1:]))
+
+
+def _grid_list(kmin: float, kmax: float, steps: int, scale: str) -> list[float]:
+    """The grid as one list, as _k_grid built it before its points were lazy."""
+    if steps == 1:
+        return [kmin]
+    n = steps - 1
+    if scale == "log":
+        ratio = kmax / kmin
+        if ratio < math.inf:
+            grid = [
+                k if (k := kmin * ratio ** (i / n)) <= kmax else kmax
+                for i in range(steps)
+            ]
+        else:
+            lo, hi = math.log(kmin), math.log(kmax)
+            grid = [math.exp(hi - (hi - lo) * j / n) for j in range(steps)]
+            grid.reverse()
+    else:
+        span = kmax - kmin
+        grid = [
+            kmin + (span * i / n if span * i < math.inf else span * (i / n))
+            for i in range(steps)
+        ]
+    grid[0], grid[-1] = kmin, kmax
+    return grid
+
+
+@pytest.mark.parametrize("steps", [1, 2, 2047, 2048, 2049, MAX_KSTEPS])
+@pytest.mark.parametrize(
+    "kmin, kmax",
+    [
+        (1e-3, 1e3),
+        (0.1, 10.0),
+        (5e-324, 1.7976931348623157e308),  # the log ratio overflows
+        (2.5, 2.5),
+        (_ulps_below(1.7742673154863384e308, 7), 1.7742673154863384e308),
+        (_ulps_below(1.0, 3), 1.0),
+    ],
+    ids=["wide", "narrow", "overflowing_ratio", "one_value", "ulps_below_max", "ulps_below_1"],
+)
+def test_grid_points_read_lazily_equal_the_whole_list(kmin, kmax, steps):
+    for scale in ("log", "lin"):
+        want = [x.hex() for x in _grid_list(kmin, kmax, steps, scale)]
+        args = argparse.Namespace(k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=scale)
+        grid = _k_grid(args)
+        assert len(grid) == steps
+        # a kernel block at a time, one at a time, and whole
+        blocks = [x for lo in range(0, steps, 2048) for x in grid[lo : lo + 2048]]
+        assert [x.hex() for x in blocks] == want
+        picks = sorted({0, 1, steps // 2, steps - 2, steps - 1} & set(range(steps)))
+        assert [grid[i].hex() for i in picks] == [want[i] for i in picks]
+        assert [grid[i - steps].hex() for i in picks] == [want[i] for i in picks]
+        assert [x.hex() for x in grid] == want
+        with pytest.raises(IndexError):
+            grid[steps]
+
+
+def test_a_long_sweep_holds_one_block_of_its_grid_at_a_time(monkeypatch):
+    # the parent built the 100,000 points as one list and held two kernel
+    # blocks of columns at once: a traced peak of about 4.5 MB
+    import tracemalloc
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    argv = ["scatter", "--m", "1", "--c", "-2", "--kmin", "0.1", "--kmax", "10",
+            "--format", "json", "--ksteps"]
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main([*argv, "10"]) == 0  # the imports, and the parser, before the trace
+    tracemalloc.start()
+    try:
+        assert main([*argv, str(MAX_KSTEPS)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_resonance_level_past_the_bound_is_refused(capsys):

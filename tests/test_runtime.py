@@ -384,11 +384,11 @@ def _private_imports(tree: ast.Module) -> list[str]:
     ]
 
 
-def test_cli_imports_no_private_name_but_the_amplitude_rows():
+def test_cli_imports_no_private_name_but_the_amplitude_columns():
     # cli reaches the library through public names.  The one exception is
-    # scatter._amplitude_rows: it streams the sweep's rows lazily, where
-    # transmission_curve would hold every row in a list
-    allowed = {"scatter._amplitude_rows"}
+    # scatter._amplitude_columns: it streams the sweep's columns a block at
+    # a time, where transmission_curve would hold every row in a list
+    allowed = {"scatter._amplitude_columns"}
     tree = _parse("cli")
     # cmd_scatter imports it in its body, where the check looks too
     assert set(_private_imports(tree)) == allowed
@@ -399,7 +399,7 @@ def test_cli_imports_no_private_name_but_the_amplitude_rows():
 
 
 def test_cli_and_transmission_curve_import_no_numpy():
-    # scatter._amplitude_rows alone picks the amplitude kernel, from
+    # scatter._amplitude_columns alone picks the amplitude kernel, from
     # whether numpy is already loaded
     assert _imports_of("numpy", _parse("cli")) == []
     (curve,) = [

@@ -147,7 +147,8 @@ def test_transmission_past_the_float_range_is_an_overflow():
         scattering_amplitudes(j, k)
     assert [row.error for row in transmission_curve(j, [k])] == ["overflow"]
     with mock.patch.dict(sys.modules, {"numpy": None}):  # the scalar kernel
-        assert [row[0] for row in scatter._amplitude_rows(j, [k])] == ["overflow"]
+        [block] = scatter._amplitude_columns(j, [k])
+        assert list(block[1]) == ["overflow"]
 
 
 def test_energy_must_be_positive():
@@ -433,6 +434,12 @@ def test_chain_overflow_names_the_first_junction_past_the_range():
         compose_chain(chain, k=0.5)
     total = compose_chain(chain[:187], k=0.5)
     assert max(map(abs, total)) > 1e300
+    # at the last junction of a chain, and in its first gap, where
+    # cosh(sqrt(1) 750) itself overflows
+    with pytest.raises(TransferOverflow, match=r"at x = 187\.0$"):
+        compose_chain(chain[:188], k=0.5)
+    with pytest.raises(TransferOverflow, match=r"at x = 750\.0$"):
+        compose_chain([(0.0, j), (750.0, j), (751.0, j)], k=-1.0)
 
 
 def test_chain_of_identity_junctions_is_free_propagation():

@@ -401,6 +401,16 @@ def test_curve_equals_single_energies_and_complex_arithmetic(junction, grid):
             assert single == _complex_reference(junction, k)
 
 
+def _amplitude_rows(junction: Mat2, ks: list) -> list:
+    """The rows (error, r, t, reflect_prob, transmit_prob, flux_residual)
+    of _amplitude_columns' blocks, in order."""
+    return [
+        row
+        for _, errors, *columns in scatter._amplitude_columns(junction, ks)
+        for row in zip(errors or [""] * len(columns[0]), *columns)
+    ]
+
+
 def _scalar_rows(junction: Mat2, ks: list) -> list:
     """_amplitude_rows as a process without numpy runs it.
 
@@ -408,7 +418,7 @@ def _scalar_rows(junction: Mat2, ks: list) -> list:
     import of it in that time raises ImportError.
     """
     with mock.patch.dict(sys.modules, {"numpy": None}):
-        return list(scatter._amplitude_rows(junction, ks))
+        return _amplitude_rows(junction, ks)
 
 
 def _rows_text(rows) -> list[str]:
@@ -466,7 +476,7 @@ _BLOCK_KINDS = [1.5 + i / 7.0 for i in range(2048)] + [-1.0] * 2048 + [0.0, 2.5]
 )
 def test_row_branches_with_and_without_numpy_agree_bit_for_bit(junction, grid):
     # diag(-1, 1) half the time: a block then mixes both reasons to fail
-    kernel = _rows_text(scatter._amplitude_rows(junction, grid))
+    kernel = _rows_text(_amplitude_rows(junction, grid))
     assert kernel == _rows_text(_scalar_rows(junction, grid))
     # transmission_curve's rows, from either kernel's columns
     curve = _curve_text(transmission_curve(junction, grid))
@@ -517,6 +527,9 @@ def test_curve_across_kernel_blocks_equals_complex_arithmetic():
         assert [_row_text(row) for row in rows] == [
             _complex_reference(junction, k) for k in grid
         ]
+        # the grid holds such rows, so squaring by x * x or np.square fails here
+        moduli = [abs(row.result.t) for row in rows if row.result]
+        assert any(x**2 != x * x for x in moduli)
 
 
 def test_failed_sweep_rows_carry_no_numbers(capsys):
@@ -614,6 +627,14 @@ def _first_difference(got: str, want: str) -> tuple | None:
     return at, got[max(0, at - 40) : at + 40], want[max(0, at - 40) : at + 40]
 
 
+def _column_blocks(width: int, rows: list, size: int) -> list:
+    """rows, transposed into blocks of size rows: per block, a list per column."""
+    return [
+        [[row[i] for row in rows[lo : lo + size]] for i in range(width)]
+        for lo in range(0, len(rows), size)
+    ]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(tables())
 # one column of one kind, on both sides of a block edge: a block's cells
@@ -643,20 +664,24 @@ def _first_difference(got: str, want: str) -> tuple | None:
           [[0.5 * i, float("nan"), -float("nan"), 0.25 if i == 3 else float("nan")]
            for i in range(_TABLE_BLOCK + 1)]))
 def test_table_writer_equals_csv_document_and_canonical_json(table):
+    # the CSV's rows come as one block of columns, the JSON's in blocks of
+    # 100 rows, which the writer's blocks of _TABLE_BLOCK rows cut across
     fields, rows = table
-    csv_text = "".join(table_blocks(fields, rows, "csv"))
+    csv_blocks = _column_blocks(len(fields), rows, max(len(rows), 1))
+    csv_text = "".join(table_blocks(fields, csv_blocks, "csv"))
     assert _first_difference(csv_text, csv_document(fields, rows)) is None
     doc = {"rows": [dict(zip(fields, row)) for row in rows]}
-    json_text = "".join(table_blocks(fields, iter(rows), "json"))
+    json_blocks = iter(_column_blocks(len(fields), rows, 100))
+    json_text = "".join(table_blocks(fields, json_blocks, "json"))
     assert _first_difference(json_text, canonical_json(doc) + "\n") is None
 
 
-def test_table_writer_refuses_a_row_of_another_width_than_the_fields():
-    # rows of widths 1 and 3 hold as many cells as two rows of 2
-    for rows in ([[1.0, 2.0], [1.0]], [[1.0], [1.0, 2.0, 3.0]]):
+def test_table_writer_refuses_a_block_of_another_width_than_the_fields():
+    # one column or three for two fields, and two columns of unequal length
+    for columns in ([[1.0, 2.0]], [[1.0], [2.0], [3.0]], [[1.0, 2.0], [1.0]]):
         for fmt in ("csv", "json"):
-            with pytest.raises(ValueError, match="must hold 2 cells, one per field"):
-                "".join(table_blocks(["a", "b"], rows, fmt))
+            with pytest.raises(ValueError, match="must hold 2 columns of one length"):
+                "".join(table_blocks(["a", "b"], [columns], fmt))
 
 
 def test_canonical_json_refuses_values_it_cannot_serialize():

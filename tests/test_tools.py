@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import math
@@ -181,3 +182,52 @@ def test_replay_repeats_its_hash_and_tells_one_ulp_apart():
     assert replay.tokens([0.1, 1j, "x", None], []) == [
         "list[4]", "0x1.999999999999ap-4", "0x0.0p+0", "0x1.0000000000000p+0", "'x'", "None"
     ]
+
+
+def test_replay_compares_the_two_trees_name_by_name():
+    replay = _load("replay")
+    change = {"closed_form_sweep": ("aa11", "228"), "cli_without_numpy": ("bb22", "90")}
+    lines, status = replay.compare(dict(change), change)
+    assert status == 0 and lines == [
+        "closed_form_sweep aa11 228 aa11 228 same",
+        "cli_without_numpy bb22 90 bb22 90 same",
+    ]
+    # a hash, a count or a name on one side only is a difference
+    for parent in (
+        {**change, "cli_without_numpy": ("bb23", "90")},
+        {**change, "cli_without_numpy": ("bb22", "91")},
+        {"closed_form_sweep": change["closed_form_sweep"]},
+    ):
+        lines, status = replay.compare(parent, change)
+        assert status == 1 and [line.rsplit(" ", 1)[1] for line in lines] == [
+            "same", "DIFFERENT"
+        ]
+    assert replay.compare({}, {"x": ("cc33", "1")}) == (["x - - cc33 1 DIFFERENT"], 1)
+    assert replay.parse("mollifier_lab e4bf 132\ncli_without_numpy 5d92 90\n") == {
+        "mollifier_lab": ("e4bf", "132"), "cli_without_numpy": ("5d92", "90")
+    }
+
+
+def test_replay_with_a_parent_exits_one_when_a_hash_differs(monkeypatch, capsys, tmp_path):
+    replay = _load("replay")
+    parent_dir = tmp_path / "parent"
+    digests = {
+        parent_dir: {"cli_oneshot": ("aa11", "60"), "cli_without_numpy": ("bb22", "90")},
+        replay.ROOT: {"cli_oneshot": ("aa11", "60"), "cli_without_numpy": ("bb22", "90")},
+    }
+
+    @contextlib.contextmanager
+    def parent_tree(rev):
+        assert rev == "HEAD~1"
+        yield parent_dir
+
+    monkeypatch.setattr(replay, "parent_tree", parent_tree)
+    monkeypatch.setattr(replay, "run_tree", digests.__getitem__)
+    assert replay.main(["--parent", "HEAD~1"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "cli_oneshot", "aa11", "60", "aa11", "60", "same",
+        "cli_without_numpy", "bb22", "90", "bb22", "90", "same",
+    ]
+    digests[replay.ROOT]["cli_without_numpy"] = ("bb23", "90")
+    assert replay.main(["--parent", "HEAD~1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "cli_without_numpy bb22 90 bb23 90 DIFFERENT"

@@ -1,8 +1,8 @@
 """Print one SHA-256 per benchmark workload over every output of its replay.
 
-    python tools/replay.py
+    python tools/replay.py [--parent REV]
 
-takes no options and replays the source tree next to it.  For each
+Without --parent it replays the source tree next to it.  For each
 workload of perfbench/workloads.py it runs the first CYCLES cycles of
 each seed in SEEDS, in this process with numpy loaded, and hashes every
 op's output: floats (complex parts included) as float.hex, everything
@@ -12,6 +12,24 @@ the same kernels.  It prints one line per workload:
 
     <workload> <sha256> <outputs hashed>
 
+and then one line named cli_without_numpy: the same hash over the
+outputs of the COMMANDS argvs of the CLI_WORKLOADS cycles, run through
+cli.main in a child process that never imports numpy, so that the CLI's
+scalar kernel is replayed too.  The child fails, and so does the replay,
+if numpy is loaded when its last argv has run.
+
+With --parent REV, the commit REV is cloned from this repository into a
+temporary directory (a local clone, no network), checked out and
+removed afterwards, as tools/bench_pairs.py clones it.  Both trees are
+replayed by this script, each in a process of its own, and each line
+becomes
+
+    <name> <parent sha256> <parent count> <change sha256> <change count> same|DIFFERENT
+
+The exit status is then 1 if any name's hash or count differs, or is
+missing on one side, else 0.  --tree and --without-numpy are what the
+replay's own child processes run.
+
 Two trees whose lines agree gave the same bits on every output, but for
 the sign and payload of a nan, which float.hex does not show.
 perfbench/workloads.py is imported, never changed.
@@ -19,30 +37,42 @@ perfbench/workloads.py is imported, never changed.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import shutil
+import subprocess
 import sys
+import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 CYCLES = 2
+# The subcommands and workloads of the pass without numpy: every CLI
+# sweep and point of the closed forms, none of the mollifier lab's
+CLI_WORKLOADS = ("cli_oneshot", "closed_form_sweep")
+COMMANDS = ("scatter", "radial", "junction", "bound")
+WITHOUT_NUMPY = "cli_without_numpy"
 
 
-def load_workloads():
-    """perfbench/workloads.py, with this tree's src first on the path."""
-    for path in (ROOT / "perfbench", ROOT / "src"):
+def load_workloads(tree: Path = ROOT, numpy: bool = True):
+    """perfbench/workloads.py of tree, with tree's src first on the path,
+    and numpy loaded unless numpy is False."""
+    for path in (tree / "perfbench", tree / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    import numpy  # noqa: F401  the array kernels run once numpy is loaded
+    if numpy:
+        import numpy  # noqa: F401  the array kernels run once numpy is loaded
     import workloads
 
     return workloads
 
 
-def outputs(workload: str, seed: int, cycles: int = CYCLES) -> Iterator:
+def outputs(workload: str, seed: int, cycles: int = CYCLES, tree: Path = ROOT) -> Iterator:
     """The outputs of a workload's first cycles at seed, op by op."""
-    W = load_workloads()
+    W = load_workloads(tree)
     stream = W.cycles(workload, seed)
     for _ in range(cycles):
         for op in next(stream):
@@ -50,6 +80,20 @@ def outputs(workload: str, seed: int, cycles: int = CYCLES) -> Iterator:
                 yield W.capture_main(op.params["argv"])
             else:
                 yield W.run_op(op)
+
+
+def cli_outputs(tree: Path = ROOT) -> Iterator:
+    """The outputs of cli.main on the COMMANDS argvs of CLI_WORKLOADS'
+    first CYCLES cycles of each seed in SEEDS, without loading numpy."""
+    W = load_workloads(tree, numpy=False)
+    for workload in CLI_WORKLOADS:
+        for seed in SEEDS:
+            stream = W.cycles(workload, seed)
+            for _ in range(CYCLES):
+                for op in next(stream):
+                    argv = op.params.get("argv")
+                    if op.kind in ("cli", "main") and argv[0] in COMMANDS:
+                        yield W.capture_main(argv)
 
 
 def tokens(value, out: list[str]) -> list[str]:
@@ -81,12 +125,89 @@ def digest(values: Iterable) -> tuple[str, int]:
     return sha.hexdigest(), count
 
 
-def main() -> None:
-    workloads = load_workloads()
+def parse(text: str) -> dict[str, tuple[str, str]]:
+    """The (sha256, count) of each name in the lines of a replay."""
+    digests = {}
+    for line in text.splitlines():
+        name, sha, count = line.split()
+        digests[name] = (sha, count)
+    return digests
+
+
+def compare(
+    parent: dict[str, tuple[str, str]], change: dict[str, tuple[str, str]]
+) -> tuple[list[str], int]:
+    """The --parent report's lines, and its exit status: 1 if any name's
+    hash or count differs between the two sides, or is missing on one."""
+    lines, status = [], 0
+    for name in dict.fromkeys([*parent, *change]):
+        before, after = parent.get(name, ("-", "-")), change.get(name, ("-", "-"))
+        same = before == after and "-" not in before
+        status |= not same
+        verdict = "same" if same else "DIFFERENT"
+        lines.append(f"{name} {before[0]} {before[1]} {after[0]} {after[1]} {verdict}")
+    return lines, status
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+@contextlib.contextmanager
+def parent_tree(rev: str) -> Iterator[Path]:
+    """A local clone of this repository checked out at rev, removed on exit."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    scratch = Path(tempfile.mkdtemp(prefix="replay_"))
+    try:
+        parent = scratch / "parent"
+        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(parent))
+        git("checkout", "--quiet", sha, cwd=parent)
+        yield parent
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def run_tree(tree: Path) -> dict[str, tuple[str, str]]:
+    """The digests of a replay of tree, in a process of its own."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--tree", str(tree)],
+        capture_output=True, text=True, check=True,
+    )
+    return parse(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="commit whose replay to compare with this tree's")
+    parser.add_argument("--tree", type=Path, default=ROOT, help="source tree to replay")
+    parser.add_argument(
+        "--without-numpy", action="store_true", help=f"print the {WITHOUT_NUMPY} line alone"
+    )
+    args = parser.parse_args(argv)
+    if args.parent is not None:
+        with parent_tree(args.parent) as parent:
+            lines, status = compare(run_tree(parent), run_tree(ROOT))
+        print(*lines, sep="\n")
+        return status
+    if args.without_numpy:
+        print(WITHOUT_NUMPY, *digest(cli_outputs(args.tree)), flush=True)
+        if "numpy" in sys.modules:
+            print("numpy was loaded by the replay without numpy", file=sys.stderr)
+            return 1
+        return 0
+    workloads = load_workloads(args.tree)
     for workload in workloads.WORKLOADS:
-        sha, count = digest(out for seed in SEEDS for out in outputs(workload, seed))
-        print(workload, sha, count, flush=True)
+        values = (out for seed in SEEDS for out in outputs(workload, seed, tree=args.tree))
+        print(workload, *digest(values), flush=True)
+    child = subprocess.run(
+        [sys.executable, __file__, "--tree", str(args.tree), "--without-numpy"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    print(child.stdout, end="", flush=True)
+    return child.returncode
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
