@@ -6,6 +6,7 @@ the junction and propagation layers stay real.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from collections import namedtuple
@@ -270,6 +271,15 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     a sequence, any energy is infinite, a bool or not a real number, or
     the junction is not a Mat2.  The energies' types are checked in one
     C-level pass, set(map(type, ks)), which a float grid leaves as {float}.
+
+    The rows are built with automatic garbage collection paused: the
+    records are tuple subclasses, which the cyclic collector keeps tracked
+    and would walk again at every pass while the list grows, though they
+    can form no cycle.  The switch is process-wide, so for the length of
+    the loop (about 20 ms per 20,000 energies) no thread gets an automatic
+    collection, and a gc.disable() made by another thread meanwhile is
+    undone at its end.  The collector is left as it was found, on return
+    and on error alike.
     """
     _check_type(junction, Mat2, "junction")
     ks = _as_list(k_grid, "k_grid")
@@ -278,15 +288,22 @@ def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow
     det_j = junction.det()
     new = tuple.__new__
     rows: list[SweepRow] = []
-    for block, errors, r, t, rr, tt, flux in _amplitude_columns(junction, ks):
-        fields = zip(block, r, t, rr, tt, repeat(det_j), flux)
-        if errors is None:
-            results = map(new, repeat(ScatteringResult), fields)
-        else:  # a failing energy's row holds None and its tag, and no record
-            results = [
-                None if error else new(ScatteringResult, f) for f, error in zip(fields, errors)
-            ]
-        rows += map(new, repeat(SweepRow), zip(block, results, errors or repeat("")))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for block, errors, r, t, rr, tt, flux in _amplitude_columns(junction, ks):
+            fields = zip(block, r, t, rr, tt, repeat(det_j), flux)
+            if errors is None:
+                results = map(new, repeat(ScatteringResult), fields)
+            else:  # a failing energy's row holds None and its tag, and no record
+                results = [
+                    None if error else new(ScatteringResult, f)
+                    for f, error in zip(fields, errors)
+                ]
+            rows += map(new, repeat(SweepRow), zip(block, results, errors or repeat("")))
+    finally:
+        if enabled:
+            gc.enable()
     return rows
 
 

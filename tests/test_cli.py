@@ -14,10 +14,12 @@ import math
 import os
 import random
 import re
+import select
 import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -669,6 +671,25 @@ def _singscat(*argv: str, **kwargs) -> subprocess.Popen:
     return _python("-m", "singscat", *argv, **kwargs)
 
 
+def _read_within(child: subprocess.Popen, pipe, size: int = 0, seconds: float = 60.0) -> bytes:
+    """size bytes of one of child's pipes, or all to its end if size is 0.
+
+    A child that gives neither within seconds is killed, and the test fails
+    instead of waiting on the pipe for good.
+    """
+    deadline = time.monotonic() + seconds
+    data = b""
+    while not size or len(data) < size:
+        if not select.select([pipe], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            child.kill()
+            pytest.fail(f"the child's pipe gave {len(data)} bytes in {seconds} s, no more")
+        piece = os.read(pipe.fileno(), size - len(data) if size else 65536)
+        if not piece:
+            break
+        data += piece
+    return data
+
+
 def _fresh(*argv: str) -> tuple[int, str, str]:
     """run's (exit code, stdout, stderr), from a singscat process."""
     with _singscat(*argv, stdout=subprocess.PIPE) as child:
@@ -704,6 +725,8 @@ def test_a_fresh_process_gives_what_main_gives_in_process(capsys, tmp_path):
         codes.add(want[0])
     assert codes == {0, 2, 3}
     sweep = _PARITY[4]
+    # its one text block went to the pipe in several pieces
+    assert len(run(capsys, *sweep)[1]) > 3 * 4096
     want = run(capsys, *sweep, "--out", str(tmp_path / "main.csv"))
     assert _fresh(*sweep, "--out", str(tmp_path / "fresh.csv")) == want == (0, "", "")
     assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
@@ -731,9 +754,9 @@ _LONG_SWEEP = ("scatter", "--m", "1", "--c", "-2", "--kmin", "0.1", "--kmax", "1
 def test_a_stdout_pipe_closed_after_the_first_bytes_exits_two_without_a_traceback():
     # the parent ended in BrokenPipeError, a traceback and exit 1
     with _singscat(*_LONG_SWEEP, stdout=subprocess.PIPE) as child:
-        assert len(child.stdout.read(100)) == 100
+        assert len(_read_within(child, child.stdout, 100)) == 100
         child.stdout.close()
-        err = child.stderr.read().decode()
+        err = _read_within(child, child.stderr).decode()
         code = child.wait(timeout=120)
     assert code == 2 and "Traceback" not in err
     assert json.loads(err) == {
@@ -742,20 +765,24 @@ def test_a_stdout_pipe_closed_after_the_first_bytes_exits_two_without_a_tracebac
 
 
 def test_ctrl_c_ends_by_sigint_without_a_traceback():
-    # the parent printed KeyboardInterrupt's traceback, then died by SIGINT.
-    # The child starts with SIGINT's default action, which Python turns into
-    # KeyboardInterrupt, even where this process ignores SIGINT.
-    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        child = _singscat(*_LONG_SWEEP, stdout=subprocess.PIPE)
-    finally:
-        signal.signal(signal.SIGINT, previous)
-    with child:
-        assert len(child.stdout.read(100)) == 100
-        child.send_signal(signal.SIGINT)
-        err = child.stderr.read().decode()
-        code = child.wait(timeout=120)
-    assert code == -signal.SIGINT and err == ""
+    # A Ctrl-C that lands while a block is rendered must not wait for that
+    # block's write to the full pipe, which this test has stopped reading:
+    # the parent hung so in about one trial in four, and twelve trials
+    # catch that in most runs.  The child starts with SIGINT's default
+    # action, which Python turns into KeyboardInterrupt, even where this
+    # process ignores SIGINT.
+    for trial in range(12):
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            child = _singscat(*_LONG_SWEEP, stdout=subprocess.PIPE)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        with child:
+            assert len(_read_within(child, child.stdout, 100)) == 100
+            child.send_signal(signal.SIGINT)
+            err = _read_within(child, child.stderr, seconds=2.0).decode()
+            code = child.wait(timeout=60)
+        assert (trial, code, err) == (trial, -signal.SIGINT, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -766,7 +793,7 @@ def test_stdout_on_a_full_device_exits_two_without_a_traceback(argv):
     # sweep's rows and for a refusal's document alike; the short document
     # fails only at the flush
     with open("/dev/full", "w") as full, _singscat(*argv, stdout=full) as child:
-        err = child.stderr.read().decode()
+        err = _read_within(child, child.stderr).decode()
         code = child.wait(timeout=120)
     assert code == 2 and "Traceback" not in err
     assert json.loads(err) == {
@@ -787,7 +814,6 @@ def test_memory_exhausted_exits_four_with_its_document(capsys, monkeypatch):
 
 
 def test_sweeps_are_written_a_block_at_a_time(capsys, monkeypatch):
-    # each text block is written before the next kernel block is computed
     import singscat.scatter as scatter
 
     sizes = [scatter._BLOCK, scatter._BLOCK, 3 * _TABLE_BLOCK + 10]
@@ -810,10 +836,14 @@ def test_sweeps_are_written_a_block_at_a_time(capsys, monkeypatch):
     assert main(argv) == 0
     monkeypatch.undo()
     assert blocks_taken == sizes
-    assert [taken for taken, _ in writes] == [
-        n for n, size in enumerate(sizes, 1) for _ in range(-(-size // _TABLE_BLOCK))
-    ] + [len(sizes)]
-    assert "".join(text for _, text in writes) == run(capsys, *argv)[1]
+    # in pieces of at most 4096 characters, every row of a kernel block
+    # before the next one is taken
+    assert max(len(text) for _, text in writes) <= 4096
+    written = [""] * (len(sizes) + 1)
+    for taken, text in writes:
+        written[taken] += text
+    assert [text.count('"k":') for text in written] == [0, *sizes]
+    assert "".join(written) == run(capsys, *argv)[1]
 
 
 def test_m2_couplings_past_the_matching_window_exit_four(capsys):

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -227,6 +231,59 @@ def test_transmission_curve_keeps_order_and_flags_failures():
     ok = transmission_curve(junction_matrix(PotentialSpec(1.0, -1.0)), [0.5, 1.0])
     assert all(row.error == "" for row in ok)
     assert ok[0].result is not None
+
+
+def test_a_curve_leaves_the_collector_as_it_found_it():
+    j = junction_matrix(PotentialSpec(1.0, -1.0))
+    ks = [0.5, 1.0, 2.0]
+    enabled = gc.isenabled()
+    try:
+        gc.enable()
+        transmission_curve(j, ks)
+        assert gc.isenabled()
+        gc.disable()
+        transmission_curve(j, ks)
+        assert not gc.isenabled()
+        # an infinite energy in the second kernel block raises after the
+        # first block's rows were built
+        gc.enable()
+        with pytest.raises(ValueError, match="finite k"):
+            transmission_curve(j, [1.0] * scatter._BLOCK + [math.inf])
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+# Counts the collections that start during a 20,000-energy curve, then
+# prints the row count, that count, and whether numpy is loaded; numpy is
+# imported first if the argument says so
+_COUNT_COLLECTIONS = """
+import gc, sys
+if sys.argv[1] == "numpy":
+    import numpy
+from singscat import PotentialSpec, junction_matrix, transmission_curve
+j = junction_matrix(PotentialSpec(1.0, -2.0))
+ks = [0.1 + i * 1e-3 for i in range(20_000)]
+starts = []
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+rows = transmission_curve(j, ks)
+gc.callbacks.clear()
+print(len(rows), len(starts), "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
+def test_a_long_curve_runs_no_automatic_collection(kernel):
+    # the parent ran 57 collections here with numpy loaded, 81 without
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _COUNT_COLLECTIONS, kernel],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120, check=True,
+    )
+    assert child.stdout == f"20000 0 {kernel == 'numpy'}\n"
 
 
 def test_bound_state_of_attractive_delta():

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib.util
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -231,3 +235,61 @@ def test_replay_with_a_parent_exits_one_when_a_hash_differs(monkeypatch, capsys,
     digests[replay.ROOT]["cli_without_numpy"] = ("bb23", "90")
     assert replay.main(["--parent", "HEAD~1"]) == 1
     assert capsys.readouterr().out.splitlines()[1] == "cli_without_numpy bb22 90 bb23 90 DIFFERENT"
+
+
+def _op(kind: str, *argv: str) -> SimpleNamespace:
+    return SimpleNamespace(kind=kind, params={"argv": list(argv)} if argv else {})
+
+
+def _fake_workloads(ops: list[SimpleNamespace]) -> SimpleNamespace:
+    """A workloads module whose every cycle is ops; cli.main echoes argv."""
+    def cycles(workload, seed):
+        while True:
+            yield ops
+
+    def capture_main(argv):
+        return 0, " ".join(argv), ""
+
+    return SimpleNamespace(cycles=cycles, capture_main=capture_main, run_op=lambda op: op.kind)
+
+
+def test_replay_runs_each_sweep_in_both_formats(monkeypatch):
+    replay = _load("replay")
+    ops = [
+        _op("main", "scatter", "--kmin", "1", "--format", "json"),
+        _op("main", "scatter", "--k", "1"),
+        _op("cli", "radial", "--kmin", "2"),
+        _op("curve"),
+    ]
+    monkeypatch.setattr(replay, "load_workloads", lambda tree, numpy=True: _fake_workloads(ops))
+    outputs = list(replay.sweep_outputs())
+    assert outputs[:4] == [
+        (0, "scatter --kmin 1 --format csv", ""),
+        (0, "scatter --kmin 1 --format json", ""),
+        (0, "radial --kmin 2 --format csv", ""),
+        (0, "radial --kmin 2 --format json", ""),
+    ]
+    assert len(outputs) == 4 * len(replay.CLI_WORKLOADS) * len(replay.SEEDS) * replay.CYCLES
+
+
+def test_replay_fails_naming_an_op_that_leaves_the_collector_disabled(monkeypatch):
+    replay = _load("replay")
+    fake = _fake_workloads([_op("curve"), _op("swave"), _op("main", "scatter", "--kmin", "1")])
+    fake.run_op = lambda op: gc.disable() if op.kind == "swave" else op.kind
+    fake.capture_main = lambda argv: gc.disable()
+    monkeypatch.setattr(replay, "load_workloads", lambda tree, numpy=True: fake)
+    assert gc.isenabled()
+    try:
+        outputs = replay.outputs("closed_form_sweep", 5, cycles=1)
+        assert next(outputs) == "curve"
+        with pytest.raises(SystemExit, match=r"^replay: closed_form_sweep seed 5 cycle 0 op 1 "
+                                             r"\(swave\) left the garbage collector disabled$"):
+            next(outputs)
+        gc.enable()
+        with pytest.raises(SystemExit, match="^replay: scatter --kmin 1 --format csv left"):
+            next(replay.sweep_outputs())
+        gc.enable()
+        with pytest.raises(SystemExit, match="^replay: scatter --kmin 1 left"):
+            next(replay.cli_outputs())
+    finally:
+        gc.enable()

@@ -12,11 +12,16 @@ the same kernels.  It prints one line per workload:
 
     <workload> <sha256> <outputs hashed>
 
-and then one line named cli_without_numpy: the same hash over the
-outputs of the COMMANDS argvs of the CLI_WORKLOADS cycles, run through
-cli.main in a child process that never imports numpy, so that the CLI's
-scalar kernel is replayed too.  The child fails, and so does the replay,
-if numpy is loaded when its last argv has run.
+then one line named cli_sweep_formats: the same hash over every sweep
+argv (one with --kmin) of the CLI_WORKLOADS cycles, each run through
+cli.main in CSV and in JSON, so that every table is replayed in both
+formats; and then one line named cli_without_numpy: the same hash over
+the outputs of the COMMANDS argvs of the CLI_WORKLOADS cycles, run
+through cli.main in a child process that never imports numpy, so that
+the CLI's scalar kernel is replayed too.  The child fails, and so does
+the replay, if numpy is loaded when its last argv has run.  Any op that
+leaves the cyclic garbage collector disabled ends the replay with exit
+status 1 and a message that names the op.
 
 With --parent REV, the commit REV is cloned from this repository into a
 temporary directory (a local clone, no network), checked out and
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import shutil
 import subprocess
@@ -55,6 +61,7 @@ CYCLES = 2
 CLI_WORKLOADS = ("cli_oneshot", "closed_form_sweep")
 COMMANDS = ("scatter", "radial", "junction", "bound")
 WITHOUT_NUMPY = "cli_without_numpy"
+SWEEP_FORMATS = "cli_sweep_formats"
 
 
 def load_workloads(tree: Path = ROOT, numpy: bool = True):
@@ -74,26 +81,54 @@ def outputs(workload: str, seed: int, cycles: int = CYCLES, tree: Path = ROOT) -
     """The outputs of a workload's first cycles at seed, op by op."""
     W = load_workloads(tree)
     stream = W.cycles(workload, seed)
-    for _ in range(cycles):
-        for op in next(stream):
-            if op.kind == "cli":
-                yield W.capture_main(op.params["argv"])
-            else:
-                yield W.run_op(op)
+    for cycle in range(cycles):
+        for index, op in enumerate(next(stream)):
+            output = W.capture_main(op.params["argv"]) if op.kind == "cli" else W.run_op(op)
+            name = f"{workload} seed {seed} cycle {cycle} op {index} ({op.kind})"
+            yield collector_on(output, name)
 
 
-def cli_outputs(tree: Path = ROOT) -> Iterator:
-    """The outputs of cli.main on the COMMANDS argvs of CLI_WORKLOADS'
-    first CYCLES cycles of each seed in SEEDS, without loading numpy."""
-    W = load_workloads(tree, numpy=False)
+def cli_argvs(W) -> Iterator[list[str]]:
+    """The argvs of the CLI ops of CLI_WORKLOADS' first CYCLES cycles of
+    each seed in SEEDS, from the workloads module W."""
     for workload in CLI_WORKLOADS:
         for seed in SEEDS:
             stream = W.cycles(workload, seed)
             for _ in range(CYCLES):
                 for op in next(stream):
-                    argv = op.params.get("argv")
-                    if op.kind in ("cli", "main") and argv[0] in COMMANDS:
-                        yield W.capture_main(argv)
+                    if op.kind in ("cli", "main"):
+                        yield op.params["argv"]
+
+
+def cli_outputs(tree: Path = ROOT) -> Iterator:
+    """The outputs of cli.main on the COMMANDS argvs of cli_argvs,
+    without loading numpy."""
+    W = load_workloads(tree, numpy=False)
+    for argv in cli_argvs(W):
+        if argv[0] in COMMANDS:
+            yield collector_on(W.capture_main(argv), " ".join(argv))
+
+
+def sweep_outputs(tree: Path = ROOT) -> Iterator:
+    """The outputs of cli.main on each sweep argv of cli_argvs, in CSV
+    and then in JSON, whatever --format the argv names."""
+    W = load_workloads(tree)
+    for argv in cli_argvs(W):
+        if "--kmin" in argv:
+            if "--format" in argv:
+                at = argv.index("--format")
+                argv = argv[:at] + argv[at + 2 :]
+            for fmt in ("csv", "json"):
+                run = [*argv, "--format", fmt]
+                yield collector_on(W.capture_main(run), " ".join(run))
+
+
+def collector_on(output, op: str):
+    """output, if the op named op left the cyclic garbage collector on;
+    else SystemExit, naming op."""
+    if not gc.isenabled():
+        raise SystemExit(f"replay: {op} left the garbage collector disabled")
+    return output
 
 
 def tokens(value, out: list[str]) -> list[str]:
@@ -173,7 +208,7 @@ def run_tree(tree: Path) -> dict[str, tuple[str, str]]:
     """The digests of a replay of tree, in a process of its own."""
     proc = subprocess.run(
         [sys.executable, __file__, "--tree", str(tree)],
-        capture_output=True, text=True, check=True,
+        stdout=subprocess.PIPE, text=True, check=True,
     )
     return parse(proc.stdout)
 
@@ -201,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in workloads.WORKLOADS:
         values = (out for seed in SEEDS for out in outputs(workload, seed, tree=args.tree))
         print(workload, *digest(values), flush=True)
+    print(SWEEP_FORMATS, *digest(sweep_outputs(args.tree)), flush=True)
     child = subprocess.run(
         [sys.executable, __file__, "--tree", str(args.tree), "--without-numpy"],
         stdout=subprocess.PIPE, text=True,
