@@ -11,7 +11,7 @@ exhausted.
 
 Each command imports the modules it runs when it runs.  Loading this
 module loads core, errors, junction and serialize, all that junction and
-the parser's usage errors need; scatter and bound add scatter (and the
+a refused command line need; scatter and bound add scatter (and the
 sweep module it uses), radial adds radial and sweep, and mollify and
 resonance add the mollifier and, with it, numpy.  No command loads the
 json package.
@@ -26,9 +26,7 @@ sweep whose reader has stopped reading, or to a temporary file beside
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import gc
 import math
 import os
@@ -37,6 +35,7 @@ import stat
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
+from types import SimpleNamespace
 
 from .core import PotentialSpec, ShellPotentialSpec
 from .errors import (
@@ -82,111 +81,201 @@ class UsageError(SingscatError):
     """Bad command line input."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose parse errors raise UsageError instead of exiting.
+# The grammar of the command line, which main parses, --help prints and
+# tools/size.py and the tests read.  An option is (name, dest, type,
+# choices, required, default, help): each takes one value, which type
+# (float, int or str) converts and which choices, unless None, must hold.
+# The groups below are shared by the subcommands that take them.
+_OUT = (("--out", "out", str, None, False, None, "write the result document to this path"),)
+# (m, c) of the point potential and the case IV choice
+_POINT = (
+    ("--m", "m", float, None, True, None, "exponent m of the potential c * delta^m"),
+    ("--c", "c", float, None, True, None, "coupling c of the potential"),
+    ("--iv-a", "iv_a", int, (1, -1), False, None, "case IV sign a, for m > 2 with c < 0"),
+    ("--iv-b", "iv_b", float, None, False, None, "case IV number b, for m > 2 with c < 0"),
+)
+# the output format of the subcommands whose rows go through _emit
+_FORMAT = (("--format", "format", str, ("json", "csv"), False, None, "document format"),)
+# --ksteps and --kscale default to 50 and log in _k_grid, which refuses either with --k
+_KGRID = (
+    ("--k", "k", float, None, False, None, "single energy k > 0"),
+    ("--kmin", "kmin", float, None, False, None, "lowest energy of a sweep"),
+    ("--kmax", "kmax", float, None, False, None, "highest energy of a sweep"),
+    ("--ksteps", "ksteps", int, None, False, None, "energies in a sweep (50)"),
+    ("--kscale", "kscale", str, ("log", "lin"), False, None, "spacing of a sweep (log)"),
+)
+_SHAPE = (("--shape", "shape", str, SHAPE_NAMES, True, None, "mollifier shape"),)
 
-    A value such as -1e-3, -.5E2, -inf or -NaN counts as a negative
-    number, not an option: argparse on its own only knows -1 and -0.5 as
-    numbers.  No option string looks like a number, so none is shadowed.
-    Subparsers are built from this class too.
+# Each subcommand's help line and its options, in the order --help lists them.
+_GRAMMAR = {
+    "junction": ("classify (m, c) and print its matrix", (*_OUT, *_POINT)),
+    "scatter": (
+        "reflection/transmission at one energy or over a grid",
+        (*_OUT, *_POINT, *_FORMAT, *_KGRID),
+    ),
+    "bound": ("negative-energy states of (m, c)", (*_OUT, *_POINT)),
+    "radial": (
+        "s-wave phase shift of a singular shell",
+        (*_OUT, *_POINT, *_FORMAT, *_KGRID,
+         ("--a", "a", float, None, True, None, "shell radius")),
+    ),
+    "mollify": (
+        "effective junction of the mollified potential over an eps list",
+        (
+            *_OUT, *_POINT, *_FORMAT, *_SHAPE,
+            ("--eps", "eps", str, None, True, None,
+             "comma list of widths, strictly decreasing"),
+            ("--k", "k", float, None, False, 1.0, "energy k > 0 (1.0)"),
+            ("--reference", "reference", str, ("junction", "none"), False, "junction",
+             "deviation baseline: the closed-form junction matrix, or none"),
+        ),
+    ),
+    "resonance": (
+        "resonant couplings of the m=2 scaling limit for a shape",
+        (*_OUT, *_SHAPE, ("--n", "n", int, None, True, None, "level index n")),
+    ),
+}
+
+_HELP = ("-h", "--help")
+
+# A value such as -1e-3, -.5E2, -inf or -NaN is a negative number, not an
+# option; no option name looks like a number, so none is shadowed.
+_NEGATIVE_NUMBER = r"(?i)^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|infinity|nan)$"
+
+
+def _option_of(token: str, names: Sequence[str]) -> tuple | None:
+    """What token is among the option names: None for a value, else
+    (name, value), value being what follows "=" or runs on after -h, or
+    None.
+
+    The token may be a name or the prefix of one name alone; a prefix of
+    several is refused.  A token that starts with "-" but names no option
+    gives (None, None), unless it is a negative number or holds a space,
+    which make it a value.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|infinity|nan)$",
-            re.IGNORECASE,
-        )
-
-    def error(self, message):
-        raise UsageError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the result document to this path")
-
-    # (m, c) of the point potential and the case IV choice
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--m", type=float, required=True)
-    point.add_argument("--c", type=float, required=True)
-    point.add_argument("--iv-a", type=int, choices=(1, -1), dest="iv_a")
-    point.add_argument("--iv-b", type=float, dest="iv_b")
-
-    # the output format of the subcommands whose rows go through _emit
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=("json", "csv"))
-
-    kgrid = argparse.ArgumentParser(add_help=False)
-    kgrid.add_argument("--k", type=float, help="single energy k > 0")
-    kgrid.add_argument("--kmin", type=float)
-    kgrid.add_argument("--kmax", type=float)
-    # defaults 50 and log, applied by _k_grid, which refuses either with --k
-    kgrid.add_argument("--ksteps", type=int)
-    kgrid.add_argument("--kscale", choices=("log", "lin"))
-
-    parser = _Parser(
-        prog="singscat",
-        description="Point scattering for powers of the delta potential.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "junction", parents=[common, point], help="classify (m, c) and print its matrix"
-    )
-    sub.add_parser(
-        "scatter",
-        parents=[common, point, table, kgrid],
-        help="reflection/transmission at one energy or over a grid",
-    )
-    sub.add_parser(
-        "bound", parents=[common, point], help="negative-energy states of (m, c)"
-    )
-    p_radial = sub.add_parser(
-        "radial",
-        parents=[common, point, table, kgrid],
-        help="s-wave phase shift of a singular shell",
-    )
-    p_radial.add_argument("--a", type=float, required=True, help="shell radius")
-
-    p_mollify = sub.add_parser(
-        "mollify",
-        parents=[common, point, table],
-        help="effective junction of the mollified potential over an eps list",
-    )
-    p_mollify.add_argument("--shape", choices=SHAPE_NAMES, required=True)
-    p_mollify.add_argument(
-        "--eps", required=True, help="comma list of widths, strictly decreasing"
-    )
-    p_mollify.add_argument("--k", type=float, default=1.0)
-    p_mollify.add_argument(
-        "--reference",
-        choices=("junction", "none"),
-        default="junction",
-        help="deviation baseline: the closed-form junction matrix, or none",
-    )
-
-    p_resonance = sub.add_parser(
-        "resonance",
-        parents=[common],
-        help="resonant couplings of the m=2 scaling limit for a shape",
-    )
-    p_resonance.add_argument("--shape", choices=SHAPE_NAMES, required=True)
-    p_resonance.add_argument("--n", type=int, required=True)
-
-    return parser
+    if not token.startswith("-"):
+        return None
+    if token in names:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        found = [(full, value if eq else None) for full in names if full.startswith(name)]
+    else:  # -h, with what runs on after it
+        found = [(full, token[2:]) for full in names if full == token[:2]]
+    if len(found) > 1:
+        matches = ", ".join(full for full, _ in found)
+        raise UsageError(f"ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    # re compiles the pattern on its first use, which a plain decimal such
+    # as -2.5 does not need
+    negative = token[1:].replace(".", "", 1).isdecimal() or re.match(_NEGATIVE_NUMBER, token)
+    return None if negative or " " in token else (None, None)
 
 
-# The parser of main, built on its first call.  The first build in a
-# process takes 2.7-3.6 ms, most of it argparse's gettext calls, which
-# import locale on first use, and its first regex compiles; a later build
-# takes 0.9-1.1 ms and the first parse 0.23-0.28 ms (2-vCPU VM, Python
-# 3.11).  build_parser stays a fresh parser per call.
-_main_parser = functools.cache(build_parser)
+def _help(name: str, value: str | None, command: str | None) -> None:
+    """Print the usage of command, or of singscat for None, and a line per
+    command or option, and exit.
+
+    A value after "=", or one run on to -h other than more h's, is refused.
+    """
+    if value is not None:
+        rest = value.lstrip("h") if name == "-h" else value
+        if rest or not value:
+            raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    if command is None:
+        usage = "singscat [-h] {%s} ..." % ",".join(_GRAMMAR)
+        about = "Point scattering for powers of the delta potential."
+        rows = [(name, line) for name, (line, _) in _GRAMMAR.items()]
+    else:
+        about, options = _GRAMMAR[command]
+        usage, rows = f"singscat {command} [-h]", []
+        for name, dest, _, choices, required, _, line in options:
+            metavar = "{%s}" % ",".join(map(str, choices)) if choices else dest.upper()
+            usage += f" {name} {metavar}" if required else f" [{name} {metavar}]"
+            rows.append((f"{name} {metavar}", line))
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    sys.stdout.write(f"usage: {usage}\n\n{about}\n\n")
+    sys.stdout.writelines(f"  {left:<22}  {line}\n" for left, line in rows)
+    raise SystemExit(EXIT_OK)
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if value not in choices:
+        spelled = ", ".join(map(repr, choices))
+        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {spelled})")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and options of argv; -h or --help prints its text
+    and exits 0.
+
+    Before the subcommand only -h and --help are options.  Its options
+    are read left to right, a repeated one keeping its last value, and
+    each value is converted and checked as it is read.  The required
+    options are checked after all of them, and a token that is neither
+    the subcommand nor one of its options, nor an option's value, is
+    refused last.  A refusal raises UsageError with argparse's message.
+    """
+    extras = []
+    for at, token in enumerate(argv):
+        reading = (None, None) if token == "--" else _option_of(token, _HELP)
+        # a "--" with a token after it is read as the subcommand
+        if reading is None or token == "--" and at + 1 < len(argv):
+            break
+        if reading[0] is not None:
+            _help(*reading, None)
+        extras.append(token)
+    else:
+        raise UsageError("the following arguments are required: command")
+    _check_choice("command", token, _GRAMMAR)
+    command, argv = token, argv[at + 1 :]
+    options = {option[0]: option for option in _GRAMMAR[command][1]}
+    args = SimpleNamespace(command=command, **{o[1]: o[5] for o in options.values()})
+    # every ambiguous prefix is refused before any value is read; "--"
+    # names no option, every token after it is a value, and there is no
+    # value past the last token
+    cut = argv.index("--") if "--" in argv else len(argv)
+    readings = [_option_of(token, (*_HELP, *options)) for token in argv[:cut]]
+    readings += [(None, None), *[None] * (len(argv) - cut - 1), (None, None)]
+    given, at = set(), 0
+    while at < len(argv):
+        name, value = readings[at] or (None, None)
+        at += 1
+        if name is None:
+            extras.append(argv[at - 1])
+            continue
+        if name in _HELP:
+            _help(name, value, command)
+        if value is None:
+            if readings[at] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            value, at = argv[at], at + 1
+        _, dest, kind, choices, _, _, _ = options[name]
+        try:
+            value = kind(value)
+        except ValueError:
+            raise UsageError(
+                f"argument {name}: invalid {kind.__name__} value: {value!r}"
+            ) from None
+        if choices is not None:
+            _check_choice(name, value, choices)
+        setattr(args, dest, value)
+        given.add(name)
+    missing = [name for name, option in options.items() if option[4] and name not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _resolve_choice(
-    p: PotentialSpec, args: argparse.Namespace
+    p: PotentialSpec, args: SimpleNamespace
 ) -> tuple[Regime, IvChoice | None]:
     """The regime of p and the case IV choice of the flags, which are
     refused in any other regime."""
@@ -264,7 +353,7 @@ class _Grid(Sequence):
         return points
 
 
-def _k_grid(args: argparse.Namespace) -> Sequence[float] | None:
+def _k_grid(args: SimpleNamespace) -> Sequence[float] | None:
     """None for single-point mode, else the sweep grid, a _Grid."""
     sweeping = args.kmin is not None or args.kmax is not None
     if args.k is not None and sweeping:
@@ -287,7 +376,7 @@ def _k_grid(args: argparse.Namespace) -> Sequence[float] | None:
     return _Grid(args.kmin, args.kmax, steps, args.kscale != "lin")
 
 
-def cmd_junction(args: argparse.Namespace) -> Iterator[str]:
+def cmd_junction(args: SimpleNamespace) -> Iterator[str]:
     p = PotentialSpec(args.m, args.c)
     regime, choice = _resolve_choice(p, args)
     matrix = junction_matrix(p, choice)
@@ -318,7 +407,7 @@ def _emit(
     return [canonical_json(dict(zip(fields, next(zip(*columns))))) + "\n"]
 
 
-def cmd_scatter(args: argparse.Namespace) -> Iterator[str]:
+def cmd_scatter(args: SimpleNamespace) -> Iterator[str]:
     from .scatter import _amplitude_columns, scattering_amplitudes
 
     p = PotentialSpec(args.m, args.c)
@@ -340,7 +429,7 @@ def cmd_scatter(args: argparse.Namespace) -> Iterator[str]:
     yield from _emit(SCATTER_FIELDS + ["error"], blocks, args.format, sweep=True)
 
 
-def cmd_bound(args: argparse.Namespace) -> Iterator[str]:
+def cmd_bound(args: SimpleNamespace) -> Iterator[str]:
     from .scatter import bound_states
 
     p = PotentialSpec(args.m, args.c)
@@ -359,7 +448,7 @@ def cmd_bound(args: argparse.Namespace) -> Iterator[str]:
     yield canonical_json(doc) + "\n"
 
 
-def cmd_radial(args: argparse.Namespace) -> Iterator[str]:
+def cmd_radial(args: SimpleNamespace) -> Iterator[str]:
     from .radial import s_wave_solve
     from .sweep import sweep_map
 
@@ -389,7 +478,7 @@ def cmd_radial(args: argparse.Namespace) -> Iterator[str]:
     yield from _emit(RADIAL_FIELDS + ["error"], blocks, args.format, sweep=True)
 
 
-def cmd_mollify(args: argparse.Namespace) -> Iterator[str]:
+def cmd_mollify(args: SimpleNamespace) -> Iterator[str]:
     from .mollifier import SHAPES, certify_convergence, convergence_sweep
 
     p = PotentialSpec(args.m, args.c)
@@ -429,7 +518,7 @@ def cmd_mollify(args: argparse.Namespace) -> Iterator[str]:
     yield from _emit(MOLLIFY_FIELDS, [list(zip(*cells))], args.format, sweep=True)
 
 
-def cmd_resonance(args: argparse.Namespace) -> Iterator[str]:
+def cmd_resonance(args: SimpleNamespace) -> Iterator[str]:
     from .mollifier import SHAPES, resonant_search
 
     level, parity = resonant_search(SHAPES[args.shape], args.n)
@@ -502,7 +591,7 @@ def _write_out(path: str, blocks: Iterable[str]) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _main_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         blocks = _COMMANDS[args.command](args)
         # every refusal, those of the first block's rows too, comes before
         # the first byte is written

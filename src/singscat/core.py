@@ -197,7 +197,7 @@ class PotentialSpec(CheckedRecord, namedtuple("PotentialSpec", "m c")):
 
 
 class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a")):
-    """Spherical shell carrying a point potential at radius a > 0.
+    """Spherical shell carrying a point potential at a finite radius a > 0.
 
     base must be a PotentialSpec; anything else raises ValueError.
     """
@@ -209,7 +209,7 @@ class ShellPotentialSpec(CheckedRecord, namedtuple("ShellPotentialSpec", "base a
         _check_type(base, PotentialSpec, "shell base")
         a = _float(a, "shell radius")
         if not (isfinite(a) and a > 0.0):
-            raise ValueError(f"shell radius must be positive, got {a}")
+            raise ValueError(f"shell radius must be positive and finite, got {a}")
         return tuple.__new__(cls, (base, a))
 
 

@@ -244,7 +244,7 @@ class RegularizedPotential(
         _check_type(spec, PotentialSpec, "spec")
         _check_type(shape, MollifierShape, "shape")
         if not 0.0 < (eps := _float(eps, "eps")) < math.inf:
-            raise ValueError(f"eps must be positive, got {eps!r}")
+            raise ValueError(f"eps must be positive and finite, got {eps!r}")
         return tuple.__new__(cls, (spec, shape, eps))
 
     @property
@@ -647,20 +647,22 @@ def convergence_sweep(
 ) -> list[ConvergenceRow]:
     """Effective junction per eps, never aborting on per-row failures.
 
-    eps_list must be a sequence of real numbers, strictly decreasing and
-    positive, and a reference must be a Mat2.  Rows that overflow, lose
-    their phase or fail to converge come back with matrix None, nan
-    numbers and the error's tag.  One _junctions call gives every row.
+    eps_list must be a sequence of positive and finite real numbers,
+    strictly decreasing, and a reference must be a Mat2.  Rows that
+    overflow, lose their phase or fail to converge come back with matrix
+    None, nan numbers and the error's tag.  One _junctions call gives
+    every row.
     """
     if reference is not None:
         _check_type(reference, Mat2, "reference")
     eps_values = [_float(eps, "eps") for eps in _as_list(eps_list, "eps_list")]
     if not eps_values:
         raise ValueError("eps_list must not be empty")
+    # each eps is checked before their order, so that a nan is named as such
+    pots = [RegularizedPotential(p, shape, eps) for eps in eps_values]
     for earlier, later in zip(eps_values, eps_values[1:]):
         if not later < earlier:
             raise ValueError("eps_list must decrease strictly")
-    pots = [RegularizedPotential(p, shape, eps) for eps in eps_values]
     rows = []
     for eps, m_eps in zip(eps_values, _junctions(pots, k)):
         if isinstance(m_eps, SingscatError):

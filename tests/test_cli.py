@@ -6,7 +6,6 @@ documents; everything else is exit codes, headers, and round trips.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -22,12 +21,13 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singscat.cli import MAX_EPS, MAX_KSTEPS, _fail, _k_grid, build_parser, main
+from singscat.cli import MAX_EPS, MAX_KSTEPS, _GRAMMAR, _fail, _k_grid, main
 from singscat.errors import BracketError, TransferOverflow
 from singscat.mollifier import MAX_LEVEL
 from singscat.serialize import _TABLE_BLOCK, canonical_json
@@ -126,12 +126,13 @@ def test_runs_are_deterministic(capsys):
     assert first == second
 
 
-def test_main_keeps_one_parser_that_a_refusal_or_help_leaves_as_it_was(capsys):
+def test_a_refusal_or_help_leaves_later_parses_unchanged(capsys):
     sweep = ("scatter", "--m", "1", "--c", "-1", "--kmin", "0.1", "--kmax", "10",
              "--ksteps", "7", "--format", "json")
     first = run(capsys, *sweep)
     assert run(capsys, "scatter", "--m", "1")[0] == 2
     assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "scatter", "--help")[0] == 0
     assert run(capsys, *sweep) == first
 
 
@@ -178,6 +179,110 @@ def test_help_exits_zero_with_its_usage_text(capsys):
     code, out, _ = run(capsys, "scatter", "--help")
     assert code == 0
     assert "--kmin" in out
+
+
+def _refused(message: str) -> str:
+    return canonical_json({"error": "invalid_argument", "message": message}) + "\n"
+
+
+_COMMANDS = "'junction', 'scatter', 'bound', 'radial', 'mollify', 'resonance'"
+_DELTA = '{"det":1,"junction":[[1,0],[%s,1]],"n":null,"regime":"standard_delta"}\n'
+
+# Edge command lines with the exit code and stdout that argparse gave them
+# (Python 3.11); None stands for a usage text.
+_PINNED = [
+    ("junction --m 1 --c=", 2, _refused("argument --c: invalid float value: ''")),
+    ("junction --m=1 --c=-2", 0, _DELTA % "-2"),
+    ("scatter --m 1 --c -1 --kmi 1 --kma 2 --kst 2", 0,
+     "k,re_r,im_r,re_t,im_t,R,T,flux_residual,error\n"
+     "1,-0.20000000000000001,0.40000000000000002,0.80000000000000004,"
+     "0.40000000000000002,0.20000000000000004,0.80000000000000016,"
+     "2.2204460492503131e-16,\n"
+     "2,-0.1111111111111111,0.31426968052735443,0.88888888888888884,"
+     "0.31426968052735443,0.1111111111111111,0.88888888888888884,0,\n"),
+    ("scatter --m 1 --c -1 --k 1", 0, golden_text("scatter_single.json")),
+    ("scatter --m 1 --c -1 --km 1 --k 1", 2,
+     _refused("ambiguous option: --km could match --kmin, --kmax")),
+    ("junction --m 1 --c 1 --i 1", 2,
+     _refused("ambiguous option: --i could match --iv-a, --iv-b")),
+    ("junction --m 1 --c 5 --c -2", 0, _DELTA % "-2"),
+    ("junction --m 1 --c -1e-3", 0, _DELTA % "-0.001"),
+    ("junction --m 1 --c -.5E2", 0, _DELTA % "-50"),
+    ("junction --m 1 --c -inf", 2, _refused("coupling must be finite, got -inf")),
+    ("junction --m 1 --c -NaN", 2, _refused("coupling must be finite, got nan")),
+    ("junction --m 1 --c -infx", 2, _refused("argument --c: expected one argument")),
+    ("junction --m 1 --c", 2, _refused("argument --c: expected one argument")),
+    ("junction --m x --c y", 2, _refused("argument --m: invalid float value: 'x'")),
+    ("resonance --shape gauss --n 1.5", 2,
+     _refused("argument --n: invalid int value: '1.5'")),
+    ("junction --m 3 --c -1 --iv-a 3 --iv-b 0", 2,
+     _refused("argument --iv-a: invalid choice: 3 (choose from 1, -1)")),
+    ("scatter --m 1 --c -1 --k 1 --format xml", 2,
+     _refused("argument --format: invalid choice: 'xml' (choose from 'json', 'csv')")),
+    ("resonance --n 1 --shape cube", 2, _refused(
+        "argument --shape: invalid choice: 'cube' "
+        "(choose from 'cosine', 'gauss', 'tophat', 'triangle')")),
+    ("junction", 2, _refused("the following arguments are required: --m, --c")),
+    ("junction --km 1", 2, _refused("the following arguments are required: --m, --c")),
+    ("junction --m 1 --c 1 --bogus x", 2, _refused("unrecognized arguments: --bogus x")),
+    ("junction --m 1 --c 1 -- 3", 2, _refused("unrecognized arguments: -- 3")),
+    ("junction --m 1 --c 1 -", 2, _refused("unrecognized arguments: -")),
+    ("junction --m 1 --c 1 -x", 2, _refused("unrecognized arguments: -x")),
+    ("--bogus junction --m 1 --c 1", 2, _refused("unrecognized arguments: --bogus")),
+    ("", 2, _refused("the following arguments are required: command")),
+    ("1", 2, _refused(f"argument command: invalid choice: '1' (choose from {_COMMANDS})")),
+    ("--m 1 junction", 2,
+     _refused(f"argument command: invalid choice: '1' (choose from {_COMMANDS})")),
+    ("-hx", 2, _refused("argument -h/--help: ignored explicit argument 'x'")),
+    ("junction --m x --help", 2, _refused("argument --m: invalid float value: 'x'")),
+    ("-h", 0, None),
+    ("--he", 0, None),
+    ("junction --help", 0, None),
+    ("mollify -h --m x", 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", _PINNED, ids=[case[0] for case in _PINNED])
+def test_edge_command_lines_give_their_pinned_exit_and_document(capsys, argv, code, stdout):
+    got, out, err = run(capsys, *argv.split())
+    assert (got, err) == (code, "")
+    if stdout is None:
+        assert out.startswith("usage: singscat")
+    else:
+        assert out == stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the parent said "must be positive", which inf is
+        ("radial --m 1 --c -1 --a inf --k 1",
+         "shell radius must be positive and finite, got inf"),
+        ("mollify --m 1 --c -1 --shape tophat --eps inf,1e-2",
+         "eps must be positive and finite, got inf"),
+        # the parent checked the order first: "eps_list must decrease strictly"
+        ("mollify --m 1 --c -1 --shape tophat --eps nan,1e-2",
+         "eps must be positive and finite, got nan"),
+    ],
+)
+def test_refusals_of_inf_and_nan_name_the_rule_they_apply(capsys, argv, message):
+    assert run(capsys, *argv.split())[:2] == (2, _refused(message))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("scatter --m 1 --c -1 --k=--", "argument --k: invalid float value: '--'"),
+        ("mollify --m 1 --c -1 --shape tophat --eps=--", "bad --eps list: '--'"),
+        ("junction --m 1 --c 1 --iv-a=--", "argument --iv-a: invalid int value: '--'"),
+        ("resonance --shape=-- --n 1", "argument --shape: invalid choice: '--' "
+         "(choose from 'cosine', 'gauss', 'tophat', 'triangle')"),
+    ],
+)
+def test_two_dashes_after_equals_are_a_value_like_any_other(capsys, argv, message):
+    # argparse stored an empty list for them, on which scatter, mollify and
+    # resonance raised a traceback
+    assert run(capsys, *argv.split())[:2] == (2, _refused(message))
 
 
 def test_exit_three_on_regime_errors(capsys):
@@ -379,14 +484,9 @@ _SUBCOMMAND_OPTIONS = {
 
 def _subcommand_options() -> dict[str, set[str]]:
     """The option strings of each subcommand, -h and --help included."""
-    (subparsers,) = [
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
     return {
-        name: {option for action in parser._actions for option in action.option_strings}
-        for name, parser in subparsers.choices.items()
+        name: {"-h", "--help", *(option[0] for option in options)}
+        for name, (_, options) in _GRAMMAR.items()
     }
 
 
@@ -1116,7 +1216,7 @@ def test_log_grids_over_the_whole_float_range_are_finite_and_rising():
             if kmax / kmin < math.inf:
                 continue
             for steps in (2, 3, 7, 1000, MAX_KSTEPS):
-                args = argparse.Namespace(
+                args = SimpleNamespace(
                     k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=None
                 )
                 grid = _k_grid(args)
@@ -1138,7 +1238,7 @@ def test_log_grids_rise_within_their_ends(kmax, below, steps):
     # below is kmin's distance from kmax in ulps, or kmin / kmax; a few
     # thousand ulps apart, kmin * ratio ** x can round past kmax
     kmin = _ulps_below(kmax, below) if isinstance(below, int) else max(5e-324, kmax * below)
-    args = argparse.Namespace(k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=None)
+    args = SimpleNamespace(k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=None)
     grid = _k_grid(args)
     assert len(grid) == steps and (grid[0], grid[-1]) == (kmin, kmax)
     assert all(kmin <= a <= b <= kmax for a, b in zip(grid, grid[1:]))
@@ -1186,7 +1286,7 @@ def _grid_list(kmin: float, kmax: float, steps: int, scale: str) -> list[float]:
 def test_grid_points_read_lazily_equal_the_whole_list(kmin, kmax, steps):
     for scale in ("log", "lin"):
         want = [x.hex() for x in _grid_list(kmin, kmax, steps, scale)]
-        args = argparse.Namespace(k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=scale)
+        args = SimpleNamespace(k=None, kmin=kmin, kmax=kmax, ksteps=steps, kscale=scale)
         grid = _k_grid(args)
         assert len(grid) == steps
         # a kernel block at a time, one at a time, and whole
@@ -1289,20 +1389,10 @@ _GROUPS = {
 
 
 def _fuzzed_options() -> dict[str, dict[str, bool]]:
-    """{option: required} per subcommand; --out would write files, and -h
-    and --help exit through SystemExit."""
-    (subparsers,) = [
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
+    """{option: required} per subcommand; --out would write files."""
     return {
-        name: {
-            action.option_strings[-1]: action.required
-            for action in parser._actions
-            if not {"--help", "--out"} & set(action.option_strings)
-        }
-        for name, parser in subparsers.choices.items()
+        name: {option[0]: option[4] for option in options if option[0] != "--out"}
+        for name, (_, options) in _GRAMMAR.items()
     }
 
 

@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Runs `python -m singscat <argv>` in-process, then reports on stderr
 # whether any scipy module, whether numpy and whether dataclasses were
-# loaded along the way, and on a last line which singscat modules were.
+# loaded along the way, on the next line which singscat modules were, and
+# on a last line which of argparse, gettext and locale were.
 _RUN_AND_REPORT = """
 import runpy, sys
 sys.argv = ["singscat", *sys.argv[1:]]
@@ -34,6 +35,7 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 numpy, dataclasses = ("numpy" in sys.modules), ("dataclasses" in sys.modules)
 print(f"exit={code} scipy={loaded} numpy={numpy} dataclasses={dataclasses}", file=sys.stderr)
 print(sorted(m for m in sys.modules if m.startswith("singscat.")), file=sys.stderr)
+print([m for m in ("argparse", "gettext", "locale") if m in sys.modules], file=sys.stderr)
 """
 
 
@@ -111,8 +113,8 @@ def test_lazy_loader_refuses_unknown_names():
 
 _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "json")
 
-# What loading cli loads, which is all that junction and a usage error of
-# argparse need; the other commands import their own modules when they run.
+# What loading cli loads, which is all that junction and a refused command
+# line need; the other commands import their own modules when they run.
 _CLI = ("cli", "core", "errors", "junction", "serialize")
 _SCATTER = (*_CLI, "scatter", "sweep")
 _RADIAL = (*_CLI, "radial", "sweep")
@@ -143,12 +145,12 @@ _CLI_IDS = [run[0] for run in _CLI_RUNS]
 
 
 @functools.cache
-def _cli_process_report(argv: tuple) -> tuple[str, str]:
-    """The two report lines of _RUN_AND_REPORT, one process per argv."""
+def _cli_process_report(argv: tuple) -> tuple[str, str, str]:
+    """The three report lines of _RUN_AND_REPORT, one process per argv."""
     proc = _python("-c", _RUN_AND_REPORT, *argv)
     assert proc.returncode == 0, proc.stderr
-    libraries, modules = proc.stderr.strip().splitlines()[-2:]
-    return libraries, modules
+    libraries, modules, parsing = proc.stderr.strip().splitlines()[-3:]
+    return libraries, modules, parsing
 
 
 # No process loads scipy or dataclasses.  Only resonance, among these,
@@ -157,7 +159,7 @@ def _cli_process_report(argv: tuple) -> tuple[str, str]:
     "argv, code, numpy", [run[1:4] for run in _CLI_RUNS], ids=_CLI_IDS
 )
 def test_cli_process_loads_no_scipy(argv, code, numpy):
-    libraries, _ = _cli_process_report(argv)
+    libraries, _, _ = _cli_process_report(argv)
     assert libraries == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
 
 
@@ -167,8 +169,16 @@ def test_cli_process_loads_no_scipy(argv, code, numpy):
     "argv, modules", [(run[1], run[4]) for run in _CLI_RUNS], ids=_CLI_IDS
 )
 def test_cli_process_loads_only_the_modules_of_its_command(argv, modules):
-    _, loaded = _cli_process_report(argv)
+    _, loaded, _ = _cli_process_report(argv)
     assert loaded == repr(sorted(f"singscat.{name}" for name in modules))
+
+
+# The command line is parsed from cli's grammar table: no process loads
+# argparse, nor the gettext and locale modules that argparse's messages load.
+@pytest.mark.parametrize("argv", [run[1] for run in _CLI_RUNS], ids=_CLI_IDS)
+def test_cli_process_loads_no_argparse_gettext_or_locale(argv):
+    _, _, parsing = _cli_process_report(argv)
+    assert parsing == "[]"
 
 
 # Runs `python -m singscat <argv>` in-process, then reports on stderr the

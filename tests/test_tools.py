@@ -293,3 +293,58 @@ def test_replay_fails_naming_an_op_that_leaves_the_collector_disabled(monkeypatc
             next(replay.cli_outputs())
     finally:
         gc.enable()
+
+
+def test_replay_grammar_corpus_spells_each_option_every_way():
+    replay = _load("replay")
+    table = {
+        "cmd": [
+            ["--alpha", "float", None, True],
+            ["--also", "str", ["p", "q"], False],
+            ["--beta", "int", [1, -1], False],
+        ]
+    }
+    corpus = list(replay.grammar_argvs(table))
+    assert corpus[0] == []
+    rest = ["cmd", "--alpha", "1"]
+    for argv in (
+        # --also: its name, its shortest unique prefix, its longest
+        # ambiguous one and the = form, each with no value and with values
+        [*rest, "--also"], [*rest, "--also", "p"], [*rest, "--als", "-1"],
+        [*rest, "--al", "--bogus"], [*rest, "--also=bogus"], [*rest, "--also="],
+        # a bad type and a bad choice of an int
+        [*rest, "--beta", "x"], [*rest, "--b", "3"], [*rest, "--beta=1"],
+        # the required option itself, and left out
+        ["cmd", "--alpha", "x"], ["cmd", "--alp", "-1"], ["cmd", "--alpha=-1"], ["cmd"],
+        # strays, -h around a bad value, options before the subcommand
+        [*rest, "--"], [*rest, "-"], [*rest, "x"], [*rest, "--bogus"],
+        ["cmd", "-h", "--alpha", "x"], ["cmd", "--alpha", "x", "-h"],
+        ["--alpha", "1", "cmd"], ["--bogus", *rest], ["-h", *rest],
+    ):
+        assert argv in corpus, argv
+    # no ambiguous prefix for an option that has none, no bad type for a str
+    assert ["cmd", "--alph", "1"] not in corpus and [*rest, "--also", "x"] not in corpus
+
+
+def test_replay_hashes_a_usage_text_by_its_exit_code_alone(monkeypatch, tmp_path):
+    replay = _load("replay")
+    fake = _fake_workloads([])
+    fake.capture_main = lambda argv: (0, "usage: singscat", "") if "-h" in argv else (
+        2, " ".join(argv), ""
+    )
+    monkeypatch.setattr(replay, "load_workloads", lambda tree, numpy=True: fake)
+    monkeypatch.setattr(replay, "grammar", lambda: {"cmd": [["--n", "int", None, True]]})
+    monkeypatch.chdir(tmp_path)
+    outputs = list(replay.grammar_outputs())
+    assert outputs[:2] == [(2, "", ""), (2, "cmd --n", "")]
+    assert outputs[-1] == 0 and outputs.count(0) == 3  # the three with -h
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replay_reads_the_grammar_table_of_the_cli():
+    from singscat.cli import _GRAMMAR
+
+    table = _load("replay").grammar()
+    assert list(table) == list(_GRAMMAR)
+    assert table["scatter"][3] == ["--iv-a", "int", [1, -1], False]
+    assert sum(map(len, table.values())) == 46

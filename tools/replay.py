@@ -15,7 +15,11 @@ the same kernels.  It prints one line per workload:
 then one line named cli_sweep_formats: the same hash over every sweep
 argv (one with --kmin) of the CLI_WORKLOADS cycles, each run through
 cli.main in CSV and in JSON, so that every table is replayed in both
-formats; and then one line named cli_without_numpy: the same hash over
+formats; then one line named cli_grammar: the same hash over a corpus
+of command lines that grammar_argvs enumerates from this tree's CLI
+grammar table, each run through cli.main with a temporary directory as
+the working directory, a usage text hashed by its exit code alone; and
+then one line named cli_without_numpy: the same hash over
 the outputs of the COMMANDS argvs of the CLI_WORKLOADS cycles, run
 through cli.main in a child process that never imports numpy, so that
 the CLI's scalar kernel is replayed too.  The child fails, and so does
@@ -46,11 +50,14 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import json
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,6 +69,21 @@ CLI_WORKLOADS = ("cli_oneshot", "closed_form_sweep")
 COMMANDS = ("scatter", "radial", "junction", "bound")
 WITHOUT_NUMPY = "cli_without_numpy"
 SWEEP_FORMATS = "cli_sweep_formats"
+GRAMMAR = "cli_grammar"
+
+# Prints, as one JSON line, the grammar table of the singscat under the
+# src directory argv[1]: per subcommand, each option's name, the name of
+# its type, its choices and whether it is required.
+_GRAMMAR_PROBE = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from singscat.cli import _GRAMMAR
+print(json.dumps({
+    command: [(name, kind.__name__, choices, required)
+              for name, _, kind, choices, required, _, _ in options]
+    for command, (_, options) in _GRAMMAR.items()
+}))
+"""
 
 
 def load_workloads(tree: Path = ROOT, numpy: bool = True):
@@ -121,6 +143,87 @@ def sweep_outputs(tree: Path = ROOT) -> Iterator:
             for fmt in ("csv", "json"):
                 run = [*argv, "--format", fmt]
                 yield collector_on(W.capture_main(run), " ".join(run))
+
+
+def grammar() -> dict:
+    """The CLI grammar table of this tree, as _GRAMMAR_PROBE prints it.
+
+    It is read in a process of its own, so that both trees of --parent
+    replay the same corpus.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRAMMAR_PROBE, str(ROOT / "src")],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def grammar_argvs(table: dict) -> Iterator[list[str]]:
+    """The command lines of the cli_grammar corpus over a grammar table.
+
+    For each subcommand, each option is written as its name, as its
+    shortest unique prefix and its longest ambiguous one (where it has
+    them), each followed by no value, a valid value, "-1", "--bogus",
+    a bad type ("x") and a bad choice, and in the name=value form with the
+    same values and with none; the other required options come first,
+    with valid values.  Then each required option is left out, the stray
+    tokens --bogus, x, - and -- follow a valid command line, -h comes
+    before and after a bad value, and options come before the
+    subcommand.  The corpus opens with the empty command line.
+    """
+    yield []
+    for command, options in table.items():
+        names = ["--help", *(option[0] for option in options)]
+        valid = {
+            name: str(choices[0]) if choices else "x" if kind == "str" else "1"
+            for name, kind, choices, _ in options
+        }
+        required = [[name, valid[name]] for name, _, _, needed in options if needed]
+        base = [command, *chain.from_iterable(required)]
+        for name, kind, choices, _ in options:
+            rest = [command, *chain.from_iterable(pair for pair in required if pair[0] != name)]
+            matching = {
+                name[:end]: sum(other.startswith(name[:end]) for other in names)
+                for end in range(3, len(name))
+            }
+            unique = [prefix for prefix, count in matching.items() if count == 1]
+            ambiguous = [prefix for prefix, count in matching.items() if count > 1]
+            values = [valid[name], "-1", "--bogus"]
+            values += ["x"] if kind != "str" else []
+            values += ["3" if kind == "int" else "bogus"] if choices else []
+            for spelled in [name, *unique[:1], *ambiguous[-1:]]:
+                yield [*rest, spelled]
+                for value in values:
+                    yield [*rest, spelled, value]
+            yield [*rest, f"{name}="]
+            for value in values:
+                yield [*rest, f"{name}={value}"]
+        for pair in required:
+            yield [command, *chain.from_iterable(other for other in required if other is not pair)]
+        for stray in ("--bogus", "x", "-", "--"):
+            yield [*base, stray]
+        typed = next(name for name, kind, _, _ in options if kind != "str")
+        yield [command, "-h", typed, "x"]
+        yield [command, typed, "x", "-h"]
+        yield [*base[1:3], command, *base[3:]]
+        yield ["--bogus", *base]
+        yield ["-h", *base]
+
+
+def grammar_outputs(tree: Path = ROOT) -> Iterator:
+    """The outputs of cli.main on each command line of the cli_grammar
+    corpus, run in a temporary working directory that takes any --out
+    file; a usage text is replaced by its exit code alone."""
+    W, cwd = load_workloads(tree), os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="replay_") as scratch:
+        os.chdir(scratch)
+        try:
+            for argv in grammar_argvs(grammar()):
+                code, out, err = W.capture_main(argv)
+                output = code if out.startswith("usage:") else (code, out, err)
+                yield collector_on(output, " ".join(argv))
+        finally:
+            os.chdir(cwd)
 
 
 def collector_on(output, op: str):
@@ -237,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         values = (out for seed in SEEDS for out in outputs(workload, seed, tree=args.tree))
         print(workload, *digest(values), flush=True)
     print(SWEEP_FORMATS, *digest(sweep_outputs(args.tree)), flush=True)
+    print(GRAMMAR, *digest(grammar_outputs(args.tree)), flush=True)
     child = subprocess.run(
         [sys.executable, __file__, "--tree", str(args.tree), "--without-numpy"],
         stdout=subprocess.PIPE, text=True,

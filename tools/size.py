@@ -11,8 +11,8 @@ takes no options and reads the source tree next to it:
 - parameters: the parameters of every def and lambda there, counting
   positional-only, positional and keyword-only ones, *args and **kwargs
 - public_names: len(singscat.__all__)
-- cli_slots: the (subcommand, option) pairs of cli.build_parser(),
-  -h/--help left out
+- cli_slots: the (subcommand, option) pairs of the CLI's grammar table,
+  cli._GRAMMAR, -h/--help left out
 
 Neither singscat nor singscat.cli loads numpy on import, so neither does
 this script.
@@ -20,7 +20,6 @@ this script.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import json
@@ -78,24 +77,15 @@ def count_parameters(source: str) -> int:
     return total
 
 
-def cli_slots(parser: argparse.ArgumentParser) -> int:
-    """(subcommand, option) pairs of a parser, help actions left out."""
-    (subparsers,) = (
-        action
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    return sum(
-        not isinstance(action, argparse._HelpAction)
-        for sub in subparsers.choices.values()
-        for action in sub._actions
-    )
+def cli_slots(grammar: dict) -> int:
+    """(subcommand, option) pairs of a grammar table such as cli._GRAMMAR."""
+    return sum(len(options) for _, options in grammar.values())
 
 
 def main() -> None:
     sys.path.insert(0, str(SRC))
     import singscat
-    from singscat.cli import build_parser
+    from singscat.cli import _GRAMMAR
 
     texts = [path.read_bytes() for path in sorted((SRC / "singscat").glob("*.py"))]
     reading = {
@@ -104,7 +94,7 @@ def main() -> None:
         "functions": sum(len(functions(text)) for text in texts),
         "parameters": sum(count_parameters(text) for text in texts),
         "public_names": len(singscat.__all__),
-        "cli_slots": cli_slots(build_parser()),
+        "cli_slots": cli_slots(_GRAMMAR),
     }
     print(json.dumps(reading))
 
