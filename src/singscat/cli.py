@@ -12,8 +12,8 @@ exhausted.
 Each command imports the modules it runs when it runs.  Loading this
 module loads core, errors, junction and serialize, all that junction and
 a refused command line need; scatter and bound add scatter (and the
-sweep module it uses), radial adds radial and sweep, and mollify and
-resonance add the mollifier and, with it, numpy.  No command loads the
+sweep module it uses), radial adds radial, and mollify and resonance add
+the mollifier and, with it, numpy.  No command loads the
 json package.
 
 Each command yields its document's text: a sweep a block of rows at a
@@ -57,8 +57,8 @@ EXIT_USAGE = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
 
-# Largest --ksteps grid; a sweep this long takes 1.2-1.8 s end to end for
-# scatter and 0.6-0.9 s for radial, in CSV or JSON, on a 2-vCPU VM.
+# Largest --ksteps grid; a sweep this long takes 0.75-1.1 s end to end for
+# scatter and 0.29-0.46 s for radial, in CSV or JSON, on a 2-vCPU VM.
 MAX_KSTEPS = 100_000
 
 # Energies per block of a radial sweep: one text block of the table writer.
@@ -449,14 +449,13 @@ def cmd_bound(args: SimpleNamespace) -> Iterator[str]:
 
 
 def cmd_radial(args: SimpleNamespace) -> Iterator[str]:
-    from .radial import s_wave_solve
-    from .sweep import sweep_map
+    from .radial import _s_wave_columns, s_wave_solve
 
     p = PotentialSpec(args.m, args.c)
     shell = ShellPotentialSpec(p, args.a)
     _, choice = _resolve_choice(p, args)
-    # regime errors exit 3 before grid errors; in sweep_map they would be rows
-    junction_matrix(p, choice)
+    # regime errors exit 3 before grid errors; a sweep takes this junction
+    matrix = junction_matrix(p, choice)
     grid = _k_grid(args)
 
     # RADIAL_FIELDS are the first four fields of a RadialResult
@@ -465,13 +464,10 @@ def cmd_radial(args: SimpleNamespace) -> Iterator[str]:
         yield from _emit(RADIAL_FIELDS, [list(zip(row))], args.format, sweep=False)
         return
 
-    def columns(ks: list[float]) -> list[tuple]:
-        rows = sweep_map(
-            lambda k: s_wave_solve(shell, k, choice)[:4] + ("",),
-            ks,
-            lambda k, tag: (k, shell.a, math.nan, math.nan, tag),
-        )
-        return list(zip(*rows))
+    def columns(ks: list[float]) -> tuple:
+        delta0, sigma0, errors = _s_wave_columns(matrix, shell.a, ks)
+        n = len(ks)
+        return ks, [shell.a] * n, delta0, sigma0, errors or [""] * n
 
     cuts = range(0, len(grid), _RADIAL_BLOCK)
     blocks = map(columns, (grid[i : i + _RADIAL_BLOCK] for i in cuts))

@@ -17,10 +17,12 @@ shift follows from
 from __future__ import annotations
 
 from collections import namedtuple
-from math import atan, atan2, cos, hypot, inf, isfinite, pi, remainder, sin, sqrt
+from collections.abc import Sequence
+from math import atan, atan2, cos, hypot, inf, isfinite, nan, pi, remainder, sin, sqrt
 
 from .core import (
     _PHASE_LIMIT,
+    Mat2,
     ShellPotentialSpec,
     _as_list,
     _check_type,
@@ -28,7 +30,7 @@ from .core import (
     check_phase,
     free_propagators,
 )
-from .errors import NonPositiveEnergy, TransferOverflow
+from .errors import NonPositiveEnergy, PrecisionLoss, TransferOverflow
 from .junction import IvChoice, junction_matrix
 
 
@@ -57,6 +59,12 @@ class RadialResult(
 _MINUS_HALF_PI = -0.5 * pi
 _FOUR_PI = 4.0 * pi
 _new = tuple.__new__
+
+# Where |c a| passes the float maximum at small q a, beta / q overflows and
+# the wave would normalise to zero; alpha and beta are scaled by this exact
+# power of two first.  |beta| < 2^1024 and q >= sqrt(2^-1074) = 2^-537, so
+# beta / q < 2^1561, and 2^-540 brings it below 2^1021.
+_SHRINK = 2.0**-540
 
 
 def _principal_shift(raw: float) -> float:
@@ -121,8 +129,12 @@ def s_wave_solve(
     # u'(a) = q > 0.  So + 0.0 keeps the bits, J11 u(a) = -0.0 at J11 = -1 too.
     alpha, beta = j11 * u_a + 0.0, j21 * u_a + j22 * du_a
     # Exterior asymptotic amplitude of alpha C + beta S is hypot(alpha, beta/q).
-    interior = 1.0 / hypot(alpha, beta / q)
-    alpha, beta = alpha * interior, beta * interior
+    scale = interior = 1.0 / hypot(alpha, beta / q)
+    if scale == 0.0:  # that amplitude overflowed
+        alpha, beta = alpha * _SHRINK, beta * _SHRINK
+        scale = 1.0 / hypot(alpha, beta / q)
+        interior = scale * _SHRINK
+    alpha, beta = alpha * scale, beta * scale
     if identity:
         # the exterior wave is the interior free wave up to overall sign, so
         # the shift is zero exactly, not via atan2
@@ -142,6 +154,63 @@ def s_wave_solve(
     if not isfinite(sigma0):
         raise TransferOverflow(f"4 pi / k overflows at k = {k!r}: sigma0 is not finite")
     return _new(RadialResult, (k, a, delta0, sigma0, interior, (alpha, beta)))
+
+
+def _s_wave_columns(
+    junction: Mat2, a: float, ks: Sequence[float]
+) -> tuple[list[float], list[float], list[str] | None]:
+    """The delta0 and sigma0 columns of a shell of radius a with this
+    junction over energies ks > 0, and the error tags.
+
+    The tags are None where no energy fails, else one per energy: "" for
+    a good one, and for a failing one the tag of the error s_wave_solve
+    raises there, PrecisionLoss's or TransferOverflow's, its numbers nan.
+    Each energy takes s_wave_solve's math calls in its order, so the bits
+    are the same; this loop is apart from s_wave_solve because a shared
+    per-energy function slows that one's every call.
+    """
+    j11, _, j21, j22 = junction
+    identity = j21 == 0.0 and abs(j11) == 1.0 and j11 == j22
+    deltas: list[float] = []
+    sigmas: list[float] = []
+    failed = []
+    for k in ks:
+        q = sqrt(k)
+        qa = q * a
+        if qa >= _PHASE_LIMIT:
+            failed.append((len(deltas), PrecisionLoss.tag))
+            deltas.append(nan)
+            sigmas.append(nan)
+            continue
+        if identity:
+            delta0 = 0.0
+        else:
+            u_a = sin(qa)
+            du_a = q * cos(qa)
+            alpha, beta = j11 * u_a + 0.0, j21 * u_a + j22 * du_a
+            scale = 1.0 / hypot(alpha, beta / q)
+            if scale == 0.0:
+                alpha, beta = alpha * _SHRINK, beta * _SHRINK
+                scale = 1.0 / hypot(alpha, beta / q)
+            alpha, beta = alpha * scale, beta * scale
+            raw = atan2(q * alpha, beta) - qa
+            delta0 = remainder(raw, pi)
+            if delta0 <= _MINUS_HALF_PI:
+                delta0 += pi
+            if abs(delta0) < 1e-6 * abs(raw) and beta != 0.0:
+                delta0 = _principal_shift(atan(q * alpha / beta) - qa)
+        sigma0 = (_FOUR_PI / k) * sin(delta0) ** 2
+        if not isfinite(sigma0):
+            failed.append((len(deltas), TransferOverflow.tag))
+            delta0 = sigma0 = nan
+        deltas.append(delta0)
+        sigmas.append(sigma0)
+    if not failed:
+        return deltas, sigmas, None
+    errors = [""] * len(deltas)
+    for at, tag in failed:
+        errors[at] = tag
+    return deltas, sigmas, errors
 
 
 def radial_wavefunction(

@@ -23,10 +23,12 @@ from singscat import (
     NonPositiveEnergy,
     PotentialSpec,
     PrecisionLoss,
+    RegimeKind,
     RegularizedPotential,
     ShellPotentialSpec,
     TransferOverflow,
     UndefinedRegime,
+    classify_regime,
     free_propagators,
     junction_matrix,
     radial_wavefunction,
@@ -286,6 +288,30 @@ def test_cross_section_that_overflows_is_refused():
         assert math.isfinite(s_wave_solve(shell, 1e-307).sigma0)
 
 
+def test_a_wave_whose_amplitude_overflows_keeps_its_digits():
+    # c a past the float maximum at small q a overflows hypot(alpha, beta / q).
+    # Without the rescaling the wave normalised to zero, interior and
+    # exterior alike; delta0 and sigma0 stayed right for c > 0, but for
+    # c < 0 the zeroed beta (-0.0) skipped the atan form, and k = 1e-30
+    # gave sigma0 = 62.0 for 4 pi a^2 = 50.3
+    for c, k in ((1e308, 1e-4), (-1e308, 1e-30)):
+        shell = _shell(1.0, c, 2.0)
+        res = s_wave_solve(shell, k)
+        alpha, beta = res.exterior_coeffs
+        assert abs(math.hypot(alpha, beta / math.sqrt(k)) - 1.0) <= 1e-15
+        with mpmath.workdps(50):
+            q, mc, a = mpmath.sqrt(mpmath.mpf(k)), mpmath.mpf(c), mpmath.mpf(2.0)
+            u, du = mpmath.sin(q * a), q * mpmath.cos(q * a)
+            interior = 1 / mpmath.hypot(u, (mc * u + du) / q)
+            delta0 = mpmath.atan(q * u / (mc * u + du)) - q * a
+            sigma0 = 4 * mpmath.pi / k * mpmath.sin(delta0) ** 2
+        assert abs(res.interior_amplitude - interior) <= 1e-12 * interior
+        assert abs(res.delta0 - delta0) <= 1e-15 * abs(delta0)
+        assert abs(res.sigma0 - sigma0) <= 1e-14 * sigma0
+        [(_, _, u)] = radial_wavefunction(res, [2.0 * shell.a])
+        assert u != 0.0
+
+
 def test_small_energy_phase_shift_keeps_its_digits(capsys):
     # 1 + c a < 0 puts atan2(q alpha, beta) next to pi, and reducing it
     # mod pi used to cancel every digit of a small delta0: k = 1e-300
@@ -434,3 +460,36 @@ def test_threads_alternating_shells_each_get_their_own_junction():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# the shells of _POOL that have a junction, and two whose c a passes the
+# float maximum once a > 1.8, each with its junction
+_COLUMN_POOL = [
+    (shell.base, choice, junction_matrix(shell.base, choice))
+    for shell, choice in [*_POOL, (_shell(1.0, 1e308), None), (_shell(1.0, -1e308), None)]
+    if classify_regime(shell.base).kind is not RegimeKind.UNDEFINED
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(_COLUMN_POOL) - 1),
+    st.floats(-3.0, 3.0),
+    st.lists(st.floats(-323.0, 30.0), min_size=1, max_size=24),
+)
+def test_the_column_function_gives_the_bits_of_s_wave_solve(index, a_exp, k_exps):
+    base, choice, junction = _COLUMN_POOL[index]
+    shell = ShellPotentialSpec(base, 10.0**a_exp)
+    ks = [10.0**e for e in k_exps]
+    deltas, sigmas, errors = radial_mod._s_wave_columns(junction, shell.a, ks)
+    expected = []
+    for k in ks:
+        try:
+            res = s_wave_solve(shell, k, choice)
+        except (PrecisionLoss, TransferOverflow) as exc:
+            expected.append(("nan", "nan", exc.tag))
+        else:
+            expected.append((res.delta0.hex(), res.sigma0.hex(), ""))
+    got = list(zip(map(float.hex, deltas), map(float.hex, sigmas), errors or [""] * len(ks)))
+    assert got == expected
+    assert errors is None or any(errors)

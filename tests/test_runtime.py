@@ -117,7 +117,7 @@ _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "jso
 # line need; the other commands import their own modules when they run.
 _CLI = ("cli", "core", "errors", "junction", "serialize")
 _SCATTER = (*_CLI, "scatter", "sweep")
-_RADIAL = (*_CLI, "radial", "sweep")
+_RADIAL = (*_CLI, "radial")
 
 # The closed-form ops of the benchmark's one-process-per-op cycle, those
 # that exit 3 by design among them, a scatter sweep, a usage error and
@@ -394,18 +394,19 @@ def _private_imports(tree: ast.Module) -> list[str]:
     ]
 
 
-def test_cli_imports_no_private_name_but_the_amplitude_columns():
-    # cli reaches the library through public names.  The one exception is
-    # scatter._amplitude_columns: it streams the sweep's columns a block at
-    # a time, where transmission_curve would hold every row in a list
-    allowed = {"scatter._amplitude_columns"}
+def test_cli_imports_no_private_name_but_the_column_functions():
+    # cli reaches the library through public names.  The exceptions are
+    # the two column functions, scatter._amplitude_columns and
+    # radial._s_wave_columns: they stream a sweep's columns a block at a
+    # time, where a record per energy would be built and dropped
+    allowed = {"scatter._amplitude_columns", "radial._s_wave_columns"}
     tree = _parse("cli")
-    # cmd_scatter imports it in its body, where the check looks too
+    # cmd_scatter and cmd_radial import them in their bodies, where the
+    # check looks too
     assert set(_private_imports(tree)) == allowed
-    # the check flags a leftover, as the radial kernel that cmd_radial
-    # called before s_wave_solve served its rows would be
-    tree.body += ast.parse("def cmd_radial():\n    from .radial import _s_wave").body
-    assert set(_private_imports(tree)) - allowed == {"radial._s_wave"}
+    # the check flags a leftover, such as a private helper of radial
+    tree.body += ast.parse("def cmd_radial():\n    from .radial import _principal_shift").body
+    assert set(_private_imports(tree)) - allowed == {"radial._principal_shift"}
 
 
 def test_cli_and_transmission_curve_import_no_numpy():

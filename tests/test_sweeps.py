@@ -563,6 +563,38 @@ _RADIAL_SWEEPS = [
         None,
         ["overflow", "", "", "", "precision_loss"],
     ),
+    # an m = 2 level, whose junction is +I: the +-I shortcut
+    (
+        ["--m", "2", "--c", repr(-((2 * math.pi) ** 2)), "--a", "2",
+         "--kmin", "1e-310", "--kmax", "1e20", "--ksteps", "9"],
+        ShellPotentialSpec(PotentialSpec(2.0, -((2 * math.pi) ** 2)), 2.0),
+        None,
+        ["overflow", "", "", "", "", "", "", "", "precision_loss"],
+    ),
+    # the sign flip -I
+    (
+        ["--m", "2", "--c", repr(-(math.pi**2)), "--a", "0.7",
+         "--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "7", "--kscale", "lin"],
+        ShellPotentialSpec(PotentialSpec(2.0, -(math.pi**2)), 0.7),
+        None,
+        [""] * 7,
+    ),
+    # 1 + c a < 0 down to k = 1e-300: the atan form
+    (
+        ["--m", "1", "--c", "-2", "--a", "2", "--kmin", "1e-300", "--kmax", "1",
+         "--ksteps", "31"],
+        ShellPotentialSpec(PotentialSpec(1.0, -2.0), 2.0),
+        None,
+        [""] * 31,
+    ),
+    # c a past the float maximum: hypot(alpha, beta / q) overflows
+    (
+        ["--m", "1", "--c", "1e308", "--a", "2", "--kmin", "1e-300", "--kmax", "1",
+         "--ksteps", "11"],
+        ShellPotentialSpec(PotentialSpec(1.0, 1e308), 2.0),
+        None,
+        [""] * 11,
+    ),
 ]
 
 

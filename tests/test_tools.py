@@ -348,3 +348,36 @@ def test_replay_reads_the_grammar_table_of_the_cli():
     assert list(table) == list(_GRAMMAR)
     assert table["scatter"][3] == ["--iv-a", "int", [1, -1], False]
     assert sum(map(len, table.values())) == 46
+
+
+def test_replay_regime_corpus_crosses_every_class_with_every_energy():
+    replay = _load("replay")
+    corpus = list(replay.regime_argvs())
+    grids = len(replay.REGIME_ENERGIES) + len(replay.REGIME_SWEEPS)
+    per_spec = 1 + (1 + len(replay.REGIME_RADII)) * grids * 2
+    assert len(corpus) == len(replay.REGIME_SPECS) * per_spec == 1010
+    assert len({tuple(argv) for argv in corpus}) == len(corpus)
+    for argv in (
+        ["bound", "--m", "1.5", "--c", "1"],
+        ["scatter", "--m", "2", "--c", repr(-(math.pi**2)), "--k", "5e-324", "--format", "csv"],
+        ["radial", "--a", "2", "--m", "1", "--c", "1e308", "--k", "1e-30", "--format", "json"],
+        ["radial", "--a", "1e-3", "--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0.5",
+         "--kmin", "5e-324", "--kmax", "1.7e308", "--ksteps", "9", "--format", "csv"],
+        ["radial", "--a", "1e5", "--m", "0.5", "--c", "3", "--kmin", "1e-300",
+         "--kmax", "1e300", "--ksteps", "9", "--kscale", "lin", "--format", "json"],
+    ):
+        assert argv in corpus, argv
+
+
+def test_replay_regime_corpus_gives_the_same_bytes_with_and_without_numpy():
+    # the in-process pass runs scatter's array kernel and the child its
+    # scalar one; every output of a valid sweep, flagged rows included,
+    # must agree
+    replay = _load("replay")
+    inside = list(replay.regime_outputs())
+    outside = list(replay.regime_outputs_without_numpy())
+    assert len(inside) == len(outside) == 1010
+    assert inside == outside
+    # successes, refused energies (2), the undefined spec (3) and
+    # numerical refusals (4) all occur
+    assert {code for code, _, _ in inside} == {0, 2, 3, 4}

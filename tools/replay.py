@@ -22,8 +22,11 @@ the working directory, a usage text hashed by its exit code alone; and
 then one line named cli_without_numpy: the same hash over
 the outputs of the COMMANDS argvs of the CLI_WORKLOADS cycles, run
 through cli.main in a child process that never imports numpy, so that
-the CLI's scalar kernel is replayed too.  The child fails, and so does
-the replay, if numpy is loaded when its last argv has run.  Any op that
+the CLI's scalar kernel is replayed too; and last one line named
+cli_regime_energies: the same hash over the regime x energy corpus of
+regime_argvs, run through cli.main in this process and then in a child
+that never imports numpy.  A child fails, and so does the replay, if
+numpy is loaded when its last argv has run.  Any op that
 leaves the cyclic garbage collector disabled ends the replay with exit
 status 1 and a message that names the op.
 
@@ -36,8 +39,8 @@ becomes
     <name> <parent sha256> <parent count> <change sha256> <change count> same|DIFFERENT
 
 The exit status is then 1 if any name's hash or count differs, or is
-missing on one side, else 0.  --tree and --without-numpy are what the
-replay's own child processes run.
+missing on one side, else 0.  --tree, --without-numpy and --regime-outputs
+are what the replay's own child processes run.
 
 Two trees whose lines agree gave the same bits on every output, but for
 the sign and payload of a nan, which float.hex does not show.
@@ -51,6 +54,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -70,6 +74,31 @@ COMMANDS = ("scatter", "radial", "junction", "bound")
 WITHOUT_NUMPY = "cli_without_numpy"
 SWEEP_FORMATS = "cli_sweep_formats"
 GRAMMAR = "cli_grammar"
+REGIME = "cli_regime_energies"
+
+# The regime x energy corpus: (m, c) and the case IV flags of one spec per
+# junction class, then two shells whose c a passes the float maximum at
+# a = 2 and 1e5; the radial radii; the single energies, two of them
+# refused; and two sweeps, a log one whose kmax / kmin overflows and a
+# linear one.
+REGIME_SPECS = (
+    ("--m", "0.5", "--c", "3"),  # no effect
+    ("--m", "1", "--c", "2"),  # delta, repulsive
+    ("--m", "1", "--c", "-2"),  # delta, attractive
+    ("--m", "2", "--c", repr(-((2 * math.pi) ** 2))),  # m = 2 level n = 2: +I
+    ("--m", "3", "--c", "-1", "--iv-a", "1", "--iv-b", "0.5"),  # case IV
+    ("--m", "3", "--c", "-1", "--iv-a", "-1", "--iv-b", "0.5"),
+    ("--m", "2", "--c", repr(-(math.pi**2))),  # sign flip: -I
+    ("--m", "1.5", "--c", "1"),  # undefined
+    ("--m", "1", "--c", "1e308"),
+    ("--m", "1", "--c", "-1e308"),
+)
+REGIME_RADII = ("1e-3", "1", "2", "1e5")
+REGIME_ENERGIES = ("5e-324", "1e-300", "1e-30", "1", "1e28", "1e300", "-1", "nan")
+REGIME_SWEEPS = (
+    ("--kmin", "5e-324", "--kmax", "1.7e308", "--ksteps", "9"),
+    ("--kmin", "1e-300", "--kmax", "1e300", "--ksteps", "9", "--kscale", "lin"),
+)
 
 # Prints, as one JSON line, the grammar table of the singscat under the
 # src directory argv[1]: per subcommand, each option's name, the name of
@@ -226,6 +255,39 @@ def grammar_outputs(tree: Path = ROOT) -> Iterator:
             os.chdir(cwd)
 
 
+def regime_argvs() -> Iterator[list[str]]:
+    """The command lines of the cli_regime_energies corpus: per spec of
+    REGIME_SPECS, bound, then scatter and radial at each radius of
+    REGIME_RADII over each energy and sweep, in CSV and in JSON."""
+    grids = [("--k", k) for k in REGIME_ENERGIES] + list(REGIME_SWEEPS)
+    for spec in REGIME_SPECS:
+        yield ["bound", *spec]
+        for head in [["scatter"], *(["radial", "--a", a] for a in REGIME_RADII)]:
+            for grid in grids:
+                for fmt in ("csv", "json"):
+                    yield [*head, *spec, *grid, "--format", fmt]
+
+
+def regime_outputs(tree: Path = ROOT, numpy: bool = True) -> Iterator:
+    """The outputs of cli.main on each command line of regime_argvs,
+    with numpy loaded unless numpy is False."""
+    W = load_workloads(tree, numpy=numpy)
+    for argv in regime_argvs():
+        yield collector_on(W.capture_main(argv), " ".join(argv))
+
+
+def regime_outputs_without_numpy(tree: Path = ROOT) -> Iterator:
+    """regime_outputs of a child that never imports numpy, read back from
+    the JSON line it prints per output; SystemExit if the child fails."""
+    child = subprocess.run(
+        [sys.executable, __file__, "--tree", str(tree), "--regime-outputs"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    if child.returncode != 0:
+        raise SystemExit(f"replay: the {REGIME} child exited {child.returncode}")
+    return (tuple(json.loads(line)) for line in child.stdout.splitlines())
+
+
 def collector_on(output, op: str):
     """output, if the op named op left the cyclic garbage collector on;
     else SystemExit, naming op."""
@@ -323,14 +385,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--without-numpy", action="store_true", help=f"print the {WITHOUT_NUMPY} line alone"
     )
+    parser.add_argument(
+        "--regime-outputs", action="store_true",
+        help=f"print the {REGIME} outputs without numpy, one JSON line each",
+    )
     args = parser.parse_args(argv)
     if args.parent is not None:
         with parent_tree(args.parent) as parent:
             lines, status = compare(run_tree(parent), run_tree(ROOT))
         print(*lines, sep="\n")
         return status
-    if args.without_numpy:
-        print(WITHOUT_NUMPY, *digest(cli_outputs(args.tree)), flush=True)
+    if args.without_numpy or args.regime_outputs:
+        if args.without_numpy:
+            print(WITHOUT_NUMPY, *digest(cli_outputs(args.tree)), flush=True)
+        else:
+            for output in regime_outputs(args.tree, numpy=False):
+                print(json.dumps(output))
         if "numpy" in sys.modules:
             print("numpy was loaded by the replay without numpy", file=sys.stderr)
             return 1
@@ -346,7 +416,11 @@ def main(argv: list[str] | None = None) -> int:
         stdout=subprocess.PIPE, text=True,
     )
     print(child.stdout, end="", flush=True)
-    return child.returncode
+    if child.returncode != 0:
+        return child.returncode
+    values = chain(regime_outputs(args.tree), regime_outputs_without_numpy(args.tree))
+    print(REGIME, *digest(values), flush=True)
+    return 0
 
 
 if __name__ == "__main__":
