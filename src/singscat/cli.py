@@ -9,35 +9,42 @@ Exit codes: 0 success, 2 bad arguments or output that cannot be written,
 3 no junction / no scattering state, 4 numerical failure or memory
 exhausted.
 
-Each command imports the modules it runs when it runs.  Loading this
-module loads core, errors, junction and serialize, all that junction and
-a refused command line need; scatter and bound add scatter (and the
-sweep module it uses), radial adds radial, and mollify and resonance add
-the mollifier and, with it, numpy.  No command loads the
-json package.
+A process compiles only the code its command can run.  This module
+holds what every command runs: the grammar table and its parser, the
+regime and case IV check, the error documents and the writing of
+stdout, and the two one-document commands, junction and bound.  Loading
+it loads core, errors, junction and serialize, all that junction and a
+refused command line need.  main imports the module of any other
+command when it runs (_COMMANDS): bound adds scatter, and the sweep
+module scatter uses; scatter and radial add cli_energy and their own
+kernel module, scatter or radial; and mollify and resonance add cli_lab,
+the mollifier and, with it, numpy.  A sweep, CSV output and mollify's
+table add table, the grid and the table writer; --out adds cli_out, its
+writer, and --help cli_help, its text.  scatter's array kernel,
+amplitude_kernel, loads only where numpy already is, so no closed-form
+command compiles it.  No command loads the json package.
 
 Each command yields its document's text: a sweep a block of rows at a
-time, as table_blocks renders them from the sweep's columns, so that a
-long table is never held whole.  main writes each block as it comes: to
-stdout in pieces of at most 4096 characters, so that Ctrl-C ends a
-sweep whose reader has stopped reading, or to a temporary file beside
---out that replaces it once the last block is written.
+time, as table.table_blocks renders them from the sweep's columns, so
+that a long table is never held whole.  main writes each block as it
+comes: to stdout in pieces of at most 4096 characters, so that Ctrl-C
+ends a sweep whose reader has stopped reading, or to a temporary file
+beside --out that replaces it once the last block is written.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import math
 import os
 import re
-import stat
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
 
-from .core import PotentialSpec, ShellPotentialSpec
+from .core import PotentialSpec
 from .errors import (
     BracketError,
     InsufficientData,
@@ -50,27 +57,12 @@ from .errors import (
     UndefinedRegime,
 )
 from .junction import IvChoice, Regime, RegimeKind, classify_regime, junction_matrix
-from .serialize import canonical_json, table_blocks
+from .serialize import canonical_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
-
-# Largest --ksteps grid; a sweep this long takes 0.75-1.1 s end to end for
-# scatter and 0.29-0.46 s for radial, in CSV or JSON, on a 2-vCPU VM.
-MAX_KSTEPS = 100_000
-
-# Energies per block of a radial sweep: one text block of the table writer.
-_RADIAL_BLOCK = 256
-
-# Longest --eps list; an eps row that runs to mollifier.N_CELLS_CAP takes
-# 0.74-1.19 s in process on a 2-vCPU VM, so 64 such rows take 47-77 s.
-MAX_EPS = 64
-
-SCATTER_FIELDS = ["k", "re_r", "im_r", "re_t", "im_t", "R", "T", "flux_residual"]
-RADIAL_FIELDS = ["k", "a", "delta0", "sigma0"]
-MOLLIFY_FIELDS = ["eps", "M11", "M12", "M21", "M22", "det_err", "deviation", "flag"]
 
 # The keys of mollifier.SHAPES, sorted: --shape's choices, known without
 # building the shapes.
@@ -94,9 +86,10 @@ _POINT = (
     ("--iv-a", "iv_a", int, (1, -1), False, None, "case IV sign a, for m > 2 with c < 0"),
     ("--iv-b", "iv_b", float, None, False, None, "case IV number b, for m > 2 with c < 0"),
 )
-# the output format of the subcommands whose rows go through _emit
+# the output format of the subcommands whose documents may be tables
 _FORMAT = (("--format", "format", str, ("json", "csv"), False, None, "document format"),)
-# --ksteps and --kscale default to 50 and log in _k_grid, which refuses either with --k
+# --ksteps and --kscale default to 50 and log in cli_energy._k_grid, which
+# refuses either with --k
 _KGRID = (
     ("--k", "k", float, None, False, None, "single energy k > 0"),
     ("--kmin", "kmin", float, None, False, None, "lowest energy of a sweep"),
@@ -187,20 +180,9 @@ def _help(name: str, value: str | None, command: str | None) -> None:
         rest = value.lstrip("h") if name == "-h" else value
         if rest or not value:
             raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
-    if command is None:
-        usage = "singscat [-h] {%s} ..." % ",".join(_GRAMMAR)
-        about = "Point scattering for powers of the delta potential."
-        rows = [(name, line) for name, (line, _) in _GRAMMAR.items()]
-    else:
-        about, options = _GRAMMAR[command]
-        usage, rows = f"singscat {command} [-h]", []
-        for name, dest, _, choices, required, _, line in options:
-            metavar = "{%s}" % ",".join(map(str, choices)) if choices else dest.upper()
-            usage += f" {name} {metavar}" if required else f" [{name} {metavar}]"
-            rows.append((f"{name} {metavar}", line))
-    rows.insert(0, ("-h, --help", "show this help message and exit"))
-    sys.stdout.write(f"usage: {usage}\n\n{about}\n\n")
-    sys.stdout.writelines(f"  {left:<22}  {line}\n" for left, line in rows)
+    from .cli_help import write_usage
+
+    write_usage(_GRAMMAR, command)
     raise SystemExit(EXIT_OK)
 
 
@@ -274,7 +256,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     return args
 
 
-def _resolve_choice(
+def resolve_choice(
     p: PotentialSpec, args: SimpleNamespace
 ) -> tuple[Regime, IvChoice | None]:
     """The regime of p and the case IV choice of the flags, which are
@@ -293,92 +275,9 @@ def _resolve_choice(
     return regime, (IvChoice(args.iv_a, args.iv_b) if given else None)
 
 
-class _Grid(Sequence):
-    """The points of a sweep grid, each computed when it is read.
-
-    Point i of steps is kmin * (kmax / kmin) ** (i / n) on a log scale,
-    with n = steps - 1 and a point that rounds past kmax taken as kmax;
-    exp(hi - (hi - lo) * (n - i) / n) of the logs lo, hi of kmin and kmax
-    where that ratio overflows; and kmin + span * i / n on a linear
-    scale.  Points 0 and n are kmin and kmax exactly.  A slice is computed
-    as one list, so a sweep that reads its grid a block at a time holds
-    one block of it.
-    """
-
-    def __init__(self, kmin: float, kmax: float, steps: int, log: bool):
-        self.kmin, self.kmax, self.steps, self.log = kmin, kmax, steps, log
-
-    def __len__(self) -> int:
-        return self.steps
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._points(range(self.steps)[index])
-        i = range(self.steps)[index]  # IndexError past the ends, as a list's
-        return self._points(range(i, i + 1))[0]
-
-    def __iter__(self) -> Iterator[float]:
-        # the sweeps slice the grid; a reader that walks it gets every point at once
-        return iter(self[:])
-
-    def _points(self, indices: range) -> list[float]:
-        kmin, kmax, last = self.kmin, self.kmax, self.steps - 1
-        n = last or 1  # one point is kmin alone, whatever the formula
-        if self.log:
-            ratio = kmax / kmin
-            if ratio < math.inf:
-                # with kmin a few ulps below kmax a point can round past kmax,
-                # and next to the float max even to inf: such a point is kmax
-                points = [
-                    k if (k := kmin * ratio ** (i / n)) <= kmax else kmax
-                    for i in indices
-                ]
-            else:  # the ratio overflows, not the points: step in logs
-                # down from hi: exp(lo + (hi - lo)) may overflow
-                lo, hi = math.log(kmin), math.log(kmax)
-                points = [math.exp(hi - (hi - lo) * (n - i) / n) for i in indices]
-        else:
-            span = kmax - kmin
-            # span * (i / n) only where span * i overflows: the two round
-            # differently, and span * i / n keeps the bits of every other grid
-            points = [
-                kmin + (span * i / n if span * i < math.inf else span * (i / n))
-                for i in indices
-            ]
-        # the log step can land an ulp off kmin, and every formula off kmax
-        if last in indices:
-            points[indices.index(last)] = kmax
-        if 0 in indices:
-            points[indices.index(0)] = kmin
-        return points
-
-
-def _k_grid(args: SimpleNamespace) -> Sequence[float] | None:
-    """None for single-point mode, else the sweep grid, a _Grid."""
-    sweeping = args.kmin is not None or args.kmax is not None
-    if args.k is not None and sweeping:
-        raise UsageError("give either --k or a --kmin/--kmax sweep, not both")
-    if not sweeping:
-        if args.k is None:
-            raise UsageError("an energy is required: --k or --kmin/--kmax")
-        if args.ksteps is not None or args.kscale is not None:
-            raise UsageError("--ksteps and --kscale shape a sweep, not a single --k")
-        if not 0.0 < args.k < math.inf:
-            raise UsageError(f"k must be positive and finite, got {args.k}")
-        return None
-    if args.kmin is None or args.kmax is None:
-        raise UsageError("sweeps need both --kmin and --kmax")
-    if not 0.0 < args.kmin <= args.kmax < math.inf:
-        raise UsageError("sweeps need 0 < kmin <= kmax < inf")
-    steps = 50 if args.ksteps is None else args.ksteps
-    if not 1 <= steps <= MAX_KSTEPS:
-        raise UsageError(f"ksteps must be in 1..{MAX_KSTEPS}, got {steps}")
-    return _Grid(args.kmin, args.kmax, steps, args.kscale != "lin")
-
-
 def cmd_junction(args: SimpleNamespace) -> Iterator[str]:
     p = PotentialSpec(args.m, args.c)
-    regime, choice = _resolve_choice(p, args)
+    regime, choice = resolve_choice(p, args)
     matrix = junction_matrix(p, choice)
     doc = {
         "regime": regime.kind.value,
@@ -389,51 +288,11 @@ def cmd_junction(args: SimpleNamespace) -> Iterator[str]:
     yield canonical_json(doc) + "\n"
 
 
-def _emit(
-    fields: list[str], blocks: Iterable[Sequence], fmt: str | None, sweep: bool
-) -> Iterable[str]:
-    """The one columns -> document path of every tabular subcommand.
-
-    blocks hold one column per field, as table_blocks takes them.  A
-    single point (sweep False, one block of one row) is a JSON object by
-    default, or a header plus one CSV row.  A sweep is a CSV table by
-    default, or JSON {"rows": [...]}.
-    """
-    if fmt == "csv" or (fmt is None and sweep):
-        return table_blocks(fields, blocks, "csv")
-    if sweep:
-        return table_blocks(fields, blocks, "json")
-    (columns,) = blocks
-    return [canonical_json(dict(zip(fields, next(zip(*columns))))) + "\n"]
-
-
-def cmd_scatter(args: SimpleNamespace) -> Iterator[str]:
-    from .scatter import _amplitude_columns, scattering_amplitudes
-
-    p = PotentialSpec(args.m, args.c)
-    _, choice = _resolve_choice(p, args)
-    matrix = junction_matrix(p, choice)
-    grid = _k_grid(args)
-    if grid is None:
-        k, r, t, rr, tt, _, flux = scattering_amplitudes(matrix, args.k)
-        row = (k, r.real, r.imag, t.real, t.imag, rr, tt, flux)
-        yield from _emit(SCATTER_FIELDS, [list(zip(row))], args.format, sweep=False)
-        return
-
-    def columns(block: tuple) -> tuple:
-        ks, errors, r, t, rr, tt, flux = block
-        return (ks, [z.real for z in r], [z.imag for z in r], [z.real for z in t],
-                [z.imag for z in t], rr, tt, flux, errors or [""] * len(ks))
-
-    blocks = map(columns, _amplitude_columns(matrix, grid))
-    yield from _emit(SCATTER_FIELDS + ["error"], blocks, args.format, sweep=True)
-
-
 def cmd_bound(args: SimpleNamespace) -> Iterator[str]:
     from .scatter import bound_states
 
     p = PotentialSpec(args.m, args.c)
-    _, choice = _resolve_choice(p, args)
+    _, choice = resolve_choice(p, args)
     matrix = junction_matrix(p, choice)
     spectrum = bound_states(matrix)
     if spectrum.kind == "discrete":
@@ -448,88 +307,15 @@ def cmd_bound(args: SimpleNamespace) -> Iterator[str]:
     yield canonical_json(doc) + "\n"
 
 
-def cmd_radial(args: SimpleNamespace) -> Iterator[str]:
-    from .radial import _s_wave_columns, s_wave_solve
-
-    p = PotentialSpec(args.m, args.c)
-    shell = ShellPotentialSpec(p, args.a)
-    _, choice = _resolve_choice(p, args)
-    # regime errors exit 3 before grid errors; a sweep takes this junction
-    matrix = junction_matrix(p, choice)
-    grid = _k_grid(args)
-
-    # RADIAL_FIELDS are the first four fields of a RadialResult
-    if grid is None:
-        row = s_wave_solve(shell, args.k, choice)[:4]
-        yield from _emit(RADIAL_FIELDS, [list(zip(row))], args.format, sweep=False)
-        return
-
-    def columns(ks: list[float]) -> tuple:
-        delta0, sigma0, errors = _s_wave_columns(matrix, shell.a, ks)
-        n = len(ks)
-        return ks, [shell.a] * n, delta0, sigma0, errors or [""] * n
-
-    cuts = range(0, len(grid), _RADIAL_BLOCK)
-    blocks = map(columns, (grid[i : i + _RADIAL_BLOCK] for i in cuts))
-    yield from _emit(RADIAL_FIELDS + ["error"], blocks, args.format, sweep=True)
-
-
-def cmd_mollify(args: SimpleNamespace) -> Iterator[str]:
-    from .mollifier import SHAPES, certify_convergence, convergence_sweep
-
-    p = PotentialSpec(args.m, args.c)
-    shape = SHAPES[args.shape]
-    try:
-        eps_list = [float(part) for part in args.eps.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --eps list: {args.eps!r}") from exc
-    if len(eps_list) > MAX_EPS:
-        raise UsageError(f"--eps takes at most {MAX_EPS} widths, got {len(eps_list)}")
-    _, choice = _resolve_choice(p, args)
-    reference = None
-    if args.reference == "junction":
-        try:
-            reference = junction_matrix(p, choice)
-        except (UndefinedRegime, MissingChoice):
-            reference = None
-    rows = convergence_sweep(p, shape, eps_list, args.k, reference=reference)
-    verdict, slope, r2 = certify_convergence(rows)
-    flag = "non_convergent" if verdict == "non_convergent" else "ok"
-    cells = [
-        [row.eps] + [math.nan] * 6 + [row.error]
-        if row.error
-        else [row.eps, *sum(row.matrix.rows(), []), row.det_err, row.deviation, flag]
-        for row in rows
-    ]
-    computed = sum(1 for row in rows if not row.error)
-    if computed >= 3:
-        summary = {"slope": slope, "r2": r2, "verdict": verdict}
-        print(canonical_json(summary), file=sys.stderr)
-    if computed == 0:
-        if all(row.error == TransferOverflow.tag for row in rows):
-            raise TransferOverflow("every eps value overflowed")
-        if all(row.error == PrecisionLoss.tag for row in rows):
-            raise PrecisionLoss("every eps value lost its phase to rounding")
-        raise NoConvergence("no eps value produced a transfer matrix")
-    yield from _emit(MOLLIFY_FIELDS, [list(zip(*cells))], args.format, sweep=True)
-
-
-def cmd_resonance(args: SimpleNamespace) -> Iterator[str]:
-    from .mollifier import SHAPES, resonant_search
-
-    level, parity = resonant_search(SHAPES[args.shape], args.n)
-    doc = {"n": args.n, "c_n": level, "parity": parity}
-    yield canonical_json(doc) + "\n"
-
-
+# Each subcommand, grouped by the module that defines its cmd_<name>;
+# main imports that module when the subcommand runs.
 _COMMANDS = {
-    "junction": cmd_junction,
-    "scatter": cmd_scatter,
-    "bound": cmd_bound,
-    "radial": cmd_radial,
-    "mollify": cmd_mollify,
-    "resonance": cmd_resonance,
+    "cli": ("junction", "bound"),
+    "cli_energy": ("scatter", "radial"),
+    "cli_lab": ("mollify", "resonance"),
 }
+# Each subcommand's module.
+_MODULE = {command: module for module, names in _COMMANDS.items() for command in names}
 
 
 def _fail(exc: Exception) -> int:
@@ -551,50 +337,19 @@ def _fail(exc: Exception) -> int:
     return code
 
 
-def _write_out(path: str, blocks: Iterable[str]) -> None:
-    """Write the blocks to the file at path.
-
-    The text goes to a temporary file in the directory of path (or of the
-    file a symlink at path names), which replaces that file once the last
-    block is written: a run that fails leaves no file, and no half-written
-    one.  An existing file keeps its mode, and a read-only one is refused
-    as open(path, "w") refuses it.  A path that is not a regular file,
-    such as /dev/null or a pipe, is written in place.
-    """
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(blocks)
-        return
-    if mode is not None:
-        os.close(os.open(target, os.O_WRONLY))
-    temp = os.path.join(os.path.dirname(target), f".singscat-{os.getpid()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        if mode is not None:
-            os.fchmod(fd, stat.S_IMODE(mode))
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(blocks)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
-
-
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        blocks = _COMMANDS[args.command](args)
+        module = import_module(f"{__package__}.{_MODULE[args.command]}")
+        blocks = getattr(module, f"cmd_{args.command}")(args)
         # every refusal, those of the first block's rows too, comes before
         # the first byte is written
         blocks = chain([next(blocks)], blocks)
         if args.out:
+            from .cli_out import write_out
+
             try:
-                _write_out(args.out, blocks)
+                write_out(args.out, blocks)
             except OSError as exc:  # spelled as if open(args.out, "w") failed
                 named = OSError(exc.errno, exc.strerror, args.out)
                 raise UsageError(f"cannot write --out file: {named}") from exc

@@ -9,6 +9,7 @@ with a junction converge to it, the others are certified divergent.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -42,7 +43,8 @@ from .errors import (
 N_CELLS_START = 64
 # The cap: the test suite's ladders stop at 32,768 cells or fewer, 128x
 # below it, and a row that runs to it (the triangle at m = 4, c = -1, k = 1,
-# eps <= 1e-6) takes 0.74-1.19 s on a 2-vCPU VM.
+# eps <= 1e-6) takes 0.74-1.19 s on a 2-vCPU VM.  A row that no rung up to
+# it resolves is refused after the first rung instead (_unresolved).
 N_CELLS_CAP = 2**22
 TOL_REL = 1e-10
 # The resonance ladder's first rung, on which the bracket scan shoots: at
@@ -510,7 +512,9 @@ def numeric_transfer(
         result's determinant is off 1 by more than 1e-6.
     NoConvergence
         if the cap is reached first (the last two iterates ride along on
-        the exception).
+        the exception), or at once after the first rung for a potential
+        that no rung up to the cap resolves (_unresolved): the first
+        rung's iterate rides along, after None.
     """
     if not math.isfinite(k := _float(k, "k")):
         raise ValueError(f"k must be finite, got {k}")
@@ -528,6 +532,7 @@ def numeric_transfer(
             continue
         ladders[lane] = _ladder(N_CELLS_START, N_CELLS_CAP, 1.0, exponents)
         next(ladders[lane])
+    unresolved = _unresolved(pots, list(ladders), k)
     n = N_CELLS_START
     while ladders:
         lanes = list(ladders)
@@ -535,6 +540,13 @@ def numeric_transfer(
         for lane, entries in zip(lanes, stack.reshape(-1, 4).tolist()):
             try:
                 if all(map(math.isfinite, entries)):
+                    if lane in unresolved:  # only ever on the first rung
+                        raise NoConvergence(
+                            f"no convergence within {N_CELLS_CAP} cells: a cell there "
+                            f"spans {unresolved.pop(lane):.3g} rad of the spread of "
+                            "the wave number, more than pi",
+                            last_iterates=(None, entries),
+                        )
                     ladders[lane].send(entries)
                     continue
                 outcomes[lane] = TransferOverflow(
@@ -564,6 +576,55 @@ def numeric_transfer(
     if isinstance(outcomes[0], SingscatError):
         raise outcomes[0]
     return outcomes[0]
+
+
+def _unresolved(pots: list, lanes: list, k: float) -> dict:
+    """{lane: phase} for each of lanes whose potential no rung up to
+    N_CELLS_CAP cells resolves: phase is the spread of the real wave
+    numbers sqrt(max(k - U, 0)) over the midpoints of the first rung,
+    N_CELLS_START cells, times the width of a cell at the cap, and it
+    exceeds pi.
+
+    The spread over those midpoints is a lower bound on the spread over
+    the support, so the cells at the cap are still wider than that.  A
+    potential constant in each cell, as the top hat's is, or a zero one,
+    has no spread, and its exact cells are never refused whatever their
+    phase.  The lanes share one spec and one shape, with a finite
+    eps^-m, and k - U is monotone in phi^m, so it takes its extremes where
+    phi^m does (_profile_range).
+    """
+    if not lanes:
+        return {}
+    low, high = _profile_range(pots[lanes[0]].shape, pots[lanes[0]].spec.m)
+    if low == high:  # no spread in any lane
+        return {}
+    unresolved = {}
+    for lane in lanes:
+        pot = pots[lane]
+        scale = pot.scale
+        q_low = math.sqrt(max(k - scale * low, 0.0))
+        q_high = math.sqrt(max(k - scale * high, 0.0))
+        phase = abs(q_low - q_high) * 2.0 * pot.half_width / N_CELLS_CAP
+        if phase > math.pi:
+            unresolved[lane] = phase
+    return unresolved
+
+
+# Kept per shape and exponent: evaluating the profile took about 13 us a
+# call, 2 % of a four-width gauss sweep and 6 % of a top hat's (2-vCPU VM).
+@functools.lru_cache(maxsize=64)
+def _profile_range(shape: MollifierShape, m: float) -> tuple[float, float]:
+    """The least and the greatest phi^m of shape at the midpoints of the
+    first rung's cells, in units of eps, which every eps shares.
+
+    A nan extreme refuses no row, and an infinite one overflows the first
+    rung, which is tested before the refusal.
+    """
+    s = shape.half_support
+    mids = -s + (np.arange(N_CELLS_START) + 0.5) * (2.0 * s / N_CELLS_START)
+    with np.errstate(all="ignore"):
+        phi_m = shape(mids) ** m
+    return float(phi_m.min()), float(phi_m.max())
 
 
 def _junctions(pots: list, k: float) -> list:

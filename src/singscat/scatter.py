@@ -14,7 +14,6 @@ from collections.abc import Iterator, Sequence
 from itertools import repeat
 
 from .core import (
-    TYPE_CHECKING,
     Mat2,
     PiecewiseSolution,
     _as_list,
@@ -30,9 +29,6 @@ from .errors import (
     TransferOverflow,
 )
 from .sweep import sweep_map
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The matching system is declared inconsistent when both parts of its
 # determinant D are this small relative to their own terms: Re D against
@@ -101,10 +97,11 @@ def scattering_amplitudes(junction: Mat2, k: float) -> ScatteringResult:
         t = J11 (1 + r) + i q J12 (1 - r)
         D = q^2 J12 - J21 + i q (J11 + J22)
 
-    in CPython's complex arithmetic; _amplitude_block transcribes these
-    operations into arrays.  The float operands are spelled complex(x, 0.0),
-    as CPython 3.11 promotes them in a mixed float/complex operation, so
-    the signed zeros do not depend on the Python version.  Raises
+    in CPython's complex arithmetic; amplitude_kernel._amplitude_block
+    transcribes these operations into arrays.  The float operands are
+    spelled complex(x, 0.0), as CPython 3.11 promotes them in a mixed
+    float/complex operation, so the signed zeros do not depend on the
+    Python version.  Raises
     NonPositiveEnergy if -inf < k <= 0 (or nan), ValueError if k is infinite, and
     NoScatteringState if the matching system is inconsistent (D = 0), as
     for the junction diag(-1, 1): each part of D is within _DEGENERACY_TOL
@@ -154,8 +151,9 @@ def _amplitude_columns(junction: Mat2, ks: Sequence[float]) -> Iterator[tuple]:
     energy: "" for a good one, the tag of its exception
     (SingscatError.tag) for a failing one, whose numbers are nan.  A block
     that holds an infinite energy raises ValueError.  Each block goes to
-    the one choice of kernel: once numpy is loaded, the array kernel, and
-    scattering_amplitudes names the errors it flags; otherwise
+    the one choice of kernel: once numpy is loaded, the array kernel of
+    amplitude_kernel, which loads only then, and scattering_amplitudes
+    names the errors it flags; otherwise
     scattering_amplitudes for each energy, and numpy stays unloaded.  The
     bits are the same.
     """
@@ -169,6 +167,8 @@ def _amplitude_columns(junction: Mat2, ks: Sequence[float]) -> Iterator[tuple]:
         return sweep_map(row, ks, lambda k, tag: (tag, nan, nan, *[math.nan] * 3))
 
     np = sys.modules.get("numpy")
+    if np is not None:
+        from .amplitude_kernel import _amplitude_block
 
     def block_columns(block: list[float]) -> tuple:
         # one pass: a finite sum rules out both infinities (and nan)
@@ -188,79 +188,6 @@ def _amplitude_columns(junction: Mat2, ks: Sequence[float]) -> Iterator[tuple]:
 
     blocks = (ks[lo : lo + _BLOCK] for lo in range(0, len(ks), _BLOCK))
     return map(block_columns, blocks)
-
-
-def _amplitude_block(junction: Mat2, k: np.ndarray) -> tuple[list | None, tuple]:
-    """A code per energy, and the columns (r, t, reflect_prob,
-    transmit_prob, flux_residual) of _amplitude_columns for finite
-    energies k.
-
-    The code is 0 for a good energy, else why it fails: 1 for k <= 0 (or
-    nan), 2 for D = 0, 3 for |r| or |t| from _AMPLITUDE_MAX.  The codes are
-    None where every energy is good; a failing energy's columns hold nan.
-    The nan fills run only for a block where some energy fails.
-    """
-    import numpy as np
-
-    j11, j12, j21, j22 = junction.m11, junction.m12, junction.m21, junction.m22
-    with np.errstate(all="ignore"):
-        q = np.sqrt(k)
-        d_re, d_im = k * j12 - j21, q * (j11 + j22)
-        degenerate = (np.hypot(d_re, d_im) == np.inf) | (
-            (abs(d_re) <= _DEGENERACY_TOL * (k * abs(j12) + abs(j21)))
-            & (abs(d_im) <= _DEGENERACY_TOL * (q * (abs(j11) + abs(j22))))
-        )
-        code = np.where(k > 0.0, np.where(degenerate, 2, 0), 1)
-        r_re, r_im = _c_quot(k * j12 + j21, q * (j22 - j11), d_re, d_im)
-        # CPython 3.11 turns the float operand of a mixed float/complex
-        # operation into complex(x, 0.0) and then runs the complex formula,
-        # 0.0 parts included, so they are spelled out to keep signed zeros.
-        a_re, a_im = _c_prod(j11, 0.0, 1.0 + r_re, 0.0 + r_im)  # j11 * (1.0 + r)
-        b_re, b_im = _c_prod(0.0, 1.0, q, 0.0)  # 1j * q
-        b_re, b_im = _c_prod(b_re, b_im, j12, 0.0)  # ... * j12
-        b_re, b_im = _c_prod(b_re, b_im, 1.0 - r_re, 0.0 - r_im)  # ... * (1.0 - r)
-        amps = np.empty((2, k.size), dtype=complex)
-        amps[0].real, amps[0].imag = r_re, r_im
-        amps[1].real, amps[1].imag = a_re + b_re, a_im + b_im
-        failing = code != 0
-        if failing.any():
-            amps[:, failing] = complex(math.nan, math.nan)
-        mods = np.hypot(amps.real, amps.imag)
-        fine = (mods < _AMPLITUDE_MAX).all(axis=0)
-        if not fine.all():  # a failing energy's nan modulus is not fine either
-            overflow = ~failing & ~fine
-            code[overflow] = 3
-            amps[:, overflow] = complex(math.nan, math.nan)
-            mods[:, overflow] = math.nan
-        # abs(.) ** 2 is libm's pow(x, 2.0), as is math.pow, and rounds
-        # differently from x * x
-        rr, tt = (list(map(math.pow, row.tolist(), repeat(2.0))) for row in mods)
-        det_j = junction.det()
-        rr_a, tt_a = (np.fromiter(col, float, k.size) for col in (rr, tt))
-        flux = (tt_a + det_j * rr_a - det_j) / np.maximum(1.0, np.maximum(rr_a, tt_a))
-    codes = code.tolist() if code.any() else None
-    return codes, (*amps.tolist(), rr, tt, flux.tolist())
-
-
-def _c_quot(a_re, a_im, b_re, b_im):
-    """a / b as CPython's _Py_c_quot (Smith's method), over arrays.
-
-    Its zero-divisor branch (ZeroDivisionError) and its nan branch never
-    apply to the rows kept: they are flagged as inconsistent first.
-    """
-    import numpy as np
-
-    real_first = abs(b_re) >= abs(b_im)
-    ratio = np.where(real_first, b_im / b_re, b_re / b_im)
-    denom = np.where(real_first, b_re + b_im * ratio, b_re * ratio + b_im)
-    re = np.where(real_first, a_re + a_im * ratio, a_re * ratio + a_im) / denom
-    im = np.where(real_first, a_im - a_re * ratio, a_im * ratio - a_re) / denom
-    return re, im
-
-
-def _c_prod(a_re, a_im, b_re, b_im):
-    """a * b as CPython's _Py_c_prod."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def transmission_curve(junction: Mat2, k_grid: Sequence[float]) -> list[SweepRow]:

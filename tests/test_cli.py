@@ -27,10 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singscat.cli import MAX_EPS, MAX_KSTEPS, _GRAMMAR, _fail, _k_grid, main
+from singscat.cli import _GRAMMAR, _fail, main
+from singscat.cli_energy import MAX_KSTEPS, _k_grid
+from singscat.cli_lab import MAX_EPS
 from singscat.errors import BracketError, TransferOverflow
 from singscat.mollifier import MAX_LEVEL
-from singscat.serialize import _TABLE_BLOCK, canonical_json
+from singscat.serialize import canonical_json
+from singscat.table import _TABLE_BLOCK
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -726,6 +729,17 @@ def test_out_through_a_symlink_writes_the_file_it_names(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == golden_text("junction_delta.json")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="descriptor links (Linux)")
+@pytest.mark.parametrize("path", ["/dev/stdout", "/proc/self/fd/1"])
+def test_out_onto_stdout_as_a_pipe_writes_the_pipe(path):
+    # the parent resolved the link to /proc/<pid>/fd/pipe:[...], which is
+    # no file: exit 2, "No such file or directory"
+    for argv in [("junction", "--m", "1", "--c", "-1"), _SWEEP_ARGV]:
+        want = _fresh(*argv)
+        assert _fresh(*argv, "--out", path) == want, argv
+        assert want[0] == 0
+
+
 def test_out_onto_a_directory_is_refused_and_names_the_path(capsys, tmp_path):
     target = tmp_path / "result.json"
     target.mkdir()
@@ -908,7 +922,7 @@ def test_memory_exhausted_exits_four_with_its_document(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setattr("singscat.cli._k_grid", exhausted)
+    monkeypatch.setattr("singscat.cli_energy._k_grid", exhausted)
     code, out, err = run(capsys, *_SWEEP_ARGV)
     assert (code, json.loads(out), err) == (4, {"error": "out_of_memory"}, "")
 

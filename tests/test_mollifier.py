@@ -4,6 +4,7 @@ divergence where none does, and the resonant coupling search."""
 from __future__ import annotations
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -332,6 +333,34 @@ def test_numeric_transfer_reports_no_convergence_at_cell_cap(monkeypatch):
     # one more doubling meets the tolerance: the cap, not the shape, failed
     monkeypatch.setattr(mollifier_mod, "N_CELLS_CAP", 512)
     numeric_transfer(pot, 1.0)
+
+
+def test_rows_the_cap_cannot_resolve_are_refused_after_the_first_rung():
+    # At c = -1e31 the wave number spreads by about 1e16 over the support:
+    # a cell at the cap still spans about 4e8 rad of it.  The parent ran
+    # each such row to the cap, 1.6-1.7 s, to flag it no_convergence.
+    p = PotentialSpec(1.0, -1e31)
+    eps_list = [0.1 * 0.9**i for i in range(64)]
+    start = time.perf_counter()
+    rows = convergence_sweep(p, TRIANGLE, eps_list, 0.5)
+    assert time.perf_counter() - start < 1.0
+    assert {row.error for row in rows} == {"no_convergence"}
+    with pytest.raises(NoConvergence, match="4194304 cells") as exc_info:
+        numeric_transfer(RegularizedPotential(p, COSINE_BUMP, 0.1), 0.5)
+    first, second = exc_info.value.last_iterates
+    assert first is None and second.shape == (2, 2)
+
+
+def test_a_row_whose_phase_per_cell_comes_from_k_is_not_refused():
+    # sqrt(k) h is 4.8 rad at the cap, past pi, but the potential spreads
+    # the wave number by 5e-8 only: the cells resolve it, and the row
+    # converges on its second rung, as it did before the early refusal
+    k, eps = 1e16, 0.1
+    pot = RegularizedPotential(PotentialSpec(1.0, 1.0), TRIANGLE, eps)
+    assert math.sqrt(k) * 2 * eps / mollifier_mod.N_CELLS_CAP > math.pi
+    exact = free_transfer(k, 2 * eps)
+    got = numeric_transfer(pot, k)
+    assert got.max_abs_diff(exact) <= 1e-8 * max(map(abs, exact))
 
 
 

@@ -114,30 +114,44 @@ def test_lazy_loader_refuses_unknown_names():
 _SWEEP = ("--kmin", "1e-3", "--kmax", "1e3", "--ksteps", "150", "--format", "json")
 
 # What loading cli loads, which is all that junction and a refused command
-# line need; the other commands import their own modules when they run.
+# line need; every other command imports its own modules when it runs:
+# bound its kernel module, scatter and radial cli_energy and theirs, and
+# the lab commands cli_lab and the mollifier.  table, the grid and the
+# table writer, comes only with a sweep, CSV output or mollify's table,
+# and cli_out, the writer of --out, only with --out.
 _CLI = ("cli", "core", "errors", "junction", "serialize")
-_SCATTER = (*_CLI, "scatter", "sweep")
-_RADIAL = (*_CLI, "radial")
+_BOUND = (*_CLI, "scatter", "sweep")
+_SCATTER = (*_BOUND, "cli_energy")
+_RADIAL = (*_CLI, "cli_energy", "radial")
+_LAB = (*_CLI, "cli_lab", "mollifier")
 
 # The closed-form ops of the benchmark's one-process-per-op cycle, those
-# that exit 3 by design among them, a scatter sweep, a usage error and
-# resonance: (id, argv, exit code, numpy loaded, singscat modules loaded).
+# that exit 3 by design among them, a scatter sweep, a usage error, the
+# lab commands, a single point in CSV and one written to --out: (id,
+# argv, exit code, numpy loaded, singscat modules loaded).
 _CLI_RUNS = [
     ("junction", ("junction", "--m", "1", "--c", "-2"), 0, False, _CLI),
-    ("resonance", ("resonance", "--shape", "gauss", "--n", "1"), 0, True,
-     (*_CLI, "mollifier")),
+    ("resonance", ("resonance", "--shape", "gauss", "--n", "1"), 0, True, _LAB),
+    ("mollify", ("mollify", "--m", "1", "--c", "-1", "--shape", "tophat", "--eps",
+     "1e-1,1e-2", "--k", "1"), 0, True, (*_LAB, "table")),
     ("junction_undefined", ("junction", "--m", "1.5", "--c", "1"), 3, False, _CLI),
-    ("bound", ("bound", "--m", "1", "--c", "-2"), 0, False, _SCATTER),
+    ("bound", ("bound", "--m", "1", "--c", "-2"), 0, False, _BOUND),
     ("scatter_k", ("scatter", "--m", "1", "--c", "-1", "--k", "2.5"), 0, False,
      _SCATTER),
+    ("scatter_k_csv", ("scatter", "--m", "1", "--c", "-1", "--k", "2.5", "--format",
+     "csv"), 0, False, (*_SCATTER, "table")),
+    ("scatter_k_out", ("scatter", "--m", "1", "--c", "-1", "--k", "2.5", "--out",
+     os.devnull), 0, False, (*_SCATTER, "cli_out")),
     ("scatter_k_no_state", ("scatter", "--m", "3", "--c", "-1", "--iv-a", "-1",
      "--iv-b", "0", "--k", "2.5"), 3, False, _SCATTER),
     ("radial_k", ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"), 0,
      False, _RADIAL),
+    ("radial_k_csv", ("radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5",
+     "--format", "csv"), 0, False, (*_RADIAL, "table")),
     ("radial_sweep", ("radial", "--m", "1", "--c", "-2", "--a", "1", *_SWEEP), 0,
-     False, _RADIAL),
+     False, (*_RADIAL, "table")),
     ("scatter_sweep", ("scatter", "--m", "1", "--c", "-1", *_SWEEP), 0, False,
-     _SCATTER),
+     (*_SCATTER, "table")),
     # no energy: refused by cmd_scatter, after it imported scatter
     ("usage_error", ("scatter", "--m", "1", "--c", "-1"), 2, False, _SCATTER),
 ]
@@ -153,8 +167,8 @@ def _cli_process_report(argv: tuple) -> tuple[str, str, str]:
     return libraries, modules, parsing
 
 
-# No process loads scipy or dataclasses.  Only resonance, among these,
-# loads numpy.
+# No process loads scipy or dataclasses.  Only the lab commands, among
+# these, load numpy.
 @pytest.mark.parametrize(
     "argv, code, numpy", [run[1:4] for run in _CLI_RUNS], ids=_CLI_IDS
 )
@@ -163,8 +177,9 @@ def test_cli_process_loads_no_scipy(argv, code, numpy):
     assert libraries == f"exit={code} scipy=[] numpy={numpy} dataclasses=False"
 
 
-# junction loads no scatter, radial or sweep, radial no scatter, and
-# resonance none of the three.
+# junction loads no scatter, radial or sweep, radial no scatter, the lab
+# commands none of the three, and no process without numpy loads scatter's
+# array kernel, amplitude_kernel.
 @pytest.mark.parametrize(
     "argv, modules", [(run[1], run[4]) for run in _CLI_RUNS], ids=_CLI_IDS
 )
@@ -394,25 +409,35 @@ def _private_imports(tree: ast.Module) -> list[str]:
     ]
 
 
+# The modules of the command line: cli and those it imports when a command
+# or an option needs them.
+_CLI_MODULES = sorted(path.stem for path in (ROOT / "src" / "singscat").glob("cli*.py"))
+
+
 def test_cli_imports_no_private_name_but_the_column_functions():
-    # cli reaches the library through public names.  The exceptions are
+    # The CLI reaches the library through public names.  The exceptions are
     # the two column functions, scatter._amplitude_columns and
     # radial._s_wave_columns: they stream a sweep's columns a block at a
     # time, where a record per energy would be built and dropped
     allowed = {"scatter._amplitude_columns", "radial._s_wave_columns"}
-    tree = _parse("cli")
+    assert _CLI_MODULES == ["cli", "cli_energy", "cli_help", "cli_lab", "cli_out"]
+    imported = {module: set(_private_imports(_parse(module))) for module in _CLI_MODULES}
     # cmd_scatter and cmd_radial import them in their bodies, where the
     # check looks too
-    assert set(_private_imports(tree)) == allowed
+    assert imported == {module: set() for module in _CLI_MODULES} | {"cli_energy": allowed}
     # the check flags a leftover, such as a private helper of radial
-    tree.body += ast.parse("def cmd_radial():\n    from .radial import _principal_shift").body
-    assert set(_private_imports(tree)) - allowed == {"radial._principal_shift"}
+    for module in _CLI_MODULES:
+        tree = _parse(module)
+        tree.body += ast.parse("def cmd_radial():\n    from .radial import _principal_shift").body
+        assert set(_private_imports(tree)) - allowed == {"radial._principal_shift"}
 
 
 def test_cli_and_transmission_curve_import_no_numpy():
     # scatter._amplitude_columns alone picks the amplitude kernel, from
-    # whether numpy is already loaded
-    assert _imports_of("numpy", _parse("cli")) == []
+    # whether numpy is already loaded; the lab commands get numpy from
+    # the mollifier
+    for module in (*_CLI_MODULES, "table"):
+        assert _imports_of("numpy", _parse(module)) == [], module
     (curve,) = [
         node
         for node in _parse("scatter").body

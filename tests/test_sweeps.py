@@ -38,13 +38,8 @@ from singscat import (
 )
 from singscat import scatter
 from singscat.cli import main
-from singscat.serialize import (
-    _TABLE_BLOCK,
-    canonical_json,
-    csv_document,
-    fmt_float,
-    table_blocks,
-)
+from singscat.serialize import canonical_json, csv_document, fmt_float
+from singscat.table import _TABLE_BLOCK, table_blocks
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 

@@ -78,11 +78,49 @@ def test_size_prints_one_json_line_without_loading_numpy():
     ).stdout.splitlines()
     assert out[1] == "False"
     reading = json.loads(out[0])
+    startup = reading.pop("startup_lines")
     assert list(reading) == [
         "src_lines", "code_lines", "functions", "parameters", "public_names", "cli_slots"
     ]
     assert all(type(value) is int and value > 0 for value in reading.values())
     assert reading["code_lines"] < reading["src_lines"]
+    assert list(startup) == list(_load("size").STARTUP_ARGVS)
+    # junction loads the fewest modules, and no process loads them all
+    assert min(startup.values()) == startup["junction"] > 0
+    assert max(startup.values()) < reading["src_lines"]
+
+
+def test_size_startup_lines_sum_the_modules_each_process_loads(tmp_path):
+    # a package whose cli.main loads one module more for bound, and a
+    # module of its own for each lab command
+    package = tmp_path / "singscat"
+    package.mkdir()
+    files = {
+        "__init__.py": "",
+        "cli.py": (
+            "import importlib\n"
+            "EXTRA = {'bound': 'b', 'mollify': 'lab', 'resonance': 'lab'}\n"
+            "def main(argv):\n"
+            "    if argv[0] in EXTRA:\n"
+            "        importlib.import_module('singscat.' + EXTRA[argv[0]])\n"
+            "    return 0\n"
+        ),
+        "b.py": "x = 1\n" * 10,
+        "lab.py": "y = 2\n" * 100,
+        "unused.py": "z = 3\n" * 1000,
+    }
+    for name, text in files.items():
+        (package / name).write_text(text, encoding="utf-8")
+    size = _load("size")
+    lines = size.startup_lines(tmp_path)
+    assert list(lines) == list(size.STARTUP_ARGVS)
+    assert lines == {name: 6 for name in size.STARTUP_ARGVS} | {
+        "bound": 16, "mollify": 106, "resonance": 106
+    }
+    # a command that fails is no reading
+    (package / "cli.py").write_text("def main(argv):\n    return 2\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="singscat junction .* exited 2"):
+        size.startup_lines(tmp_path)
 
 
 def test_bench_pairs_summary_counts_medians_quartiles_and_pairs_won():

@@ -13,9 +13,14 @@ takes no options and reads the source tree next to it:
 - public_names: len(singscat.__all__)
 - cli_slots: the (subcommand, option) pairs of the CLI's grammar table,
   cli._GRAMMAR, -h/--help left out
+- startup_lines: per canned command line of STARTUP_ARGVS, the lines of
+  the singscat modules its process loads, the package's __init__.py
+  among them: what a process that writes no bytecode compiles.  Each
+  argv runs through cli.main in a child process of its own, which
+  reports the files of the singscat modules in sys.modules.
 
 Neither singscat nor singscat.cli loads numpy on import, so neither does
-this script.
+this script; the children of the lab commands do.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import ast
 import io
 import json
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -82,6 +88,53 @@ def cli_slots(grammar: dict) -> int:
     return sum(len(options) for _, options in grammar.values())
 
 
+# One cheap run of each subcommand, a single point and a sweep of the two
+# that take either.
+STARTUP_ARGVS = {
+    "junction": ["junction", "--m", "1", "--c", "-2"],
+    "bound": ["bound", "--m", "1", "--c", "-2"],
+    "scatter_k": ["scatter", "--m", "1", "--c", "-1", "--k", "2.5"],
+    "scatter_sweep": ["scatter", "--m", "1", "--c", "-1", "--kmin", "0.1", "--kmax", "10"],
+    "radial_k": ["radial", "--m", "1", "--c", "-2", "--a", "1", "--k", "2.5"],
+    "radial_sweep": [
+        "radial", "--m", "1", "--c", "-2", "--a", "1", "--kmin", "0.1", "--kmax", "10"
+    ],
+    "mollify": [
+        "mollify", "--m", "1", "--c", "-1", "--shape", "tophat", "--eps", "0.1,0.01"
+    ],
+    "resonance": ["resonance", "--shape", "tophat", "--n", "1"],
+}
+
+# Runs cli.main of the singscat under the src directory argv[1] on the
+# rest of argv, its document discarded, then prints as one JSON line the
+# exit code and the files of the singscat modules loaded.
+_LOADED_FILES = r"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from singscat import cli
+real, sys.stdout = sys.stdout, open(os.devnull, "w")
+code = cli.main(sys.argv[2:])
+files = [m.__file__ for n, m in sys.modules.items() if n.partition(".")[0] == "singscat"]
+real.write(json.dumps([code, sorted(files)]) + "\n")
+"""
+
+
+def startup_lines(src: Path) -> dict[str, int]:
+    """{name: lines} of the singscat modules that each argv of
+    STARTUP_ARGVS loads, run on the tree under src."""
+    lines = {}
+    for name, argv in STARTUP_ARGVS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_FILES, str(src), *argv],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        code, files = json.loads(proc.stdout)
+        if code != 0:
+            raise RuntimeError(f"singscat {' '.join(argv)} exited {code}")
+        lines[name] = sum(Path(file).read_bytes().count(b"\n") for file in files)
+    return lines
+
+
 def main() -> None:
     sys.path.insert(0, str(SRC))
     import singscat
@@ -95,6 +148,7 @@ def main() -> None:
         "parameters": sum(count_parameters(text) for text in texts),
         "public_names": len(singscat.__all__),
         "cli_slots": cli_slots(_GRAMMAR),
+        "startup_lines": startup_lines(SRC),
     }
     print(json.dumps(reading))
 
